@@ -38,26 +38,16 @@ except ImportError:
     NUMBA_ENABLED = False
 
 
-def traj_collapse_paths_numpy(energies, log_w0, lam, dts, uniforms, normals):
-    """Pure-numpy backend: vectorized over trajectories, looped over steps.
+def _collapse_steps(energies, log_w0, lam, dts, uniforms, normals):
+    """The exact Gaussian-mixture collapse step, batched over trajectories.
 
-    Parameters
-    ----------
-    energies : (n_lev,) level energies (assumed distinct per level label).
-    log_w0 : (n_lev,) initial log magnitudes.
-    lam : collapse rate.
-    dts : (n_steps,) step durations.
-    uniforms, normals : (n_traj, n_steps) pre-drawn variates.
-
-    Returns
-    -------
-    weights : (n_traj, n_lev) final normalized level weights.
-    b_path : (n_traj, n_steps) cumulative record B after each step.
+    Takes the arguments of `traj_collapse_paths_numpy`.  After each step it
+    yields (lw, b): the max-shifted log magnitudes (n_traj, n_lev) and the
+    cumulative record B (n_traj,), both updated in place by the next step.
     """
     energies = np.asarray(energies, float)
     n_traj, n_steps = uniforms.shape
     lw = np.broadcast_to(np.asarray(log_w0, float), (n_traj, energies.size)).copy()
-    b_path = np.empty((n_traj, n_steps))
     b = np.zeros(n_traj)
     for s in range(n_steps):
         var = lam * dts[s]
@@ -71,10 +61,38 @@ def traj_collapse_paths_numpy(energies, log_w0, lam, dts, uniforms, normals):
         lw += -var * energies**2 + dB[:, None] * energies
         lw -= lw.max(axis=1)[:, None]
         b += dB
-        b_path[:, s] = b
+        yield lw, b
+
+
+def _weights(lw):
+    """Normalized level weights from (n_traj, n_lev) log magnitudes."""
     w = np.exp(2.0 * lw)
     w /= w.sum(axis=1)[:, None]
-    return w, b_path
+    return w
+
+
+def traj_collapse_paths_numpy(energies, log_w0, lam, dts, uniforms, normals):
+    """Pure-numpy backend: the steps of `_collapse_steps`, collected.
+
+    Parameters
+    ----------
+    energies : (n_lev,) component energies (repeats are degenerate levels).
+    log_w0 : (n_lev,) initial log magnitudes.
+    lam : collapse rate.
+    dts : (n_steps,) step durations.
+    uniforms, normals : (n_traj, n_steps) pre-drawn variates.
+
+    Returns
+    -------
+    weights : (n_traj, n_lev) final normalized level weights.
+    b_path : (n_traj, n_steps) cumulative record B after each step.
+    """
+    lw = np.broadcast_to(log_w0, (len(uniforms), np.size(energies)))  # if no steps
+    b_path = np.empty(uniforms.shape)
+    steps = _collapse_steps(energies, log_w0, lam, dts, uniforms, normals)
+    for s, (lw, b) in enumerate(steps):
+        b_path[:, s] = b
+    return _weights(lw), b_path
 
 
 def _traj_collapse_paths_impl(energies, log_w0, lam, dts, uniforms, normals):

@@ -16,9 +16,7 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation.  The optional environment variable COLLAPSE_LAB_MAX_WORKERS caps
-trajectory-level parallelism; results are independent of the worker count
-because every trajectory owns a counter-based random stream.
+violation.
 """
 
 from __future__ import annotations
@@ -27,30 +25,28 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .decay import DecayModelParams, KGrid, integrate_kgrid, occupation, occupation_collapsed
-from .engine import CollapseParams, sample_step
+from .engine import CollapseParams
 from .hilbert import (
     DiscreteSpectrum,
     DomainError,
     EnergyLevel,
     ObservableMatrix,
     SpectralState,
-    energy_distribution,
     expectation,
 )
-from .ensemble import ensemble_density_matrix, ensemble_expectation_mc
+from .ensemble import (
+    draw_traj_variates, ensemble_density_matrix, ensemble_expectation_mc,
+)
 from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
 from .records import RecordScenario, bhattacharyya, record_violation_bound
-from .rng import trajectory_rng
 from .spin import SpinModelParams, sigma1_collapsed, sigma1_standard
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
@@ -87,10 +83,17 @@ def _int_pos(raw: str) -> int:
     return v
 
 
-def _int_nonneg(raw: str) -> int:
+def _n_traj_mc(raw: str) -> int:
     v = int(raw)
-    if v < 0:
-        raise ValueError(f"must be a nonnegative integer, got {raw}")
+    if v < 0 or v == 1:
+        raise ValueError(f"must be 0 (no Monte Carlo) or at least 2, got {raw}")
+    return v
+
+
+def _fraction(raw: str) -> float:
+    v = float(raw)
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {raw}")
     return v
 
 
@@ -123,7 +126,7 @@ SCHEMAS: dict[str, dict] = {
         "t_max": (_positive, True, None),
         "n_steps": (_int_pos, False, 50),
         "n_traj": (_int_pos, False, 200),
-        "threshold": (_positive, False, 0.999),
+        "threshold": (_fraction, False, 0.999),
     },
     "ensemble": {
         "lambda": (_positive, True, None),
@@ -132,7 +135,7 @@ SCHEMAS: dict[str, dict] = {
         "phases": (_floats, False, None),
         "t_max": (_positive, True, None),
         "n_t": (_int_pos, False, 100),
-        "n_traj": (_int_nonneg, False, 0),
+        "n_traj": (_n_traj_mc, False, 0),
     },
     "measurement": {
         "fixture": (_str, True, None),
@@ -253,9 +256,13 @@ class ExperimentConfig:
                 raise ConfigError("key 'energies' must not repeat values")
             if any(w < 0 for w in p[key]) or sum(p[key]) <= 0:
                 raise ConfigError(f"key '{key}' must be nonnegative, not all zero")
-        if e == "ensemble" and p["phases"] is not None:
-            if len(p["phases"]) != len(p["energies"]):
+            if p.get("phases") is not None and len(p["phases"]) != len(p["energies"]):
                 raise ConfigError("keys 'energies' and 'phases' must align")
+            # output columns index levels by ascending energy; echo that order
+            order = sorted(range(len(p["energies"])), key=p["energies"].__getitem__)
+            for k in ("energies", key, "phases"):
+                if p.get(k) is not None:
+                    p[k] = tuple(p[k][i] for i in order)
         if e == "records" and p["b_plus"] == p["b_minus"]:
             raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
         if e == "records" and p["t_max"] <= p["t0"]:
@@ -278,19 +285,6 @@ class ExperimentConfig:
         return p["t_cal"]
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("COLLAPSE_LAB_MAX_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"COLLAPSE_LAB_MAX_WORKERS must be an integer: {raw!r}") from exc
-    if v < 1:
-        raise ConfigError("COLLAPSE_LAB_MAX_WORKERS must be >= 1")
-    return v
-
-
 # --- experiment runners -----------------------------------------------------
 # Each returns (column names incl. units, rows, summary scalars).
 
@@ -303,35 +297,22 @@ def _build_state(energies, weights, phases=None):
 
 
 def _run_collapse(p, seed):
-    params = CollapseParams(p["lambda"])
     state0 = _build_state(p["energies"], p["weights"])
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
     n_lev = len(p["energies"])
-    weights = np.empty((n_traj, n_steps, n_lev))
-    collapsed = np.empty((n_traj, n_steps), bool)
-
-    def one(i):
-        rng = trajectory_rng(seed, i)
-        state, t_prev = state0, 0.0
-        for s, t in enumerate(times):
-            _, state = sample_step(state, params, t - t_prev, rng)
-            t_prev = t
-            # energies are unique per config validation, so the distribution
-            # grid coincides with the (sorted) config energies
-            _, w = energy_distribution(state).as_arrays()
-            weights[i, s] = w
-            collapsed[i, s] = w.max() >= p["threshold"]
-
-    workers = _max_workers()
-    if workers == 1:
-        for i in range(n_traj):
-            one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(n_traj)))
-    frac = collapsed.mean(axis=0)
-    mean_w = weights.mean(axis=0)
+    uniforms, normals = draw_traj_variates(seed, n_traj, n_steps)
+    steps = _kernels._collapse_steps(
+        state0.energies(), np.asarray(state0.log_magnitudes), p["lambda"],
+        np.diff(times, prepend=0.0), uniforms, normals,
+    )
+    # reduce per step: beyond the variates, memory stays O(n_traj * n_lev)
+    frac = np.empty(n_steps)
+    mean_w = np.empty((n_steps, n_lev))
+    for s, (lw, _) in enumerate(steps):
+        w = _kernels._weights(lw)
+        frac[s] = np.mean(w.max(axis=1) >= p["threshold"])
+        mean_w[s] = w.mean(axis=0)
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
     ]
@@ -588,12 +569,11 @@ def main(argv=None) -> int:
             return validate(args.config)
         cfg = ExperimentConfig.from_file(args.config, experiment=args.command)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be a 64-bit unsigned integer")
             cfg.master_seed = args.seed
         cfg.output_path = args.out
         cfg.output_format = args.format
-        _max_workers()  # validate the env var before doing any work
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

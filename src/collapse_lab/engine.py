@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DiscreteSpectrum,
-    DomainError,
-    SpectralState,
-    energy_distribution,
-    squared_norm,
-)
+from . import _kernels
+from .hilbert import DomainError, SpectralState, energy_distribution
 
 __all__ = [
     "CollapseParams",
@@ -157,17 +152,20 @@ def sample_step(
 ) -> tuple[float, SpectralState]:
     """Draw one exact record increment and return (dB, evolved state).
 
-    Mixture sampling: pick an energy from the state's spectrum, then
+    A one-trajectory, one-step call into the batched collapse kernel: a
+    uniform picks an energy component, then a normal draws
     dB ~ Normal(2*lambda*dt*E, lambda*dt).  This realizes exactly the
     density of `record_marginal_density`.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    e, w = energy_distribution(state_t0).as_arrays()
-    idx = rng.choice(len(e), p=w)
-    var = params.lam * dt
-    dB = 2.0 * var * e[idx] + math.sqrt(var) * rng.standard_normal()
-    return float(dB), _apply_increment(state_t0, params, dt, dB)
+    u, z = rng.random(), rng.standard_normal()
+    _, b_path = _kernels.traj_collapse_paths(
+        state_t0.energies(), np.asarray(state_t0.log_magnitudes), params.lam,
+        np.array([dt]), np.array([[u]]), np.array([[z]]),
+    )
+    dB = float(b_path[0, 0])
+    return dB, _apply_increment(state_t0, params, dt, dB)
 
 
 def simulate_trajectory(

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from collapse_lab import _kernels
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
+from collapse_lab.ensemble import draw_traj_variates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -76,6 +79,19 @@ class TestConfigParsing:
         cfg = ExperimentConfig.from_file(write_config(tmp_path, COLLAPSE_INI))
         assert abs(cfg.derived_t_cal() - math.sqrt(6.0)) < 1e-12
 
+    def test_levels_sorted_with_aligned_keys(self, tmp_path):
+        ini = """[ensemble]
+lambda = 1.0
+energies = 2.0, 0.0, 1.0
+magnitudes = 0.2, 0.3, 0.4
+phases = 0.5, 0.6, 0.7
+t_max = 1.0
+"""
+        cfg = ExperimentConfig.from_file(write_config(tmp_path, ini))
+        assert cfg.parameters["energies"] == (0.0, 1.0, 2.0)
+        assert cfg.parameters["magnitudes"] == (0.3, 0.4, 0.2)
+        assert cfg.parameters["phases"] == (0.6, 0.7, 0.5)
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path, monkeypatch):
@@ -90,6 +106,32 @@ class TestExitCodes:
 
     def test_missing_file_is_two(self, tmp_path):
         assert main(["spin", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("threshold", ["0", "1.5"])
+    def test_threshold_outside_unit_interval_is_two(self, tmp_path, capsys, threshold):
+        path = write_config(tmp_path, COLLAPSE_INI + f"threshold = {threshold}\n")
+        assert main(["collapse", "--config", str(path), "--out",
+                     str(tmp_path / "c.csv")]) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    def test_seed_flag_above_64_bits_is_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, COLLAPSE_INI)
+        assert main(["collapse", "--config", str(path), "--seed", str(2**64),
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_ensemble_single_trajectory_is_two(self, tmp_path, capsys):
+        ini = """[ensemble]
+lambda = 1.0
+energies = 0.0, 1.0
+magnitudes = 0.6, 0.8
+t_max = 1.0
+n_traj = 1
+"""
+        path = write_config(tmp_path, ini)
+        assert main(["ensemble", "--config", str(path), "--out",
+                     str(tmp_path / "e.csv")]) == 2
+        assert "n_traj" in capsys.readouterr().err
 
     def test_numerical_contract_violation_is_three(self, tmp_path, capsys):
         ini = """[decay]
@@ -123,6 +165,39 @@ class TestValidate:
     def test_invalid_config_is_two(self, tmp_path):
         bad = write_config(tmp_path, COLLAPSE_INI.replace("1.0", "0.0", 1))
         assert main(["validate", "--config", str(bad)]) == 2
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+
+
+class TestCollapseRunner:
+    def test_columns_follow_echoed_energy_order(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ini = COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 1.0, 0.0")
+        ini = ini.replace("weights = 0.25, 0.75", "weights = 0.9, 0.1")
+        path = write_config(tmp_path, ini.replace("n_traj = 40", "n_traj = 400"))
+        assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
+        doc = json.loads((tmp_path / "c.summary.json").read_text())
+        assert doc["parameters"]["energies"] == [0.0, 1.0]
+        assert doc["parameters"]["weights"] == [0.1, 0.9]
+        header, rows = read_csv(tmp_path / "c.csv")
+        e0 = header.index("mean_weight_E0 (dimensionless)")
+        assert abs(rows[-1][e0] - 0.1) < 0.05
+
+    def test_mean_weights_are_the_kernel_weights(self, tmp_path, monkeypatch):
+        # the CLI and the batched kernel are one sampler, not two
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, COLLAPSE_INI)
+        assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
+        header, rows = read_csv(tmp_path / "c.csv")
+        times = np.linspace(0.6, 6.0, 10)
+        weights, _ = _kernels.traj_collapse_paths(
+            np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75]), 1.0,
+            np.diff(times, prepend=0.0), *draw_traj_variates(5, 40, 10),
+        )
+        np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=0), rtol=0, atol=1e-12)
 
 
 class TestOutputs:

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from collapse_lab import _kernels
 from collapse_lab.engine import (
     CollapseParams,
     Trajectory,
@@ -159,6 +160,33 @@ class TestSampleStep:
         d1, _ = sample_step(state, PARAMS, 1.0, trajectory_rng(3, 5))
         d2, _ = sample_step(state, PARAMS, 1.0, trajectory_rng(3, 5))
         assert d1 == d2
+
+    def test_increment_is_the_kernel_increment(self):
+        # one uniform, then one normal, through the batched kernel
+        state = two_level(0.3, 0.0, 2.0)
+        dt = 0.7
+        dB, _ = sample_step(state, PARAMS, dt, trajectory_rng(8, 2))
+        rng = trajectory_rng(8, 2)
+        u, z = rng.random(), rng.standard_normal()
+        _, b_path = _kernels.traj_collapse_paths(
+            state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
+            np.array([dt]), np.array([[u]]), np.array([[z]]),
+        )
+        assert dB == b_path[0, 0]
+
+    def test_degenerate_levels_keep_phases_and_count(self):
+        levels = [EnergyLevel(0.0, 0), EnergyLevel(0.0, 1), EnergyLevel(1.0)]
+        amps = [0.5, 0.5j, math.sqrt(0.5) * np.exp(0.3j)]
+        state = SpectralState.from_amplitudes(levels, amps).normalized()
+        dt = 0.4
+        _, out = sample_step(state, PARAMS, dt, trajectory_rng(2, 0))
+        assert out.levels == state.levels
+        np.testing.assert_allclose(
+            out.phases, np.asarray(state.phases) - state.energies() * dt, atol=1e-15
+        )
+        # both degenerate components get the same collapse factor
+        lm0, lm1 = state.log_magnitudes[:2]
+        assert abs((out.log_magnitudes[0] - out.log_magnitudes[1]) - (lm0 - lm1)) < 1e-12
 
 
 class TestSimulateTrajectory:

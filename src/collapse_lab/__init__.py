@@ -27,7 +27,7 @@ from .engine import (
     sample_step,
     simulate_trajectory,
 )
-from .rng import master_rng, trajectory_rng
+from .rng import trajectory_rng
 from .ensemble import (
     SmearingKernel,
     TimeSeries,
@@ -94,7 +94,6 @@ __all__ = [
     "simulate_trajectory",
     "collapse_diagnostic",
     "trajectory_rng",
-    "master_rng",
     "SmearingKernel",
     "TimeSeries",
     "smear",

@@ -15,8 +15,8 @@ summary with the resolved parameters, seed, version and key scalars.  The
 data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation.
+Exit codes: 0 success, 2 configuration error (including a non-finite value),
+3 numerical-contract violation (including a non-finite result or an overflow).
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ class ConfigError(Exception):
 
 
 def _float(raw: str) -> float:
-    return float(raw)
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw}")
+    return v
 
 
 def _positive(raw: str) -> float:
@@ -98,7 +101,7 @@ def _fraction(raw: str) -> float:
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    vals = tuple(float(x) for x in raw.replace(",", " ").split())
+    vals = tuple(_float(x) for x in raw.replace(",", " ").split())
     if not vals:
         raise ValueError("empty list")
     return vals
@@ -422,7 +425,6 @@ def _run_records(p, seed):
         rows.append([float(t), v])
     summary = {
         "bound_sup": bhattacharyya(plus, minus),
-        "bhattacharyya": bhattacharyya(plus, minus),
         "T_cal": math.sqrt(p["lambda"] * (p["t_max"] - p["t0"])),
     }
     return cols, rows, summary
@@ -517,21 +519,32 @@ def _summary_doc(cfg, summary, wall_time):
     }
 
 
+def _check_finite(cols, rows, summary):
+    """No run may report a non-finite number as a result."""
+    for key, v in summary.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"summary scalar {key!r} is not finite: {v}")
+    bad = ~np.isfinite(np.asarray(rows, float))
+    if bad.any():
+        col = cols[np.argwhere(bad)[0][1]]
+        raise DomainError(f"column {col!r} holds non-finite values")
+
+
 def run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     cols, rows, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
     wall = time.perf_counter() - start
+    _check_finite(cols, rows, summary)
     out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")
     doc = _summary_doc(cfg, summary, wall)
     if cfg.output_format == "csv":
         write_csv(out, cols, rows)
-        out.with_suffix(".summary.json").write_text(
-            json.dumps(doc, indent=2, default=float) + "\n"
-        )
+        doc_path = out.with_suffix(".summary.json")
     else:
         doc["columns"] = cols
         doc["rows"] = [[_fmt(v) for v in row] for row in rows]
-        out.write_text(json.dumps(doc, indent=2, default=float) + "\n")
+        doc_path = out
+    doc_path.write_text(json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n")
     print(f"wrote {out}")
     return 0
 
@@ -580,6 +593,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"numerical contract violated: overflow: {exc}", file=sys.stderr)
         return 3
 
 

@@ -94,6 +94,10 @@ class KGrid:
             raise DomainError(
                 "stability contract violated: dt*(k_max - k_min) must be <= 0.5"
             )
+        if self.dt * max(abs(self.k_min), abs(self.k_max)) > 0.5:
+            raise DomainError(
+                "stability contract violated: dt*max(|k_min|, |k_max|) must be <= 0.5"
+            )
 
     @classmethod
     def for_params(cls, p: DecayModelParams, half_width_rates: float = 40.0,

@@ -57,7 +57,6 @@ class TimeSeries:
 
     times: tuple[float, ...]
     values: tuple
-    uniform_step: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, float)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trajectory_rng", "master_rng"]
+__all__ = ["trajectory_rng"]
 
 
 def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -19,7 +19,3 @@ def trajectory_rng(master_seed: int, trajectory_index: int) -> np.random.Generat
     key = np.array([master_seed, trajectory_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def master_rng(master_seed: int) -> np.random.Generator:
-    """Stream for non-trajectory randomness (index 2**63 reserved)."""
-    return trajectory_rng(master_seed, 2**63)

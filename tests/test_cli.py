@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +146,57 @@ dt = 0.1
                      str(tmp_path / "d.csv")]) == 3
         assert "stability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ini, key", [
+        (SPIN_INI.replace("a = 0.7071067811865476", "a = nan"), "'a'"),
+        (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = nan, 1"), "'weights'"),
+    ], ids=["scalar", "list"])
+    def test_non_finite_value_is_two(self, tmp_path, capsys, ini, key):
+        path = write_config(tmp_path, ini)
+        section = ini[1:ini.index("]")]
+        assert main([section, "--config", str(path), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_result_is_three_and_writes_nothing(self, tmp_path):
+        ini = """[collapse]
+lambda = 1e300
+energies = 0.0, 1e200
+weights = 0.5, 0.5
+t_max = 1e10
+n_steps = 5
+n_traj = 10
+"""
+        path = write_config(tmp_path, ini)
+        out = tmp_path / "c.csv"
+        with np.errstate(all="ignore"):
+            assert main(["collapse", "--config", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert not out.with_suffix(".summary.json").exists()
+
+    def test_overflow_is_three(self, tmp_path, capsys):
+        ini = SPIN_INI.replace("epsilon = 3.0", "epsilon = 1e200")
+        ini = ini.replace("sigma = 1e-4", "sigma = 1e-200")
+        path = write_config(tmp_path, ini.replace("t_cal = 1.0", "t_cal = 1e200"))
+        assert main(["spin", "--config", str(path), "--out",
+                     str(tmp_path / "s.csv")]) == 3
+        assert "overflow" in capsys.readouterr().err
+
+    def test_kgrid_stability_bounds_max_abs_k(self, tmp_path, capsys):
+        # dt*(k_max - k_min) = 0.04 passes the range bound, dt*max|k| ~ 5 does not
+        ini = """[decay]
+mode = kgrid
+epsilon = 1e4
+gamma = 1
+sigma = 0.01
+n_modes = 1024
+dt = 5e-4
+s_max = 0.5
+"""
+        path = write_config(tmp_path, ini)
+        assert main(["decay", "--config", str(path), "--out",
+                     str(tmp_path / "d.csv")]) == 3
+        assert "stability" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_echoes_derived_t_cal(self, tmp_path, capsys):
@@ -201,13 +251,10 @@ class TestCollapseRunner:
 
 
 class TestOutputs:
-    def run_cli(self, args, env=None):
-        full_env = dict(os.environ)
-        if env:
-            full_env.update(env)
+    def run_cli(self, args):
         return subprocess.run(
             [sys.executable, "-m", "collapse_lab.cli", *args],
-            capture_output=True, text=True, env=full_env,
+            capture_output=True, text=True,
         )
 
     def test_csv_header_and_precision(self, tmp_path):
@@ -260,19 +307,6 @@ n_t = 10
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_byte_identical_across_worker_counts(self, tmp_path):
-        path = write_config(tmp_path, COLLAPSE_INI)
-        outs = []
-        for name, workers in (("w1.csv", "1"), ("w4.csv", "4")):
-            out = tmp_path / name
-            res = self.run_cli(
-                ["collapse", "--config", str(path), "--out", str(out)],
-                env={"COLLAPSE_LAB_MAX_WORKERS": workers},
-            )
-            assert res.returncode == 0, res.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_seed_changes_values_not_schema(self, tmp_path):
         path = write_config(tmp_path, COLLAPSE_INI)
         texts = []
@@ -294,3 +328,18 @@ n_t = 10
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "t (time)"
         assert len(doc["rows"]) == 50
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_runs_clean(tmp_path, config):
+    section = ExperimentConfig.from_file(config).experiment
+    out = tmp_path / "out.csv"
+    assert main([section, "--config", str(config), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows and np.isfinite(rows).all()
+    json.loads(out.with_suffix(".summary.json").read_text(),
+               parse_constant=_reject_constant)

@@ -1,16 +1,11 @@
-"""Backend agreement tests: numba-compiled kernels vs the numpy fallback."""
+"""Kernel tests: batched collapse paths and the k-grid RK4 integrator."""
 
 import math
 
 import numpy as np
-import pytest
 
 from collapse_lab import _kernels
 from collapse_lab.ensemble import draw_traj_variates
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
 
 
 def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
@@ -24,27 +19,19 @@ def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
 
 class TestTrajCollapsePaths:
     def test_numpy_weights_are_normalized(self):
-        w, b = _kernels.traj_collapse_paths_numpy(*traj_args())
+        w, b = _kernels.traj_collapse_paths(*traj_args())
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert b.shape == (64, 12)
 
     def test_numpy_single_trajectory_independent_of_batch(self):
         args = traj_args(n_traj=8)
-        w8, b8 = _kernels.traj_collapse_paths_numpy(*args)
+        w8, b8 = _kernels.traj_collapse_paths(*args)
         solo = tuple(
             a if i < 4 else a[:1] for i, a in enumerate(args)
         )
-        w1, b1 = _kernels.traj_collapse_paths_numpy(*solo)
+        w1, b1 = _kernels.traj_collapse_paths(*solo)
         np.testing.assert_allclose(w1[0], w8[0], atol=1e-14)
         np.testing.assert_allclose(b1[0], b8[0], atol=1e-14)
-
-    @needs_numba
-    def test_backends_agree(self):
-        args = traj_args()
-        w_np, b_np = _kernels.traj_collapse_paths_numpy(*args)
-        w_nb, b_nb = _kernels.traj_collapse_paths(*args)
-        np.testing.assert_allclose(w_nb, w_np, atol=1e-12)
-        np.testing.assert_allclose(b_nb, b_np, atol=1e-10)
 
 
 def kgrid_args(n_k=256, n_steps=400, excited=True):
@@ -65,7 +52,7 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
 
 class TestKGridRK4:
     def test_numpy_records_expected_shape(self):
-        t, occ, prob, alpha, beta = _kernels.kgrid_rk4_numpy(*kgrid_args())
+        t, occ, prob, alpha, beta = _kernels.kgrid_rk4(*kgrid_args())
         assert t.shape == occ.shape == prob.shape == (11,)
         assert alpha.shape == (256,)
 
@@ -73,47 +60,6 @@ class TestKGridRK4:
         # g = 0: |alpha_k| and |beta| are constants of motion
         args = list(kgrid_args(excited=False))
         args[2] = 0.0
-        t, occ, prob, alpha, beta = _kernels.kgrid_rk4_numpy(*args)
+        t, occ, prob, alpha, beta = _kernels.kgrid_rk4(*args)
         np.testing.assert_allclose(np.abs(alpha), np.abs(args[6]), atol=1e-10)
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
-
-    @needs_numba
-    @pytest.mark.parametrize("excited", [True, False])
-    def test_backends_agree(self, excited):
-        args = kgrid_args(excited=excited)
-        out_np = _kernels.kgrid_rk4_numpy(*args)
-        out_nb = _kernels.kgrid_rk4(*args)
-        for a, b in zip(out_np, out_nb):
-            np.testing.assert_allclose(np.asarray(a), np.asarray(b), atol=1e-12)
-
-
-class TestEnvFlag:
-    def test_flag_forces_numpy_backend(self, tmp_path):
-        # fresh interpreter so the import-time switch is exercised
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # the child imports the same collapse_lab as this process, from a
-        # checkout (PYTHONPATH=src) or an install alike
-        pkg_root = str(Path(_kernels.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(
-            filter(None, [pkg_root, os.environ.get("PYTHONPATH")])
-        )
-        code = (
-            "from collapse_lab import _kernels;"
-            "assert not _kernels.NUMBA_ENABLED;"
-            "assert _kernels.traj_collapse_paths is _kernels.traj_collapse_paths_numpy;"
-            "assert _kernels.kgrid_rk4 is _kernels.kgrid_rk4_numpy"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", code],
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": pythonpath,
-                "COLLAPSE_LAB_NO_NUMBA": "1",
-            },
-            capture_output=True,
-        )
-        assert res.returncode == 0, res.stderr.decode()

@@ -4,6 +4,7 @@ The collapse kernel consumes pre-drawn random variates, so all randomness
 stays in the counter-based generators of `collapse_lab.rng`.
 
 Kernels:
+  * collapse_weights    -- level weights at a given (t, B), batched over B.
   * traj_collapse_paths -- batched multi-step collapse trajectories.
   * kgrid_rk4           -- fixed-step RK4 for the discretized decay ODEs.
 """
@@ -14,44 +15,29 @@ import math
 
 import numpy as np
 
-__all__ = ["traj_collapse_paths", "kgrid_rk4"]
+__all__ = ["collapse_weights", "traj_collapse_paths", "kgrid_rk4"]
 
 
-def _collapse_steps(energies, log_w0, lam, dts, uniforms, normals):
-    """The exact Gaussian-mixture collapse step, batched over trajectories.
+def collapse_weights(energies, log_w0, lam, t, b):
+    """Normalized level weights at time t and record b, batched over b.
 
-    Takes the arguments of `traj_collapse_paths`.  After each step it
-    yields (lw, b): the max-shifted log magnitudes (n_traj, n_lev) and the
-    cumulative record B (n_traj,), both updated in place by the next step.
+    The batched form of `engine.evolve`: each log magnitude gains
+    -lam*t*E**2 + b*E (the E-independent -b**2/(4*lam*t) cancels on
+    normalization).  Returns (n_traj, n_lev) weights for b of shape (n_traj,).
     """
     energies = np.asarray(energies, float)
-    n_traj, n_steps = uniforms.shape
-    lw = np.broadcast_to(np.asarray(log_w0, float), (n_traj, energies.size)).copy()
-    b = np.zeros(n_traj)
-    for s in range(n_steps):
-        var = lam * dts[s]
-        m = lw.max(axis=1)
-        p = np.exp(2.0 * (lw - m[:, None]))
-        tot = p.sum(axis=1)
-        c = np.cumsum(p, axis=1)
-        j = np.sum(c <= (uniforms[:, s] * tot)[:, None], axis=1)
-        j = np.minimum(j, energies.size - 1)
-        dB = 2.0 * var * energies[j] + math.sqrt(var) * normals[:, s]
-        lw += -var * energies**2 + dB[:, None] * energies
-        lw -= lw.max(axis=1)[:, None]
-        b += dB
-        yield lw, b
-
-
-def _weights(lw):
-    """Normalized level weights from (n_traj, n_lev) log magnitudes."""
-    w = np.exp(2.0 * lw)
+    lw = np.asarray(log_w0, float) - lam * t * energies**2 + b[:, None] * energies
+    w = np.exp(2.0 * (lw - lw.max(axis=1)[:, None]))
     w /= w.sum(axis=1)[:, None]
     return w
 
 
 def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
-    """The steps of `_collapse_steps`, collected.
+    """The exact Gaussian-mixture collapse step, batched over trajectories.
+
+    The state depends on the noise only through the record B, the one
+    carried state: each step of length dt picks a component j from the
+    weights at its start, then adds dB ~ Normal(2*lam*dt*E[j], lam*dt).
 
     Parameters
     ----------
@@ -66,12 +52,18 @@ def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
     weights : (n_traj, n_lev) final normalized level weights.
     b_path : (n_traj, n_steps) cumulative record B after each step.
     """
-    lw = np.broadcast_to(log_w0, (len(uniforms), np.size(energies)))  # if no steps
+    energies = np.asarray(energies, float)
     b_path = np.empty(uniforms.shape)
-    steps = _collapse_steps(energies, log_w0, lam, dts, uniforms, normals)
-    for s, (lw, b) in enumerate(steps):
+    b = np.zeros(len(uniforms))
+    t = 0.0
+    for s in range(b_path.shape[1]):
+        var = lam * dts[s]
+        c = np.cumsum(collapse_weights(energies, log_w0, lam, t, b), axis=1)
+        j = np.minimum(np.sum(c <= uniforms[:, s, None], axis=1), energies.size - 1)
+        b = b + (2.0 * var * energies[j] + math.sqrt(var) * normals[:, s])
         b_path[:, s] = b
-    return _weights(lw), b_path
+        t += dts[s]
+    return collapse_weights(energies, log_w0, lam, t, b), b_path
 
 
 def kgrid_rk4(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):

@@ -15,8 +15,10 @@ summary with the resolved parameters, seed, version and key scalars.  The
 data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
-Exit codes: 0 success, 2 configuration error (including a non-finite value),
-3 numerical-contract violation (including a non-finite result or an overflow).
+Exit codes: 0 success, 2 configuration error (including a non-finite value,
+an unreadable fixture and an --out outside an existing directory), 3
+numerical-contract violation (including a non-finite result and a numpy
+overflow, invalid value or division by zero).
 """
 
 from __future__ import annotations
@@ -277,6 +279,15 @@ class ExperimentConfig:
                 p["s_min"] = -p["s_max"]
             if p["s_min"] >= p["s_max"]:
                 raise ConfigError("key 's_min' must be below 's_max'")
+        if e == "decay" and p["mode"] == "kgrid":
+            n_steps = round(p["s_max"] / p["dt"])
+            if p["record_every"] > n_steps:
+                raise ConfigError(
+                    f"key 'record_every' must not exceed the step count "
+                    f"round(s_max/dt) = {n_steps}"
+                )
+        if e == "measurement":
+            _load_fixture(p["fixture"])
 
     def derived_t_cal(self) -> float | None:
         """Smearing width sqrt(lambda*t) implied by the config, if any."""
@@ -303,17 +314,16 @@ def _run_collapse(p, seed):
     state0 = _build_state(p["energies"], p["weights"])
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
-    n_lev = len(p["energies"])
-    uniforms, normals = draw_traj_variates(seed, n_traj, n_steps)
-    steps = _kernels._collapse_steps(
-        state0.energies(), np.asarray(state0.log_magnitudes), p["lambda"],
-        np.diff(times, prepend=0.0), uniforms, normals,
+    n_lev, lam = len(p["energies"]), p["lambda"]
+    energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
+    _, b_path = _kernels.traj_collapse_paths(
+        energies, log_w0, lam, np.diff(times, prepend=0.0),
+        *draw_traj_variates(seed, n_traj, n_steps),
     )
-    # reduce per step: beyond the variates, memory stays O(n_traj * n_lev)
     frac = np.empty(n_steps)
     mean_w = np.empty((n_steps, n_lev))
-    for s, (lw, _) in enumerate(steps):
-        w = _kernels._weights(lw)
+    for s in range(n_steps):
+        w = _kernels.collapse_weights(energies, log_w0, lam, times[s], b_path[:, s])
         frac[s] = np.mean(w.max(axis=1) >= p["threshold"])
         mean_w[s] = w.mean(axis=0)
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
@@ -364,11 +374,23 @@ def _run_ensemble(p, seed):
     return cols, rows, summary
 
 
+def _load_fixture(name):
+    """The branch fixture at path `name`, else the packaged one of that name."""
+    path = Path(name)
+    if not path.is_file():
+        path = fixture_path(name)
+    try:
+        return load_branch_fixture(path)
+    except OSError as exc:
+        raise ConfigError(
+            f"key 'fixture': no file or packaged fixture {name!r}"
+        ) from exc
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
+
+
 def _run_measurement(p, seed):
-    path = Path(p["fixture"])
-    if not path.exists():
-        path = fixture_path(p["fixture"])
-    spec = load_branch_fixture(path)
+    spec = _load_fixture(p["fixture"])
     params = CollapseParams(p["lambda"])
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
@@ -532,7 +554,9 @@ def _check_finite(cols, rows, summary):
 
 def run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    cols, rows, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
+    # a numpy overflow or invalid value is a contract violation, not a warning
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cols, rows, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
     wall = time.perf_counter() - start
     _check_finite(cols, rows, summary)
     out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")
@@ -551,11 +575,13 @@ def run(cfg: ExperimentConfig) -> int:
 
 def validate(path) -> int:
     cfg = ExperimentConfig.from_file(path)
+    tcal = cfg.derived_t_cal()
+    if tcal is not None and not math.isfinite(tcal):
+        raise DomainError(f"derived T_cal is not finite: {tcal}")
     print(f"experiment: {cfg.experiment}")
     for key, val in sorted(cfg.parameters.items()):
         print(f"  {key} = {val}")
     print(f"  seed = {cfg.master_seed}")
-    tcal = cfg.derived_t_cal()
     if tcal is not None:
         print(f"derived T_cal = sqrt(lambda*t) = {_fmt(tcal)}")
     return 0
@@ -585,6 +611,12 @@ def main(argv=None) -> int:
             if not 0 <= args.seed < 2**64:
                 raise ConfigError("--seed must be a 64-bit unsigned integer")
             cfg.master_seed = args.seed
+        if args.out is not None:
+            out = Path(args.out)
+            if out.is_dir() or not out.parent.is_dir():
+                raise ConfigError(
+                    f"--out {args.out!r} must name a file in an existing directory"
+                )
         cfg.output_path = args.out
         cfg.output_format = args.format
         return run(cfg)
@@ -596,6 +628,9 @@ def main(argv=None) -> int:
         return 3
     except OverflowError as exc:
         print(f"numerical contract violated: overflow: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
 
 

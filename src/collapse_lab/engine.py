@@ -152,20 +152,14 @@ def sample_step(
 ) -> tuple[float, SpectralState]:
     """Draw one exact record increment and return (dB, evolved state).
 
-    A one-trajectory, one-step call into the batched collapse kernel: a
-    uniform picks an energy component, then a normal draws
-    dB ~ Normal(2*lambda*dt*E, lambda*dt).  This realizes exactly the
-    density of `record_marginal_density`.
+    A one-step `simulate_trajectory`: a uniform picks an energy component,
+    then a normal draws dB ~ Normal(2*lambda*dt*E, lambda*dt).  This
+    realizes exactly the density of `record_marginal_density`.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    u, z = rng.random(), rng.standard_normal()
-    _, b_path = _kernels.traj_collapse_paths(
-        state_t0.energies(), np.asarray(state_t0.log_magnitudes), params.lam,
-        np.array([dt]), np.array([[u]]), np.array([[z]]),
-    )
-    dB = float(b_path[0, 0])
-    return dB, _apply_increment(state_t0, params, dt, dB)
+    traj, state = simulate_trajectory(state_t0, params, np.array([dt]), rng)
+    return traj.points[-1].B, state
 
 
 def simulate_trajectory(
@@ -175,19 +169,23 @@ def simulate_trajectory(
     rng: np.random.Generator,
     seed: int = 0,
 ) -> tuple[Trajectory, SpectralState]:
-    """Sample B(t) on a strictly increasing time grid starting from t = 0."""
+    """Sample B(t) on a strictly increasing time grid starting from t = 0.
+
+    A one-trajectory call into the batched collapse kernel.  The stream is
+    consumed as in `ensemble.draw_traj_variates`: all uniforms, then all
+    normals.  The final state is `evolve` at the last (t, B).
+    """
     times = np.asarray(times, float)
     if times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
         raise DomainError("times must be strictly increasing and positive")
-    points = [TrajectoryPoint(0.0, 0.0)]
-    state = state0
-    t_prev, b_prev = 0.0, 0.0
-    for t in times:
-        dB, state = sample_step(state, params, t - t_prev, rng)
-        b_prev += dB
-        t_prev = t
-        points.append(TrajectoryPoint(float(t), b_prev))
-    return Trajectory(tuple(points), seed), state
+    u, z = rng.random(times.size), rng.standard_normal(times.size)
+    _, b_path = _kernels.traj_collapse_paths(
+        state0.energies(), np.asarray(state0.log_magnitudes), params.lam,
+        np.diff(times, prepend=0.0), u[None, :], z[None, :],
+    )
+    ts, bs = [0.0, *times.tolist()], [0.0, *b_path[0].tolist()]
+    points = tuple(TrajectoryPoint(t, b) for t, b in zip(ts, bs))
+    return Trajectory(points, seed), evolve(state0, params, ts[-1], bs[-1])
 
 
 def collapse_diagnostic(

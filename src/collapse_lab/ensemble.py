@@ -146,12 +146,11 @@ def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_s
     log_w0 = np.asarray(state0.log_magnitudes) - 0.5 * log_n2
     dts = np.full(n_steps, t / n_steps)
     uniforms, normals = draw_traj_variates(master_seed, n_traj, n_steps)
-    weights, b_path = _kernels.traj_collapse_paths(
+    weights, _ = _kernels.traj_collapse_paths(
         energies, log_w0, params.lam, dts, uniforms, normals
     )
     phases = np.asarray(state0.phases) - energies * t
-    amps = np.sqrt(weights) * np.exp(1j * phases)
-    return amps, b_path[:, -1]
+    return np.sqrt(weights) * np.exp(1j * phases)
 
 
 def ensemble_expectation_mc(
@@ -173,7 +172,7 @@ def ensemble_expectation_mc(
         raise DomainError("n_traj must be >= 2")
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
-    amps, _ = _final_amplitudes(state0, params, t, n_traj, master_seed, n_steps)
+    amps = _final_amplitudes(state0, params, t, n_traj, master_seed, n_steps)
     vals = np.einsum("ti,ij,tj->t", amps.conj(), obs.entries, amps).real
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_traj))
@@ -215,7 +214,7 @@ def ensemble_density_matrix_mc(
     entrywise standard error (complex: SE of real and imag parts in
     quadrature).  Cross-check for `ensemble_density_matrix`.
     """
-    amps, _ = _final_amplitudes(state0, params, t, n_traj, master_seed)
+    amps = _final_amplitudes(state0, params, t, n_traj, master_seed)
     projs = amps[:, :, None] * amps.conj()[:, None, :]
     mean = projs.mean(axis=0)
     se = np.sqrt(

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels
+from collapse_lab import _kernels, cli
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.ensemble import draw_traj_variates
 
@@ -40,6 +40,25 @@ t_max = 6.0
 n_steps = 10
 n_traj = 40
 seed = 5
+"""
+
+MEASUREMENT_INI = """[measurement]
+fixture = branch_shared.txt
+lambda = 1.0
+t_max = 5.0
+n_t = 4
+b_max = 12.0
+n_b = 4
+"""
+
+# lambda*t overflows: T_cal = sqrt(lambda*t_max) is inf
+OVERFLOW_COLLAPSE_INI = """[collapse]
+lambda = 1e300
+energies = 0.0, 1e200
+weights = 0.5, 0.5
+t_max = 1e10
+n_steps = 5
+n_traj = 10
 """
 
 
@@ -180,6 +199,68 @@ n_traj = 10
         assert main(["spin", "--config", str(path), "--out",
                      str(tmp_path / "s.csv")]) == 3
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measurement", "validate"])
+    @pytest.mark.parametrize("fixture, body", [
+        ("nope.txt", None), ("bad.txt", "0.0 1.0 abc 0.0\n"),
+    ], ids=["missing", "non_numeric"])
+    def test_bad_fixture_is_two(self, tmp_path, monkeypatch, capsys,
+                                command, fixture, body):
+        monkeypatch.chdir(tmp_path)
+        if body is not None:
+            (tmp_path / fixture).write_text(body)
+        path = write_config(tmp_path, MEASUREMENT_INI.replace(
+            "branch_shared.txt", fixture))
+        args = [command, "--config", str(path)]
+        if command == "measurement":
+            args += ["--out", "m.csv"]
+        assert main(args) == 2
+        assert "'fixture'" in capsys.readouterr().err
+
+    def test_fixture_echoed_as_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, MEASUREMENT_INI)
+        assert main(["measurement", "--config", str(path), "--out", "m.csv"]) == 0
+        doc = json.loads((tmp_path / "m.summary.json").read_text())
+        assert doc["parameters"]["fixture"] == "branch_shared.txt"
+
+    @pytest.mark.parametrize("out", ["missing/o.csv", "."],
+                             ids=["no_parent", "directory"])
+    def test_bad_out_is_two_before_running(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+
+        def never(p, seed):
+            raise AssertionError("the runner ran despite a bad --out")
+
+        monkeypatch.setitem(cli.RUNNERS, "spin", never)
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", out]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_record_every_beyond_step_count_is_two(self, tmp_path, capsys):
+        ini = """[decay]
+epsilon = 1.0
+gamma = 1.0
+sigma = 1e-4
+mode = kgrid
+s_max = 0.01
+record_every = 100
+"""
+        path = write_config(tmp_path, ini)
+        assert main(["decay", "--config", str(path), "--out",
+                     str(tmp_path / "d.csv")]) == 2
+        assert "'record_every'" in capsys.readouterr().err
+
+    def test_validate_non_finite_t_cal_is_three(self, tmp_path, capsys):
+        path = write_config(tmp_path, OVERFLOW_COLLAPSE_INI)
+        assert main(["validate", "--config", str(path)]) == 3
+        assert "T_cal" in capsys.readouterr().err
+
+    def test_non_finite_result_is_three_without_warnings(self, tmp_path, recwarn):
+        path = write_config(tmp_path, OVERFLOW_COLLAPSE_INI)
+        assert main(["collapse", "--config", str(path), "--out",
+                     str(tmp_path / "c.csv")]) == 3
+        assert len(recwarn) == 0
 
     def test_kgrid_stability_bounds_max_abs_k(self, tmp_path, capsys):
         # dt*(k_max - k_min) = 0.04 passes the range bound, dt*max|k| ~ 5 does not

@@ -19,6 +19,7 @@ from collapse_lab.engine import (
     sample_step,
     simulate_trajectory,
 )
+from collapse_lab.ensemble import draw_traj_variates
 from collapse_lab.hilbert import (
     DomainError,
     EnergyLevel,
@@ -198,6 +199,20 @@ class TestSimulateTrajectory:
         np.testing.assert_array_equal(traj1.records(), traj2.records())
         assert traj1.points[0] == TrajectoryPoint(0.0, 0.0)
         assert squared_norm(final1)[0] == squared_norm(final2)[0]
+
+    def test_records_are_the_batched_kernel_rows(self):
+        # one sampler and one stream order: stream (seed, i) through
+        # simulate_trajectory is row i of the batched kernel
+        levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
+        state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
+        times = np.linspace(0.25, 2.5, 10)
+        _, b_path = _kernels.traj_collapse_paths(
+            state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
+            np.diff(times, prepend=0.0), *draw_traj_variates(4, 6, times.size),
+        )
+        for i in range(6):
+            traj, _ = simulate_trajectory(state, PARAMS, times, trajectory_rng(4, i))
+            np.testing.assert_array_equal(traj.records()[1:], b_path[i])
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(DomainError):

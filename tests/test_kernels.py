@@ -3,9 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from collapse_lab import _kernels
+from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import draw_traj_variates
+from collapse_lab.hilbert import EnergyLevel, SpectralState
 
 
 def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
@@ -32,6 +35,25 @@ class TestTrajCollapsePaths:
         w1, b1 = _kernels.traj_collapse_paths(*solo)
         np.testing.assert_allclose(w1[0], w8[0], atol=1e-14)
         np.testing.assert_allclose(b1[0], b8[0], atol=1e-14)
+
+
+class TestCollapseWeights:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 25.0])
+    def test_is_the_batched_evolve(self, t):
+        # each row is the normalized energy distribution of evolve(t, B);
+        # B scales with t, since B(0) = 0
+        energies = np.array([0.0, 0.5, 1.25, 3.0])
+        state = SpectralState.from_amplitudes(
+            [EnergyLevel(e) for e in energies], [0.3, 0.6, 0.5j, 0.2]
+        )
+        params = CollapseParams(0.7)
+        bs = t * np.array([-2.0, 0.0, 0.4, 1.7, 3.5])
+        w = _kernels.collapse_weights(
+            energies, np.asarray(state.log_magnitudes), params.lam, t, bs
+        )
+        for row, b in zip(w, bs):
+            lm = np.asarray(evolve(state, params, t, b).normalized().log_magnitudes)
+            np.testing.assert_allclose(row, np.exp(2.0 * lm), rtol=0, atol=1e-12)
 
 
 def kgrid_args(n_k=256, n_steps=400, excited=True):

@@ -5,7 +5,7 @@ stays in the counter-based generators of `collapse_lab.rng`.
 
 Kernels:
   * collapse_weights    -- level weights at a given (t, B), batched over B.
-  * traj_collapse_paths -- batched multi-step collapse trajectories.
+  * traj_collapse_paths -- batched multi-step record paths B.
   * kgrid_rk4           -- fixed-step RK4 for the discretized decay ODEs.
 """
 
@@ -49,8 +49,8 @@ def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
 
     Returns
     -------
-    weights : (n_traj, n_lev) final normalized level weights.
-    b_path : (n_traj, n_steps) cumulative record B after each step.
+    b_path : (n_traj, n_steps) cumulative record B after each step; the
+        weights at any step are `collapse_weights` at its end time.
     """
     energies = np.asarray(energies, float)
     b_path = np.empty(uniforms.shape)
@@ -63,7 +63,7 @@ def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
         b = b + (2.0 * var * energies[j] + math.sqrt(var) * normals[:, s])
         b_path[:, s] = b
         t += dts[s]
-    return collapse_weights(energies, log_w0, lam, t, b), b_path
+    return b_path
 
 
 def kgrid_rk4(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):

@@ -16,7 +16,8 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
-an unreadable fixture and an --out outside an existing directory), 3
+an unreadable fixture, an --out outside an existing directory and count keys
+whose arrays would exceed MAX_ARRAY_BYTES), 3
 numerical-contract violation (including a non-finite result and a numpy
 overflow, invalid value or division by zero).
 """
@@ -45,7 +46,7 @@ from .hilbert import (
     expectation,
 )
 from .ensemble import (
-    draw_traj_variates, ensemble_density_matrix, ensemble_expectation_mc,
+    ensemble_density_matrix, ensemble_expectation_mc, simulate_trajectories,
 )
 from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
 from .records import RecordScenario, bhattacharyya, record_violation_bound
@@ -187,6 +188,14 @@ SCHEMAS: dict[str, dict] = {
 }
 
 
+#: cap on the estimated peak array memory of one run (2 GiB); a config whose
+#: estimate (`ExperimentConfig._array_bytes`) exceeds it exits 2, naming the
+#: key, before numpy is asked for the arrays
+MAX_ARRAY_BYTES = 2**31
+#: bytes per output-table value: a Python float in the row list plus its text
+_VALUE_BYTES = 64
+
+
 class ExperimentConfig:
     """Validated experiment parameters plus output plumbing."""
 
@@ -288,6 +297,37 @@ class ExperimentConfig:
                 )
         if e == "measurement":
             _load_fixture(p["fixture"])
+        sizes = self._array_bytes()
+        total = sum(sizes.values())
+        if total > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"key {max(sizes, key=sizes.get)} asks for about "
+                f"{total / 2**30:.3g} GiB of arrays, above the "
+                f"{MAX_ARRAY_BYTES / 2**30:g} GiB cap"
+            )
+
+    def _array_bytes(self) -> dict[str, int]:
+        """Estimated peak array bytes of a run, by the count keys sizing them."""
+        p, e, v = self.parameters, self.experiment, _VALUE_BYTES
+        n_lev = len(p.get("energies", ()))
+        if e == "collapse":
+            # variates and record paths, then per-step level weights
+            return {"'n_traj'": 8 * p["n_traj"] * (3 * p["n_steps"] + 5 * n_lev),
+                    "'n_steps'": v * p["n_steps"] * (2 + n_lev)}
+        if e == "ensemble":
+            return {"'n_traj'": 8 * p["n_traj"] * (3 + 6 * n_lev),
+                    "'n_t'": v * p["n_t"] * (3 + n_lev * n_lev)}
+        if e == "measurement":
+            return {"'n_t' x 'n_b'": v * 3 * p["n_t"] * p["n_b"]}
+        if e == "records":
+            return {"'n_t'": v * 2 * p["n_t"]}
+        if e == "spin" or p["mode"] == "closed":
+            return {"'n_s'": v * 3 * p["n_s"]}
+        # k-grid: grid, phases, state and RK4 stages per mode; three columns
+        # per record
+        n_rec = round(p["s_max"] / p["dt"]) // p["record_every"] + 1
+        return {"'n_modes'": 8 * 24 * p["n_modes"],
+                "'record_every'": (24 + 3 * v) * n_rec}
 
     def derived_t_cal(self) -> float | None:
         """Smearing width sqrt(lambda*t) implied by the config, if any."""
@@ -316,10 +356,7 @@ def _run_collapse(p, seed):
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
     n_lev, lam = len(p["energies"]), p["lambda"]
     energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
-    _, b_path = _kernels.traj_collapse_paths(
-        energies, log_w0, lam, np.diff(times, prepend=0.0),
-        *draw_traj_variates(seed, n_traj, n_steps),
-    )
+    b_path = simulate_trajectories(state0, CollapseParams(lam), times, seed, n_traj)
     frac = np.empty(n_steps)
     mean_w = np.empty((n_steps, n_lev))
     for s in range(n_steps):

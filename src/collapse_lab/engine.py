@@ -1,10 +1,10 @@
 """Nonunitary collapse evolution and the stochastic record process B(t).
 
 The evolution multiplies each energy amplitude by a Gaussian centered on
-B/(2*lambda*t); the record increment over a step of length dt is drawn from
-the exact Gaussian-mixture transition kernel, so the sampler is exact at any
-step size (no SDE discretization error) and step refinement leaves all
-finite-time marginals invariant.
+B/(2*lambda*t), so the state at time t is fixed by the record B alone.  The
+record increment over a step of length dt follows the exact Gaussian-mixture
+law of `record_marginal_density`; `ensemble.simulate_trajectories` samples
+it, exactly at any step size (no SDE discretization error).
 """
 
 from __future__ import annotations
@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .hilbert import DomainError, SpectralState, energy_distribution
 
 __all__ = [
     "CollapseParams",
-    "TrajectoryPoint",
-    "Trajectory",
     "evolve",
     "evolve_from",
     "record_marginal_density",
-    "sample_step",
-    "simulate_trajectory",
     "collapse_diagnostic",
 ]
 
@@ -39,31 +34,6 @@ class CollapseParams:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    t: float
-    B: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One realized record path; reproducible from (seed, step schedule)."""
-
-    points: tuple[TrajectoryPoint, ...]
-    seed: int
-
-    def __post_init__(self):
-        ts = [p.t for p in self.points]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise DomainError("trajectory times must be strictly increasing")
-
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
-
-    def records(self) -> np.ndarray:
-        return np.array([p.B for p in self.points])
 
 
 def _apply_increment(
@@ -96,6 +66,8 @@ def evolve(
 
     Returns the unnormalized state; t = 0 is the identity.
     """
+    if not (math.isfinite(t) and math.isfinite(B)):
+        raise DomainError(f"t and B must be finite, got t = {t}, B = {B}")
     if t < 0:
         raise DomainError("t must be >= 0")
     if t == 0:
@@ -116,6 +88,8 @@ def evolve_from(
     Composition with `evolve` reproduces the one-shot evolution after
     normalization: the t0/B_t0 dependence cancels.
     """
+    if not all(map(math.isfinite, (t0, t, B_t0, B_t))):
+        raise DomainError("times and records must be finite")
     if not t > t0 >= 0:
         raise DomainError("need t > t0 >= 0")
     return _apply_increment(state_t0, params, t - t0, B_t - B_t0)
@@ -133,8 +107,8 @@ def record_marginal_density(
     mean 2*lambda*dt*E, variance lambda*dt, weighted by the energy
     distribution.  Integrates to 1 over the real line.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and positive, got {dt}")
     e, w = energy_distribution(state_t0).as_arrays()
     dB = np.asarray(dB_grid, float)
     var = params.lam * dt
@@ -142,50 +116,6 @@ def record_marginal_density(
     z = (dB[..., None] - means) ** 2 / (2.0 * var)
     dens = (w * np.exp(-z)).sum(axis=-1) / math.sqrt(2.0 * math.pi * var)
     return dens
-
-
-def sample_step(
-    state_t0: SpectralState,
-    params: CollapseParams,
-    dt: float,
-    rng: np.random.Generator,
-) -> tuple[float, SpectralState]:
-    """Draw one exact record increment and return (dB, evolved state).
-
-    A one-step `simulate_trajectory`: a uniform picks an energy component,
-    then a normal draws dB ~ Normal(2*lambda*dt*E, lambda*dt).  This
-    realizes exactly the density of `record_marginal_density`.
-    """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    traj, state = simulate_trajectory(state_t0, params, np.array([dt]), rng)
-    return traj.points[-1].B, state
-
-
-def simulate_trajectory(
-    state0: SpectralState,
-    params: CollapseParams,
-    times: np.ndarray,
-    rng: np.random.Generator,
-    seed: int = 0,
-) -> tuple[Trajectory, SpectralState]:
-    """Sample B(t) on a strictly increasing time grid starting from t = 0.
-
-    A one-trajectory call into the batched collapse kernel.  The stream is
-    consumed as in `ensemble.draw_traj_variates`: all uniforms, then all
-    normals.  The final state is `evolve` at the last (t, B).
-    """
-    times = np.asarray(times, float)
-    if times.size == 0 or times[0] <= 0 or np.any(np.diff(times) <= 0):
-        raise DomainError("times must be strictly increasing and positive")
-    u, z = rng.random(times.size), rng.standard_normal(times.size)
-    _, b_path = _kernels.traj_collapse_paths(
-        state0.energies(), np.asarray(state0.log_magnitudes), params.lam,
-        np.diff(times, prepend=0.0), u[None, :], z[None, :],
-    )
-    ts, bs = [0.0, *times.tolist()], [0.0, *b_path[0].tolist()]
-    points = tuple(TrajectoryPoint(t, b) for t, b in zip(ts, bs))
-    return Trajectory(points, seed), evolve(state0, params, ts[-1], bs[-1])
 
 
 def collapse_diagnostic(

@@ -1,5 +1,6 @@
-"""Ensemble-level statistics: Gaussian time smearing, Monte Carlo ensemble
-expectations, and the damped ensemble density matrix.
+"""Ensemble-level statistics: the Monte Carlo record sampler, Gaussian time
+smearing, Monte Carlo ensemble expectations, and the damped ensemble density
+matrix.
 
 The smearing operator averages a Schrodinger-picture expectation over a
 Gaussian time window of width T_cal = sqrt(lambda*t); it is the ensemble
@@ -15,7 +16,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import _kernels
-from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
+from .hilbert import (
+    DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
+)
 from .engine import CollapseParams
 from .rng import trajectory_rng
 
@@ -24,8 +27,10 @@ __all__ = [
     "TimeSeries",
     "smear",
     "draw_traj_variates",
+    "simulate_trajectories",
     "ensemble_expectation_mc",
     "ensemble_density_matrix",
+    "ensemble_density_matrix_mc",
     "subsystem_expectation",
 ]
 
@@ -86,16 +91,12 @@ def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
     For T_cal = 0 this returns f(t) exactly.
     """
     tcal = kernel.T_cal
-    if isinstance(f, TimeSeries):
-        series = f
-        if tcal > 0:
-            lo, hi = t - WINDOW_HALF_WIDTH * tcal, t + WINDOW_HALF_WIDTH * tcal
-            if lo < series.times[0] or hi > series.times[-1]:
-                raise DomainError(
-                    "TimeSeries domain too short for the smear window "
-                    f"[{lo}, {hi}]"
-                )
-        f = series
+    if isinstance(f, TimeSeries) and tcal > 0:
+        lo, hi = t - WINDOW_HALF_WIDTH * tcal, t + WINDOW_HALF_WIDTH * tcal
+        if lo < f.times[0] or hi > f.times[-1]:
+            raise DomainError(
+                f"TimeSeries domain too short for the smear window [{lo}, {hi}]"
+            )
     if tcal == 0.0:
         return f(t)
     if adaptive:
@@ -135,6 +136,36 @@ def draw_traj_variates(master_seed: int, n_traj: int, n_steps: int):
     return uniforms, normals
 
 
+def simulate_trajectories(
+    state0: SpectralState,
+    params: CollapseParams,
+    times,
+    master_seed: int,
+    n_traj: int,
+) -> np.ndarray:
+    """Record paths B(t) of n_traj collapse trajectories, shape (n_traj, len(times)).
+
+    Exact Gaussian-mixture sampling from B(0) = 0 on a strictly increasing
+    grid of positive times.  Row i consumes only the Philox stream
+    (master_seed, i), all uniforms then all normals, so it does not depend on
+    n_traj.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
+    """
+    times = np.asarray(times, float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] <= 0 or np.any(np.diff(times) <= 0)):
+        raise DomainError(
+            "times must be a non-empty 1-d grid of finite, positive, strictly "
+            "increasing values"
+        )
+    if n_traj < 1:
+        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
+    return _kernels.traj_collapse_paths(
+        state0.energies(), np.asarray(state0.log_magnitudes), params.lam,
+        np.diff(times, prepend=0.0),
+        *draw_traj_variates(master_seed, n_traj, times.size),
+    )
+
+
 def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_steps=1):
     """Batched collapse sampling; returns per-trajectory normalized amplitudes.
 
@@ -144,11 +175,9 @@ def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_s
     log_n2, _ = squared_norm(state0)
     energies = state0.energies()
     log_w0 = np.asarray(state0.log_magnitudes) - 0.5 * log_n2
-    dts = np.full(n_steps, t / n_steps)
-    uniforms, normals = draw_traj_variates(master_seed, n_traj, n_steps)
-    weights, _ = _kernels.traj_collapse_paths(
-        energies, log_w0, params.lam, dts, uniforms, normals
-    )
+    times = np.linspace(0.0, t, n_steps + 1)[1:]
+    b = simulate_trajectories(state0, params, times, master_seed, n_traj)
+    weights = _kernels.collapse_weights(energies, log_w0, params.lam, t, b[:, -1])
     phases = np.asarray(state0.phases) - energies * t
     return np.sqrt(weights) * np.exp(1j * phases)
 
@@ -232,7 +261,5 @@ def subsystem_expectation(
     ``state1_fn`` maps a time to the subsystem's unitary Schrodinger state;
     the result is the smear of tau -> <psi1,tau|V1|psi1,tau> at t.
     """
-    from .hilbert import expectation
-
     return smear(lambda tau: expectation(state1_fn(tau), obs1), t, kernel,
                  adaptive=adaptive)

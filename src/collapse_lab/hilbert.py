@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
+    "DomainError",
     "EnergyLevel",
     "SpectralState",
     "ObservableMatrix",

@@ -52,9 +52,10 @@ def test_01_born_weight_collapse():
     log_w0 = 0.5 * np.log(np.array([0.25, 0.75]))
     n = 10_000
     uniforms, normals = draw_traj_variates(2024, n, 1)
-    weights, _ = _kernels.traj_collapse_paths(
+    b_path = _kernels.traj_collapse_paths(
         energies, log_w0, 1.0, np.array([1000.0]), uniforms, normals
     )
+    weights = _kernels.collapse_weights(energies, log_w0, 1.0, 1000.0, b_path[:, -1])
     frac = float(np.mean(np.argmax(weights, axis=1) == 0))
     tol = 4.0 * math.sqrt(0.1875 / n)
     ok = abs(frac - 0.25) < tol
@@ -105,10 +106,10 @@ def test_03_time_translation_and_chapman_kolmogorov():
     n, t = 100_000, 2.0
     energies = state.energies()
     log_w0 = np.asarray(state.log_magnitudes)
-    _, b1 = _kernels.traj_collapse_paths(
+    b1 = _kernels.traj_collapse_paths(
         energies, log_w0, params.lam, np.array([t]), *draw_traj_variates(42, n, 1)
     )
-    _, b2 = _kernels.traj_collapse_paths(
+    b2 = _kernels.traj_collapse_paths(
         energies, log_w0, params.lam, np.array([t / 2, t / 2]),
         *draw_traj_variates(43, n, 2),
     )

@@ -62,6 +62,16 @@ n_traj = 10
 """
 
 
+OVERSIZE_KGRID_INI = f"""[decay]
+mode = kgrid
+epsilon = 1.0
+gamma = 1.0
+sigma = 1e-4
+s_max = 5.0
+n_modes = {10**12}
+"""
+
+
 class TestConfigParsing:
     def test_valid_config_resolves_defaults(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, SPIN_INI))
@@ -278,6 +288,24 @@ s_max = 0.5
                      str(tmp_path / "d.csv")]) == 3
         assert "stability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("ini,key", [
+        (COLLAPSE_INI.replace("n_traj = 40", f"n_traj = {10**12}"), "'n_traj'"),
+        (OVERSIZE_KGRID_INI, "'n_modes'"),
+    ], ids=["collapse_n_traj", "kgrid_n_modes"])
+    def test_oversized_arrays_are_two(self, tmp_path, capsys, command, ini, key):
+        # numpy would refuse these requests at once; the config must be
+        # refused first, naming the key
+        path = write_config(tmp_path, ini)
+        if command == "run":
+            experiment = ini[1:ini.index("]")]
+            argv = [experiment, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert key in err and "GiB" in err
+
 
 class TestValidate:
     def test_echoes_derived_t_cal(self, tmp_path, capsys):
@@ -324,10 +352,12 @@ class TestCollapseRunner:
         assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
         header, rows = read_csv(tmp_path / "c.csv")
         times = np.linspace(0.6, 6.0, 10)
-        weights, _ = _kernels.traj_collapse_paths(
-            np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75]), 1.0,
+        energies, log_w0 = np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75])
+        b_path = _kernels.traj_collapse_paths(
+            energies, log_w0, 1.0,
             np.diff(times, prepend=0.0), *draw_traj_variates(5, 40, 10),
         )
+        weights = _kernels.collapse_weights(energies, log_w0, 1.0, 6.0, b_path[:, -1])
         np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=0), rtol=0, atol=1e-12)
 
 

@@ -1,4 +1,8 @@
-"""Tests for the collapse evolution and the exact record-increment sampler."""
+"""Tests for the collapse evolution and the exact record-increment sampler.
+
+The sampler is `ensemble.simulate_trajectories`; the state it implies at
+(t, B) is `engine.evolve`.
+"""
 
 import math
 
@@ -10,16 +14,12 @@ from scipy.integrate import quad
 from collapse_lab import _kernels
 from collapse_lab.engine import (
     CollapseParams,
-    Trajectory,
-    TrajectoryPoint,
     collapse_diagnostic,
     evolve,
     evolve_from,
     record_marginal_density,
-    sample_step,
-    simulate_trajectory,
 )
-from collapse_lab.ensemble import draw_traj_variates
+from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.hilbert import (
     DomainError,
     EnergyLevel,
@@ -142,13 +142,36 @@ class TestRecordMarginalDensity:
             record_marginal_density(two_level(), PARAMS, 0.0, np.array([0.0]))
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["t", "B"])
+    def test_evolve_rejects(self, arg, bad):
+        args = {"t": 1.0, "B": 0.0, arg: bad}
+        with pytest.raises(DomainError):
+            evolve(two_level(), PARAMS, args["t"], args["B"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", ["t0", "t", "B_t0", "B_t"])
+    def test_evolve_from_rejects(self, arg, bad):
+        args = {"t0": 1.0, "t": 2.0, "B_t0": 0.0, "B_t": 0.5, arg: bad}
+        with pytest.raises(DomainError):
+            evolve_from(two_level(), PARAMS, **args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_record_marginal_density_rejects_dt(self, bad):
+        with pytest.raises(DomainError):
+            record_marginal_density(two_level(), PARAMS, bad, np.array([0.0, 1.0]))
+
+
 class TestSampleStep:
+    """One-step records: a uniform picks an energy component, then a normal
+    draws dB ~ Normal(2*lambda*dt*E, lambda*dt)."""
+
     def test_increment_distribution_matches_marginal(self):
         # KS test of sampled increments against the mixture CDF
         state = two_level(0.25)
         dt = 2.0
-        rng = trajectory_rng(11, 0)
-        draws = np.array([sample_step(state, PARAMS, dt, rng)[0] for _ in range(4000)])
+        draws = simulate_trajectories(state, PARAMS, [dt], 11, 4000)[:, 0]
         var = dt
         cdf = lambda b: 0.25 * stats.norm.cdf(
             b, 0.0, math.sqrt(var)
@@ -158,18 +181,18 @@ class TestSampleStep:
 
     def test_reproducible_for_fixed_stream(self):
         state = two_level()
-        d1, _ = sample_step(state, PARAMS, 1.0, trajectory_rng(3, 5))
-        d2, _ = sample_step(state, PARAMS, 1.0, trajectory_rng(3, 5))
+        d1 = simulate_trajectories(state, PARAMS, [1.0], 3, 6)[5, 0]
+        d2 = simulate_trajectories(state, PARAMS, [1.0], 3, 6)[5, 0]
         assert d1 == d2
 
     def test_increment_is_the_kernel_increment(self):
-        # one uniform, then one normal, through the batched kernel
+        # row i draws one uniform, then one normal, from stream (seed, i)
         state = two_level(0.3, 0.0, 2.0)
         dt = 0.7
-        dB, _ = sample_step(state, PARAMS, dt, trajectory_rng(8, 2))
+        dB = simulate_trajectories(state, PARAMS, [dt], 8, 3)[2, 0]
         rng = trajectory_rng(8, 2)
         u, z = rng.random(), rng.standard_normal()
-        _, b_path = _kernels.traj_collapse_paths(
+        b_path = _kernels.traj_collapse_paths(
             state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
             np.array([dt]), np.array([[u]]), np.array([[z]]),
         )
@@ -180,7 +203,8 @@ class TestSampleStep:
         amps = [0.5, 0.5j, math.sqrt(0.5) * np.exp(0.3j)]
         state = SpectralState.from_amplitudes(levels, amps).normalized()
         dt = 0.4
-        _, out = sample_step(state, PARAMS, dt, trajectory_rng(2, 0))
+        dB = simulate_trajectories(state, PARAMS, [dt], 2, 1)[0, 0]
+        out = evolve(state, PARAMS, dt, dB)
         assert out.levels == state.levels
         np.testing.assert_allclose(
             out.phases, np.asarray(state.phases) - state.energies() * dt, atol=1e-15
@@ -194,51 +218,46 @@ class TestSimulateTrajectory:
     def test_records_are_cumulative_and_reproducible(self):
         state = two_level()
         times = np.linspace(0.5, 5.0, 10)
-        traj1, final1 = simulate_trajectory(state, PARAMS, times, trajectory_rng(9, 0))
-        traj2, final2 = simulate_trajectory(state, PARAMS, times, trajectory_rng(9, 0))
-        np.testing.assert_array_equal(traj1.records(), traj2.records())
-        assert traj1.points[0] == TrajectoryPoint(0.0, 0.0)
+        b1 = simulate_trajectories(state, PARAMS, times, 9, 1)
+        b2 = simulate_trajectories(state, PARAMS, times, 9, 1)
+        np.testing.assert_array_equal(b1, b2)
+        assert b1.shape == (1, times.size)
+        final1 = evolve(state, PARAMS, times[-1], b1[0, -1])
+        final2 = evolve(state, PARAMS, times[-1], b2[0, -1])
         assert squared_norm(final1)[0] == squared_norm(final2)[0]
 
     def test_records_are_the_batched_kernel_rows(self):
-        # one sampler and one stream order: stream (seed, i) through
-        # simulate_trajectory is row i of the batched kernel
+        # one sampler and one stream order: row i is the kernel fed by
+        # stream (seed, i), all uniforms then all normals
         levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
         state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
         times = np.linspace(0.25, 2.5, 10)
-        _, b_path = _kernels.traj_collapse_paths(
-            state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
-            np.diff(times, prepend=0.0), *draw_traj_variates(4, 6, times.size),
-        )
+        b_path = simulate_trajectories(state, PARAMS, times, 4, 6)
         for i in range(6):
-            traj, _ = simulate_trajectory(state, PARAMS, times, trajectory_rng(4, i))
-            np.testing.assert_array_equal(traj.records()[1:], b_path[i])
+            rng = trajectory_rng(4, i)
+            u, z = rng.random(times.size), rng.standard_normal(times.size)
+            row = _kernels.traj_collapse_paths(
+                state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
+                np.diff(times, prepend=0.0), u[None, :], z[None, :],
+            )
+            np.testing.assert_array_equal(row[0], b_path[i])
 
     def test_rejects_unsorted_times(self):
-        with pytest.raises(DomainError):
-            simulate_trajectory(
-                two_level(), PARAMS, np.array([1.0, 0.5]), trajectory_rng(0, 0)
-            )
+        for times in ([1.0, 0.5], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(DomainError):
+                simulate_trajectories(two_level(), PARAMS, np.array(times), 0, 1)
 
     def test_long_run_collapses_and_preserves_spectrum_on_average(self):
         state = two_level(0.25)
         n_done, n_low = 0, 0
-        for i in range(200):
-            _, final = simulate_trajectory(
-                state, PARAMS, np.linspace(4.0, 40.0, 10), trajectory_rng(21, i)
-            )
-            done, energy = collapse_diagnostic(final)
+        b_path = simulate_trajectories(state, PARAMS, np.linspace(4.0, 40.0, 10), 21, 200)
+        for b in b_path[:, -1]:
+            done, energy = collapse_diagnostic(evolve(state, PARAMS, 40.0, b))
             n_done += done
             n_low += done and energy == 0.0
         assert n_done >= 195
         # Born rule: about a quarter of collapses land on E = 0
         assert abs(n_low / 200 - 0.25) < 4 * math.sqrt(0.1875 / 200)
-
-
-class TestTrajectory:
-    def test_rejects_nonincreasing_times(self):
-        with pytest.raises(DomainError):
-            Trajectory((TrajectoryPoint(0.0, 0.0), TrajectoryPoint(0.0, 1.0)), 0)
 
 
 class TestCollapseDiagnostic:

@@ -20,19 +20,29 @@ def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
     return energies, log_w0, 0.8, dts, uniforms, normals
 
 
+def final_weights(args, b_path):
+    """Level weights at the end of the paths, from `collapse_weights`."""
+    energies, log_w0, lam, dts = args[:4]
+    return _kernels.collapse_weights(energies, log_w0, lam, dts.sum(), b_path[:, -1])
+
+
 class TestTrajCollapsePaths:
     def test_numpy_weights_are_normalized(self):
-        w, b = _kernels.traj_collapse_paths(*traj_args())
+        args = traj_args()
+        b = _kernels.traj_collapse_paths(*args)
+        w = final_weights(args, b)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert b.shape == (64, 12)
 
     def test_numpy_single_trajectory_independent_of_batch(self):
         args = traj_args(n_traj=8)
-        w8, b8 = _kernels.traj_collapse_paths(*args)
+        b8 = _kernels.traj_collapse_paths(*args)
+        w8 = final_weights(args, b8)
         solo = tuple(
             a if i < 4 else a[:1] for i, a in enumerate(args)
         )
-        w1, b1 = _kernels.traj_collapse_paths(*solo)
+        b1 = _kernels.traj_collapse_paths(*solo)
+        w1 = final_weights(solo, b1)
         np.testing.assert_allclose(w1[0], w8[0], atol=1e-14)
         np.testing.assert_allclose(b1[0], b8[0], atol=1e-14)
 

@@ -6,16 +6,26 @@ stays in the counter-based generators of `collapse_lab.rng`.
 Kernels:
   * collapse_weights    -- level weights at a given (t, B), batched over B.
   * traj_collapse_paths -- batched multi-step record paths B.
-  * kgrid_rk4           -- fixed-step RK4 for the discretized decay ODEs.
+  * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
+                           k-grid decay Hamiltonian H.
+  * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
+                           1e-15 series truncation) from record to record.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-__all__ = ["collapse_weights", "traj_collapse_paths", "kgrid_rk4"]
+from .hilbert import DomainError
+
+__all__ = ["collapse_weights", "traj_collapse_paths", "chebyshev_series",
+           "kgrid_chebyshev"]
+
+#: a Chebyshev series stops where the Bessel factors |J_n| fall below this
+CHEBYSHEV_TOL = 1e-15
 
 
 def collapse_weights(energies, log_w0, lam, t, b):
@@ -66,45 +76,106 @@ def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
     return b_path
 
 
-def kgrid_rk4(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
-    """Classic fixed-step RK4 for the k-grid decay ODEs.
+def chebyshev_series(k, wk, g, eps, tau):
+    """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian.
+
+    H = [[diag(k), c], [c^H, eps]] with |c|**2 = g**2*sum(wk) (see
+    `kgrid_chebyshev`).  By Weyl's inequality its spectrum lies in
+    [min(k_min, eps) - |c|, max(k_max, eps) + |c|]; widened by 1 on each
+    side, that interval has centre `ctr` and half-width `half`, and
+    exp(-i*H*tau) = sum_n coef[n]*T_n((H - ctr)/half) with
+    coef[n] = (2 - delta_n0)*(-i)**n*J_n(half*tau)*exp(-i*ctr*tau).
+
+    The series keeps every order up to the last with |J_n| >= 1e-15 (and
+    at least two); `tail` is |J_n| of the first order dropped.  Raises DomainError if the
+    Bessel factors have not fallen below 1e-15 within the orders computed.
+
+    Returns (ctr, half, coef, tail).
+    """
+    from scipy.special import jv
+
+    c_norm = g * math.sqrt(float(np.sum(wk)))
+    lo = min(float(np.min(k)), eps) - c_norm - 1.0
+    hi = max(float(np.max(k)), eps) + c_norm + 1.0
+    ctr, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = half * tau
+    if not math.isfinite(z):
+        raise DomainError(f"Chebyshev argument half*tau = {z} is not finite")
+    # beyond order z, |J_n(z)| decays over a transition region of width
+    # ~z**(1/3); 1e-15 is reached within about 10*(z**(1/3) + 1) orders
+    orders = np.arange(int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1)
+    j = jv(orders, z)
+    # nan counts as not small, so a failed Bessel evaluation cannot truncate
+    kept = np.flatnonzero(~(np.abs(j) < CHEBYSHEV_TOL))
+    n_terms = max(int(kept[-1]) + 1, 2)
+    if n_terms >= orders.size:
+        raise DomainError(
+            f"Chebyshev truncation contract violated: |J_n({z:.6g})| has not "
+            f"fallen below {CHEBYSHEV_TOL:g} within {orders.size} orders"
+        )
+    n = orders[:n_terms]
+    coef = np.where(n == 0, 1.0, 2.0) * (-1j) ** n * j[:n_terms]
+    return ctr, half, coef * cmath.exp(-1j * ctr * tau), float(abs(j[n_terms]))
+
+
+def _chebyshev_apply(coef, kn, cn, en, u, beta):
+    """sum_n coef[n]*T_n(Hn) applied to (u, beta), Hn = [[diag(kn), cn],
+    [cn^H, en]], by the recurrence T_{n+1} = 2*Hn*T_n - T_{n-1}."""
+    p0, b0 = u, beta
+    p1, b1 = kn * u + cn * beta, en * beta + np.vdot(cn, u)
+    acc, acc_b = coef[0] * u + coef[1] * p1, coef[0] * beta + coef[1] * b1
+    kn2, cn2 = 2.0 * kn, 2.0 * cn
+    for a in coef[2:]:
+        p2 = kn2 * p1
+        p2 += cn2 * b1
+        p2 -= p0
+        b2 = 2.0 * en * b1 + np.vdot(cn2, p1) - b0
+        acc += a * p2
+        acc_b += a * b2
+        p0, b0, p1, b1 = p1, b1, p2, b2
+    return acc, acc_b
+
+
+def _chebyshev_step(k, wk, g, eps, c, tau):
+    """`_chebyshev_apply`'s (coef, kn, cn, en) for exp(-i*H*tau)."""
+    ctr, half, coef, _ = chebyshev_series(k, wk, g, eps, tau)
+    # kn complex: products with the complex state then need no casting
+    return coef, ((k - ctr) / half).astype(complex), c / half, (eps - ctr) / half
+
+
+def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
+    """Chebyshev propagator for the k-grid decay ODEs.
 
     d(alpha_k)/dt = -i*(g*beta*exp(-i*k*x0) + k*alpha_k)
     d(beta)/dt    = -i*(eps*beta + g*sum_k wk*alpha_k*exp(+i*k*x0))
 
+    With u_k = sqrt(wk)*alpha_k (wk > 0) this is i*d(u, beta)/dt = H (u, beta)
+    for the Hermitian H = [[diag(k), c], [c^H, eps]], c_k =
+    g*sqrt(wk)*exp(-i*k*x0), and sum wk*|alpha|**2 + |beta|**2 =
+    |u|**2 + |beta|**2.  Each record interval applies one `chebyshev_series`
+    of exp(-i*H*dt*record_every), one O(n_modes) matvec per term; the
+    n_steps % record_every steps after the last record get a series of
+    their own, so the final state is at n_steps*dt.
+
     Returns (times, occupation, total_prob, alpha_final, beta_final) with one
     sample per `record_every` steps (plus the initial point).
     """
-    phase = np.exp(-1j * k * x0)
-    phase_c = np.conj(phase)
-
-    def rhs(alpha, beta):
-        da = -1j * (g * beta * phase + k * alpha)
-        db = -1j * (eps * beta + g * np.sum(wk * alpha * phase_c))
-        return da, db
-
-    alpha = alpha0.astype(complex).copy()
+    sw = np.sqrt(wk)
+    c = g * sw * np.exp(-1j * k * x0)
+    u = sw * np.asarray(alpha0, complex)
     beta = complex(beta0)
     n_rec = n_steps // record_every + 1
-    times = np.empty(n_rec)
+    times = np.arange(n_rec) * record_every * dt
     occ = np.empty(n_rec)
     prob = np.empty(n_rec)
-
-    def record(i, t):
-        times[i] = t
-        occ[i] = abs(beta) ** 2
-        prob[i] = float(np.sum(wk * np.abs(alpha) ** 2)) + abs(beta) ** 2
-
-    record(0, 0.0)
-    r = 1
-    for s in range(n_steps):
-        ka1, kb1 = rhs(alpha, beta)
-        ka2, kb2 = rhs(alpha + 0.5 * dt * ka1, beta + 0.5 * dt * kb1)
-        ka3, kb3 = rhs(alpha + 0.5 * dt * ka2, beta + 0.5 * dt * kb2)
-        ka4, kb4 = rhs(alpha + dt * ka3, beta + dt * kb3)
-        alpha = alpha + (dt / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-        beta = beta + (dt / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        if (s + 1) % record_every == 0:
-            record(r, (s + 1) * dt)
-            r += 1
-    return times[:r], occ[:r], prob[:r], alpha, beta
+    step = _chebyshev_step(k, wk, g, eps, c, dt * record_every)
+    for r in range(n_rec):
+        if r:
+            u, beta = _chebyshev_apply(*step, u, beta)
+        occ[r] = abs(beta) ** 2
+        prob[r] = float(np.vdot(u, u).real) + occ[r]
+    rem = n_steps % record_every
+    if rem:
+        u, beta = _chebyshev_apply(*_chebyshev_step(k, wk, g, eps, c, dt * rem),
+                                   u, beta)
+    return times, occ, prob, u / sw, beta

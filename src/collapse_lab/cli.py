@@ -16,10 +16,11 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
-an unreadable fixture, an --out outside an existing directory and count keys
-whose arrays would exceed MAX_ARRAY_BYTES), 3
-numerical-contract violation (including a non-finite result and a numpy
-overflow, invalid value or division by zero).
+a non-finite k-grid step count s_max/dt, an unreadable fixture, an --out
+outside an existing directory and count keys whose arrays would exceed
+MAX_ARRAY_BYTES), 3 numerical-contract violation (including a non-finite
+result, a numpy overflow, invalid value or division by zero, and a k-grid
+Chebyshev series whose Bessel factors do not fall below 1e-15).
 """
 
 from __future__ import annotations
@@ -196,6 +197,16 @@ MAX_ARRAY_BYTES = 2**31
 _VALUE_BYTES = 64
 
 
+def _kgrid_steps(p) -> int:
+    """The k-grid step count round(s_max/dt), which must be finite."""
+    steps = p["s_max"] / p["dt"]
+    if not math.isfinite(steps):
+        raise ConfigError(
+            f"key 's_max' gives a non-finite step count s_max/dt = {steps}"
+        )
+    return round(steps)
+
+
 class ExperimentConfig:
     """Validated experiment parameters plus output plumbing."""
 
@@ -289,7 +300,7 @@ class ExperimentConfig:
             if p["s_min"] >= p["s_max"]:
                 raise ConfigError("key 's_min' must be below 's_max'")
         if e == "decay" and p["mode"] == "kgrid":
-            n_steps = round(p["s_max"] / p["dt"])
+            n_steps = _kgrid_steps(p)
             if p["record_every"] > n_steps:
                 raise ConfigError(
                     f"key 'record_every' must not exceed the step count "
@@ -323,10 +334,11 @@ class ExperimentConfig:
             return {"'n_t'": v * 2 * p["n_t"]}
         if e == "spin" or p["mode"] == "closed":
             return {"'n_s'": v * 3 * p["n_s"]}
-        # k-grid: grid, phases, state and RK4 stages per mode; three columns
-        # per record
-        n_rec = round(p["s_max"] / p["dt"]) // p["record_every"] + 1
-        return {"'n_modes'": 8 * 24 * p["n_modes"],
+        # k-grid: grid, coupling, state, three Chebyshev recurrence vectors
+        # and the accumulated output, with their temporaries, per mode; three
+        # columns per record
+        n_rec = _kgrid_steps(p) // p["record_every"] + 1
+        return {"'n_modes'": 8 * 25 * p["n_modes"],
                 "'record_every'": (24 + 3 * v) * n_rec}
 
     def derived_t_cal(self) -> float | None:
@@ -536,6 +548,8 @@ def _run_decay(p, seed):
             abs(res.total_probability[-1] - res.total_probability[0]) / span
         ),
         "recurrence_time": grid.recurrence_time,
+        "chebyshev_terms": res.chebyshev_terms,
+        "chebyshev_tail": res.chebyshev_tail,
     }
     return cols, rows, summary
 

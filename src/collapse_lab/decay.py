@@ -2,8 +2,9 @@
 
 Closed-form evaluators for the exactly solvable linear-dispersion model
 (coupling g = sqrt(Gamma/2/pi), photon energy k rather than |k| so decay is
-exactly exponential) plus an independent k-grid ODE integration used as a
-numerical oracle.
+exactly exponential) plus an independent numerical oracle: the mode ODEs on
+a uniform k-grid, propagated from record to record by a Chebyshev series of
+exp(-i*H*dt) (`_kernels.kgrid_chebyshev`).
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -119,7 +120,9 @@ class KGrid:
 
 @dataclass(frozen=True)
 class KGridResult:
-    """Grid-integration output: series of |beta|^2 and total probability."""
+    """Grid-integration output: series of |beta|^2 and total probability,
+    plus the Chebyshev terms per record interval and the first dropped
+    |J_n| (`_kernels.chebyshev_series`)."""
 
     times: np.ndarray  # shifted times s = t - T
     occupation: np.ndarray
@@ -128,6 +131,8 @@ class KGridResult:
     k_weights: np.ndarray
     alpha_final: np.ndarray
     beta_final: complex
+    chebyshev_terms: int
+    chebyshev_tail: float
 
 
 # --- decay without excitation ----------------------------------------------
@@ -298,7 +303,12 @@ def integrate_kgrid(
     t_final: float = 5.0,
     record_every: int = 20,
 ) -> KGridResult:
-    """Integrate the coupled mode ODEs with fixed-step RK4.
+    """Integrate the coupled mode ODEs over n_steps = round(span/dt) steps.
+
+    Each record interval (`record_every` steps of `grid.dt`) is one
+    Chebyshev series of exp(-i*H*dt*record_every), exact up to the 1e-15
+    truncation of `_kernels.chebyshev_series`; `grid.dt` sets the record
+    spacing and the step count, not an integration error.
 
     packet="decay" starts from beta = 1 with no photons; packet="excitation"
     starts the regularized Gaussian packet left of x0, timed to arrive at
@@ -336,7 +346,11 @@ def integrate_kgrid(
             f"{grid.recurrence_time}"
         )
     n_steps = int(round(span / grid.dt))
-    times, occ, prob, alpha, beta = _kernels.kgrid_rk4(
+    times, occ, prob, alpha, beta = _kernels.kgrid_chebyshev(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )
-    return KGridResult(times + shift, occ, prob, k, wk, alpha, complex(beta))
+    _, _, coef, tail = _kernels.chebyshev_series(
+        k, wk, p.g, p.epsilon, grid.dt * record_every
+    )
+    return KGridResult(times + shift, occ, prob, k, wk, alpha, complex(beta),
+                       coef.size, tail)

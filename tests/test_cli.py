@@ -11,6 +11,7 @@ import pytest
 
 from collapse_lab import _kernels, cli
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
+from collapse_lab.decay import DecayModelParams, KGrid
 from collapse_lab.ensemble import draw_traj_variates
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,6 +70,19 @@ gamma = 1.0
 sigma = 1e-4
 s_max = 5.0
 n_modes = {10**12}
+"""
+
+
+SMALL_KGRID_INI = """[decay]
+mode = kgrid
+epsilon = 1.0
+gamma = 1.0
+sigma = 1e-4
+s_max = 0.5
+n_modes = 1024
+half_width = 20.0
+dt = 2e-3
+record_every = 50
 """
 
 
@@ -289,6 +303,29 @@ s_max = 0.5
         assert "stability" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_finite_step_count_is_two(self, tmp_path, capsys, command):
+        # s_max/dt overflows to inf: the config alone is at fault
+        ini = SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 1e300")
+        path = write_config(tmp_path, ini.replace("dt = 2e-3", "dt = 1e-10"))
+        if command == "run":
+            argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        assert "'s_max'" in capsys.readouterr().err
+
+    def test_chebyshev_truncation_is_three(self, tmp_path, capsys, monkeypatch):
+        # Bessel factors that never fall below 1e-15 break the truncation contract
+        import scipy.special
+
+        monkeypatch.setattr(scipy.special, "jv", lambda n, z: np.ones(np.shape(n)))
+        path = write_config(tmp_path, SMALL_KGRID_INI)
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--config", str(path), "--out", str(out)]) == 3
+        assert "truncation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("ini,key", [
         (COLLAPSE_INI.replace("n_traj = 40", f"n_traj = {10**12}"), "'n_traj'"),
         (OVERSIZE_KGRID_INI, "'n_modes'"),
@@ -439,6 +476,24 @@ n_t = 10
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "t (time)"
         assert len(doc["rows"]) == 50
+
+
+def test_kgrid_summary_reports_chebyshev_series(tmp_path):
+    # terms per record interval and the first dropped |J_n|, identical on rerun
+    path = write_config(tmp_path, SMALL_KGRID_INI)
+    docs = []
+    for name in ("a.csv", "b.csv"):
+        assert main(["decay", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        doc = json.loads((tmp_path / name).with_suffix(".summary.json").read_text())
+        del doc["wall_time_s"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    dp = DecayModelParams(1.0, 1.0, 1e-4)
+    k, wk = KGrid.for_params(dp, 20.0, 1024, 2e-3).points_and_weights()
+    _, _, coef, tail = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 2e-3 * 50)
+    scalars = docs[0]["scalars"]
+    assert scalars["chebyshev_terms"] == coef.size
+    assert scalars["chebyshev_tail"] == tail < _kernels.CHEBYSHEV_TOL
 
 
 def _reject_constant(name):

@@ -1,14 +1,15 @@
-"""Kernel tests: batched collapse paths and the k-grid RK4 integrator."""
+"""Kernel tests: batched collapse paths and the k-grid Chebyshev propagator."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from collapse_lab import _kernels
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import draw_traj_variates
-from collapse_lab.hilbert import EnergyLevel, SpectralState
+from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
 
 
 def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
@@ -82,9 +83,9 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
     return k, wk, g, 1.0, 0.0, beta0, alpha0, 2e-3, n_steps, 40
 
 
-class TestKGridRK4:
+class TestKGridChebyshev:
     def test_numpy_records_expected_shape(self):
-        t, occ, prob, alpha, beta = _kernels.kgrid_rk4(*kgrid_args())
+        t, occ, prob, alpha, beta = _kernels.kgrid_chebyshev(*kgrid_args())
         assert t.shape == occ.shape == prob.shape == (11,)
         assert alpha.shape == (256,)
 
@@ -92,6 +93,63 @@ class TestKGridRK4:
         # g = 0: |alpha_k| and |beta| are constants of motion
         args = list(kgrid_args(excited=False))
         args[2] = 0.0
-        t, occ, prob, alpha, beta = _kernels.kgrid_rk4(*args)
+        t, occ, prob, alpha, beta = _kernels.kgrid_chebyshev(*args)
         np.testing.assert_allclose(np.abs(alpha), np.abs(args[6]), atol=1e-10)
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
+
+
+def dense_oracle(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
+    """(times, occupation, total_prob, alpha, beta) from dense expm(-i*H*t)."""
+    sw = np.sqrt(wk)
+    c = g * sw * np.exp(-1j * k * x0)
+    h = np.diag(np.append(k, eps)).astype(complex)
+    h[:-1, -1] = c
+    h[-1, :-1] = np.conj(c)
+    psi0 = np.append(sw * alpha0, beta0)
+    steps = list(range(0, n_steps + 1, record_every))
+    psis = [expm(-1j * h * (s * dt)) @ psi0 for s in steps + [n_steps]]
+    occ = np.array([abs(p[-1]) ** 2 for p in psis[:-1]])
+    prob = np.array([float(np.vdot(p, p).real) for p in psis[:-1]])
+    return np.array(steps) * dt, occ, prob, psis[-1][:-1] / sw, psis[-1][-1]
+
+
+class TestKGridChebyshevOracle:
+    def oracle_args(self, start):
+        # 410 steps at record_every 40 leave a remainder of 10 steps
+        k, wk, g, eps, _, beta0, alpha0, dt, _, _ = kgrid_args(n_k=64)
+        if start == "random":
+            rng = np.random.default_rng(3)
+            alpha0 = 0.8 * (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
+            alpha0 /= math.sqrt(float(np.sum(wk * np.abs(alpha0) ** 2)))
+            beta0 = 0.6 * np.exp(0.4j)
+        return k, wk, g, eps, 0.3, beta0, alpha0, dt, 410, 40
+
+    @pytest.mark.parametrize("start", ["decay", "random"])
+    def test_matches_dense_expm(self, start):
+        args = self.oracle_args(start)
+        got = _kernels.kgrid_chebyshev(*args)
+        want = dense_oracle(*args)
+        np.testing.assert_array_equal(got[0], want[0])
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_two_intervals_equal_one_of_twice_the_length(self):
+        args = list(self.oracle_args("random"))
+        args[8], args[9] = 400, 200
+        two = _kernels.kgrid_chebyshev(*args)
+        args[9] = 400
+        one = _kernels.kgrid_chebyshev(*args)
+        np.testing.assert_allclose(two[3], one[3], rtol=0, atol=1e-12)
+        assert abs(two[4] - one[4]) < 1e-12
+        np.testing.assert_allclose([two[1][-1], two[2][-1]], [one[1][-1], one[2][-1]],
+                                   rtol=0, atol=1e-12)
+
+    def test_truncation_contract(self, monkeypatch):
+        # Bessel factors that never fall below 1e-15 cannot be truncated
+        import scipy.special
+
+        _, _, coef, tail = _kernels.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
+        assert coef.size > 1 and 0.0 < tail < _kernels.CHEBYSHEV_TOL
+        monkeypatch.setattr(scipy.special, "jv", lambda n, z: np.ones(np.shape(n)))
+        with pytest.raises(DomainError, match="truncation"):
+            _kernels.kgrid_chebyshev(*self.oracle_args("decay"))

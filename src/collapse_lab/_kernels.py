@@ -81,9 +81,9 @@ def chebyshev_series(k, wk, g, eps, tau):
 
     H = [[diag(k), c], [c^H, eps]] with |c|**2 = g**2*sum(wk) (see
     `kgrid_chebyshev`).  By Weyl's inequality its spectrum lies in
-    [min(k_min, eps) - |c|, max(k_max, eps) + |c|]; widened by 1 on each
-    side, that interval has centre `ctr` and half-width `half`, and
-    exp(-i*H*tau) = sum_n coef[n]*T_n((H - ctr)/half) with
+    [min(k_min, eps) - |c|, max(k_max, eps) + |c|]; that interval has
+    centre `ctr`, `half` is its half-width plus 1 % (headroom for rounding),
+    and exp(-i*H*tau) = sum_n coef[n]*T_n((H - ctr)/half) with
     coef[n] = (2 - delta_n0)*(-i)**n*J_n(half*tau)*exp(-i*ctr*tau).
 
     The series keeps every order up to the last with |J_n| >= 1e-15 (and
@@ -95,9 +95,9 @@ def chebyshev_series(k, wk, g, eps, tau):
     from scipy.special import jv
 
     c_norm = g * math.sqrt(float(np.sum(wk)))
-    lo = min(float(np.min(k)), eps) - c_norm - 1.0
-    hi = max(float(np.max(k)), eps) + c_norm + 1.0
-    ctr, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    lo = min(float(np.min(k)), eps) - c_norm
+    hi = max(float(np.max(k)), eps) + c_norm
+    ctr, half = 0.5 * (hi + lo), 1.01 * 0.5 * (hi - lo)
     z = half * tau
     if not math.isfinite(z):
         raise DomainError(f"Chebyshev argument half*tau = {z} is not finite")

@@ -16,11 +16,12 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
-a non-finite k-grid step count s_max/dt, an unreadable fixture, an --out
-outside an existing directory and count keys whose arrays would exceed
-MAX_ARRAY_BYTES), 3 numerical-contract violation (including a non-finite
-result, a numpy overflow, invalid value or division by zero, and a k-grid
-Chebyshev series whose Bessel factors do not fall below 1e-15).
+a k-grid n_modes or half_width that `decay` refuses, a non-finite k-grid
+s_max/dt, an unreadable fixture, an --out outside an existing directory and
+count keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
+violation (including a non-finite result, a numpy floating-point error, a
+k-grid span beyond the recurrence time and a k-grid Chebyshev series whose
+Bessel factors do not fall below 1e-15).
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .decay import DecayModelParams, KGrid, integrate_kgrid, occupation, occupation_collapsed
+from .decay import (DecayModelParams, KGrid, check_grid, integrate_kgrid,
+                    occupation, occupation_collapsed)
 from .engine import CollapseParams
 from .hilbert import (
     DiscreteSpectrum,
@@ -54,8 +56,6 @@ from .records import RecordScenario, bhattacharyya, record_violation_bound
 from .spin import SpinModelParams, sigma1_collapsed, sigma1_standard
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
-
-EXPERIMENTS = ("collapse", "ensemble", "measurement", "records", "spin", "decay")
 
 
 class ConfigError(Exception):
@@ -234,7 +234,7 @@ class ExperimentConfig:
                 f"found {sections}"
             )
         section = sections[0]
-        if section not in EXPERIMENTS:
+        if section not in SCHEMAS:
             raise ConfigError(f"unknown experiment section [{section}]")
         if experiment is not None and section != experiment:
             raise ConfigError(
@@ -300,6 +300,16 @@ class ExperimentConfig:
             if p["s_min"] >= p["s_max"]:
                 raise ConfigError("key 's_min' must be below 's_max'")
         if e == "decay" and p["mode"] == "kgrid":
+            # decay's own grid checks, so a config accepted here passes check_grid
+            dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"])
+            key = "n_modes"
+            try:
+                KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
+                key = "half_width"
+                grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
+                check_grid(dp, grid)
+            except DomainError as exc:
+                raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
             n_steps = _kgrid_steps(p)
             if p["record_every"] > n_steps:
                 raise ConfigError(
@@ -644,7 +654,7 @@ def main(argv=None) -> int:
         description="Energy-driven collapse experiments on finite spectral models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
+    for name in SCHEMAS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)

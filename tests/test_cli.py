@@ -176,18 +176,21 @@ n_traj = 1
         assert "n_traj" in capsys.readouterr().err
 
     def test_numerical_contract_violation_is_three(self, tmp_path, capsys):
+        # recurrence time 2*pi*64/40 ~ 10 is shorter than the span of 20
         ini = """[decay]
 epsilon = 1.0
 gamma = 1.0
 sigma = 1e-4
 mode = kgrid
-s_max = 2.0
+n_modes = 64
+half_width = 20
+s_max = 20.0
 dt = 0.1
 """
         path = write_config(tmp_path, ini)
         assert main(["decay", "--config", str(path), "--out",
                      str(tmp_path / "d.csv")]) == 3
-        assert "stability" in capsys.readouterr().err
+        assert "recurrence" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ini, key", [
         (SPIN_INI.replace("a = 0.7071067811865476", "a = nan"), "'a'"),
@@ -286,8 +289,8 @@ record_every = 100
                      str(tmp_path / "c.csv")]) == 3
         assert len(recwarn) == 0
 
-    def test_kgrid_stability_bounds_max_abs_k(self, tmp_path, capsys):
-        # dt*(k_max - k_min) = 0.04 passes the range bound, dt*max|k| ~ 5 does not
+    def test_kgrid_large_max_abs_k_exits_zero(self, tmp_path):
+        # dt*max|k| ~ 5: dt is a record spacing, the propagator has no step limit
         ini = """[decay]
 mode = kgrid
 epsilon = 1e4
@@ -298,9 +301,30 @@ dt = 5e-4
 s_max = 0.5
 """
         path = write_config(tmp_path, ini)
-        assert main(["decay", "--config", str(path), "--out",
-                     str(tmp_path / "d.csv")]) == 3
-        assert "stability" in capsys.readouterr().err
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        s, occ, _ = np.array(rows).T
+        np.testing.assert_allclose(occ, np.exp(-s), rtol=0.05)
+        doc = json.loads(out.with_suffix(".summary.json").read_text())
+        assert doc["scalars"]["probability_drift_per_unit_time"] <= 1e-8
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("n_modes = 1024", "n_modes = 32", "'n_modes'"),
+        ("half_width = 20.0", "half_width = 10", "'half_width'"),
+        ("epsilon = 1.0", "epsilon = 1e20", "'half_width'"),
+    ], ids=["n_modes", "half_width", "span_below_ulp"])
+    def test_kgrid_refused_by_decay_is_two(self, tmp_path, capsys, command,
+                                           old, new, key):
+        # decay's own grid checks, raised at the boundary as the key they test
+        path = write_config(tmp_path, SMALL_KGRID_INI.replace(old, new))
+        if command == "run":
+            argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_non_finite_step_count_is_two(self, tmp_path, capsys, command):

@@ -52,10 +52,6 @@ class TestParams:
 
 
 class TestKGrid:
-    def test_stability_contract_enforced(self):
-        with pytest.raises(DomainError):
-            KGrid(-40.0, 40.0, 4096, dt=0.01)
-
     def test_minimum_mode_count(self):
         with pytest.raises(DomainError):
             KGrid(-1.0, 1.0, 32, dt=1e-3)

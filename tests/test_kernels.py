@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from collapse_lab import _kernels
+from collapse_lab.decay import DecayModelParams, KGrid
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import draw_traj_variates
 from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
@@ -98,13 +99,19 @@ class TestKGridChebyshev:
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
 
 
-def dense_oracle(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
-    """(times, occupation, total_prob, alpha, beta) from dense expm(-i*H*t)."""
-    sw = np.sqrt(wk)
-    c = g * sw * np.exp(-1j * k * x0)
+def dense_h(k, wk, g, eps, x0):
+    """The scaled k-grid Hamiltonian [[diag(k), c], [c^H, eps]] as a matrix."""
+    c = g * np.sqrt(wk) * np.exp(-1j * k * x0)
     h = np.diag(np.append(k, eps)).astype(complex)
     h[:-1, -1] = c
     h[-1, :-1] = np.conj(c)
+    return h
+
+
+def dense_oracle(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
+    """(times, occupation, total_prob, alpha, beta) from dense expm(-i*H*t)."""
+    sw = np.sqrt(wk)
+    h = dense_h(k, wk, g, eps, x0)
     psi0 = np.append(sw * alpha0, beta0)
     steps = list(range(0, n_steps + 1, record_every))
     psis = [expm(-1j * h * (s * dt)) @ psi0 for s in steps + [n_steps]]
@@ -153,3 +160,20 @@ class TestKGridChebyshevOracle:
         monkeypatch.setattr(scipy.special, "jv", lambda n, z: np.ones(np.shape(n)))
         with pytest.raises(DomainError, match="truncation"):
             _kernels.kgrid_chebyshev(*self.oracle_args("decay"))
+
+
+class TestChebyshevInterval:
+    @pytest.mark.parametrize("start", ["decay", "random"])
+    def test_spectrum_inside_series_interval(self, start):
+        # the relative margin still covers every eigenvalue of H
+        args = TestKGridChebyshevOracle().oracle_args(start)
+        ctr, half, _, _ = _kernels.chebyshev_series(*args[:4], 0.08)
+        ev = np.linalg.eigvalsh(dense_h(*args[:5]))
+        assert ctr - half < ev.min() and ev.max() < ctr + half
+
+    def test_series_length_follows_the_spectrum(self):
+        # a narrow grid (span 0.08) needs few terms even for a long interval
+        p = DecayModelParams(1.0, 1e-3, 1e-4)
+        k, wk = KGrid.for_params(p).points_and_weights()
+        _, _, coef, _ = _kernels.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
+        assert coef.size <= 15

@@ -137,10 +137,11 @@ def _chebyshev_apply(coef, kn, cn, en, u, beta):
 
 
 def _chebyshev_step(k, wk, g, eps, c, tau):
-    """`_chebyshev_apply`'s (coef, kn, cn, en) for exp(-i*H*tau)."""
-    ctr, half, coef, _ = chebyshev_series(k, wk, g, eps, tau)
+    """(`_chebyshev_apply`'s (coef, kn, cn, en), tail) for exp(-i*H*tau)."""
+    ctr, half, coef, tail = chebyshev_series(k, wk, g, eps, tau)
     # kn complex: products with the complex state then need no casting
-    return coef, ((k - ctr) / half).astype(complex), c / half, (eps - ctr) / half
+    kn = ((k - ctr) / half).astype(complex)
+    return (coef, kn, c / half, (eps - ctr) / half), tail
 
 
 def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
@@ -157,8 +158,10 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     n_steps % record_every steps after the last record get a series of
     their own, so the final state is at n_steps*dt.
 
-    Returns (times, occupation, total_prob, alpha_final, beta_final) with one
-    sample per `record_every` steps (plus the initial point).
+    Returns (times, occupation, total_prob, alpha_final, beta_final,
+    n_terms, tail): one sample per `record_every` steps (plus the initial
+    point), the final state, and the length and first dropped |J_n| of the
+    record-interval series.
     """
     sw = np.sqrt(wk)
     c = g * sw * np.exp(-1j * k * x0)
@@ -168,7 +171,7 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     times = np.arange(n_rec) * record_every * dt
     occ = np.empty(n_rec)
     prob = np.empty(n_rec)
-    step = _chebyshev_step(k, wk, g, eps, c, dt * record_every)
+    step, tail = _chebyshev_step(k, wk, g, eps, c, dt * record_every)
     for r in range(n_rec):
         if r:
             u, beta = _chebyshev_apply(*step, u, beta)
@@ -176,6 +179,6 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
         prob[r] = float(np.vdot(u, u).real) + occ[r]
     rem = n_steps % record_every
     if rem:
-        u, beta = _chebyshev_apply(*_chebyshev_step(k, wk, g, eps, c, dt * rem),
-                                   u, beta)
-    return times, occ, prob, u / sw, beta
+        rem_step, _ = _chebyshev_step(k, wk, g, eps, c, dt * rem)
+        u, beta = _chebyshev_apply(*rem_step, u, beta)
+    return times, occ, prob, u / sw, beta, step[0].size, tail

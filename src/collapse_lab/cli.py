@@ -16,12 +16,13 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
-a k-grid n_modes or half_width that `decay` refuses, a non-finite k-grid
-s_max/dt, an unreadable fixture, an --out outside an existing directory and
-count keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
-violation (including a non-finite result, a numpy floating-point error, a
-k-grid span beyond the recurrence time and a k-grid Chebyshev series whose
-Bessel factors do not fall below 1e-15).
+spin amplitudes a, b that `spin` refuses, a k-grid n_modes or half_width
+that `decay` refuses, a k-grid span beyond the recurrence time, a non-finite
+k-grid s_max/dt, an unreadable fixture, an --out outside an existing
+directory and count keys whose arrays would exceed MAX_ARRAY_BYTES), 3
+numerical-contract violation (including a non-finite result, a numpy
+floating-point error and a k-grid Chebyshev series whose Bessel factors do
+not fall below 1e-15).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import __version__, _kernels
 from .decay import (DecayModelParams, KGrid, check_grid, integrate_kgrid,
-                    occupation, occupation_collapsed)
+                    kgrid_span, occupation, occupation_collapsed)
 from .engine import CollapseParams
 from .hilbert import (
     DiscreteSpectrum,
@@ -52,7 +53,7 @@ from .ensemble import (
     ensemble_density_matrix, ensemble_expectation_mc, simulate_trajectories,
 )
 from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
-from .records import RecordScenario, bhattacharyya, record_violation_bound
+from .records import RecordScenario, record_violation_bound
 from .spin import SpinModelParams, sigma1_collapsed, sigma1_standard
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
@@ -193,7 +194,7 @@ SCHEMAS: dict[str, dict] = {
 #: estimate (`ExperimentConfig._array_bytes`) exceeds it exits 2, naming the
 #: key, before numpy is asked for the arrays
 MAX_ARRAY_BYTES = 2**31
-#: bytes per output-table value: a Python float in the row list plus its text
+#: bytes per output-table value: the float in the table plus its text
 _VALUE_BYTES = 64
 
 
@@ -293,8 +294,10 @@ class ExperimentConfig:
         if e == "records" and p["t_max"] <= p["t0"]:
             raise ConfigError("key 't_max' must exceed 't0'")
         if e == "spin":
-            if abs(p["a"] ** 2 + p["b"] ** 2 - 1.0) > 1e-9:
-                raise ConfigError("keys 'a' and 'b' must satisfy a^2 + b^2 = 1")
+            try:
+                SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"], p["t_cal"])
+            except DomainError as exc:
+                raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
             if p["s_min"] is None:
                 p["s_min"] = -p["s_max"]
             if p["s_min"] >= p["s_max"]:
@@ -308,6 +311,8 @@ class ExperimentConfig:
                 key = "half_width"
                 grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
                 check_grid(dp, grid)
+                key = "s_max"
+                kgrid_span(dp, grid, p["packet"], p["s_max"])
             except DomainError as exc:
                 raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
             n_steps = _kgrid_steps(p)
@@ -362,7 +367,7 @@ class ExperimentConfig:
 
 
 # --- experiment runners -----------------------------------------------------
-# Each returns (column names incl. units, rows, summary scalars).
+# Each returns (column names incl. units, 2-D float table, summary scalars).
 
 
 def _build_state(energies, weights, phases=None):
@@ -388,15 +393,12 @@ def _run_collapse(p, seed):
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
     ]
-    rows = [
-        [times[s], frac[s], *mean_w[s]] for s in range(n_steps)
-    ]
     summary = {
         "T_cal": math.sqrt(p["lambda"] * p["t_max"]),
         "collapsed_fraction": float(frac[-1]),
         "n_traj": n_traj,
     }
-    return cols, rows, summary
+    return cols, np.column_stack([times, frac, mean_w]), summary
 
 
 def _run_ensemble(p, seed):
@@ -409,17 +411,11 @@ def _run_ensemble(p, seed):
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
     ham = ObservableMatrix.hamiltonian(state0.levels)
-    rows = []
-    for t in times:
+    table = np.empty((len(times), len(cols)))
+    for row, t in zip(table, times):
         rho = ensemble_density_matrix(state0, params, float(t)).entries
-        rows.append(
-            [
-                float(t),
-                float(np.trace(rho @ ham.entries).real),
-                float(np.trace(rho @ rho).real),
-                *np.abs(rho[iu]),
-            ]
-        )
+        row[:] = [t, np.trace(rho @ ham.entries).real, np.trace(rho @ rho).real,
+                  *np.abs(rho[iu])]
     summary = {
         "T_cal": math.sqrt(p["lambda"] * p["t_max"]),
         "mean_energy": float(expectation(state0, ham)),
@@ -430,7 +426,7 @@ def _run_ensemble(p, seed):
         )
         summary["mc_mean_energy"] = mc
         summary["mc_standard_error"] = se
-    return cols, rows, summary
+    return cols, table, summary
 
 
 def _load_fixture(name):
@@ -454,21 +450,15 @@ def _run_measurement(p, seed):
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
     cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
-    rows = []
-    ratios = []
-    for t in ts:
-        for b in bs:
-            r = branch_weight_ratio(spec, params, float(t), float(b))
-            rows.append([float(t), float(b), r])
-            ratios.append(r)
-    ratios = np.asarray(ratios)
+    t, b = (x.ravel() for x in np.meshgrid(ts, bs, indexing="ij"))
+    ratios = branch_weight_ratio(spec, params, t, b)
     summary = {
         "shared_spectrum": spec.shared_spectrum,
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
         "ratio_spread_rel": float(ratios.max() / ratios.min() - 1.0),
     }
-    return cols, rows, summary
+    return cols, np.column_stack([t, b, ratios]), summary
 
 
 def builtin_record_spectra(name: str) -> tuple[DiscreteSpectrum, DiscreteSpectrum]:
@@ -500,15 +490,12 @@ def _run_records(p, seed):
     dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
     ts = np.linspace(p["t0"] + dt0, p["t_max"], p["n_t"])
     cols = ["t (time)", "record_bound (dimensionless)"]
-    rows = []
-    for t in ts:
-        v, _ = record_violation_bound(scenario, float(t))
-        rows.append([float(t), v])
+    bound, sup = record_violation_bound(scenario, ts)
     summary = {
-        "bound_sup": bhattacharyya(plus, minus),
+        "bound_sup": sup,
         "T_cal": math.sqrt(p["lambda"] * (p["t_max"] - p["t0"])),
     }
-    return cols, rows, summary
+    return cols, np.column_stack([ts, bound]), summary
 
 
 def _run_spin(p, seed):
@@ -519,10 +506,9 @@ def _run_spin(p, seed):
         "sigma1_standard (dimensionless)",
         "sigma1_collapsed (dimensionless)",
     ]
-    rows = [[float(s), sigma1_standard(float(s), sp), sigma1_collapsed(float(s), sp)]
-            for s in ss]
+    table = np.column_stack([ss, sigma1_standard(ss, sp), sigma1_collapsed(ss, sp)])
     summary = {"envelope": sp.envelope, "epsilon_T_cal": p["epsilon"] * p["t_cal"]}
-    return cols, rows, summary
+    return cols, table, summary
 
 
 def _run_decay(p, seed):
@@ -534,12 +520,9 @@ def _run_decay(p, seed):
             "occupation (dimensionless)",
             "occupation_collapsed (dimensionless)",
         ]
-        rows = [
-            [float(s), occupation(float(s), dp), occupation_collapsed(float(s), dp)]
-            for s in ss
-        ]
+        table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
         summary = {"T_cal": p["t_cal"], "Gamma_T_cal": p["gamma"] * p["t_cal"]}
-        return cols, rows, summary
+        return cols, table, summary
     grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
@@ -547,10 +530,7 @@ def _run_decay(p, seed):
         "occupation (dimensionless)",
         "total_probability (dimensionless)",
     ]
-    rows = [
-        [float(t), float(o), float(q)]
-        for t, o, q in zip(res.times, res.occupation, res.total_probability)
-    ]
+    table = np.column_stack([res.times, res.occupation, res.total_probability])
     span = res.times[-1] - res.times[0]
     summary = {
         "T_cal": p["t_cal"],
@@ -561,7 +541,7 @@ def _run_decay(p, seed):
         "chebyshev_terms": res.chebyshev_terms,
         "chebyshev_tail": res.chebyshev_tail,
     }
-    return cols, rows, summary
+    return cols, table, summary
 
 
 RUNNERS = {
@@ -578,17 +558,12 @@ RUNNERS = {
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
-def write_csv(path, cols, rows):
-    lines = [",".join(cols)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, cols, table):
+    rows = (",".join(map(_fmt, row)) for row in table.tolist())
+    Path(path).write_text("\n".join([",".join(cols), *rows]) + "\n")
 
 
 def _summary_doc(cfg, summary, wall_time):
@@ -602,12 +577,12 @@ def _summary_doc(cfg, summary, wall_time):
     }
 
 
-def _check_finite(cols, rows, summary):
+def _check_finite(cols, table, summary):
     """No run may report a non-finite number as a result."""
     for key, v in summary.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"summary scalar {key!r} is not finite: {v}")
-    bad = ~np.isfinite(np.asarray(rows, float))
+    bad = ~np.isfinite(table)
     if bad.any():
         col = cols[np.argwhere(bad)[0][1]]
         raise DomainError(f"column {col!r} holds non-finite values")
@@ -617,17 +592,17 @@ def run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     # a numpy overflow or invalid value is a contract violation, not a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cols, rows, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
+        cols, table, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
     wall = time.perf_counter() - start
-    _check_finite(cols, rows, summary)
+    _check_finite(cols, table, summary)
     out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")
     doc = _summary_doc(cfg, summary, wall)
     if cfg.output_format == "csv":
-        write_csv(out, cols, rows)
+        write_csv(out, cols, table)
         doc_path = out.with_suffix(".summary.json")
     else:
         doc["columns"] = cols
-        doc["rows"] = [[_fmt(v) for v in row] for row in rows]
+        doc["rows"] = [[_fmt(v) for v in row] for row in table.tolist()]
         doc_path = out
     doc_path.write_text(json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n")
     print(f"wrote {out}")

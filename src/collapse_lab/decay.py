@@ -30,6 +30,7 @@ __all__ = [
     "KGrid",
     "KGridResult",
     "check_grid",
+    "kgrid_span",
     "packet_width",
     "beta_decay_closed",
     "alpha_decay_closed",
@@ -190,19 +191,20 @@ def photon_position_density(x, s: float, p: DecayModelParams,
 # --- excitation followed by decay ------------------------------------------
 
 
-def beta_excitation(s: float, p: DecayModelParams, packet: str = "delta") -> complex:
+def beta_excitation(s, p: DecayModelParams, packet: str = "delta"):
     """Excited amplitude for an incident packet arriving at s = 0.
 
     packet="delta" gives the narrow-packet closed form
     |beta|^2 = Gamma*sigma*Theta(s)*exp(-Gamma*s); packet="gaussian"
     evaluates the exact convolution for the regularized Gaussian packet
-    (converges to the delta form as sigma*Gamma -> 0).
+    (converges to the delta form as sigma*Gamma -> 0).  Broadcasts over s.
     """
+    s = np.asarray(s, float)
     z = 0.5 * p.Gamma + 1j * p.epsilon
     if packet == "delta":
-        if s < 0:
-            return 0.0 + 0.0j
-        return -1j * math.sqrt(p.Gamma * p.sigma) * cmath.exp(-z * s)
+        # exp(-z*s) is only taken at s >= 0, where it cannot overflow
+        amp = -1j * math.sqrt(p.Gamma * p.sigma) * np.exp(-z * np.maximum(s, 0.0))
+        return np.where(s < 0, 0j, amp)[()]
     if packet != "gaussian":
         raise DomainError(f"unknown packet {packet!r}")
     w = packet_width(p)
@@ -210,30 +212,29 @@ def beta_excitation(s: float, p: DecayModelParams, packet: str = "delta") -> com
     sg = math.sqrt(2.0) * w
     pref = amp * sg * math.sqrt(2.0 * math.pi)
     phi = normal_cdf((s - z * sg * sg) / sg)
-    return -1j * math.sqrt(p.Gamma) * pref * cmath.exp(0.5 * (z * sg) ** 2 - z * s) * phi
+    return -1j * math.sqrt(p.Gamma) * pref * np.exp(0.5 * (z * sg) ** 2 - z * s) * phi
 
 
-def occupation(s: float, p: DecayModelParams, packet: str = "delta") -> float:
+def occupation(s, p: DecayModelParams, packet: str = "delta"):
     """Excited-state occupation |beta(s)|^2 under ordinary evolution."""
-    return abs(beta_excitation(s, p, packet)) ** 2
+    return np.abs(beta_excitation(s, p, packet)) ** 2
 
 
-def occupation_collapsed(s: float, p: DecayModelParams) -> float:
+def occupation_collapsed(s, p: DecayModelParams):
     """Smeared occupation Gamma*sigma*exp(-Gamma*s + (Gamma*T)^2/2)
     * Phi(s/T - Gamma*T); evaluated in log space so large Gamma*T is safe.
 
     T_cal = 0 falls back to the unsmeared delta-packet occupation.
+    Broadcasts over s.
     """
     g, t = p.Gamma, p.T_cal
     if t == 0.0:
         return occupation(s, p)
+    s = np.asarray(s, float)
     log_val = (
-        math.log(g * p.sigma)
-        - g * s
-        + 0.5 * (g * t) ** 2
-        + float(log_ndtr(s / t - g * t))
+        math.log(g * p.sigma) - g * s + 0.5 * (g * t) ** 2 + log_ndtr(s / t - g * t)
     )
-    return math.exp(log_val)
+    return np.exp(log_val)
 
 
 def occupation_gaussian_asymptotic(s: float, p: DecayModelParams) -> float:
@@ -288,6 +289,23 @@ def check_grid(p: DecayModelParams, grid: KGrid):
         raise DomainError("grid must cover epsilon +- 20*Gamma")
 
 
+def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
+               t_final: float) -> tuple[float, float]:
+    """(lead before s = 0, total span) of `integrate_kgrid`: the excitation
+    packet starts 10 packet widths early.  Raises DomainError for an unknown
+    packet or a span beyond the grid recurrence time."""
+    if packet not in ("decay", "excitation"):
+        raise DomainError(f"unknown packet {packet!r}")
+    lead = 10.0 * packet_width(p) if packet == "excitation" else 0.0
+    span = t_final + lead
+    if span > grid.recurrence_time:
+        raise DomainError(
+            f"simulated span {span} exceeds grid recurrence time "
+            f"{grid.recurrence_time}"
+        )
+    return lead, span
+
+
 def integrate_kgrid(
     p: DecayModelParams,
     grid: KGrid,
@@ -303,20 +321,18 @@ def integrate_kgrid(
     starts the regularized Gaussian packet left of x0, timed to arrive at
     s = 0 (returned times are shifted accordingly).  Total probability
     (trapezoid k-sum plus |beta|^2) is reported along the way; the total
-    simulated span must stay below the grid recurrence time.
+    simulated span must stay below the grid recurrence time (`kgrid_span`).
     """
     check_grid(p, grid)
+    lead, span = kgrid_span(p, grid, packet, t_final)
     k, wk = grid.points_and_weights()
     if packet == "decay":
         beta0 = 1.0 + 0.0j
         alpha0 = np.zeros_like(k, dtype=complex)
-        shift = 0.0
-        span = t_final
-    elif packet == "excitation":
+    else:
         w = packet_width(p)
         if math.exp(-((grid.k_max - grid.k_min) / 2.0 * w) ** 2) > 1e-12:
             raise DomainError("packet too narrow for the k-grid span")
-        lead = 10.0 * w
         amp = (2.0 * math.pi * w * w) ** -0.25
         f_hat = amp * 2.0 * w * math.sqrt(math.pi) * np.exp(-(k * w) ** 2)
         alpha0 = (
@@ -325,20 +341,8 @@ def integrate_kgrid(
             * np.exp(-1j * k * (p.x0 - lead))
         )
         beta0 = 0.0 + 0.0j
-        shift = -lead
-        span = t_final + lead
-    else:
-        raise DomainError(f"unknown packet {packet!r}")
-    if span > grid.recurrence_time:
-        raise DomainError(
-            f"simulated span {span} exceeds grid recurrence time "
-            f"{grid.recurrence_time}"
-        )
     n_steps = int(round(span / grid.dt))
-    times, occ, prob, alpha, _ = _kernels.kgrid_chebyshev(
+    times, occ, prob, alpha, _, n_terms, tail = _kernels.kgrid_chebyshev(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )
-    _, _, coef, tail = _kernels.chebyshev_series(
-        k, wk, p.g, p.epsilon, grid.dt * record_every
-    )
-    return KGridResult(times + shift, occ, prob, k, alpha, coef.size, tail)
+    return KGridResult(times - lead, occ, prob, k, alpha, n_terms, tail)

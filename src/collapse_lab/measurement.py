@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CollapseParams, evolve
-from .hilbert import DomainError, EnergyLevel, SpectralState, squared_norm
+from .engine import CollapseParams
+from .hilbert import DomainError, EnergyLevel, SpectralState
 
 __all__ = [
     "BranchSpec",
@@ -84,23 +84,36 @@ def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
     )
 
 
-def branch_weight_ratio(
-    spec: BranchSpec, params: CollapseParams, t: float, B: float
-) -> float:
+def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
     """|beta_2|^2 ||Psi2_B||^2 / (|beta_1|^2 ||Psi1_B||^2) after collapse.
 
     For shared-spectrum branches this equals |beta_2|^2/|beta_1|^2 for every
-    (t, B): there is no collapse between the branches.
+    (t, B): there is no collapse between the branches.  Broadcasts over t
+    and B.  Each log norm is a log-sum-exp over levels of 2*(log m + dlog),
+    dlog being `engine.evolve`'s exponent less its level-independent term,
+    which cancels in the ratio; t = 0 is the identity, whatever B.
     """
     if spec.beta_1 == 0:
         raise DomainError("beta_1 = 0: ratio undefined")
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    state_1, state_2 = build_branches(spec)
-    log_n1, _ = squared_norm(evolve(state_1, params, t, B))
-    log_n2, _ = squared_norm(evolve(state_2, params, t, B))
+    t, B = np.broadcast_arrays(np.asarray(t, float), np.asarray(B, float))
+    if not (np.isfinite(t).all() and np.isfinite(B).all() and (t >= 0).all()):
+        raise DomainError("t and B must be finite and t >= 0")
+    e = np.asarray(spec.energies, float)
+    b = np.where(t == 0, 0.0, B)[..., None]
+    dlog2 = 2.0 * (-params.lam * t[..., None] * e**2 + b * e)
+
+    def log_norm2(mags):
+        m = np.abs(np.asarray(mags, float))
+        if not m.any():
+            raise DomainError("each branch needs a nonzero magnitude")
+        # a zero magnitude is log m = -inf, taken without evaluating log(0)
+        x = dlog2 + 2.0 * np.log(m, where=m > 0, out=np.full_like(m, -np.inf))
+        x_max = x.max(axis=-1)
+        return x_max + np.log(np.exp(x - x_max[..., None]).sum(axis=-1))
+
+    mags_2 = spec.magnitudes_2 if spec.magnitudes_2 is not None else spec.magnitudes
     w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
-    return w * math.exp(log_n2 - log_n1)
+    return w * np.exp(log_norm2(mags_2) - log_norm2(spec.magnitudes))
 
 
 # --- fixture files ---------------------------------------------------------

@@ -54,18 +54,19 @@ def bhattacharyya(rho1: DiscreteSpectrum, rho2: DiscreteSpectrum) -> float:
     return float(np.sum(np.sqrt(w1 * w2)))
 
 
-def record_violation_bound(scenario: RecordScenario, t: float) -> tuple[float, float]:
+def record_violation_bound(scenario: RecordScenario, t):
     """Closed-form bound at time t, and its supremum over all t > t0.
 
-    Returns (value_at_t, sup).  A permanent record requires the value to
-    stay near 0 for every t; the sup equals the Bhattacharyya overlap since
-    the exponential factor increases to 1.
+    Returns (value_at_t, sup); the value broadcasts over t.  A permanent
+    record requires the value to stay near 0 for every t; the sup equals the
+    Bhattacharyya overlap since the exponential factor increases to 1.
     """
-    if t <= scenario.t0:
+    t = np.asarray(t, float)
+    if np.any(t <= scenario.t0):
         raise DomainError("need t > t0")
     overlap = bhattacharyya(scenario.spectrum_plus, scenario.spectrum_minus)
     db2 = (scenario.B_plus - scenario.B_minus) ** 2
-    value = math.exp(-db2 / (8.0 * scenario.lam * (t - scenario.t0))) * overlap
+    value = np.exp(-db2 / (8.0 * scenario.lam * (t - scenario.t0))) * overlap
     return value, overlap
 
 

@@ -65,53 +65,51 @@ def normal_cdf(z):
     """Normal distribution function Phi(z), analytically continued.
 
     Real arguments reduce to the standard CDF; Phi(z) + Phi(-z) = 1
-    identically.  Domain: |Im z| <= 30.
+    identically.  Domain: |Im z| <= 30.  Broadcasts over arrays; a scalar
+    gives a complex scalar.
     """
-    z = complex(z)
-    if abs(z.imag) > MAX_IMAG:
-        raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {z.imag}")
-    if z.imag == 0.0:
-        return complex(ndtr(z.real))
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    z = np.asarray(z, complex)
+    if np.any(np.abs(z.imag) > MAX_IMAG):
+        raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {np.abs(z.imag).max()}")
+    phi = np.where(z.imag == 0.0, ndtr(z.real), 0.5 * (1.0 + erf(z / math.sqrt(2.0))))
+    return phi[()]
 
 
-def sigma1_standard(s: float, p: SpinModelParams) -> float:
+def sigma1_standard(s, p: SpinModelParams):
     """<sigma_1> under ordinary Schrodinger evolution (exact closed form).
 
     For real a, b and sigma*epsilon << 1 this reduces to
-    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].
+    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].  Broadcasts over s.
     """
+    s = np.asarray(s, float)
     a, b, eps, sig = complex(p.a), complex(p.b), p.epsilon, p.sigma
     cross = a.conjugate() * b
-    val = (
+    return (
         2.0 * cross.real * normal_cdf(-s / sig).real
         + math.exp(-0.5 * (eps * sig) ** 2)
         * 2.0
-        * (
-            cross * cmath.exp(1j * eps * s) * normal_cdf(s / sig + 1j * eps * sig)
-        ).real
+        * (cross * np.exp(1j * eps * s) * normal_cdf(s / sig + 1j * eps * sig)).real
     )
-    return float(val)
 
 
-def sigma1_collapsed(s: float, p: SpinModelParams) -> float:
+def sigma1_collapsed(s, p: SpinModelParams):
     """<sigma_1> under collapse smearing of width T_cal (closed form).
 
     For real a, b, sigma*epsilon << 1, sigma << T_cal this reduces to
     2ab*[Phi(-s/T) + exp(-eps^2 T^2/2)*cos(eps*s)*Phi(s/T)].
-    T_cal = 0 recovers `sigma1_standard` exactly.
+    T_cal = 0 recovers `sigma1_standard` exactly.  Broadcasts over s.
     """
+    s = np.asarray(s, float)
     a, b, eps, sig, tcal = complex(p.a), complex(p.b), p.epsilon, p.sigma, p.T_cal
     width = math.hypot(sig, tcal)
     cross = a.conjugate() * b
     arg = (s + 1j * eps * sig * (sig + tcal)) / width
-    val = (
+    return (
         2.0 * cross.real * normal_cdf(-s / width).real
         + math.exp(-0.5 * eps**2 * (sig**2 + tcal**2))
         * 2.0
-        * (cross * cmath.exp(1j * eps * s) * normal_cdf(arg)).real
+        * (cross * np.exp(1j * eps * s) * normal_cdf(arg)).real
     )
-    return float(val)
 
 
 def spin_density_matrix(s: float, p: SpinModelParams) -> np.ndarray:

@@ -175,8 +175,10 @@ n_traj = 1
                      str(tmp_path / "e.csv")]) == 2
         assert "n_traj" in capsys.readouterr().err
 
-    def test_numerical_contract_violation_is_three(self, tmp_path, capsys):
-        # recurrence time 2*pi*64/40 ~ 10 is shorter than the span of 20
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_span_beyond_recurrence_time_is_two(self, tmp_path, capsys, command):
+        # recurrence time 2*pi*64/40 ~ 10 is shorter than the span of 20; the
+        # span depends on config keys alone
         ini = """[decay]
 epsilon = 1.0
 gamma = 1.0
@@ -188,9 +190,26 @@ s_max = 20.0
 dt = 0.1
 """
         path = write_config(tmp_path, ini)
-        assert main(["decay", "--config", str(path), "--out",
-                     str(tmp_path / "d.csv")]) == 3
-        assert "recurrence" in capsys.readouterr().err
+        if command == "run":
+            argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'s_max'" in err and "recurrence" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_spin_amplitudes_refused_by_spin_are_two(self, tmp_path, capsys, command):
+        # a^2 + b^2 = 1 - 1.9e-11: inside a 1e-9 tolerance, outside spin's 1e-12
+        ini = SPIN_INI.replace("0.7071067811865476", "0.70710678118")
+        path = write_config(tmp_path, ini)
+        if command == "run":
+            argv = ["spin", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'a'" in err and "'b'" in err
 
     @pytest.mark.parametrize("ini, key", [
         (SPIN_INI.replace("a = 0.7071067811865476", "a = nan"), "'a'"),
@@ -308,6 +327,24 @@ s_max = 0.5
         np.testing.assert_allclose(occ, np.exp(-s), rtol=0.05)
         doc = json.loads(out.with_suffix(".summary.json").read_text())
         assert doc["scalars"]["probability_drift_per_unit_time"] <= 1e-8
+
+    def test_closed_decay_long_before_arrival_exits_zero(self, tmp_path):
+        # Gamma*s_max = 2000: exp(-z*s) at s = -s_max would overflow, but the
+        # occupation there is 0 without it
+        ini = """[decay]
+epsilon = 1.0
+gamma = 5.0
+sigma = 1e-4
+t_cal = 1.0
+s_max = 400.0
+n_s = 401
+"""
+        path = write_config(tmp_path, ini)
+        out = tmp_path / "d.csv"
+        assert main(["decay", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        s, occ, occ_collapsed = np.array(rows).T
+        assert np.all(occ[s < 0] == 0.0) and np.isfinite(occ_collapsed).all()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("old, new, key", [

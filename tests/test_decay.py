@@ -165,6 +165,33 @@ class TestExcitation:
             beta_excitation(0.0, make_params(), "boxcar")
 
 
+class TestArrays:
+    # array evaluation is the scalar closed form, point by point
+    @pytest.mark.parametrize("f", [
+        lambda s, p: beta_excitation(s, p, "delta"),
+        lambda s, p: beta_excitation(s, p, "gaussian"),
+        lambda s, p: occupation(s, p, "delta"),
+        lambda s, p: occupation(s, p, "gaussian"),
+        occupation_collapsed,
+    ], ids=["beta_delta", "beta_gaussian", "occ_delta", "occ_gaussian",
+            "occ_collapsed"])
+    @pytest.mark.parametrize("tcal", [0.0, 0.5])
+    def test_array_equals_pointwise(self, f, tcal):
+        p = make_params(eps=1.3, gamma=0.9, sigma=0.4, tcal=tcal)
+        ss = np.linspace(-2.0, 4.0, 49)
+        got = f(ss, p)
+        assert got.shape == ss.shape and np.ndim(f(0.5, p)) == 0
+        np.testing.assert_allclose(got, [f(float(s), p) for s in ss],
+                                   rtol=1e-15, atol=0)
+
+    def test_delta_packet_never_evaluates_the_rising_exponential(self):
+        # exp(-z*s) at s = -2000 would overflow; the closed form is 0 there
+        p = make_params(gamma=5.0)
+        with np.errstate(over="raise", invalid="raise"):
+            occ = occupation(np.array([-2000.0, 0.0, 2000.0]), p)
+        np.testing.assert_array_equal(occ, [0.0, p.Gamma * p.sigma, 0.0])
+
+
 class TestPositionDensity:
     def test_decay_only_support_and_edge_value(self):
         p = make_params(gamma=1.5, x0=2.0)

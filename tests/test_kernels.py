@@ -86,15 +86,19 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
 
 class TestKGridChebyshev:
     def test_numpy_records_expected_shape(self):
-        t, occ, prob, alpha, beta = _kernels.kgrid_chebyshev(*kgrid_args())
+        args = kgrid_args()
+        t, occ, prob, alpha, beta, n_terms, tail = _kernels.kgrid_chebyshev(*args)
         assert t.shape == occ.shape == prob.shape == (11,)
         assert alpha.shape == (256,)
+        # the record-interval series, as `chebyshev_series` builds it
+        _, _, coef, want_tail = _kernels.chebyshev_series(*args[:4], 2e-3 * 40)
+        assert (n_terms, tail) == (coef.size, want_tail)
 
     def test_numpy_unitary_without_coupling(self):
         # g = 0: |alpha_k| and |beta| are constants of motion
         args = list(kgrid_args(excited=False))
         args[2] = 0.0
-        t, occ, prob, alpha, beta = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, _, _ = _kernels.kgrid_chebyshev(*args)
         np.testing.assert_allclose(np.abs(alpha), np.abs(args[6]), atol=1e-10)
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
 
@@ -124,14 +128,19 @@ class TestKGridChebyshevOracle:
     def oracle_args(self, start):
         # 410 steps at record_every 40 leave a remainder of 10 steps
         k, wk, g, eps, _, beta0, alpha0, dt, _, _ = kgrid_args(n_k=64)
-        if start == "random":
+        if start != "decay":
             rng = np.random.default_rng(3)
             alpha0 = 0.8 * (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
             alpha0 /= math.sqrt(float(np.sum(wk * np.abs(alpha0) ** 2)))
             beta0 = 0.6 * np.exp(0.4j)
+        if start == "weak_coupling":
+            # |c| = 0.065 against a span of 42: the spectrum reaches within |c|
+            # of the Weyl bound, and records 0.8 apart take ~46 terms, so an
+            # interval cut short of the spectrum diverges visibly
+            g, dt = 0.01, 0.02
         return k, wk, g, eps, 0.3, beta0, alpha0, dt, 410, 40
 
-    @pytest.mark.parametrize("start", ["decay", "random"])
+    @pytest.mark.parametrize("start", ["decay", "random", "weak_coupling"])
     def test_matches_dense_expm(self, start):
         args = self.oracle_args(start)
         got = _kernels.kgrid_chebyshev(*args)
@@ -163,7 +172,7 @@ class TestKGridChebyshevOracle:
 
 
 class TestChebyshevInterval:
-    @pytest.mark.parametrize("start", ["decay", "random"])
+    @pytest.mark.parametrize("start", ["decay", "random", "weak_coupling"])
     def test_spectrum_inside_series_interval(self, start):
         # the relative margin still covers every eigenvalue of H
         args = TestKGridChebyshevOracle().oracle_args(start)

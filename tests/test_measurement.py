@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from collapse_lab.engine import CollapseParams
-from collapse_lab.hilbert import DomainError
+from collapse_lab.engine import CollapseParams, evolve
+from collapse_lab.hilbert import DomainError, squared_norm
 from collapse_lab.measurement import (
     BranchSpec,
     branch_weight_ratio,
@@ -83,6 +83,35 @@ class TestBranchWeightRatio:
             for b in np.linspace(-12.0, 12.0, 10)
         ]
         assert max(rs) / min(rs) > 1.5
+
+    @pytest.mark.parametrize("fixture", ["branch_shared.txt", "branch_control.txt"])
+    def test_grid_is_evolve_and_squared_norm(self, fixture):
+        # the batched log-sum-exp against the state-by-state route, t = 0
+        # (the identity for every B) included
+        spec = load_branch_fixture(fixture_path(fixture))
+        ts = np.array([0.0, 0.25, 1.0, 5.0])[:, None]
+        bs = np.array([-12.0, -0.5, 0.0, 3.0, 12.0])
+        got = branch_weight_ratio(spec, PARAMS, ts, bs)
+        assert got.shape == (4, 5)
+        s1, s2 = build_branches(spec)
+        w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
+        for i, t in enumerate(ts[:, 0].tolist()):
+            for j, b in enumerate(bs.tolist()):
+                log_n1, _ = squared_norm(evolve(s1, PARAMS, t, b))
+                log_n2, _ = squared_norm(evolve(s2, PARAMS, t, b))
+                want = w * math.exp(log_n2 - log_n1)
+                assert got[i, j] == pytest.approx(want, rel=1e-12)
+                assert branch_weight_ratio(spec, PARAMS, t, b) == got[i, j]
+        np.testing.assert_array_equal(got[0], got[0, 0])
+
+    def test_zero_magnitudes_take_no_log_of_zero(self):
+        half = complex(math.sqrt(0.5))
+        spec = BranchSpec((0.0, 1.0, 2.0), (0.0, 0.6, 0.8), (0.0,) * 3, (0.0,) * 3,
+                          half, half, magnitudes_2=(0.6, 0.0, 0.8))
+        with np.errstate(divide="raise", invalid="raise"):
+            r = branch_weight_ratio(spec, PARAMS, 1.0, 2.0)
+        # level weights m^2*exp(2*(-t*E^2 + B*E)) = m^2*exp(0, 2, 0)
+        assert r == pytest.approx(1.0 / (0.36 * math.exp(2.0) + 0.64), rel=1e-14)
 
     def test_zero_beta_rejected(self):
         spec = BranchSpec((0.0,), (1.0,), (0.0,), (0.0,), 0.0, 1.0)

@@ -103,6 +103,18 @@ class TestRecordViolationBound:
         sc = self.scenario("identical", t0=1.0)
         with pytest.raises(DomainError):
             record_violation_bound(sc, 1.0)
+        with pytest.raises(DomainError):
+            record_violation_bound(sc, np.array([2.0, 0.5]))
+
+    def test_array_equals_pointwise(self):
+        sc = self.scenario("half_overlap", t0=0.5)
+        ts = np.linspace(0.6, 40.0, 37).reshape(1, -1)
+        values, sup = record_violation_bound(sc, ts)
+        assert values.shape == ts.shape
+        assert isinstance(record_violation_bound(sc, 2.0)[0], float)
+        want = [record_violation_bound(sc, float(t)) for t in ts[0]]
+        np.testing.assert_allclose(values[0], [v for v, _ in want], rtol=1e-15, atol=0)
+        assert sup == want[0][1] == bhattacharyya(sc.spectrum_plus, sc.spectrum_minus)
 
     def test_spectra_must_share_grid(self):
         a = DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))

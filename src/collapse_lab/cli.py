@@ -196,6 +196,8 @@ SCHEMAS: dict[str, dict] = {
 MAX_ARRAY_BYTES = 2**31
 #: bytes per output-table value: the float in the table plus its text
 _VALUE_BYTES = 64
+#: cap on the (point, level) temporaries of one measurement block (64 MiB)
+_BLOCK_BYTES = 2**26
 
 
 def _kgrid_steps(p) -> int:
@@ -344,7 +346,7 @@ class ExperimentConfig:
             return {"'n_traj'": 8 * p["n_traj"] * (3 + 6 * n_lev),
                     "'n_t'": v * p["n_t"] * (3 + n_lev * n_lev)}
         if e == "measurement":
-            return {"'n_t' x 'n_b'": v * 3 * p["n_t"] * p["n_b"]}
+            return {"'n_t' x 'n_b'": v * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
         if e == "records":
             return {"'n_t'": v * 2 * p["n_t"]}
         if e == "spin" or p["mode"] == "closed":
@@ -451,7 +453,10 @@ def _run_measurement(p, seed):
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
     cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
     t, b = (x.ravel() for x in np.meshgrid(ts, bs, indexing="ij"))
-    ratios = branch_weight_ratio(spec, params, t, b)
+    # branch_weight_ratio takes 32 bytes per point and level: block the points
+    n = max(1, _BLOCK_BYTES // (32 * len(spec.energies)))
+    ratios = np.concatenate([branch_weight_ratio(spec, params, t[i:i + n], b[i:i + n])
+                             for i in range(0, t.size, n)])
     summary = {
         "shared_spectrum": spec.shared_spectrum,
         "ratio_min": float(ratios.min()),
@@ -659,14 +664,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except (DomainError, FloatingPointError) as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
         print(f"numerical contract violated: overflow: {exc}", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
-        print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
 
 

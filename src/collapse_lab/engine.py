@@ -18,6 +18,7 @@ from .hilbert import DomainError, SpectralState, energy_distribution
 
 __all__ = [
     "CollapseParams",
+    "collapse_exponent",
     "evolve",
     "evolve_from",
     "record_marginal_density",
@@ -36,19 +37,23 @@ class CollapseParams:
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
 
 
+def collapse_exponent(params: CollapseParams, t, B, energies) -> np.ndarray:
+    """-lambda*t*E^2 + B*E: the collapse exponent -(B - 2*lambda*t*E)^2/(4*lambda*t)
+    less its E-independent part, so it stays well-scaled for huge |B|.  t and B
+    broadcast, energies on a new last axis; t = 0 gives 0 (the identity)."""
+    t = np.asarray(t, float)[..., None]
+    B = np.where(t == 0, 0.0, np.asarray(B, float)[..., None])
+    e = np.asarray(energies, float)
+    return -params.lam * t * e * e + B * e
+
+
 def _apply_increment(
     state: SpectralState, params: CollapseParams, dt: float, dB: float
 ) -> SpectralState:
-    """Apply one collapse step of duration dt with record increment dB.
-
-    The exponent -(1/(4*lambda*dt))*(dB - 2*lambda*dt*E)^2 is expanded so the
-    E-independent dB^2 term is a single scalar subtraction: the per-component
-    pieces (-lambda*dt*E^2 + dB*E) stay well-scaled even when |dB| is huge.
-    """
-    lam = params.lam
+    """Apply one collapse step of duration dt > 0 with record increment dB."""
     e = state.energies()
-    const = dB * dB / (4.0 * lam * dt)
-    dlog = -lam * dt * e * e + dB * e - const
+    const = dB * dB / (4.0 * params.lam * dt)
+    dlog = collapse_exponent(params, dt, dB, e) - const
     lm = np.asarray(state.log_magnitudes) + dlog
     ph = np.asarray(state.phases) - e * dt
     return SpectralState(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import CollapseParams
+from .engine import CollapseParams, collapse_exponent
 from .hilbert import DomainError, EnergyLevel, SpectralState
 
 __all__ = [
@@ -60,6 +60,10 @@ class BranchSpec:
     def shared_spectrum(self) -> bool:
         return self.magnitudes_2 is None
 
+    @property
+    def branch_2_magnitudes(self) -> tuple[float, ...]:
+        return self.magnitudes if self.magnitudes_2 is None else self.magnitudes_2
+
 
 def _levels(energies):
     # repeated energies get consecutive degeneracy labels
@@ -75,7 +79,7 @@ def _levels(energies):
 def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
     """States of the two branches (unnormalized, amplitudes m*exp(i*theta))."""
     levels = _levels(spec.energies)
-    mags_2 = spec.magnitudes_2 if spec.magnitudes_2 is not None else spec.magnitudes
+    mags_2 = spec.branch_2_magnitudes
     amps_1 = np.asarray(spec.magnitudes) * np.exp(1j * np.asarray(spec.phases_1))
     amps_2 = np.asarray(mags_2) * np.exp(1j * np.asarray(spec.phases_2))
     return (
@@ -89,18 +93,16 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
 
     For shared-spectrum branches this equals |beta_2|^2/|beta_1|^2 for every
     (t, B): there is no collapse between the branches.  Broadcasts over t
-    and B.  Each log norm is a log-sum-exp over levels of 2*(log m + dlog),
-    dlog being `engine.evolve`'s exponent less its level-independent term,
-    which cancels in the ratio; t = 0 is the identity, whatever B.
+    and B, with temporaries of about 32 bytes per (t, B) point and level.
+    Each log norm is a log-sum-exp over levels of 2*(log m + dlog), dlog
+    being `engine.collapse_exponent`.
     """
     if spec.beta_1 == 0:
         raise DomainError("beta_1 = 0: ratio undefined")
-    t, B = np.broadcast_arrays(np.asarray(t, float), np.asarray(B, float))
+    t, B = np.asarray(t, float), np.asarray(B, float)
     if not (np.isfinite(t).all() and np.isfinite(B).all() and (t >= 0).all()):
         raise DomainError("t and B must be finite and t >= 0")
-    e = np.asarray(spec.energies, float)
-    b = np.where(t == 0, 0.0, B)[..., None]
-    dlog2 = 2.0 * (-params.lam * t[..., None] * e**2 + b * e)
+    dlog2 = 2.0 * collapse_exponent(params, t, B, spec.energies)
 
     def log_norm2(mags):
         m = np.abs(np.asarray(mags, float))
@@ -111,9 +113,8 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
         x_max = x.max(axis=-1)
         return x_max + np.log(np.exp(x - x_max[..., None]).sum(axis=-1))
 
-    mags_2 = spec.magnitudes_2 if spec.magnitudes_2 is not None else spec.magnitudes
     w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
-    return w * np.exp(log_norm2(mags_2) - log_norm2(spec.magnitudes))
+    return w * np.exp(log_norm2(spec.branch_2_magnitudes) - log_norm2(spec.magnitudes))
 
 
 # --- fixture files ---------------------------------------------------------

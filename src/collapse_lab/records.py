@@ -72,12 +72,9 @@ def record_violation_bound(scenario: RecordScenario, t):
 
 def _partition_ok(partition) -> bool:
     iv = sorted((float(lo), float(hi)) for lo, hi in partition)
-    if len(iv) != 3 or iv[0][0] != -math.inf or iv[-1][1] != math.inf:
-        return False
-    for (_, hi), (lo, _) in zip(iv, iv[1:]):
-        if hi != lo:
-            return False
-    return all(lo < hi for lo, hi in iv)
+    return (len(iv) == 3 and iv[0][0] == -math.inf and iv[-1][1] == math.inf
+            and all(hi == lo for (_, hi), (lo, _) in zip(iv, iv[1:]))
+            and all(lo < hi for lo, hi in iv))
 
 
 def verify_schwarz_chain(
@@ -117,10 +114,8 @@ def verify_schwarz_chain(
         # keep quad's interval finite: beyond 40 sigma of every mixture mean
         # the integrand is identically 0 in double precision
         span = 40.0 * math.sqrt(var)
-        lo_all = float(np.min(b1 + 2.0 * var * e)) - span
-        hi_all = float(np.max(b2 + 2.0 * var * e)) + span
-        lo_all = min(lo_all, float(np.min(b2 + 2.0 * var * e)) - span)
-        hi_all = max(hi_all, float(np.max(b1 + 2.0 * var * e)) + span)
+        means = np.array([[b1], [b2]]) + 2.0 * var * e
+        lo_all, hi_all = float(means.min()) - span, float(means.max()) + span
         for lo, hi in partition:
             lo = max(float(lo), lo_all)
             hi = min(float(hi), hi_all)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from collapse_lab import _kernels, cli
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid
+from collapse_lab.engine import CollapseParams
 from collapse_lab.ensemble import draw_traj_variates
+from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -457,6 +460,31 @@ class TestCollapseRunner:
         )
         weights = _kernels.collapse_weights(energies, log_w0, 1.0, 6.0, b_path[:, -1])
         np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=0), rtol=0, atol=1e-12)
+
+
+class TestMeasurementRunner:
+    def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
+        # the (point, level) temporaries are bounded by _BLOCK_BYTES, not by
+        # n_t*n_b times the fixture's level count, and blocking changes no value
+        fixture = tmp_path / "many.txt"
+        fixture.write_text("".join(
+            f"{0.01 * i} {1.0 + 0.001 * i} 0.0 0.5 {1.0 - 0.001 * i}\n"
+            for i in range(200)
+        ))
+        p = {"fixture": str(fixture), "lambda": 1.0, "t_max": 2.0,
+             "n_t": 20, "b_max": 3.0, "n_b": 20}
+        monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
+        tracemalloc.start()
+        try:
+            _, table, _ = cli._run_measurement(p, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # unblocked, the temporaries alone are 32*200*400 bytes = 2.5 MB
+        assert peak < 2**19
+        spec = load_branch_fixture(fixture)
+        whole = branch_weight_ratio(spec, CollapseParams(1.0), table[:, 0], table[:, 1])
+        np.testing.assert_array_equal(table[:, 2], whole)
 
 
 class TestOutputs:

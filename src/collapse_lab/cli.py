@@ -16,10 +16,10 @@ data table is byte-identical across reruns with the same config and seed;
 the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
-spin amplitudes a, b that `spin` refuses, a k-grid n_modes or half_width
-that `decay` refuses, a k-grid span beyond the recurrence time, a non-finite
-k-grid s_max/dt, an unreadable fixture, an --out outside an existing
-directory and count keys whose arrays would exceed MAX_ARRAY_BYTES), 3
+spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
+packet that `decay` refuses, a k-grid span beyond the recurrence time, a
+non-finite k-grid s_max/dt, an unreadable fixture, an --out outside an
+existing directory and count keys whose arrays would exceed MAX_ARRAY_BYTES), 3
 numerical-contract violation (including a non-finite result, a numpy
 floating-point error and a k-grid Chebyshev series whose Bessel factors do
 not fall below 1e-15).
@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .decay import (DecayModelParams, KGrid, check_grid, integrate_kgrid,
-                    kgrid_span, occupation, occupation_collapsed)
+from .decay import (DecayModelParams, KGrid, check_grid, check_packet,
+                    integrate_kgrid, kgrid_span, occupation, occupation_collapsed)
 from .engine import CollapseParams
 from .hilbert import (
     DiscreteSpectrum,
@@ -220,6 +220,8 @@ class ExperimentConfig:
         self.master_seed = master_seed
         self.output_path = output_path
         self.output_format = output_format
+        #: the parsed branch fixture of a measurement config, read once
+        self.branches = None
 
     @classmethod
     def from_file(cls, path, experiment=None) -> "ExperimentConfig":
@@ -313,6 +315,8 @@ class ExperimentConfig:
                 key = "half_width"
                 grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
                 check_grid(dp, grid)
+                key = "packet"
+                check_packet(dp, grid, p["packet"])
                 key = "s_max"
                 kgrid_span(dp, grid, p["packet"], p["s_max"])
             except DomainError as exc:
@@ -324,7 +328,7 @@ class ExperimentConfig:
                     f"round(s_max/dt) = {n_steps}"
                 )
         if e == "measurement":
-            _load_fixture(p["fixture"])
+            self.branches = _load_fixture(p["fixture"])
         sizes = self._array_bytes()
         total = sum(sizes.values())
         if total > MAX_ARRAY_BYTES:
@@ -400,6 +404,12 @@ def _run_collapse(p, seed):
         "collapsed_fraction": float(frac[-1]),
         "n_traj": n_traj,
     }
+    # final mean weight against the Born weight, in binomial standard errors;
+    # a Born weight of 0 or 1 has no spread and gives 0
+    born = np.asarray(p["weights"]) / sum(p["weights"])
+    se = np.sqrt(born * (1.0 - born) / n_traj)
+    z = np.divide(mean_w[-1] - born, se, out=np.zeros(n_lev), where=se > 0)
+    summary.update((f"born_z_E{i}", float(v)) for i, v in enumerate(z))
     return cols, np.column_stack([times, frac, mean_w]), summary
 
 
@@ -428,6 +438,8 @@ def _run_ensemble(p, seed):
         )
         summary["mc_mean_energy"] = mc
         summary["mc_standard_error"] = se
+        # an ensemble with no spread (one level) has se = 0 and gives 0
+        summary["mc_z_score"] = (mc - summary["mean_energy"]) / se if se > 0 else 0.0
     return cols, table, summary
 
 
@@ -446,8 +458,10 @@ def _load_fixture(name):
         raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
 
 
-def _run_measurement(p, seed):
-    spec = _load_fixture(p["fixture"])
+def _run_measurement(p, seed, spec=None):
+    """`spec` is the parsed fixture when the caller has already read it."""
+    if spec is None:
+        spec = _load_fixture(p["fixture"])
     params = CollapseParams(p["lambda"])
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
@@ -597,7 +611,11 @@ def run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     # a numpy overflow or invalid value is a contract violation, not a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cols, table, summary = RUNNERS[cfg.experiment](cfg.parameters, cfg.master_seed)
+        # a measurement reuses the fixture that validate_domain parsed
+        kwargs = {"spec": cfg.branches} if cfg.branches is not None else {}
+        cols, table, summary = RUNNERS[cfg.experiment](
+            cfg.parameters, cfg.master_seed, **kwargs
+        )
     wall = time.perf_counter() - start
     _check_finite(cols, table, summary)
     out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")

@@ -30,6 +30,7 @@ __all__ = [
     "KGrid",
     "KGridResult",
     "check_grid",
+    "check_packet",
     "kgrid_span",
     "packet_width",
     "beta_decay_closed",
@@ -289,6 +290,15 @@ def check_grid(p: DecayModelParams, grid: KGrid):
         raise DomainError("grid must cover epsilon +- 20*Gamma")
 
 
+def check_packet(p: DecayModelParams, grid: KGrid, packet: str):
+    """Raise DomainError if an excitation packet is too narrow for the grid:
+    its momentum profile exp(-(k*w)^2) must fall below 1e-12 at the grid
+    half-span."""
+    half_span = (grid.k_max - grid.k_min) / 2.0
+    if packet == "excitation" and math.exp(-(half_span * packet_width(p)) ** 2) > 1e-12:
+        raise DomainError("packet too narrow for the k-grid span")
+
+
 def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
                t_final: float) -> tuple[float, float]:
     """(lead before s = 0, total span) of `integrate_kgrid`: the excitation
@@ -321,9 +331,11 @@ def integrate_kgrid(
     starts the regularized Gaussian packet left of x0, timed to arrive at
     s = 0 (returned times are shifted accordingly).  Total probability
     (trapezoid k-sum plus |beta|^2) is reported along the way; the total
-    simulated span must stay below the grid recurrence time (`kgrid_span`).
+    simulated span must stay below the grid recurrence time (`kgrid_span`),
+    and an excitation packet must be wide enough for the grid (`check_packet`).
     """
     check_grid(p, grid)
+    check_packet(p, grid, packet)
     lead, span = kgrid_span(p, grid, packet, t_final)
     k, wk = grid.points_and_weights()
     if packet == "decay":
@@ -331,8 +343,6 @@ def integrate_kgrid(
         alpha0 = np.zeros_like(k, dtype=complex)
     else:
         w = packet_width(p)
-        if math.exp(-((grid.k_max - grid.k_min) / 2.0 * w) ** 2) > 1e-12:
-            raise DomainError("packet too narrow for the k-grid span")
         amp = (2.0 * math.pi * w * w) ** -0.25
         f_hat = amp * 2.0 * w * math.sqrt(math.pi) * np.exp(-(k * w) ** 2)
         alpha0 = (

@@ -20,7 +20,7 @@ from .hilbert import (
     DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
 )
 from .engine import CollapseParams
-from .rng import trajectory_rng
+from .rng import philox4x64
 
 __all__ = [
     "SmearingKernel",
@@ -34,6 +34,8 @@ __all__ = [
     "subsystem_expectation",
 ]
 
+#: Philox blocks per chunk of `draw_traj_variates`: 128 KiB per uint64 temporary
+_CHUNK_BLOCKS = 2**14
 #: the Gaussian window is truncated at 8 widths (mass beyond < 1e-14)
 WINDOW_HALF_WIDTH = 8.0
 
@@ -122,17 +124,31 @@ def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
 
 
 def draw_traj_variates(master_seed: int, n_traj: int, n_steps: int):
-    """Per-trajectory (uniform, normal) variates from counter-based streams.
+    """Per-trajectory (uniform, normal) variates, each of shape (n_traj, n_steps).
 
-    Trajectory i consumes only its own Philox stream keyed by
-    (master_seed, i), so the draw is independent of batching or ordering.
+    Row i reads only the Philox stream (master_seed, i) (`rng.philox4x64`),
+    so the draw is independent of batching or ordering.  Words 0..n_steps-1
+    give the uniforms (w >> 11) * 2**-53, bit-equal to numpy's
+    ``Generator.random(n_steps)`` on that stream.  The next 2*ceil(n_steps/2)
+    words, in pairs (u1, u2), give the normals by Box-Muller:
+    r = sqrt(-2*log(1 - u1)), then r*cos(2*pi*u2) and r*sin(2*pi*u2).  Rows
+    are drawn in chunks of at most _CHUNK_BLOCKS Philox blocks.
     """
+    n_pairs = -(-n_steps // 2)
+    n_blocks = -(-(n_steps + 2 * n_pairs) // 4)
     uniforms = np.empty((n_traj, n_steps))
     normals = np.empty((n_traj, n_steps))
-    for i in range(n_traj):
-        rng = trajectory_rng(master_seed, i)
-        uniforms[i] = rng.random(n_steps)
-        normals[i] = rng.standard_normal(n_steps)
+    rows = max(1, _CHUNK_BLOCKS // max(n_blocks, 1))
+    for start in range(0, n_traj, rows):
+        chunk = slice(start, min(start + rows, n_traj))
+        words = philox4x64(master_seed, np.arange(chunk.start, chunk.stop), n_blocks)
+        u = (words >> 11) * 2.0**-53
+        uniforms[chunk] = u[:, :n_steps]
+        u1 = u[:, n_steps:n_steps + 2 * n_pairs:2]
+        theta = 2.0 * np.pi * u[:, n_steps + 1:n_steps + 2 * n_pairs:2]
+        r = np.sqrt(-2.0 * np.log(1.0 - u1))
+        pairs = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        normals[chunk] = pairs.reshape(len(u), 2 * n_pairs)[:, :n_steps]
     return uniforms, normals
 
 

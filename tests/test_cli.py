@@ -202,6 +202,22 @@ dt = 0.1
         assert "'s_max'" in err and "recurrence" in err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_narrow_excitation_packet_is_two(self, tmp_path, capsys, command):
+        # sigma = 1e-4 gives a packet whose momentum spread the shipped grid's
+        # half-span of 40 does not cover; the rule depends on config keys alone
+        ini = (CONFIGS / "decay_kgrid.ini").read_text()
+        assert "packet = decay" in ini
+        ini = ini.replace("packet = decay", "packet = excitation")
+        path = write_config(tmp_path, ini)
+        if command == "run":
+            argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "'packet'" in err and "too narrow" in err
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
     def test_spin_amplitudes_refused_by_spin_are_two(self, tmp_path, capsys, command):
         # a^2 + b^2 = 1 - 1.9e-11: inside a 1e-9 tolerance, outside spin's 1e-12
         ini = SPIN_INI.replace("0.7071067811865476", "0.70710678118")
@@ -461,8 +477,51 @@ class TestCollapseRunner:
         weights = _kernels.collapse_weights(energies, log_w0, 1.0, 6.0, b_path[:, -1])
         np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=0), rtol=0, atol=1e-12)
 
+    def test_born_z_scores_are_final_weights_in_standard_errors(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ini = COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 0.0, 1.0, 2.0")
+        ini = ini.replace("weights = 0.25, 0.75", "weights = 0.0, 1.0, 3.0")
+        path = write_config(tmp_path, ini)
+        assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
+        scalars = json.loads((tmp_path / "c.summary.json").read_text())["scalars"]
+        _, rows = read_csv(tmp_path / "c.csv")
+        # a level of Born weight 0 has no spread and reads 0
+        assert scalars["born_z_E0"] == 0.0
+        for i, w in ((1, 0.25), (2, 0.75)):
+            z = (rows[-1][2 + i] - w) / math.sqrt(w * (1 - w) / 40)
+            assert scalars[f"born_z_E{i}"] == pytest.approx(z, rel=1e-12)
+            assert abs(z) < 5
+
+
+class TestEnsembleRunner:
+    def test_mc_z_score_is_the_mc_deviation_in_standard_errors(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, (CONFIGS / "ensemble_damping.ini").read_text())
+        assert main(["ensemble", "--config", str(path), "--out", "e.csv"]) == 0
+        s = json.loads((tmp_path / "e.summary.json").read_text())["scalars"]
+        z = (s["mc_mean_energy"] - s["mean_energy"]) / s["mc_standard_error"]
+        assert s["mc_z_score"] == z
+        assert abs(z) < 5
+
 
 class TestMeasurementRunner:
+    def test_fixture_is_parsed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_branch_fixture(path)
+
+        monkeypatch.setattr(cli, "load_branch_fixture", counting)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, MEASUREMENT_INI)
+        assert main(["measurement", "--config", str(path), "--out", "m.csv"]) == 0
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "m.summary.json").read_text())
+        assert doc["parameters"]["fixture"] == "branch_shared.txt"
+
     def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
         # the (point, level) temporaries are bounded by _BLOCK_BYTES, not by
         # n_t*n_b times the fixture's level count, and blocking changes no value

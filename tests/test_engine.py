@@ -27,7 +27,6 @@ from collapse_lab.hilbert import (
     energy_distribution,
     squared_norm,
 )
-from collapse_lab.rng import trajectory_rng
 
 
 def two_level(w0=0.25, e0=0.0, e1=1.0):
@@ -185,16 +184,15 @@ class TestSampleStep:
         d2 = simulate_trajectories(state, PARAMS, [1.0], 3, 6)[5, 0]
         assert d1 == d2
 
-    def test_increment_is_the_kernel_increment(self):
+    def test_increment_is_the_kernel_increment(self, stream_reference):
         # row i draws one uniform, then one normal, from stream (seed, i)
         state = two_level(0.3, 0.0, 2.0)
         dt = 0.7
         dB = simulate_trajectories(state, PARAMS, [dt], 8, 3)[2, 0]
-        rng = trajectory_rng(8, 2)
-        u, z = rng.random(), rng.standard_normal()
+        u, z = stream_reference(8, 2, 1)
         b_path = _kernels.traj_collapse_paths(
             state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
-            np.array([dt]), np.array([[u]]), np.array([[z]]),
+            np.array([dt]), u[None, :], z[None, :],
         )
         assert dB == b_path[0, 0]
 
@@ -226,7 +224,7 @@ class TestSimulateTrajectory:
         final2 = evolve(state, PARAMS, times[-1], b2[0, -1])
         assert squared_norm(final1)[0] == squared_norm(final2)[0]
 
-    def test_records_are_the_batched_kernel_rows(self):
+    def test_records_are_the_batched_kernel_rows(self, stream_reference):
         # one sampler and one stream order: row i is the kernel fed by
         # stream (seed, i), all uniforms then all normals
         levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
@@ -234,8 +232,7 @@ class TestSimulateTrajectory:
         times = np.linspace(0.25, 2.5, 10)
         b_path = simulate_trajectories(state, PARAMS, times, 4, 6)
         for i in range(6):
-            rng = trajectory_rng(4, i)
-            u, z = rng.random(times.size), rng.standard_normal(times.size)
+            u, z = stream_reference(4, i, times.size)
             row = _kernels.traj_collapse_paths(
                 state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
                 np.diff(times, prepend=0.0), u[None, :], z[None, :],

@@ -4,8 +4,8 @@ The collapse kernel consumes pre-drawn random variates, so all randomness
 stays in the counter-based generators of `collapse_lab.rng`.
 
 Kernels:
-  * collapse_weights    -- level weights at a given (t, B), batched over B.
-  * traj_collapse_paths -- batched multi-step record paths B.
+  * collapse_weights    -- level weights at (t, B), level-major, batched over B.
+  * collapse_steps      -- the batched collapse step loop over pre-drawn variates.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
                            k-grid decay Hamiltonian H.
   * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
@@ -19,61 +19,62 @@ import math
 
 import numpy as np
 
+from .engine import collapse_exponent
 from .hilbert import DomainError
 
-__all__ = ["collapse_weights", "traj_collapse_paths", "chebyshev_series",
+__all__ = ["collapse_weights", "collapse_steps", "chebyshev_series",
            "kgrid_chebyshev"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
 
 
-def collapse_weights(energies, log_w0, lam, t, b):
-    """Normalized level weights at time t and record b, batched over b.
+def collapse_weights(energies, log_w0, params, t, b):
+    """Normalized level weights at time t and records b, level-major.
 
     The batched form of `engine.evolve`: each log magnitude gains
-    -lam*t*E**2 + b*E (the E-independent -b**2/(4*lam*t) cancels on
-    normalization).  Returns (n_traj, n_lev) weights for b of shape (n_traj,).
+    `engine.collapse_exponent` (the E-independent -b**2/(4*lam*t) cancels on
+    normalization).  Returns (n_lev, n_traj) weights for b of shape (n_traj,).
     """
-    energies = np.asarray(energies, float)
-    lw = np.asarray(log_w0, float) - lam * t * energies**2 + b[:, None] * energies
-    w = np.exp(2.0 * (lw - lw.max(axis=1)[:, None]))
-    w /= w.sum(axis=1)[:, None]
+    lw = np.asarray(log_w0, float)[:, None] + collapse_exponent(
+        params, t, b, np.asarray(energies, float)[:, None])
+    w = np.exp(2.0 * (lw - lw.max(axis=0)))
+    w /= w.sum(axis=0)
     return w
 
 
-def traj_collapse_paths(energies, log_w0, lam, dts, uniforms, normals):
+def collapse_steps(energies, log_w0, params, times, uniforms, normals):
     """The exact Gaussian-mixture collapse step, batched over trajectories.
 
     The state depends on the noise only through the record B, the one
-    carried state: each step of length dt picks a component j from the
-    weights at its start, then adds dB ~ Normal(2*lam*dt*E[j], lam*dt).
+    carried state: the step from times[s-1] to times[s] (from 0 at s = 0)
+    picks a component j from the weights at its start, then adds
+    dB ~ Normal(2*lam*dt*E[j], lam*dt).
 
     Parameters
     ----------
     energies : (n_lev,) component energies (repeats are degenerate levels).
     log_w0 : (n_lev,) initial log magnitudes.
-    lam : collapse rate.
-    dts : (n_steps,) step durations.
+    params : `engine.CollapseParams`.
+    times : (n_steps,) strictly increasing positive step end times.
     uniforms, normals : (n_traj, n_steps) pre-drawn variates.
 
-    Returns
-    -------
-    b_path : (n_traj, n_steps) cumulative record B after each step; the
-        weights at any step are `collapse_weights` at its end time.
+    Yields
+    ------
+    (s, b, w) after each step s: the records b at times[s], shape (n_traj,),
+    and the weights there, `collapse_weights` at (times[s], b), which are
+    also the start weights of the next step.
     """
     energies = np.asarray(energies, float)
-    b_path = np.empty(uniforms.shape)
     b = np.zeros(len(uniforms))
-    t = 0.0
-    for s in range(b_path.shape[1]):
-        var = lam * dts[s]
-        c = np.cumsum(collapse_weights(energies, log_w0, lam, t, b), axis=1)
-        j = np.minimum(np.sum(c <= uniforms[:, s, None], axis=1), energies.size - 1)
+    w = collapse_weights(energies, log_w0, params, 0.0, b)
+    for s, (t, dt) in enumerate(zip(times, np.diff(times, prepend=0.0))):
+        var = params.lam * dt
+        c = np.cumsum(w, axis=0)
+        j = np.minimum(np.sum(c <= uniforms[:, s], axis=0), energies.size - 1)
         b = b + (2.0 * var * energies[j] + math.sqrt(var) * normals[:, s])
-        b_path[:, s] = b
-        t += dts[s]
-    return b_path
+        w = collapse_weights(energies, log_w0, params, t, b)
+        yield s, b, w
 
 
 def chebyshev_series(k, wk, g, eps, tau):

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .decay import (DecayModelParams, KGrid, check_grid, check_packet,
                     integrate_kgrid, kgrid_span, occupation, occupation_collapsed)
 from .engine import CollapseParams
@@ -50,7 +50,7 @@ from .hilbert import (
     expectation,
 )
 from .ensemble import (
-    ensemble_density_matrix, ensemble_expectation_mc, simulate_trajectories,
+    _CHUNK_VARIATES, _collapse_pass, ensemble_density_matrix, ensemble_expectation_mc,
 )
 from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
 from .records import RecordScenario, record_violation_bound
@@ -200,6 +200,12 @@ _VALUE_BYTES = 64
 _BLOCK_BYTES = 2**26
 
 
+def _chunk_level_bytes(n_lev, n_traj, n_steps) -> int:
+    """The (level, trajectory) temporaries of one chunk of the collapse pass:
+    about six float arrays at their peak (tracemalloc), charged as seven."""
+    return 56 * n_lev * min(n_traj, max(1, _CHUNK_VARIATES // (2 * n_steps)))
+
+
 def _kgrid_steps(p) -> int:
     """The k-grid step count round(s_max/dt), which must be finite."""
     steps = p["s_max"] / p["dt"]
@@ -343,12 +349,15 @@ class ExperimentConfig:
         p, e, v = self.parameters, self.experiment, _VALUE_BYTES
         n_lev = len(p.get("energies", ()))
         if e == "collapse":
-            # variates and record paths, then per-step level weights
-            return {"'n_traj'": 8 * p["n_traj"] * (3 * p["n_steps"] + 5 * n_lev),
-                    "'n_steps'": v * p["n_steps"] * (2 + n_lev)}
+            # the output table and a one-row chunk of variates, then the level
+            # weights of one pass chunk; nothing grows with n_traj
+            return {"'n_steps'": (v * (2 + n_lev) + 16) * p["n_steps"],
+                    "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"])}
         if e == "ensemble":
-            return {"'n_traj'": 8 * p["n_traj"] * (3 + 6 * n_lev),
-                    "'n_t'": v * p["n_t"] * (3 + n_lev * n_lev)}
+            # the final weights and amplitudes of every trajectory
+            return {"'n_traj'": 8 * p["n_traj"] * (3 + 4 * n_lev),
+                    "'n_t'": v * p["n_t"] * (3 + n_lev * n_lev),
+                    "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1)}
         if e == "measurement":
             return {"'n_t' x 'n_b'": v * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
         if e == "records":
@@ -387,15 +396,14 @@ def _run_collapse(p, seed):
     state0 = _build_state(p["energies"], p["weights"])
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
-    n_lev, lam = len(p["energies"]), p["lambda"]
-    energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
-    b_path = simulate_trajectories(state0, CollapseParams(lam), times, seed, n_traj)
-    frac = np.empty(n_steps)
-    mean_w = np.empty((n_steps, n_lev))
-    for s in range(n_steps):
-        w = _kernels.collapse_weights(energies, log_w0, lam, times[s], b_path[:, s])
-        frac[s] = np.mean(w.max(axis=1) >= p["threshold"])
-        mean_w[s] = w.mean(axis=0)
+    n_lev = len(p["energies"])
+    n_collapsed = np.zeros(n_steps, np.int64)
+    weight_sums = np.zeros((n_steps, n_lev))
+    for _, s, _, w in _collapse_pass(state0, CollapseParams(p["lambda"]), times,
+                                     seed, n_traj):
+        n_collapsed[s] += np.count_nonzero(w.max(axis=0) >= p["threshold"])
+        weight_sums[s] += w.sum(axis=1)
+    frac, mean_w = n_collapsed / n_traj, weight_sums / n_traj
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
     ]

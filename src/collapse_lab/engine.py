@@ -39,10 +39,10 @@ class CollapseParams:
 
 def collapse_exponent(params: CollapseParams, t, B, energies) -> np.ndarray:
     """-lambda*t*E^2 + B*E: the collapse exponent -(B - 2*lambda*t*E)^2/(4*lambda*t)
-    less its E-independent part, so it stays well-scaled for huge |B|.  t and B
-    broadcast, energies on a new last axis; t = 0 gives 0 (the identity)."""
-    t = np.asarray(t, float)[..., None]
-    B = np.where(t == 0, 0.0, np.asarray(B, float)[..., None])
+    less its E-independent part, so it stays well-scaled for huge |B|.  t, B and
+    energies broadcast as given (the caller places the level axis); t = 0 gives 0."""
+    t = np.asarray(t, float)
+    B = np.where(t == 0, 0.0, np.asarray(B, float))
     e = np.asarray(energies, float)
     return -params.lam * t * e * e + B * e
 

@@ -34,8 +34,10 @@ __all__ = [
     "subsystem_expectation",
 ]
 
-#: Philox blocks per chunk of `draw_traj_variates`: 128 KiB per uint64 temporary
+#: Philox blocks per window of `draw_traj_variates`: 128 KiB per uint64 temporary
 _CHUNK_BLOCKS = 2**14
+#: uniforms plus normals per trajectory chunk of `_collapse_pass` (256 KiB)
+_CHUNK_VARIATES = 2**15
 #: the Gaussian window is truncated at 8 widths (mass beyond < 1e-14)
 WINDOW_HALF_WIDTH = 8.0
 
@@ -123,33 +125,69 @@ def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
-def draw_traj_variates(master_seed: int, n_traj: int, n_steps: int):
-    """Per-trajectory (uniform, normal) variates, each of shape (n_traj, n_steps).
+def draw_traj_variates(master_seed: int, rows: range, n_steps: int):
+    """Per-trajectory (uniform, normal) variates, each of shape (len(rows), n_steps).
 
     Row i reads only the Philox stream (master_seed, i) (`rng.philox4x64`),
     so the draw is independent of batching or ordering.  Words 0..n_steps-1
     give the uniforms (w >> 11) * 2**-53, bit-equal to numpy's
     ``Generator.random(n_steps)`` on that stream.  The next 2*ceil(n_steps/2)
     words, in pairs (u1, u2), give the normals by Box-Muller:
-    r = sqrt(-2*log(1 - u1)), then r*cos(2*pi*u2) and r*sin(2*pi*u2).  Rows
-    are drawn in chunks of at most _CHUNK_BLOCKS Philox blocks.
+    r = sqrt(-2*log(1 - u1)), then r*cos(2*pi*u2) and r*sin(2*pi*u2).  The
+    draw walks windows of at most _CHUNK_BLOCKS Philox blocks: several rows
+    per window, or one row in several windows, so its temporaries do not
+    grow with len(rows) or n_steps.
     """
     n_pairs = -(-n_steps // 2)
-    n_blocks = -(-(n_steps + 2 * n_pairs) // 4)
-    uniforms = np.empty((n_traj, n_steps))
-    normals = np.empty((n_traj, n_steps))
-    rows = max(1, _CHUNK_BLOCKS // max(n_blocks, 1))
-    for start in range(0, n_traj, rows):
-        chunk = slice(start, min(start + rows, n_traj))
-        words = philox4x64(master_seed, np.arange(chunk.start, chunk.stop), n_blocks)
-        u = (words >> 11) * 2.0**-53
-        uniforms[chunk] = u[:, :n_steps]
-        u1 = u[:, n_steps:n_steps + 2 * n_pairs:2]
-        theta = 2.0 * np.pi * u[:, n_steps + 1:n_steps + 2 * n_pairs:2]
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        pairs = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        normals[chunk] = pairs.reshape(len(u), 2 * n_pairs)[:, :n_steps]
+    n_words = n_steps + 2 * n_pairs
+    n_blocks = -(-n_words // 4)
+    uniforms = np.empty((len(rows), n_steps))
+    normals = np.empty((len(rows), n_steps))
+    n_rows = max(1, _CHUNK_BLOCKS // n_blocks)
+    for r in range(0, len(rows), n_rows):
+        out, sub = slice(r, r + n_rows), rows[r:r + n_rows]
+        idx = np.arange(sub.start, sub.stop, sub.step)
+        for b0 in range(0, n_blocks, _CHUNK_BLOCKS):
+            w0, w1 = 4 * b0, min(4 * (b0 + _CHUNK_BLOCKS), n_words)
+            # one block past the window completes a pair that its end splits
+            n = min(_CHUNK_BLOCKS + 1, n_blocks - b0)
+            u = (philox4x64(master_seed, idx, n, b0) >> 11) * 2.0**-53
+            if w0 < n_steps:
+                uniforms[out, w0:w1] = u[:, :min(w1, n_steps) - w0]
+            # the pairs whose first word lies in [w0, w1)
+            p0, p1 = (max(0, -(-(w - n_steps) // 2)) for w in (w0, w1))
+            pairs = u[:, n_steps + 2 * p0 - w0:][:, :2 * (p1 - p0)]
+            radius = np.sqrt(-2.0 * np.log(1.0 - pairs[:, 0::2]))
+            theta = 2.0 * np.pi * pairs[:, 1::2]
+            z = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
+            normals[out, 2 * p0:2 * p1] = z.reshape(len(idx), -1)[:, :n_steps - 2 * p0]
     return uniforms, normals
+
+
+def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
+    """The one collapse pass: yields (rows, s, b, w) after every step s, with
+    b the records at times[s] of the trajectories in slice `rows` and w their
+    level weights there, shape (n_lev, len(b)) (`_kernels.collapse_steps`).
+    Each chunk of about _CHUNK_VARIATES variates is drawn and stepped alone,
+    so memory does not grow with n_traj.
+    """
+    times = np.asarray(times, float)
+    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
+            or times[0] <= 0 or np.any(np.diff(times) <= 0)):
+        raise DomainError(
+            "times must be a non-empty 1-d grid of finite, positive, strictly "
+            "increasing values"
+        )
+    if n_traj < 1:
+        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
+    energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
+    n_rows = max(1, _CHUNK_VARIATES // (2 * times.size))
+    for start in range(0, n_traj, n_rows):
+        rows = range(start, min(start + n_rows, n_traj))
+        for s, b, w in _kernels.collapse_steps(
+                energies, log_w0, params, times,
+                *draw_traj_variates(master_seed, rows, times.size)):
+            yield slice(rows.start, rows.stop), s, b, w
 
 
 def simulate_trajectories(
@@ -161,25 +199,16 @@ def simulate_trajectories(
 ) -> np.ndarray:
     """Record paths B(t) of n_traj collapse trajectories, shape (n_traj, len(times)).
 
-    Exact Gaussian-mixture sampling from B(0) = 0 on a strictly increasing
-    grid of positive times.  Row i consumes only the Philox stream
-    (master_seed, i), all uniforms then all normals, so it does not depend on
-    n_traj.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
+    The records of the chunked collapse pass, exact Gaussian-mixture sampling
+    from B(0) = 0 on a strictly increasing grid of positive times.  Row i
+    consumes only the Philox stream (master_seed, i), all uniforms then all
+    normals, so it does not depend on n_traj or on the chunking.  The state at
+    (t, B) is `engine.evolve(state0, params, t, B)`.
     """
-    times = np.asarray(times, float)
-    if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
-            or times[0] <= 0 or np.any(np.diff(times) <= 0)):
-        raise DomainError(
-            "times must be a non-empty 1-d grid of finite, positive, strictly "
-            "increasing values"
-        )
-    if n_traj < 1:
-        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
-    return _kernels.traj_collapse_paths(
-        state0.energies(), np.asarray(state0.log_magnitudes), params.lam,
-        np.diff(times, prepend=0.0),
-        *draw_traj_variates(master_seed, n_traj, times.size),
-    )
+    b_path = np.empty((n_traj, np.size(times)))
+    for rows, s, b, _ in _collapse_pass(state0, params, times, master_seed, n_traj):
+        b_path[rows, s] = b
+    return b_path
 
 
 def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_steps=1):
@@ -188,12 +217,12 @@ def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_s
     The collapse factor is real and positive, so the phase of every component
     is the deterministic -E*t; only the magnitudes are stochastic.
     """
-    log_n2, _ = squared_norm(state0)
     energies = state0.energies()
-    log_w0 = np.asarray(state0.log_magnitudes) - 0.5 * log_n2
     times = np.linspace(0.0, t, n_steps + 1)[1:]
-    b = simulate_trajectories(state0, params, times, master_seed, n_traj)
-    weights = _kernels.collapse_weights(energies, log_w0, params.lam, t, b[:, -1])
+    weights = np.empty((n_traj, energies.size))
+    for rows, s, _, w in _collapse_pass(state0, params, times, master_seed, n_traj):
+        if s == n_steps - 1:
+            weights[rows] = w.T
     phases = np.asarray(state0.phases) - energies * t
     return np.sqrt(weights) * np.exp(1j * phases)
 

@@ -102,7 +102,7 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
     t, B = np.asarray(t, float), np.asarray(B, float)
     if not (np.isfinite(t).all() and np.isfinite(B).all() and (t >= 0).all()):
         raise DomainError("t and B must be finite and t >= 0")
-    dlog2 = 2.0 * collapse_exponent(params, t, B, spec.energies)
+    dlog2 = 2.0 * collapse_exponent(params, t[..., None], B[..., None], spec.energies)
 
     def log_norm2(mags):
         m = np.abs(np.asarray(mags, float))

@@ -40,17 +40,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * m
 
 
-def philox4x64(master_seed: int, indices, n_blocks: int) -> np.ndarray:
+def philox4x64(master_seed: int, indices, n_blocks: int,
+               first_block: int = 0) -> np.ndarray:
     """Raw words of the Philox4x64-10 streams (master_seed, i), i in indices.
 
     Returns a uint64 array of shape (len(indices), 4*n_blocks): row j is
-    ``np.random.Philox(key=[master_seed, indices[j]]).random_raw(4*n_blocks)``.
+    ``np.random.Philox(key=[master_seed, indices[j]]).random_raw()`` from
+    block first_block on, so a long stream can be drawn in windows.
     """
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"master_seed {master_seed} is not a 64-bit unsigned integer")
     key1 = np.asarray(indices, np.uint64)[:, None]
     # counter (c, 0, 0, 0): broadcast shapes skip the work no row depends on
-    x0 = np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :]
+    x0 = (np.arange(n_blocks, dtype=np.uint64) + np.uint64(first_block + 1))[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), np.uint64)
     for r in range(_ROUNDS):
         k0 = (master_seed + r * _W0) % 2**64

@@ -51,12 +51,11 @@ def test_01_born_weight_collapse():
     energies = np.array([0.0, 1.0])
     log_w0 = 0.5 * np.log(np.array([0.25, 0.75]))
     n = 10_000
-    uniforms, normals = draw_traj_variates(2024, n, 1)
-    b_path = _kernels.traj_collapse_paths(
-        energies, log_w0, 1.0, np.array([1000.0]), uniforms, normals
-    )
-    weights = _kernels.collapse_weights(energies, log_w0, 1.0, 1000.0, b_path[:, -1])
-    frac = float(np.mean(np.argmax(weights, axis=1) == 0))
+    uniforms, normals = draw_traj_variates(2024, range(n), 1)
+    _, _, weights = next(_kernels.collapse_steps(
+        energies, log_w0, CollapseParams(1.0), np.array([1000.0]), uniforms, normals
+    ))
+    frac = float(np.mean(np.argmax(weights, axis=0) == 0))
     tol = 4.0 * math.sqrt(0.1875 / n)
     ok = abs(frac - 0.25) < tol
     assert report(1, "Born-weight collapse", ok, f"fraction {frac:.4f}, tol {tol:.4f}")
@@ -106,17 +105,20 @@ def test_03_time_translation_and_chapman_kolmogorov():
     n, t = 100_000, 2.0
     energies = state.energies()
     log_w0 = np.asarray(state.log_magnitudes)
-    b1 = _kernels.traj_collapse_paths(
-        energies, log_w0, params.lam, np.array([t]), *draw_traj_variates(42, n, 1)
-    )
-    b2 = _kernels.traj_collapse_paths(
-        energies, log_w0, params.lam, np.array([t / 2, t / 2]),
-        *draw_traj_variates(43, n, 2),
-    )
-    edges = np.quantile(b1[:, -1], np.linspace(0, 1, 21))
+
+    def final_records(times, seed):
+        variates = draw_traj_variates(seed, range(n), len(times))
+        for _, b, _ in _kernels.collapse_steps(
+                energies, log_w0, params, times, *variates):
+            pass
+        return b
+
+    b1 = final_records(np.array([t]), 42)
+    b2 = final_records(np.array([t / 2, t]), 43)
+    edges = np.quantile(b1, np.linspace(0, 1, 21))
     edges[0], edges[-1] = -np.inf, np.inf
-    c1, _ = np.histogram(b1[:, -1], edges)
-    c2, _ = np.histogram(b2[:, -1], edges)
+    c1, _ = np.histogram(b1, edges)
+    c2, _ = np.histogram(b2, edges)
     chi2 = float(((c1 - c2) ** 2 / (c1 + c2)).sum())
     pval = float(stats.chi2.sf(chi2, len(c1) - 1))
     ok = comp_err < 1e-10 and pval > 0.01

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels, cli
+from collapse_lab import _kernels, cli, ensemble
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid
 from collapse_lab.engine import CollapseParams
-from collapse_lab.ensemble import draw_traj_variates
+from collapse_lab._kernels import collapse_weights
+from collapse_lab.ensemble import draw_traj_variates, simulate_trajectories
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -44,6 +45,15 @@ t_max = 6.0
 n_steps = 10
 n_traj = 40
 seed = 5
+"""
+
+ENSEMBLE_INI = """[ensemble]
+lambda = 0.5
+energies = 0.0, 1.0, 2.5
+magnitudes = 0.5, 0.6, 0.6244997998398398
+t_max = 6.0
+n_t = 12
+n_traj = 200
 """
 
 MEASUREMENT_INI = """[measurement]
@@ -407,9 +417,10 @@ n_s = 401
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("ini,key", [
-        (COLLAPSE_INI.replace("n_traj = 40", f"n_traj = {10**12}"), "'n_traj'"),
+        (ENSEMBLE_INI.replace("n_traj = 200", f"n_traj = {10**12}"), "'n_traj'"),
+        (COLLAPSE_INI.replace("n_steps = 10", f"n_steps = {10**12}"), "'n_steps'"),
         (OVERSIZE_KGRID_INI, "'n_modes'"),
-    ], ids=["collapse_n_traj", "kgrid_n_modes"])
+    ], ids=["ensemble_n_traj", "collapse_n_steps", "kgrid_n_modes"])
     def test_oversized_arrays_are_two(self, tmp_path, capsys, command, ini, key):
         # numpy would refuse these requests at once; the config must be
         # refused first, naming the key
@@ -425,6 +436,12 @@ n_s = 401
 
 
 class TestValidate:
+    def test_accepts_a_billion_collapse_trajectories(self, tmp_path):
+        # the collapse pass holds one chunk of trajectories at a time
+        ini = COLLAPSE_INI.replace("n_traj = 40", f"n_traj = {10**9}")
+        path = write_config(tmp_path, ini)
+        assert main(["validate", "--config", str(path)]) == 0
+
     def test_echoes_derived_t_cal(self, tmp_path, capsys):
         path = write_config(tmp_path, COLLAPSE_INI)
         assert main(["validate", "--config", str(path)]) == 0
@@ -470,12 +487,13 @@ class TestCollapseRunner:
         header, rows = read_csv(tmp_path / "c.csv")
         times = np.linspace(0.6, 6.0, 10)
         energies, log_w0 = np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75])
-        b_path = _kernels.traj_collapse_paths(
-            energies, log_w0, 1.0,
-            np.diff(times, prepend=0.0), *draw_traj_variates(5, 40, 10),
-        )
-        weights = _kernels.collapse_weights(energies, log_w0, 1.0, 6.0, b_path[:, -1])
-        np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=0), rtol=0, atol=1e-12)
+        for _, _, weights in _kernels.collapse_steps(
+            energies, log_w0, CollapseParams(1.0), times,
+            *draw_traj_variates(5, range(40), 10),
+        ):
+            pass
+        np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=1),
+                                   rtol=0, atol=1e-12)
 
     def test_born_z_scores_are_final_weights_in_standard_errors(
             self, tmp_path, monkeypatch):
@@ -492,6 +510,47 @@ class TestCollapseRunner:
             z = (rows[-1][2 + i] - w) / math.sqrt(w * (1 - w) / 40)
             assert scalars[f"born_z_E{i}"] == pytest.approx(z, rel=1e-12)
             assert abs(z) < 5
+
+    def test_chunking_changes_no_record_or_count(self, tmp_path, monkeypatch):
+        # chunks of three trajectories give the records and the collapsed
+        # counts of one chunk of all 40, and step each chunk once
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, COLLAPSE_INI)
+        state = cli._build_state((0.0, 1.0), (0.25, 0.75))
+        times = np.linspace(0.6, 6.0, 10)
+        whole = simulate_trajectories(state, CollapseParams(1.0), times, 5, 40)
+        assert main(["collapse", "--config", str(path), "--out", "one.csv"]) == 0
+        monkeypatch.setattr(ensemble, "_CHUNK_VARIATES", 2 * 10 * 3)
+        np.testing.assert_array_equal(
+            simulate_trajectories(state, CollapseParams(1.0), times, 5, 40), whole)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return collapse_weights(*args)
+
+        monkeypatch.setattr(_kernels, "collapse_weights", counting)
+        assert main(["collapse", "--config", str(path), "--out", "three.csv"]) == 0
+        # 14 chunks, each weighed at t = 0 and after each of its 10 steps
+        assert len(calls) == 14 * 11
+        _, one = read_csv(tmp_path / "one.csv")
+        _, three = read_csv(tmp_path / "three.csv")
+        assert [r[1] for r in three] == [r[1] for r in one]
+        np.testing.assert_allclose(three, one, rtol=0, atol=1e-13)
+
+    def test_memory_does_not_grow_with_n_traj(self):
+        p = {"lambda": 1.0, "energies": (0.0, 1.0), "weights": (0.25, 0.75),
+             "t_max": 6.0, "n_steps": 10, "threshold": 0.999}
+        peaks = []
+        for n_traj in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                cli._run_collapse({**p, "n_traj": n_traj}, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # variates and paths of the whole batch would add 4.3 MB at 20 000
+        assert peaks[1] < 1.1 * peaks[0]
 
 
 class TestEnsembleRunner:

@@ -190,11 +190,11 @@ class TestSampleStep:
         dt = 0.7
         dB = simulate_trajectories(state, PARAMS, [dt], 8, 3)[2, 0]
         u, z = stream_reference(8, 2, 1)
-        b_path = _kernels.traj_collapse_paths(
-            state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
+        _, b, _ = next(_kernels.collapse_steps(
+            state.energies(), np.asarray(state.log_magnitudes), PARAMS,
             np.array([dt]), u[None, :], z[None, :],
-        )
-        assert dB == b_path[0, 0]
+        ))
+        assert dB == b[0]
 
     def test_degenerate_levels_keep_phases_and_count(self):
         levels = [EnergyLevel(0.0, 0), EnergyLevel(0.0, 1), EnergyLevel(1.0)]
@@ -233,11 +233,11 @@ class TestSimulateTrajectory:
         b_path = simulate_trajectories(state, PARAMS, times, 4, 6)
         for i in range(6):
             u, z = stream_reference(4, i, times.size)
-            row = _kernels.traj_collapse_paths(
-                state.energies(), np.asarray(state.log_magnitudes), PARAMS.lam,
-                np.diff(times, prepend=0.0), u[None, :], z[None, :],
-            )
-            np.testing.assert_array_equal(row[0], b_path[i])
+            row = [b[0] for _, b, _ in _kernels.collapse_steps(
+                state.energies(), np.asarray(state.log_magnitudes), PARAMS,
+                times, u[None, :], z[None, :],
+            )]
+            np.testing.assert_array_equal(row, b_path[i])
 
     def test_rejects_unsorted_times(self):
         for times in ([1.0, 0.5], [1.0, math.nan], [1.0, math.inf]):

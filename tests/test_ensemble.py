@@ -135,10 +135,14 @@ class TestTimeSeries:
 class TestDrawTrajVariates:
     def test_batch_size_independent(self):
         # trajectory i's variates do not depend on how many others are drawn
-        u5, n5 = draw_traj_variates(77, 5, 4)
-        u9, n9 = draw_traj_variates(77, 9, 4)
+        u5, n5 = draw_traj_variates(77, range(5), 4)
+        u9, n9 = draw_traj_variates(77, range(9), 4)
         np.testing.assert_array_equal(u5, u9[:5])
         np.testing.assert_array_equal(n5, n9[:5])
+        # a row range reads the same streams
+        u36, n36 = draw_traj_variates(77, range(3, 6), 4)
+        np.testing.assert_array_equal(u36, u9[3:6])
+        np.testing.assert_array_equal(n36, n9[3:6])
 
 
 class TestEnsembleExpectation:

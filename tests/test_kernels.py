@@ -1,4 +1,4 @@
-"""Kernel tests: batched collapse paths and the k-grid Chebyshev propagator."""
+"""Kernel tests: the batched collapse steps and the k-grid Chebyshev propagator."""
 
 import math
 
@@ -17,42 +17,48 @@ def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(0.0, 4.0, n_lev))
     log_w0 = 0.5 * np.log(rng.dirichlet(np.ones(n_lev)))
-    dts = rng.uniform(0.05, 0.5, n_steps)
-    uniforms, normals = draw_traj_variates(seed, n_traj, n_steps)
-    return energies, log_w0, 0.8, dts, uniforms, normals
+    times = np.cumsum(rng.uniform(0.05, 0.5, n_steps))
+    uniforms, normals = draw_traj_variates(seed, range(n_traj), n_steps)
+    return energies, log_w0, CollapseParams(0.8), times, uniforms, normals
 
 
-def final_weights(args, b_path):
-    """Level weights at the end of the paths, from `collapse_weights`."""
-    energies, log_w0, lam, dts = args[:4]
-    return _kernels.collapse_weights(energies, log_w0, lam, dts.sum(), b_path[:, -1])
+def run_steps(args):
+    """The record paths of `collapse_steps`, and the weights after its last step."""
+    paths = []
+    for _, b, w in _kernels.collapse_steps(*args):
+        paths.append(b)
+    return np.column_stack(paths), w
 
 
-class TestTrajCollapsePaths:
+class TestCollapseSteps:
     def test_numpy_weights_are_normalized(self):
-        args = traj_args()
-        b = _kernels.traj_collapse_paths(*args)
-        w = final_weights(args, b)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        assert b.shape == (64, 12)
+        b, w = run_steps(traj_args())
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+        assert b.shape == (64, 12) and w.shape == (5, 64)
 
     def test_numpy_single_trajectory_independent_of_batch(self):
         args = traj_args(n_traj=8)
-        b8 = _kernels.traj_collapse_paths(*args)
-        w8 = final_weights(args, b8)
+        b8, w8 = run_steps(args)
         solo = tuple(
             a if i < 4 else a[:1] for i, a in enumerate(args)
         )
-        b1 = _kernels.traj_collapse_paths(*solo)
-        w1 = final_weights(solo, b1)
-        np.testing.assert_allclose(w1[0], w8[0], atol=1e-14)
+        b1, w1 = run_steps(solo)
+        np.testing.assert_allclose(w1[:, 0], w8[:, 0], atol=1e-14)
         np.testing.assert_allclose(b1[0], b8[0], atol=1e-14)
+
+    def test_yields_the_weights_at_each_grid_time(self):
+        # the weights after step s are those at (times[s], b), computed once
+        args = traj_args(n_steps=6)
+        energies, log_w0, params, times = args[:4]
+        for s, b, w in _kernels.collapse_steps(*args):
+            want = _kernels.collapse_weights(energies, log_w0, params, times[s], b)
+            np.testing.assert_array_equal(w, want)
 
 
 class TestCollapseWeights:
     @pytest.mark.parametrize("t", [0.0, 0.3, 2.0, 25.0])
     def test_is_the_batched_evolve(self, t):
-        # each row is the normalized energy distribution of evolve(t, B);
+        # each column is the normalized energy distribution of evolve(t, B);
         # B scales with t, since B(0) = 0
         energies = np.array([0.0, 0.5, 1.25, 3.0])
         state = SpectralState.from_amplitudes(
@@ -61,11 +67,12 @@ class TestCollapseWeights:
         params = CollapseParams(0.7)
         bs = t * np.array([-2.0, 0.0, 0.4, 1.7, 3.5])
         w = _kernels.collapse_weights(
-            energies, np.asarray(state.log_magnitudes), params.lam, t, bs
+            energies, np.asarray(state.log_magnitudes), params, t, bs
         )
-        for row, b in zip(w, bs):
+        assert w.shape == (energies.size, bs.size)
+        for col, b in zip(w.T, bs):
             lm = np.asarray(evolve(state, params, t, b).normalized().log_magnitudes)
-            np.testing.assert_allclose(row, np.exp(2.0 * lm), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(col, np.exp(2.0 * lm), rtol=0, atol=1e-12)
 
 
 def kgrid_args(n_k=256, n_steps=400, excited=True):

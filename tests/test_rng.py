@@ -1,5 +1,7 @@
 """Tests for the numpy Philox4x64-10 streams and the variates drawn from them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,6 +20,9 @@ def test_words_are_numpy_philox_words(seed):
     for row, i in zip(words, indices):
         key = np.array([seed, i], dtype=np.uint64)
         np.testing.assert_array_equal(row, np.random.Philox(key=key).random_raw(12))
+    # a window from block 1 on is the same streams less their first block
+    window = philox4x64(seed, indices, 2, first_block=1)
+    np.testing.assert_array_equal(window, words[:, 4:])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -34,21 +39,37 @@ def test_uniforms_are_generator_random_bits(seed, index, n_steps):
 @pytest.mark.parametrize("n_steps", [1, 4, 7])
 def test_rows_across_chunk_boundaries_match_the_reference(
         monkeypatch, stream_reference, seed, n_steps):
-    whole = draw_traj_variates(seed, 8, n_steps)
-    # three rows per chunk: rows 2|3 and 5|6 straddle chunk boundaries
+    whole = draw_traj_variates(seed, range(8), n_steps)
     n_blocks = -(-(n_steps + 2 * -(-n_steps // 2)) // 4)
-    monkeypatch.setattr(ensemble, "_CHUNK_BLOCKS", 3 * n_blocks)
-    uniforms, normals = draw_traj_variates(seed, 8, n_steps)
-    np.testing.assert_array_equal(uniforms, whole[0])
-    np.testing.assert_array_equal(normals, whole[1])
-    for i in range(8):
-        want_u, want_z = stream_reference(seed, i, n_steps)
-        np.testing.assert_array_equal(uniforms[i], want_u)
-        np.testing.assert_array_equal(normals[i], want_z)
+    # three rows per chunk: rows 2|3 and 5|6 straddle chunk boundaries; then
+    # windows of one and two blocks split each row, and at n_steps = 7 they
+    # split the first Box-Muller pair (words 7 and 8)
+    for chunk_blocks in (3 * n_blocks, 1, 2):
+        monkeypatch.setattr(ensemble, "_CHUNK_BLOCKS", chunk_blocks)
+        uniforms, normals = draw_traj_variates(seed, range(8), n_steps)
+        np.testing.assert_array_equal(uniforms, whole[0])
+        np.testing.assert_array_equal(normals, whole[1])
+        for i in range(8):
+            want_u, want_z = stream_reference(seed, i, n_steps)
+            np.testing.assert_array_equal(uniforms[i], want_u)
+            np.testing.assert_array_equal(normals[i], want_z)
+
+
+def test_long_row_draws_in_bounded_memory():
+    # 16 MB of output; whole-row temporaries would add about 56 MB
+    n_steps = 10**6
+    tracemalloc.start()
+    try:
+        uniforms, normals = draw_traj_variates(3, range(1), n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert uniforms.shape == normals.shape == (1, n_steps)
+    assert peak < 16 * n_steps + 2**23
 
 
 def test_normals_are_standard_normal():
-    _, normals = draw_traj_variates(2024, 1000, 200)
+    _, normals = draw_traj_variates(2024, range(1000), 200)
     z = normals.ravel()
     assert z.size == 200_000
     assert abs(z.mean()) < 5.0 / np.sqrt(z.size)
@@ -59,7 +80,7 @@ def test_normals_are_standard_normal():
 def test_draw_raises_no_floating_point_error():
     # scalar uint64 overflow would raise here; array arithmetic wraps
     with np.errstate(all="raise"):
-        uniforms, normals = draw_traj_variates(2**64 - 1, 5, 9)
+        uniforms, normals = draw_traj_variates(2**64 - 1, range(5), 9)
     assert np.all((uniforms >= 0) & (uniforms < 1)) and np.all(np.isfinite(normals))
 
 

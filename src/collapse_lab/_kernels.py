@@ -6,6 +6,8 @@ stays in the counter-based generators of `collapse_lab.rng`.
 Kernels:
   * collapse_weights    -- level weights at (t, B), level-major, batched over B.
   * collapse_steps      -- the batched collapse step loop over pre-drawn variates.
+  * bessel_j            -- J_0 ... J_n at one real argument, by Miller's
+                           backward recurrence.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
                            k-grid decay Hamiltonian H.
   * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
@@ -22,7 +24,7 @@ import numpy as np
 from .engine import collapse_exponent
 from .hilbert import DomainError
 
-__all__ = ["collapse_weights", "collapse_steps", "chebyshev_series",
+__all__ = ["collapse_weights", "collapse_steps", "bessel_j", "chebyshev_series",
            "kgrid_chebyshev"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
@@ -77,6 +79,28 @@ def collapse_steps(energies, log_w0, params, times, uniforms, normals):
         yield s, b, w
 
 
+def bessel_j(n, z):
+    """J_0(z) ... J_n(z) for real z >= 0, shape (n + 1,).
+
+    Miller's backward recurrence (Abramowitz & Stegun 9.12), run on the
+    ratios r_k = J_k/J_{k-1} = z/(2k - z*r_{k+1}) from r = 0 at an order
+    N = max(n, z) + 30 + 10*z**(1/3), where J_N is negligible, and
+    normalized by J_0 + 2*sum J_2k = 1.  Carrying ratios rescales the
+    running values at every step: each step of the unscaled recurrence
+    multiplies them by about 2k/z, which overflows for z near 1e-300 and
+    divides by zero at z = 0.
+    """
+    top = int(max(n, z) + 30.0 + 10.0 * z ** (1.0 / 3.0))
+    r = np.empty(top)
+    rk = 0.0
+    for k in range(top, 0, -1):
+        rk = z / (2.0 * k - z * rk)
+        r[k - 1] = rk
+    jk_over_j0 = np.cumprod(r)  # J_k/J_0 for k = 1 ... top
+    j0 = 1.0 / (1.0 + 2.0 * np.sum(jk_over_j0[1::2]))
+    return np.concatenate(([j0], j0 * jk_over_j0[:n]))
+
+
 def chebyshev_series(k, wk, g, eps, tau):
     """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian.
 
@@ -93,8 +117,6 @@ def chebyshev_series(k, wk, g, eps, tau):
 
     Returns (ctr, half, coef, tail).
     """
-    from scipy.special import jv
-
     c_norm = g * math.sqrt(float(np.sum(wk)))
     lo = min(float(np.min(k)), eps) - c_norm
     hi = max(float(np.max(k)), eps) + c_norm
@@ -105,7 +127,7 @@ def chebyshev_series(k, wk, g, eps, tau):
     # beyond order z, |J_n(z)| decays over a transition region of width
     # ~z**(1/3); 1e-15 is reached within about 10*(z**(1/3) + 1) orders
     orders = np.arange(int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1)
-    j = jv(orders, z)
+    j = bessel_j(orders[-1], z)
     # nan counts as not small, so a failed Bessel evaluation cannot truncate
     kept = np.flatnonzero(~(np.abs(j) < CHEBYSHEV_TOL))
     n_terms = max(int(kept[-1]) + 1, 2)

@@ -11,9 +11,10 @@ energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 
 Outputs: a data table (CSV by default, one leading t or x abscissa column,
 floats at 17 significant digits so they round-trip exactly) and a JSON
-summary with the resolved parameters, seed, version and key scalars.  The
-data table is byte-identical across reruns with the same config and seed;
-the summary additionally records wall time.
+summary with the resolved parameters, seed, version, library versions
+(scipy null when the run never imported it) and key scalars.  The data
+table is byte-identical across reruns with the same config and seed; the
+summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
 spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
@@ -194,8 +195,13 @@ SCHEMAS: dict[str, dict] = {
 #: estimate (`ExperimentConfig._array_bytes`) exceeds it exits 2, naming the
 #: key, before numpy is asked for the arrays
 MAX_ARRAY_BYTES = 2**31
-#: bytes per output-table value: the float in the table plus its text
+#: bytes per output-table value: the float in the table and the runner's
+#: temporaries behind it, with room to spare (the writers hold at most
+#: `_WRITE_VALUES` values as text at a time)
 _VALUE_BYTES = 64
+#: values formatted and written at a time by the output writers (about 1 MB
+#: of row text), so the text never holds the whole table
+_WRITE_VALUES = 2**13
 #: cap on the (point, level) temporaries of one measurement block (64 MiB)
 _BLOCK_BYTES = 2**26
 
@@ -588,9 +594,46 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _row_blocks(table):
+    """The table's rows as lists of floats, `_WRITE_VALUES` values at a time."""
+    n = max(1, _WRITE_VALUES // table.shape[1])
+    for i in range(0, len(table), n):
+        yield table[i:i + n].tolist()
+
+
 def write_csv(path, cols, table):
-    rows = (",".join(map(_fmt, row)) for row in table.tolist())
-    Path(path).write_text("\n".join([",".join(cols), *rows]) + "\n")
+    with open(path, "w") as f:
+        f.write(",".join(cols) + "\n")
+        for rows in _row_blocks(table):
+            f.write("\n".join([",".join(map(_fmt, row)) for row in rows]) + "\n")
+
+
+def write_json(path, doc, cols, table):
+    """`doc` with "columns" and "rows" (the table, at least one row, as `_fmt`
+    strings) added, byte for byte as `json.dumps(indent=2)` would write it,
+    the rows streamed."""
+    head = _dumps({**doc, "columns": cols, "rows": []})
+    with open(path, "w") as f:
+        f.write(head.removesuffix("[]\n}") + "[\n")
+        sep = ""
+        for rows in _row_blocks(table):
+            f.write(sep + ",\n".join('    [\n      "' + '",\n      "'.join(map(_fmt, row))
+                                     + '"\n    ]' for row in rows))
+            sep = ",\n"
+        f.write("\n  ]\n}\n")
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, default=float, allow_nan=False)
+
+
+def _versions() -> dict:
+    """Interpreter and library versions; scipy is null when the run never
+    imported it."""
+    scipy = sys.modules.get("scipy")
+    return {"python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": None if scipy is None else scipy.__version__}
 
 
 def _summary_doc(cfg, summary, wall_time):
@@ -599,6 +642,7 @@ def _summary_doc(cfg, summary, wall_time):
         "parameters": {k: v for k, v in cfg.parameters.items()},
         "seed": cfg.master_seed,
         "version": f"collapse-lab-v{__version__}",
+        "versions": _versions(),
         "wall_time_s": wall_time,
         "scalars": summary,
     }
@@ -630,12 +674,9 @@ def run(cfg: ExperimentConfig) -> int:
     doc = _summary_doc(cfg, summary, wall)
     if cfg.output_format == "csv":
         write_csv(out, cols, table)
-        doc_path = out.with_suffix(".summary.json")
+        out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
     else:
-        doc["columns"] = cols
-        doc["rows"] = [[_fmt(v) for v in row] for row in table.tolist()]
-        doc_path = out
-    doc_path.write_text(json.dumps(doc, indent=2, default=float, allow_nan=False) + "\n")
+        write_json(out, doc, cols, table)
     print(f"wrote {out}")
     return 0
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import _kernels
 from .hilbert import DomainError
@@ -231,6 +230,8 @@ def occupation_collapsed(s, p: DecayModelParams):
     g, t = p.Gamma, p.T_cal
     if t == 0.0:
         return occupation(s, p)
+    from scipy.special import log_ndtr  # lazy: keeps scipy off the import path
+
     s = np.asarray(s, float)
     log_val = (
         math.log(g * p.sigma) - g * s + 0.5 * (g * t) ** 2 + log_ndtr(s / t - g * t)
@@ -256,6 +257,8 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     """
     if p.T_cal <= 0:
         raise DomainError("smeared form needs T_cal > 0")
+    from scipy.special import log_ndtr  # lazy: keeps scipy off the import path
+
     x = np.asarray(x, float)
     t, g = p.T_cal, p.Gamma
     u = s - (x - p.x0)

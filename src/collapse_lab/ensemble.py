@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels
 from .hilbert import (
@@ -104,6 +103,8 @@ def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
     if tcal == 0.0:
         return f(t)
     if adaptive:
+        from scipy.integrate import quad  # lazy: keeps scipy off the import path
+
         inv = 1.0 / math.sqrt(2.0 * math.pi)
 
         def integrand(eta):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "DomainError",
@@ -179,10 +178,19 @@ def squared_norm(state: SpectralState) -> tuple[float, float]:
     """Squared norm of a state, returned as (log value, linear value).
 
     The log value is a log-sum-exp over twice the component log magnitudes
-    and stays finite when the linear value underflows to zero.
+    and stays finite when the linear value underflows to zero.  It follows
+    scipy.special.logsumexp's order of operations, so the two agree bit for
+    bit: the m tied maxima are taken out of the sum, and the rest, scaled
+    by exp(-max), enter as log1p(sum/m) + log(m) + max.
     """
-    two_lm = 2.0 * np.asarray(state.log_magnitudes)
-    log_n2 = float(logsumexp(two_lm))
+    x = 2.0 * np.asarray(state.log_magnitudes)
+    log_n2 = top = x.max()
+    if top > NEG_INF:  # else every component is zero (or one is nan)
+        at_top = x == top
+        m = float(np.count_nonzero(at_top))
+        s = np.sum(np.exp(np.where(at_top, NEG_INF, x) - top)) / m
+        log_n2 = np.log1p(s) + np.log(m) + top
+    log_n2 = float(log_n2)
     linear = math.exp(log_n2) if log_n2 < 709.0 else math.inf
     return log_n2, linear
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hilbert import DiscreteSpectrum, DomainError
 
@@ -93,6 +92,8 @@ def verify_schwarz_chain(
         raise DomainError("need t > t0")
     if not _partition_ok(partition):
         raise DomainError("partition must be 3 disjoint intervals covering R")
+    from scipy.integrate import quad  # lazy: keeps scipy off the import path
+
     dt = t - scenario.t0
     var = scenario.lam * dt
     e = np.asarray(scenario.spectrum_plus.energies, float)

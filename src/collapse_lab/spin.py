@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, ndtr
 
 from .hilbert import DomainError
 
@@ -68,6 +67,8 @@ def normal_cdf(z):
     identically.  Domain: |Im z| <= 30.  Broadcasts over arrays; a scalar
     gives a complex scalar.
     """
+    from scipy.special import erf, ndtr  # lazy: keeps scipy off the import path
+
     z = np.asarray(z, complex)
     if np.any(np.abs(z.imag) > MAX_IMAG):
         raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {np.abs(z.imag).max()}")

@@ -406,9 +406,7 @@ n_s = 401
 
     def test_chebyshev_truncation_is_three(self, tmp_path, capsys, monkeypatch):
         # Bessel factors that never fall below 1e-15 break the truncation contract
-        import scipy.special
-
-        monkeypatch.setattr(scipy.special, "jv", lambda n, z: np.ones(np.shape(n)))
+        monkeypatch.setattr(_kernels, "bessel_j", lambda n, z: np.ones(n + 1))
         path = write_config(tmp_path, SMALL_KGRID_INI)
         out = tmp_path / "d.csv"
         assert main(["decay", "--config", str(path), "--out", str(out)]) == 3
@@ -632,6 +630,11 @@ class TestOutputs:
         assert abs(doc["scalars"]["envelope"] - math.exp(-4.5)) < 1e-12
         assert doc["seed"] == 0
         assert "version" in doc and "wall_time_s" in doc
+        # spin's complex normal CDF is the one place this run loads scipy
+        import scipy
+
+        assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
+                                   "numpy": np.__version__, "scipy": scipy.__version__}
 
     def test_records_disjoint_bound_sup_zero(self, tmp_path):
         ini = """[records]
@@ -683,6 +686,83 @@ n_t = 10
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "t (time)"
         assert len(doc["rows"]) == 50
+
+
+class TestWriters:
+    """The writers stream the table in blocks; the bytes are those of the
+    whole-table writers they replaced."""
+
+    @staticmethod
+    def whole_csv(path, cols, table):
+        rows = (",".join(map(cli._fmt, row)) for row in table.tolist())
+        Path(path).write_text("\n".join([",".join(cols), *rows]) + "\n")
+
+    @staticmethod
+    def whole_json(path, doc, cols, table):
+        doc = {**doc, "columns": cols,
+               "rows": [[cli._fmt(v) for v in row] for row in table.tolist()]}
+        Path(path).write_text(json.dumps(doc, indent=2, default=float,
+                                         allow_nan=False) + "\n")
+
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (3001, 5)])
+    def test_bytes_match_the_whole_table_writers(self, tmp_path, monkeypatch, shape):
+        # blocks of 16 values: a 3001 x 5 table takes 1001 blocks of 3 rows
+        monkeypatch.setattr(cli, "_WRITE_VALUES", 16)
+        rng = np.random.default_rng(sum(shape))
+        table = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        cols = [f"c{i} (unit)" for i in range(shape[1])]
+        doc = {"experiment": "x", "parameters": {"energies": (0.0, 1.5)},
+               "scalars": {"z": np.float64(0.25), "n": 3}}
+        cli.write_csv(tmp_path / "a.csv", cols, table)
+        self.whole_csv(tmp_path / "b.csv", cols, table)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        cli.write_json(tmp_path / "a.json", doc, cols, table)
+        self.whole_json(tmp_path / "b.json", doc, cols, table)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, fmt):
+        # 60 000 x 3 values: the whole-table writers peak at about 16 MiB
+        # (csv) and 42 MiB (json) over the table's 1.4 MiB
+        table = np.random.default_rng(0).normal(size=(60_000, 3))
+        cols = ["t (time)", "a (1)", "b (1)"]
+        tracemalloc.start()
+        try:
+            if fmt == "csv":
+                cli.write_csv(tmp_path / "big.csv", cols, table)
+            else:
+                cli.write_json(tmp_path / "big.json", {"seed": 0}, cols, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def test_runs_without_scipy(tmp_path):
+    # one fresh interpreter: the package import and every run below that has
+    # a numpy path (collapse, ensemble, measurement, records, k-grid decay)
+    # must leave scipy unimported, and the summaries must say so
+    runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
+            ("measurement", "measurement_shared"), ("records", "records_half_overlap"),
+            ("decay", "decay_kgrid")]
+    child = (
+        "import json, sys\n"
+        "from collapse_lab.cli import main\n"
+        f"for section, stem in {runs!r}:\n"
+        f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
+        f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
+        "    assert main([section, '--config', config, '--out', out]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == []
+    for _, stem in runs:
+        doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
+        assert doc["versions"]["scipy"] is None
+    # the numpy Bessel factors truncate the shipped k-grid series where
+    # scipy's did
+    assert doc["scalars"]["chebyshev_terms"] == 12
 
 
 def test_kgrid_summary_reports_chebyshev_series(tmp_path):

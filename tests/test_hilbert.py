@@ -95,6 +95,30 @@ class TestSquaredNorm:
         assert n2 == 0.0
         assert abs(log_n2 - (-10000.0 + math.log(1 + math.exp(-2.0)))) < 1e-9
 
+    def test_is_scipy_logsumexp_bit_for_bit(self):
+        # the Monte Carlo outputs stay bit-identical only if the numpy
+        # log-sum-exp rounds exactly as scipy's does
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(12)
+        kinds = {"single": 0, "zeros": 0, "ties": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            lm = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if n > 1 and rng.random() < 0.3:
+                lm[rng.random(n) < 0.4] = -math.inf
+            if n > 1 and rng.random() < 0.3:
+                lm[rng.integers(0, n, size=2)] = lm.max()
+            if np.all(lm == -math.inf):
+                lm[0] = 0.0
+            kinds["single"] += n == 1
+            kinds["zeros"] += bool(np.any(lm == -math.inf))
+            kinds["ties"] += int(np.sum(lm == lm.max())) > 1
+            state = SpectralState(tuple(EnergyLevel(float(e)) for e in range(n)),
+                                  tuple(lm), (0.0,) * n)
+            assert squared_norm(state)[0] == float(logsumexp(2.0 * lm)), lm
+        assert min(kinds.values()) > 100
+
 
 class TestObservableMatrix:
     def test_rejects_non_hermitian(self):

@@ -169,13 +169,38 @@ class TestKGridChebyshevOracle:
 
     def test_truncation_contract(self, monkeypatch):
         # Bessel factors that never fall below 1e-15 cannot be truncated
-        import scipy.special
-
         _, _, coef, tail = _kernels.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
         assert coef.size > 1 and 0.0 < tail < _kernels.CHEBYSHEV_TOL
-        monkeypatch.setattr(scipy.special, "jv", lambda n, z: np.ones(np.shape(n)))
+        monkeypatch.setattr(_kernels, "bessel_j", lambda n, z: np.ones(n + 1))
         with pytest.raises(DomainError, match="truncation"):
             _kernels.kgrid_chebyshev(*self.oracle_args("decay"))
+
+
+class TestBesselJ:
+    @staticmethod
+    def truncation_orders(z):
+        """The orders `chebyshev_series` computes at argument z."""
+        return int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0))
+
+    @pytest.mark.parametrize("z", [0.05, 0.4, 3.0, 40.0, 400.0, 4000.0])
+    def test_matches_scipy_jv(self, z):
+        from scipy.special import jv
+
+        n = self.truncation_orders(z)
+        np.testing.assert_allclose(_kernels.bessel_j(n, z), jv(np.arange(n + 1), z),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-20, 1e-8])
+    def test_small_arguments_stay_finite(self, z):
+        # z = half*tau is bounded below only by dt > 0; an unscaled recurrence
+        # multiplies by 2k/z per step and overflows here
+        from scipy.special import jv
+
+        n = self.truncation_orders(z)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            j = _kernels.bessel_j(n, z)
+        assert np.all(np.isfinite(j))
+        np.testing.assert_allclose(j, jv(np.arange(n + 1), z), rtol=0, atol=1e-13)
 
 
 class TestChebyshevInterval:

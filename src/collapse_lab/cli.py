@@ -19,11 +19,14 @@ summary additionally records wall time.
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
 spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
 packet that `decay` refuses, a k-grid span beyond the recurrence time, a
-non-finite k-grid s_max/dt, an unreadable fixture, an --out outside an
-existing directory and count keys whose arrays would exceed MAX_ARRAY_BYTES), 3
-numerical-contract violation (including a non-finite result, a numpy
-floating-point error and a k-grid Chebyshev series whose Bessel factors do
-not fall below 1e-15).
+non-finite k-grid s_max/dt, an unreadable fixture or one with a non-finite
+value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, weights or magnitudes
+whose level weights overflow, an --out outside an existing directory and count
+keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
+violation (including a non-finite result, a numpy floating-point error and a
+k-grid Chebyshev series whose Bessel factors do not fall below 1e-15).
+`validate` builds the same model objects the run uses, so it refuses exactly
+the configs a run refuses with exit 2.
 """
 
 from __future__ import annotations
@@ -122,10 +125,6 @@ def _choice(*options):
     return parse
 
 
-def _str(raw: str) -> str:
-    return raw
-
-
 # key -> (parser, required, default); every experiment also accepts "seed".
 SCHEMAS: dict[str, dict] = {
     "collapse": {
@@ -147,7 +146,7 @@ SCHEMAS: dict[str, dict] = {
         "n_traj": (_n_traj_mc, False, 0),
     },
     "measurement": {
-        "fixture": (_str, True, None),
+        "fixture": (str, True, None),
         "lambda": (_positive, True, None),
         "t_max": (_positive, True, None),
         "n_t": (_int_pos, False, 20),
@@ -222,8 +221,52 @@ def _kgrid_steps(p) -> int:
     return round(steps)
 
 
+# --- model builders, called by ExperimentConfig.validate_domain only --------
+
+
+def _build_state(energies, weights, phases=None):
+    levels = [EnergyLevel(float(e)) for e in energies]
+    mags = np.sqrt(np.asarray(weights, float) / np.sum(weights))
+    ph = np.zeros(len(levels)) if phases is None else np.asarray(phases, float)
+    return SpectralState.from_amplitudes(levels, mags * np.exp(1j * ph)).normalized()
+
+
+def _load_fixture(name):
+    """The branch fixture at path `name`, else the packaged one of that name."""
+    path = Path(name)
+    if not path.is_file():
+        path = fixture_path(name)
+    try:
+        return load_branch_fixture(path)
+    except OSError as exc:
+        raise ConfigError(
+            f"key 'fixture': no file or packaged fixture {name!r}"
+        ) from exc
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
+
+
+#: (plus, minus) index ranges of the builtin record spectra on their shared
+#: 1500-point grid; half_overlap shares 500 points, so its overlap is exactly 0.5
+_RECORD_SPECTRA = {
+    "disjoint": ((0, 750), (750, 1500)),
+    "identical": ((0, 1500), (0, 1500)),
+    "half_overlap": ((0, 1000), (500, 1500)),
+}
+
+
+def builtin_record_spectra(name: str) -> tuple[DiscreteSpectrum, DiscreteSpectrum]:
+    """The `_RECORD_SPECTRA` pair `name`: equal weights on each index range."""
+    grid = tuple(i * 1e-3 for i in range(1500))
+    w = np.zeros((2, len(grid)))
+    for row, (lo, hi) in zip(w, _RECORD_SPECTRA[name]):
+        row[lo:hi] = 1.0 / (hi - lo)
+    return DiscreteSpectrum(grid, tuple(w[0])), DiscreteSpectrum(grid, tuple(w[1]))
+
+
 class ExperimentConfig:
-    """Validated experiment parameters plus output plumbing."""
+    """Validated experiment parameters, their `model` (the library objects
+    `validate_domain` builds on construction; the run uses them as built)."""
 
     def __init__(self, experiment, parameters, master_seed=0,
                  output_path=None, output_format="csv"):
@@ -232,8 +275,7 @@ class ExperimentConfig:
         self.master_seed = master_seed
         self.output_path = output_path
         self.output_format = output_format
-        #: the parsed branch fixture of a measurement config, read once
-        self.branches = None
+        self.validate_domain()
 
     @classmethod
     def from_file(cls, path, experiment=None) -> "ExperimentConfig":
@@ -282,12 +324,11 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required key '{key}' in [{section}]")
             else:
                 params[key] = default
-        cfg = cls(section, params, master_seed=seed)
-        cfg.validate_domain()
-        return cfg
+        return cls(section, params, master_seed=seed)
 
     def validate_domain(self):
-        """Cross-key checks that a single-key parser cannot express."""
+        """Cross-key checks that a single-key parser cannot express, and the
+        run's library objects (`self.model`), built here and nowhere else."""
         p = self.parameters
         e = self.experiment
         if e in ("collapse", "ensemble"):
@@ -305,42 +346,56 @@ class ExperimentConfig:
             for k in ("energies", key, "phases"):
                 if p.get(k) is not None:
                     p[k] = tuple(p[k][i] for i in order)
-        if e == "records" and p["b_plus"] == p["b_minus"]:
-            raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
-        if e == "records" and p["t_max"] <= p["t0"]:
-            raise ConfigError("key 't_max' must exceed 't0'")
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    weights = p[key] if e == "collapse" else np.square(p[key])
+                    state0 = _build_state(p["energies"], weights, p.get("phases"))
+            except (DomainError, FloatingPointError) as exc:
+                raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+            self.model = state0, CollapseParams(p["lambda"])
+        if e == "records":
+            if p["b_plus"] == p["b_minus"]:
+                raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
+            if p["t_max"] <= p["t0"]:
+                raise ConfigError("key 't_max' must exceed 't0'")
+            self.model = RecordScenario(*builtin_record_spectra(p["spectra"]),
+                                        p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
         if e == "spin":
             try:
-                SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"], p["t_cal"])
+                self.model = SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"],
+                                             p["t_cal"])
             except DomainError as exc:
                 raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
             if p["s_min"] is None:
                 p["s_min"] = -p["s_max"]
             if p["s_min"] >= p["s_max"]:
                 raise ConfigError("key 's_min' must be below 's_max'")
-        if e == "decay" and p["mode"] == "kgrid":
-            # decay's own grid checks, so a config accepted here passes check_grid
-            dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"])
-            key = "n_modes"
-            try:
-                KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
-                key = "half_width"
-                grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
-                check_grid(dp, grid)
-                key = "packet"
-                check_packet(dp, grid, p["packet"])
-                key = "s_max"
-                kgrid_span(dp, grid, p["packet"], p["s_max"])
-            except DomainError as exc:
-                raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
-            n_steps = _kgrid_steps(p)
-            if p["record_every"] > n_steps:
-                raise ConfigError(
-                    f"key 'record_every' must not exceed the step count "
-                    f"round(s_max/dt) = {n_steps}"
-                )
+        if e == "decay":
+            dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
+            grid = None
+            if p["mode"] == "kgrid":
+                # decay's own grid checks, so a config accepted here passes check_grid
+                key = "n_modes"
+                try:
+                    KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
+                    key = "half_width"
+                    grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
+                    check_grid(dp, grid)
+                    key = "packet"
+                    check_packet(dp, grid, p["packet"])
+                    key = "s_max"
+                    kgrid_span(dp, grid, p["packet"], p["s_max"])
+                except DomainError as exc:
+                    raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+                n_steps = _kgrid_steps(p)
+                if p["record_every"] > n_steps:
+                    raise ConfigError(
+                        f"key 'record_every' must not exceed the step count "
+                        f"round(s_max/dt) = {n_steps}"
+                    )
+            self.model = dp, grid
         if e == "measurement":
-            self.branches = _load_fixture(p["fixture"])
+            self.model = _load_fixture(p["fixture"]), CollapseParams(p["lambda"])
         sizes = self._array_bytes()
         total = sum(sizes.values())
         if total > MAX_ARRAY_BYTES:
@@ -388,25 +443,18 @@ class ExperimentConfig:
 
 
 # --- experiment runners -----------------------------------------------------
-# Each returns (column names incl. units, 2-D float table, summary scalars).
+# Each takes the validated config, runs its model (`cfg.model`) as built, and
+# returns (column names incl. units, 2-D float table, summary scalars).
 
 
-def _build_state(energies, weights, phases=None):
-    levels = [EnergyLevel(float(e)) for e in energies]
-    mags = np.sqrt(np.asarray(weights, float) / np.sum(weights))
-    ph = np.zeros(len(levels)) if phases is None else np.asarray(phases, float)
-    return SpectralState.from_amplitudes(levels, mags * np.exp(1j * ph)).normalized()
-
-
-def _run_collapse(p, seed):
-    state0 = _build_state(p["energies"], p["weights"])
+def _run_collapse(cfg):
+    p, (state0, params) = cfg.parameters, cfg.model
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
     n_lev = len(p["energies"])
     n_collapsed = np.zeros(n_steps, np.int64)
     weight_sums = np.zeros((n_steps, n_lev))
-    for _, s, _, w in _collapse_pass(state0, CollapseParams(p["lambda"]), times,
-                                     seed, n_traj):
+    for _, s, _, w in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
         n_collapsed[s] += np.count_nonzero(w.max(axis=0) >= p["threshold"])
         weight_sums[s] += w.sum(axis=1)
     frac, mean_w = n_collapsed / n_traj, weight_sums / n_traj
@@ -414,7 +462,7 @@ def _run_collapse(p, seed):
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
     ]
     summary = {
-        "T_cal": math.sqrt(p["lambda"] * p["t_max"]),
+        "T_cal": cfg.derived_t_cal(),
         "collapsed_fraction": float(frac[-1]),
         "n_traj": n_traj,
     }
@@ -427,28 +475,28 @@ def _run_collapse(p, seed):
     return cols, np.column_stack([times, frac, mean_w]), summary
 
 
-def _run_ensemble(p, seed):
-    params = CollapseParams(p["lambda"])
-    state0 = _build_state(p["energies"], np.square(p["magnitudes"]), p["phases"])
+def _run_ensemble(cfg):
+    p, (state0, params) = cfg.parameters, cfg.model
     times = np.linspace(0.0, p["t_max"], p["n_t"])
-    n = len(p["energies"])
-    iu = np.triu_indices(n, 1)
+    energies = state0.energies()
+    iu = np.triu_indices(len(energies), 1)
     cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
-    ham = ObservableMatrix.hamiltonian(state0.levels)
     table = np.empty((len(times), len(cols)))
     for row, t in zip(table, times):
         rho = ensemble_density_matrix(state0, params, float(t)).entries
-        row[:] = [t, np.trace(rho @ ham.entries).real, np.trace(rho @ rho).real,
+        # Tr(rho H) and Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), no matmul
+        row[:] = [t, rho.diagonal().real @ energies, np.vdot(rho, rho).real,
                   *np.abs(rho[iu])]
+    ham = ObservableMatrix.hamiltonian(state0.levels)
     summary = {
-        "T_cal": math.sqrt(p["lambda"] * p["t_max"]),
+        "T_cal": cfg.derived_t_cal(),
         "mean_energy": float(expectation(state0, ham)),
     }
     if p["n_traj"]:
         mc, se = ensemble_expectation_mc(
-            state0, params, p["t_max"], ham, p["n_traj"], seed
+            state0, params, p["t_max"], ham, p["n_traj"], cfg.master_seed
         )
         summary["mc_mean_energy"] = mc
         summary["mc_standard_error"] = se
@@ -457,26 +505,8 @@ def _run_ensemble(p, seed):
     return cols, table, summary
 
 
-def _load_fixture(name):
-    """The branch fixture at path `name`, else the packaged one of that name."""
-    path = Path(name)
-    if not path.is_file():
-        path = fixture_path(name)
-    try:
-        return load_branch_fixture(path)
-    except OSError as exc:
-        raise ConfigError(
-            f"key 'fixture': no file or packaged fixture {name!r}"
-        ) from exc
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
-
-
-def _run_measurement(p, seed, spec=None):
-    """`spec` is the parsed fixture when the caller has already read it."""
-    if spec is None:
-        spec = _load_fixture(p["fixture"])
-    params = CollapseParams(p["lambda"])
+def _run_measurement(cfg):
+    p, (spec, params) = cfg.parameters, cfg.model
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
     cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
@@ -494,45 +524,18 @@ def _run_measurement(p, seed, spec=None):
     return cols, np.column_stack([t, b, ratios]), summary
 
 
-def builtin_record_spectra(name: str) -> tuple[DiscreteSpectrum, DiscreteSpectrum]:
-    """Shared-grid spectra pairs: disjoint, identical, or half-overlapping.
-
-    The half-overlap pair puts 1000 equal weights each on a 1500-point grid
-    with 500 points in common, so the Bhattacharyya overlap is exactly 0.5.
-    """
-    grid = tuple(i * 1e-3 for i in range(1500))
-    def uniform(lo, hi):
-        w = np.zeros(len(grid))
-        w[lo:hi] = 1.0 / (hi - lo)
-        return DiscreteSpectrum(grid, tuple(w))
-
-    if name == "disjoint":
-        return uniform(0, 750), uniform(750, 1500)
-    if name == "identical":
-        return uniform(0, 1500), uniform(0, 1500)
-    if name == "half_overlap":
-        return uniform(0, 1000), uniform(500, 1500)
-    raise DomainError(f"unknown builtin spectra {name!r}")
-
-
-def _run_records(p, seed):
-    plus, minus = builtin_record_spectra(p["spectra"])
-    scenario = RecordScenario(
-        plus, minus, p["b_plus"], p["b_minus"], p["lambda"], p["t0"]
-    )
+def _run_records(cfg):
+    p, scenario = cfg.parameters, cfg.model
     dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
     ts = np.linspace(p["t0"] + dt0, p["t_max"], p["n_t"])
     cols = ["t (time)", "record_bound (dimensionless)"]
     bound, sup = record_violation_bound(scenario, ts)
-    summary = {
-        "bound_sup": sup,
-        "T_cal": math.sqrt(p["lambda"] * (p["t_max"] - p["t0"])),
-    }
+    summary = {"bound_sup": sup, "T_cal": cfg.derived_t_cal()}
     return cols, np.column_stack([ts, bound]), summary
 
 
-def _run_spin(p, seed):
-    sp = SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"], p["t_cal"])
+def _run_spin(cfg):
+    p, sp = cfg.parameters, cfg.model
     ss = np.linspace(p["s_min"], p["s_max"], p["n_s"])
     cols = [
         "t (time)",
@@ -544,9 +547,9 @@ def _run_spin(p, seed):
     return cols, table, summary
 
 
-def _run_decay(p, seed):
-    dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
-    if p["mode"] == "closed":
+def _run_decay(cfg):
+    p, (dp, grid) = cfg.parameters, cfg.model
+    if grid is None:
         ss = np.linspace(-p["s_max"], p["s_max"], p["n_s"])
         cols = [
             "t (time)",
@@ -554,9 +557,8 @@ def _run_decay(p, seed):
             "occupation_collapsed (dimensionless)",
         ]
         table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
-        summary = {"T_cal": p["t_cal"], "Gamma_T_cal": p["gamma"] * p["t_cal"]}
+        summary = {"T_cal": cfg.derived_t_cal(), "Gamma_T_cal": p["gamma"] * p["t_cal"]}
         return cols, table, summary
-    grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
         "t (time)",
@@ -566,7 +568,7 @@ def _run_decay(p, seed):
     table = np.column_stack([res.times, res.occupation, res.total_probability])
     span = res.times[-1] - res.times[0]
     summary = {
-        "T_cal": p["t_cal"],
+        "T_cal": cfg.derived_t_cal(),
         "probability_drift_per_unit_time": float(
             abs(res.total_probability[-1] - res.total_probability[0]) / span
         ),
@@ -663,11 +665,7 @@ def run(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     # a numpy overflow or invalid value is a contract violation, not a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        # a measurement reuses the fixture that validate_domain parsed
-        kwargs = {"spec": cfg.branches} if cfg.branches is not None else {}
-        cols, table, summary = RUNNERS[cfg.experiment](
-            cfg.parameters, cfg.master_seed, **kwargs
-        )
+        cols, table, summary = RUNNERS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     _check_finite(cols, table, summary)
     out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")

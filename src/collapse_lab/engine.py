@@ -47,23 +47,6 @@ def collapse_exponent(params: CollapseParams, t, B, energies) -> np.ndarray:
     return -params.lam * t * e * e + B * e
 
 
-def _apply_increment(
-    state: SpectralState, params: CollapseParams, dt: float, dB: float
-) -> SpectralState:
-    """Apply one collapse step of duration dt > 0 with record increment dB."""
-    e = state.energies()
-    const = dB * dB / (4.0 * params.lam * dt)
-    dlog = collapse_exponent(params, dt, dB, e) - const
-    lm = np.asarray(state.log_magnitudes) + dlog
-    ph = np.asarray(state.phases) - e * dt
-    return SpectralState(
-        state.levels,
-        tuple(float(x) for x in lm),
-        tuple(float(x) for x in ph),
-        normalized_flag=False,
-    )
-
-
 def evolve(
     state0: SpectralState, params: CollapseParams, t: float, B: float
 ) -> SpectralState:
@@ -77,7 +60,14 @@ def evolve(
         raise DomainError("t must be >= 0")
     if t == 0:
         return state0
-    return _apply_increment(state0, params, t, B)
+    e = state0.energies()
+    dlog = collapse_exponent(params, t, B, e) - B * B / (4.0 * params.lam * t)
+    return SpectralState(
+        state0.levels,
+        tuple(float(x) for x in np.asarray(state0.log_magnitudes) + dlog),
+        tuple(float(x) for x in np.asarray(state0.phases) - e * t),
+        normalized_flag=False,
+    )
 
 
 def evolve_from(
@@ -97,7 +87,7 @@ def evolve_from(
         raise DomainError("times and records must be finite")
     if not t > t0 >= 0:
         raise DomainError("need t > t0 >= 0")
-    return _apply_increment(state_t0, params, t - t0, B_t - B_t0)
+    return evolve(state_t0, params, t - t0, B_t - B_t0)
 
 
 def record_marginal_density(

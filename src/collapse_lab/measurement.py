@@ -127,6 +127,9 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
 
 
 def load_branch_fixture(path) -> BranchSpec:
+    """Parse a fixture file.  Raises DomainError (ValueError for a non-number)
+    for a non-finite value, beta2_1 <= 0 or beta2_2 < 0, and a branch whose
+    magnitudes are all zero, so the ratio is defined for every spec it returns."""
     energies, mags, th1, th2, mags2 = [], [], [], [], []
     beta2_1 = beta2_2 = 0.5
     has_m2 = False
@@ -153,6 +156,13 @@ def load_branch_fixture(path) -> BranchSpec:
             mags2.append(cols[4])
     if has_m2 and len(mags2) != len(mags):
         raise DomainError("magnitude_2 column must be present on every line")
+    if not all(map(math.isfinite, [*energies, *mags, *th1, *th2, *mags2,
+                                   beta2_1, beta2_2])):
+        raise DomainError("fixture values must be finite")
+    if not (beta2_1 > 0 and beta2_2 >= 0):
+        raise DomainError(f"need beta2_1 > 0 and beta2_2 >= 0, got {beta2_1}, {beta2_2}")
+    if not any(mags) or (has_m2 and not any(mags2)):
+        raise DomainError("each branch needs a nonzero magnitude")
     total = beta2_1 + beta2_2
     return BranchSpec(
         tuple(energies),

@@ -278,7 +278,12 @@ n_traj = 10
     @pytest.mark.parametrize("command", ["measurement", "validate"])
     @pytest.mark.parametrize("fixture, body", [
         ("nope.txt", None), ("bad.txt", "0.0 1.0 abc 0.0\n"),
-    ], ids=["missing", "non_numeric"])
+        ("bad.txt", "# beta2_1 0\n0.0 1.0 0.0 0.0\n1.0 1.0 0.0 0.5\n"),
+        ("bad.txt", "0.0 0.0 0.0 0.0\n1.0 0.0 0.0 0.5\n"),
+        ("bad.txt", "inf 1.0 0.0 0.0\n1.0 1.0 0.0 0.5\n"),
+        ("bad.txt", "0.0 nan 0.0 0.0\n1.0 1.0 0.0 0.5\n"),
+    ], ids=["missing", "non_numeric", "zero_beta2_1", "zero_magnitudes",
+            "inf_energy", "nan_magnitude"])
     def test_bad_fixture_is_two(self, tmp_path, monkeypatch, capsys,
                                 command, fixture, body):
         monkeypatch.chdir(tmp_path)
@@ -291,6 +296,25 @@ n_traj = 10
             args += ["--out", "m.csv"]
         assert main(args) == 2
         assert "'fixture'" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("ini, key", [
+        (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = 1e308, 1e308"),
+         "'weights'"),
+        (ENSEMBLE_INI.replace("magnitudes = 0.5, 0.6", "magnitudes = 1e200, 0.6"),
+         "'magnitudes'"),
+    ], ids=["collapse_weights", "ensemble_magnitudes"])
+    def test_state_weights_that_overflow_are_two(self, tmp_path, capsys, command,
+                                                 ini, key):
+        path = write_config(tmp_path, ini)
+        section = ini[1:ini.index("]")]
+        args = ["validate", "--config", str(path)]
+        if command == "run":
+            args = [section, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+        assert main(args) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_fixture_echoed_as_written(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -304,7 +328,7 @@ n_traj = 10
     def test_bad_out_is_two_before_running(self, tmp_path, monkeypatch, capsys, out):
         monkeypatch.chdir(tmp_path)
 
-        def never(p, seed):
+        def never(cfg):
             raise AssertionError("the runner ran despite a bad --out")
 
         monkeypatch.setitem(cli.RUNNERS, "spin", never)
@@ -543,12 +567,40 @@ class TestCollapseRunner:
         for n_traj in (2_000, 20_000):
             tracemalloc.start()
             try:
-                cli._run_collapse({**p, "n_traj": n_traj}, 5)
+                cli._run_collapse(ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         # variates and paths of the whole batch would add 4.3 MB at 20 000
         assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("ini, built", [
+    (SPIN_INI, "SpinModelParams"),
+    (SMALL_KGRID_INI, "KGrid.for_params"),
+    (MEASUREMENT_INI, "load_branch_fixture"),
+], ids=["spin", "kgrid_decay", "measurement"])
+def test_run_builds_its_model_once(tmp_path, monkeypatch, ini, built):
+    # validate_domain builds the model and the runner uses it as built
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "SpinModelParams",
+                        counting("SpinModelParams", cli.SpinModelParams))
+    monkeypatch.setattr(KGrid, "for_params", classmethod(
+        counting("KGrid.for_params", KGrid.for_params.__func__)))
+    monkeypatch.setattr(cli, "load_branch_fixture",
+                        counting("load_branch_fixture", cli.load_branch_fixture))
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, ini)
+    section = ini[1:ini.index("]")]
+    assert main([section, "--config", str(path), "--out", "o.csv"]) == 0
+    assert calls == [built]
 
 
 class TestEnsembleRunner:
@@ -564,21 +616,6 @@ class TestEnsembleRunner:
 
 
 class TestMeasurementRunner:
-    def test_fixture_is_parsed_once_per_run(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(path):
-            calls.append(path)
-            return load_branch_fixture(path)
-
-        monkeypatch.setattr(cli, "load_branch_fixture", counting)
-        monkeypatch.chdir(tmp_path)
-        path = write_config(tmp_path, MEASUREMENT_INI)
-        assert main(["measurement", "--config", str(path), "--out", "m.csv"]) == 0
-        assert len(calls) == 1
-        doc = json.loads((tmp_path / "m.summary.json").read_text())
-        assert doc["parameters"]["fixture"] == "branch_shared.txt"
-
     def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
         # the (point, level) temporaries are bounded by _BLOCK_BYTES, not by
         # n_t*n_b times the fixture's level count, and blocking changes no value
@@ -592,7 +629,7 @@ class TestMeasurementRunner:
         monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
         tracemalloc.start()
         try:
-            _, table, _ = cli._run_measurement(p, 0)
+            _, table, _ = cli._run_measurement(ExperimentConfig("measurement", p))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -146,3 +146,24 @@ class TestFixtures:
         bad.write_text("0.0 1.0 0.0 0.0 0.5\n1.0 1.0 0.0 0.0\n")
         with pytest.raises(DomainError):
             load_branch_fixture(bad)
+
+    @pytest.mark.parametrize("body", [
+        "0.0 1.0 nan 0.0\n",
+        "# beta2_2 inf\n0.0 1.0 0.0 0.0\n",
+        "# beta2_1 -0.5\n0.0 1.0 0.0 0.0\n",
+        "# beta2_2 -0.5\n0.0 1.0 0.0 0.0\n",
+        "0.0 1.0 0.0 0.0 0.0\n1.0 1.0 0.0 0.0 0.0\n",
+        "",
+    ], ids=["nan_phase", "inf_beta", "negative_beta2_1", "negative_beta2_2",
+            "zero_magnitudes_2", "empty"])
+    def test_values_without_a_finite_ratio_rejected(self, tmp_path, body):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(body)
+        with pytest.raises(DomainError):
+            load_branch_fixture(bad)
+
+    def test_zero_beta2_2_gives_a_zero_ratio(self, tmp_path):
+        fixture = tmp_path / "f.txt"
+        fixture.write_text("# beta2_2 0\n0.0 1.0 0.0 0.0\n1.0 0.5 0.0 0.3\n")
+        spec = load_branch_fixture(fixture)
+        assert branch_weight_ratio(spec, PARAMS, 1.0, 0.0) == 0.0

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import log_normal_cdf
 from .hilbert import DomainError
 from .spin import normal_cdf
 
@@ -230,13 +231,9 @@ def occupation_collapsed(s, p: DecayModelParams):
     g, t = p.Gamma, p.T_cal
     if t == 0.0:
         return occupation(s, p)
-    from scipy.special import log_ndtr  # lazy: keeps scipy off the import path
-
     s = np.asarray(s, float)
-    log_val = (
-        math.log(g * p.sigma) - g * s + 0.5 * (g * t) ** 2 + log_ndtr(s / t - g * t)
-    )
-    return np.exp(log_val)
+    log_val = math.log(g * p.sigma) - g * s + 0.5 * (g * t) ** 2
+    return np.exp(log_val + log_normal_cdf(s / t - g * t))
 
 
 def occupation_gaussian_asymptotic(s: float, p: DecayModelParams) -> float:
@@ -257,15 +254,13 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     """
     if p.T_cal <= 0:
         raise DomainError("smeared form needs T_cal > 0")
-    from scipy.special import log_ndtr  # lazy: keeps scipy off the import path
-
     x = np.asarray(x, float)
     t, g = p.T_cal, p.Gamma
     u = s - (x - p.x0)
     after = (x > p.x0).astype(float)
     gauss = np.exp(-0.5 * (u / t) ** 2) / (t * math.sqrt(2.0 * math.pi))
     packet = gauss * (1.0 - g * p.sigma * after)
-    log_tail = -g * u + 0.5 * (g * t) ** 2 + log_ndtr(u / t - g * t)
+    log_tail = -g * u + 0.5 * (g * t) ** 2 + log_normal_cdf(u / t - g * t)
     tail = g**2 * p.sigma * after * np.exp(log_tail)
     return {"packet": packet, "decay_tail": tail, "total": packet + tail}
 

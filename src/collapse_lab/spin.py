@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .hilbert import DomainError
 
 __all__ = [
@@ -63,17 +64,21 @@ class SpinModelParams:
 def normal_cdf(z):
     """Normal distribution function Phi(z), analytically continued.
 
-    Real arguments reduce to the standard CDF; Phi(z) + Phi(-z) = 1
-    identically.  Domain: |Im z| <= 30.  Broadcasts over arrays; a scalar
-    gives a complex scalar.
-    """
-    from scipy.special import erf, ndtr  # lazy: keeps scipy off the import path
+    Real arguments reduce to the standard CDF, with an imaginary part of
+    exactly zero; Phi(z) + Phi(-z) = 1 and Phi(conj z) = conj Phi(z).
+    Domain: |Im z| <= 30.  Broadcasts over arrays; a scalar gives a complex
+    scalar.
 
+    Computed by `_kernels.normal_cdf` from Weideman's series for the Faddeeva
+    function w(zeta), which it evaluates only at Im zeta >= 0 (for Re z > 0
+    it reflects in Phi, as 1 - Phi(-z)).  Accuracy: relative error <= 1e-13 for Re z <= 0, |Im z| <= 3 and for
+    real |z| <= 10; error <= 5e-13*max(1, |Phi(z)|, |Phi(-z)|) over
+    |Re z| <= 40, |Im z| <= 30.
+    """
     z = np.asarray(z, complex)
     if np.any(np.abs(z.imag) > MAX_IMAG):
         raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {np.abs(z.imag).max()}")
-    phi = np.where(z.imag == 0.0, ndtr(z.real), 0.5 * (1.0 + erf(z / math.sqrt(2.0))))
-    return phi[()]
+    return _kernels.normal_cdf(z)
 
 
 def sigma1_standard(s, p: SpinModelParams):

@@ -667,11 +667,9 @@ class TestOutputs:
         assert abs(doc["scalars"]["envelope"] - math.exp(-4.5)) < 1e-12
         assert doc["seed"] == 0
         assert "version" in doc and "wall_time_s" in doc
-        # spin's complex normal CDF is the one place this run loads scipy
-        import scipy
-
+        # spin's complex normal CDF is numpy code: the run never loads scipy
         assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
-                                   "numpy": np.__version__, "scipy": scipy.__version__}
+                                   "numpy": np.__version__, "scipy": None}
 
     def test_records_disjoint_bound_sup_zero(self, tmp_path):
         ini = """[records]
@@ -776,12 +774,13 @@ class TestWriters:
 
 
 def test_runs_without_scipy(tmp_path):
-    # one fresh interpreter: the package import and every run below that has
-    # a numpy path (collapse, ensemble, measurement, records, k-grid decay)
-    # must leave scipy unimported, and the summaries must say so
+    # one fresh interpreter: the package import and a run of every shipped
+    # config must leave scipy unimported, and the summaries must say so; the
+    # Faddeeva coefficients must not pull in numpy.fft either
     runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
-            ("measurement", "measurement_shared"), ("records", "records_half_overlap"),
-            ("decay", "decay_kgrid")]
+            ("ensemble", "universe_tcal"), ("measurement", "measurement_shared"),
+            ("records", "records_half_overlap"), ("spin", "spin_suppression"),
+            ("decay", "decay_closed"), ("decay", "decay_kgrid")]
     child = (
         "import json, sys\n"
         "from collapse_lab.cli import main\n"
@@ -789,7 +788,8 @@ def test_runs_without_scipy(tmp_path):
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
         "    assert main([section, '--config', config, '--out', out]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                        or m.startswith('numpy.fft'))))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

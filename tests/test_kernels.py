@@ -1,4 +1,5 @@
-"""Kernel tests: the batched collapse steps and the k-grid Chebyshev propagator."""
+"""Kernel tests: the batched collapse steps, the k-grid Chebyshev propagator
+and the normal distribution function."""
 
 import math
 
@@ -218,3 +219,85 @@ class TestChebyshevInterval:
         k, wk = KGrid.for_params(p).points_and_weights()
         _, _, coef, _ = _kernels.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
         assert coef.size <= 15
+
+
+class TestNormalCdf:
+    """`normal_cdf` and `log_normal_cdf` against scipy and mpmath."""
+
+    @staticmethod
+    def reflection_scale(z):
+        # the error of Phi(z) = 1 - Phi(-z) is set by the larger of the two
+        return np.maximum(1.0, np.maximum(np.abs(_kernels.normal_cdf(z)),
+                                          np.abs(_kernels.normal_cdf(-z))))
+
+    def test_coefficients_are_weideman_fft(self):
+        # Weideman's own construction: the real part of a 2M-point FFT
+        n, m = _kernels.FADDEEVA_TERMS, 2 * _kernels.FADDEEVA_TERMS
+        big_l, a = _kernels._weideman_coefficients()
+        assert big_l == math.sqrt(n / math.sqrt(2.0))
+        t = big_l * np.tan(np.arange(-m + 1, m) * math.pi / (2 * m))
+        f = np.concatenate(([0.0], np.exp(-t * t) * (big_l**2 + t * t)))
+        want = np.fft.fft(np.fft.fftshift(f)).real[1:n + 1] / (2 * m)
+        np.testing.assert_allclose(a, want, rtol=0, atol=1e-15)
+
+    def test_matches_scipy_erf_over_the_domain(self):
+        from scipy.special import erf
+
+        re, im = np.linspace(-40.0, 40.0, 161), np.linspace(-30.0, 30.0, 121)
+        z = re[:, None] + 1j * im
+        want = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+        err = np.abs(_kernels.normal_cdf(z) - want) / self.reflection_scale(z)
+        assert err.max() <= 5e-13
+
+    def test_left_half_plane_matches_mpmath(self):
+        # here 1 + erf cancels, so scipy is no oracle for the small values
+        import mpmath
+
+        rng = np.random.default_rng(11)
+        z = rng.uniform(-30.0, 0.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300)
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.erfc(-mpmath.mpc(v) / mpmath.sqrt(2)) / 2)
+                             for v in z])
+        np.testing.assert_allclose(_kernels.normal_cdf(z), want, rtol=1e-13, atol=0)
+
+    def test_real_axis_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.linspace(-10.0, 10.0, 2001)
+        got = _kernels.normal_cdf(x)
+        np.testing.assert_allclose(got.real, ndtr(x), rtol=1e-13, atol=0)
+        # the spin closed forms take .real: nothing may leak into .imag
+        assert np.all(got.imag == 0.0)
+
+    def test_log_matches_log_ndtr(self):
+        from scipy.special import log_ndtr
+
+        x = np.concatenate([np.linspace(-1e4, 40.0, 20001),
+                            np.linspace(-5.0, 5.0, 1001)])
+        want = log_ndtr(x)
+        err = np.abs(_kernels.log_normal_cdf(x) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-13
+
+    def test_reflection_and_conjugation_identities(self):
+        rng = np.random.default_rng(12)
+        z = rng.uniform(-40.0, 40.0, 500) + 1j * rng.uniform(-30.0, 30.0, 500)
+        phi = _kernels.normal_cdf(z)
+        assert np.all(np.abs(phi + _kernels.normal_cdf(-z) - 1.0)
+                      <= 1e-13 * self.reflection_scale(z))
+        np.testing.assert_array_equal(_kernels.normal_cdf(z.conj()), phi.conj())
+
+    def test_domain_corners_raise_no_floating_point_error(self):
+        # cli.run wraps every runner in this errstate
+        z = np.array([40 + 30j, 40 - 30j, -40 + 30j, -40 - 30j, 30j, -30j, 0.0,
+                      8e4, -8e4])
+        x = np.array([1e4, -1e4, 0.0])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            phi = _kernels.normal_cdf(z)
+            log_phi = _kernels.log_normal_cdf(x)
+        assert np.all(np.isfinite(phi)) and np.all(np.isfinite(log_phi))
+        # Phi(0) = 1/2 exactly: the spin switchover midpoint sits on the grid
+        assert phi[-2] == 1.0 and phi[-1] == 0.0 and phi[6] == 0.5
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(_kernels.normal_cdf(-1.0), complex)
+        assert isinstance(_kernels.log_normal_cdf(-1.0), float)

@@ -1,11 +1,10 @@
 """Hot numeric kernels, written in numpy.
 
-The collapse kernel consumes pre-drawn random variates, so all randomness
-stays in the counter-based generators of `collapse_lab.rng`.
+The collapse weights are evaluated on records sampled elsewhere, so all
+randomness stays in the counter-based generators of `collapse_lab.rng`.
 
 Kernels:
   * collapse_weights    -- level weights at (t, B), level-major, batched over B.
-  * collapse_steps      -- the batched collapse step loop over pre-drawn variates.
   * bessel_j            -- J_0 ... J_n at one real argument, by Miller's
                            backward recurrence.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
@@ -29,8 +28,8 @@ import numpy as np
 from .engine import collapse_exponent
 from .hilbert import DomainError
 
-__all__ = ["collapse_weights", "collapse_steps", "bessel_j", "chebyshev_series",
-           "kgrid_chebyshev", "faddeeva_upper", "normal_cdf", "log_normal_cdf"]
+__all__ = ["collapse_weights", "bessel_j", "chebyshev_series", "kgrid_chebyshev",
+           "faddeeva_upper", "normal_cdf", "log_normal_cdf"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
@@ -39,51 +38,20 @@ FADDEEVA_TERMS = 40
 
 
 def collapse_weights(energies, log_w0, params, t, b):
-    """Normalized level weights at time t and records b, level-major.
+    """Normalized level weights at times t and records b, level-major.
 
     The batched form of `engine.evolve`: each log magnitude gains
     `engine.collapse_exponent` (the E-independent -b**2/(4*lam*t) cancels on
-    normalization).  Returns (n_lev, n_traj) weights for b of shape (n_traj,).
+    normalization).  t broadcasts against b; returns weights of shape
+    (n_lev, *b.shape).
     """
-    lw = np.asarray(log_w0, float)[:, None] + collapse_exponent(
-        params, t, b, np.asarray(energies, float)[:, None])
+    b = np.asarray(b, float)
+    lev = (-1,) + (1,) * b.ndim
+    lw = np.reshape(np.asarray(log_w0, float), lev) + collapse_exponent(
+        params, t, b, np.reshape(np.asarray(energies, float), lev))
     w = np.exp(2.0 * (lw - lw.max(axis=0)))
     w /= w.sum(axis=0)
     return w
-
-
-def collapse_steps(energies, log_w0, params, times, uniforms, normals):
-    """The exact Gaussian-mixture collapse step, batched over trajectories.
-
-    The state depends on the noise only through the record B, the one
-    carried state: the step from times[s-1] to times[s] (from 0 at s = 0)
-    picks a component j from the weights at its start, then adds
-    dB ~ Normal(2*lam*dt*E[j], lam*dt).
-
-    Parameters
-    ----------
-    energies : (n_lev,) component energies (repeats are degenerate levels).
-    log_w0 : (n_lev,) initial log magnitudes.
-    params : `engine.CollapseParams`.
-    times : (n_steps,) strictly increasing positive step end times.
-    uniforms, normals : (n_traj, n_steps) pre-drawn variates.
-
-    Yields
-    ------
-    (s, b, w) after each step s: the records b at times[s], shape (n_traj,),
-    and the weights there, `collapse_weights` at (times[s], b), which are
-    also the start weights of the next step.
-    """
-    energies = np.asarray(energies, float)
-    b = np.zeros(len(uniforms))
-    w = collapse_weights(energies, log_w0, params, 0.0, b)
-    for s, (t, dt) in enumerate(zip(times, np.diff(times, prepend=0.0))):
-        var = params.lam * dt
-        c = np.cumsum(w, axis=0)
-        j = np.minimum(np.sum(c <= uniforms[:, s], axis=0), energies.size - 1)
-        b = b + (2.0 * var * energies[j] + math.sqrt(var) * normals[:, s])
-        w = collapse_weights(energies, log_w0, params, t, b)
-        yield s, b, w
 
 
 def bessel_j(n, z):

@@ -54,7 +54,7 @@ from .hilbert import (
     expectation,
 )
 from .ensemble import (
-    _CHUNK_VARIATES, _collapse_pass, ensemble_density_matrix, ensemble_expectation_mc,
+    _collapse_pass, _tile_shape, ensemble_density_matrix, ensemble_expectation_mc,
 )
 from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
 from .records import RecordScenario, record_violation_bound
@@ -194,21 +194,21 @@ SCHEMAS: dict[str, dict] = {
 #: estimate (`ExperimentConfig._array_bytes`) exceeds it exits 2, naming the
 #: key, before numpy is asked for the arrays
 MAX_ARRAY_BYTES = 2**31
-#: bytes per output-table value: the float in the table and the runner's
-#: temporaries behind it, with room to spare (the writers hold at most
-#: `_WRITE_VALUES` values as text at a time)
-_VALUE_BYTES = 64
 #: values formatted and written at a time by the output writers (about 1 MB
 #: of row text), so the text never holds the whole table
 _WRITE_VALUES = 2**13
+#: the writers' peak: one block of values as Python floats and text (at most
+#: 165 bytes a value under tracemalloc, charged as 192)
+_WRITE_BYTES = 192 * _WRITE_VALUES
 #: cap on the (point, level) temporaries of one measurement block (64 MiB)
 _BLOCK_BYTES = 2**26
 
 
 def _chunk_level_bytes(n_lev, n_traj, n_steps) -> int:
-    """The (level, trajectory) temporaries of one chunk of the collapse pass:
-    about six float arrays at their peak (tracemalloc), charged as seven."""
-    return 56 * n_lev * min(n_traj, max(1, _CHUNK_VARIATES // (2 * n_steps)))
+    """The (level, trajectory, step) temporaries of one tile of the collapse
+    pass: about six float arrays at their peak (tracemalloc), charged as seven."""
+    rows, steps = _tile_shape(n_lev, n_traj, n_steps)
+    return 56 * n_lev * rows * steps
 
 
 def _kgrid_steps(p) -> int:
@@ -346,9 +346,17 @@ class ExperimentConfig:
             for k in ("energies", key, "phases"):
                 if p.get(k) is not None:
                     p[k] = tuple(p[k][i] for i in order)
+            weights = p[key]
+            if e == "ensemble":
+                # the level weights are the squares; scaling by the largest
+                # magnitude first keeps tiny ones from underflowing to 0
+                top = max(weights)
+                if not math.isfinite(top * top):
+                    raise ConfigError(
+                        f"invalid value for key '{key}': the level weight {top}**2 overflows")
+                weights = np.square(np.divide(weights, top))
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    weights = p[key] if e == "collapse" else np.square(p[key])
                     state0 = _build_state(p["energies"], weights, p.get("phases"))
             except (DomainError, FloatingPointError) as exc:
                 raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
@@ -397,7 +405,7 @@ class ExperimentConfig:
         if e == "measurement":
             self.model = _load_fixture(p["fixture"]), CollapseParams(p["lambda"])
         sizes = self._array_bytes()
-        total = sum(sizes.values())
+        total = sum(sizes.values()) + _WRITE_BYTES
         if total > MAX_ARRAY_BYTES:
             raise ConfigError(
                 f"key {max(sizes, key=sizes.get)} asks for about "
@@ -406,31 +414,37 @@ class ExperimentConfig:
             )
 
     def _array_bytes(self) -> dict[str, int]:
-        """Estimated peak array bytes of a run, by the count keys sizing them."""
-        p, e, v = self.parameters, self.experiment, _VALUE_BYTES
+        """Estimated peak array bytes of a run, by the count keys sizing them.
+
+        Each output-table value is charged as its float plus the runner's
+        temporaries behind it, in whole floats as tracemalloc measures them
+        (spin's complex normal distribution function takes nine)."""
+        p, e = self.parameters, self.experiment
         n_lev = len(p.get("energies", ()))
         if e == "collapse":
-            # the output table and a one-row chunk of variates, then the level
-            # weights of one pass chunk; nothing grows with n_traj
-            return {"'n_steps'": (v * (2 + n_lev) + 16) * p["n_steps"],
+            # the output table and the per-step arrays, then the level weights
+            # of one pass tile; nothing grows with n_traj
+            return {"'n_steps'": 24 * (2 + n_lev) * p["n_steps"],
                     "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"])}
         if e == "ensemble":
             # the final weights and amplitudes of every trajectory
             return {"'n_traj'": 8 * p["n_traj"] * (3 + 4 * n_lev),
-                    "'n_t'": v * p["n_t"] * (3 + n_lev * n_lev),
+                    "'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
                     "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1)}
         if e == "measurement":
-            return {"'n_t' x 'n_b'": v * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
+            return {"'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
         if e == "records":
-            return {"'n_t'": v * 2 * p["n_t"]}
-        if e == "spin" or p["mode"] == "closed":
-            return {"'n_s'": v * 3 * p["n_s"]}
+            return {"'n_t'": 16 * 2 * p["n_t"]}
+        if e == "spin":
+            return {"'n_s'": 72 * 3 * p["n_s"]}
+        if p["mode"] == "closed":
+            return {"'n_s'": 48 * 3 * p["n_s"]}
         # k-grid: grid, coupling, state, three Chebyshev recurrence vectors
         # and the accumulated output, with their temporaries, per mode; three
         # columns per record
         n_rec = _kgrid_steps(p) // p["record_every"] + 1
         return {"'n_modes'": 8 * 25 * p["n_modes"],
-                "'record_every'": (24 + 3 * v) * n_rec}
+                "'record_every'": 16 * 3 * n_rec}
 
     def derived_t_cal(self) -> float | None:
         """Smearing width sqrt(lambda*t) implied by the config, if any."""
@@ -454,9 +468,9 @@ def _run_collapse(cfg):
     n_lev = len(p["energies"])
     n_collapsed = np.zeros(n_steps, np.int64)
     weight_sums = np.zeros((n_steps, n_lev))
-    for _, s, _, w in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
-        n_collapsed[s] += np.count_nonzero(w.max(axis=0) >= p["threshold"])
-        weight_sums[s] += w.sum(axis=1)
+    for _, steps, _, w in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
+        n_collapsed[steps] += np.count_nonzero(w.max(axis=0) >= p["threshold"], axis=0)
+        weight_sums[steps] += w.sum(axis=1).T
     frac, mean_w = n_collapsed / n_traj, weight_sums / n_traj
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)

@@ -3,8 +3,11 @@
 The evolution multiplies each energy amplitude by a Gaussian centered on
 B/(2*lambda*t), so the state at time t is fixed by the record B alone.  The
 record increment over a step of length dt follows the exact Gaussian-mixture
-law of `record_marginal_density`; `ensemble.simulate_trajectories` samples
-it, exactly at any step size (no SDE discretization error).
+law of `record_marginal_density`.  `ensemble.simulate_trajectories` samples
+the whole path as that mixture of drifted Brownian motions: one Born draw of
+the level E_J per trajectory, then B = 2*lambda*E_J*t + sqrt(lambda)*W(t)
+from one uniform and the normals after it, exactly at any step size (no SDE
+discretization error).
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ __all__ = [
 
 #: Philox blocks per window of `draw_traj_variates`: 128 KiB per uint64 temporary
 _CHUNK_BLOCKS = 2**14
-#: uniforms plus normals per trajectory chunk of `_collapse_pass` (256 KiB)
-_CHUNK_VARIATES = 2**15
+#: (level, trajectory, step) weights per tile of `_collapse_pass` (128 KiB)
+_TILE_VALUES = 2**14
 #: the Gaussian window is truncated at 8 widths (mass beyond < 1e-14)
 WINDOW_HALF_WIDTH = 8.0
 
@@ -127,22 +127,21 @@ def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
 
 
 def draw_traj_variates(master_seed: int, rows: range, n_steps: int):
-    """Per-trajectory (uniform, normal) variates, each of shape (len(rows), n_steps).
+    """Per-trajectory variates: one uniform each, shape (len(rows),), and
+    n_steps normals each, shape (len(rows), n_steps).
 
     Row i reads only the Philox stream (master_seed, i) (`rng.philox4x64`),
-    so the draw is independent of batching or ordering.  Words 0..n_steps-1
-    give the uniforms (w >> 11) * 2**-53, bit-equal to numpy's
-    ``Generator.random(n_steps)`` on that stream.  The next 2*ceil(n_steps/2)
-    words, in pairs (u1, u2), give the normals by Box-Muller:
-    r = sqrt(-2*log(1 - u1)), then r*cos(2*pi*u2) and r*sin(2*pi*u2).  The
-    draw walks windows of at most _CHUNK_BLOCKS Philox blocks: several rows
-    per window, or one row in several windows, so its temporaries do not
-    grow with len(rows) or n_steps.
+    so the draw is independent of batching or ordering.  Word 0 gives the
+    uniform (w >> 11) * 2**-53, bit-equal to numpy's ``Generator.random()``
+    on that stream.  The next 2*ceil(n_steps/2) words, in pairs (u1, u2),
+    give the normals by Box-Muller: r = sqrt(-2*log(1 - u1)), then
+    r*cos(2*pi*u2) and r*sin(2*pi*u2).  The draw walks windows of at most
+    _CHUNK_BLOCKS Philox blocks: several rows per window, or one row in
+    several windows, so its temporaries do not grow with len(rows) or n_steps.
     """
-    n_pairs = -(-n_steps // 2)
-    n_words = n_steps + 2 * n_pairs
+    n_words = 1 + 2 * -(-n_steps // 2)
     n_blocks = -(-n_words // 4)
-    uniforms = np.empty((len(rows), n_steps))
+    uniforms = np.empty(len(rows))
     normals = np.empty((len(rows), n_steps))
     n_rows = max(1, _CHUNK_BLOCKS // n_blocks)
     for r in range(0, len(rows), n_rows):
@@ -153,11 +152,11 @@ def draw_traj_variates(master_seed: int, rows: range, n_steps: int):
             # one block past the window completes a pair that its end splits
             n = min(_CHUNK_BLOCKS + 1, n_blocks - b0)
             u = (philox4x64(master_seed, idx, n, b0) >> 11) * 2.0**-53
-            if w0 < n_steps:
-                uniforms[out, w0:w1] = u[:, :min(w1, n_steps) - w0]
-            # the pairs whose first word lies in [w0, w1)
-            p0, p1 = (max(0, -(-(w - n_steps) // 2)) for w in (w0, w1))
-            pairs = u[:, n_steps + 2 * p0 - w0:][:, :2 * (p1 - p0)]
+            if b0 == 0:
+                uniforms[out] = u[:, 0]
+            # the pairs p whose first word, 1 + 2*p, lies in [w0, w1)
+            p0, p1 = (-(-(w - 1) // 2) for w in (w0, w1))
+            pairs = u[:, 1 + 2 * p0 - w0:][:, :2 * (p1 - p0)]
             radius = np.sqrt(-2.0 * np.log(1.0 - pairs[:, 0::2]))
             theta = 2.0 * np.pi * pairs[:, 1::2]
             z = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
@@ -165,12 +164,26 @@ def draw_traj_variates(master_seed: int, rows: range, n_steps: int):
     return uniforms, normals
 
 
+def _tile_shape(n_lev: int, n_traj: int, n_steps: int) -> tuple[int, int]:
+    """(rows, steps) of a `_collapse_pass` tile: at most _TILE_VALUES
+    (level, row, step) weights, whole rows while one row fits."""
+    steps = min(n_steps, max(1, _TILE_VALUES // n_lev))
+    return min(n_traj, max(1, _TILE_VALUES // (n_lev * steps))), steps
+
+
 def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
-    """The one collapse pass: yields (rows, s, b, w) after every step s, with
-    b the records at times[s] of the trajectories in slice `rows` and w their
-    level weights there, shape (n_lev, len(b)) (`_kernels.collapse_steps`).
-    Each chunk of about _CHUNK_VARIATES variates is drawn and stepped alone,
-    so memory does not grow with n_traj.
+    """The one collapse pass: yields (rows, steps, b, w) over tiles of the
+    (trajectory, step) grid, with b the records at times[steps] of the
+    trajectories in slice `rows`, shape (len(rows), len(steps)), and w the
+    level weights there, `_kernels.collapse_weights`, shape (n_lev, *b.shape).
+
+    The record B(t) is a Born-weighted mixture of drifted Brownian motions,
+    B = 2*lam*E_J*t + sqrt(lam)*W(t) with J drawn once from |a_j|**2
+    (Hughston, Proc. R. Soc. A 452, 953 (1996); Adler, Brody, Brun and
+    Hughston, J. Phys. A 34, 8795 (2001)); given the path, J's posterior is
+    w.  So each trajectory takes J from its uniform against the cumulative
+    Born weights, and its path is one cumsum of its normals.  A tile's
+    weights never exceed _TILE_VALUES, whatever n_traj or n_steps.
     """
     times = np.asarray(times, float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
@@ -182,13 +195,20 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
-    n_rows = max(1, _CHUNK_VARIATES // (2 * times.size))
-    for start in range(0, n_traj, n_rows):
-        rows = range(start, min(start + n_rows, n_traj))
-        for s, b, w in _kernels.collapse_steps(
-                energies, log_w0, params, times,
-                *draw_traj_variates(master_seed, rows, times.size)):
-            yield slice(rows.start, rows.stop), s, b, w
+    born = np.cumsum(_kernels.collapse_weights(energies, log_w0, params, 0.0, 0.0))
+    scale = np.sqrt(params.lam * np.diff(times, prepend=0.0))
+    tile_rows, tile_steps = _tile_shape(energies.size, n_traj, times.size)
+    for start in range(0, n_traj, tile_rows):
+        rows = range(start, min(start + tile_rows, n_traj))
+        uniforms, normals = draw_traj_variates(master_seed, rows, times.size)
+        j = np.minimum(np.searchsorted(born, uniforms, side="right"), energies.size - 1)
+        b_rows = np.cumsum(normals * scale, axis=1)
+        b_rows += (2.0 * params.lam * energies[j])[:, None] * times
+        for s0 in range(0, times.size, tile_steps):
+            steps = slice(s0, min(s0 + tile_steps, times.size))
+            b = b_rows[:, steps]
+            yield (slice(rows.start, rows.stop), steps, b,
+                   _kernels.collapse_weights(energies, log_w0, params, times[steps], b))
 
 
 def simulate_trajectories(
@@ -200,30 +220,28 @@ def simulate_trajectories(
 ) -> np.ndarray:
     """Record paths B(t) of n_traj collapse trajectories, shape (n_traj, len(times)).
 
-    The records of the chunked collapse pass, exact Gaussian-mixture sampling
+    The records of the tiled collapse pass, exact Gaussian-mixture sampling
     from B(0) = 0 on a strictly increasing grid of positive times.  Row i
-    consumes only the Philox stream (master_seed, i), all uniforms then all
-    normals, so it does not depend on n_traj or on the chunking.  The state at
-    (t, B) is `engine.evolve(state0, params, t, B)`.
+    consumes only the Philox stream (master_seed, i), one uniform (its
+    level) then the normals, so it does not depend on n_traj or on the
+    tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
     """
     b_path = np.empty((n_traj, np.size(times)))
-    for rows, s, b, _ in _collapse_pass(state0, params, times, master_seed, n_traj):
-        b_path[rows, s] = b
+    for rows, steps, b, _ in _collapse_pass(state0, params, times, master_seed, n_traj):
+        b_path[rows, steps] = b
     return b_path
 
 
-def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed, n_steps=1):
+def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed):
     """Batched collapse sampling; returns per-trajectory normalized amplitudes.
 
     The collapse factor is real and positive, so the phase of every component
     is the deterministic -E*t; only the magnitudes are stochastic.
     """
     energies = state0.energies()
-    times = np.linspace(0.0, t, n_steps + 1)[1:]
     weights = np.empty((n_traj, energies.size))
-    for rows, s, _, w in _collapse_pass(state0, params, times, master_seed, n_traj):
-        if s == n_steps - 1:
-            weights[rows] = w.T
+    for rows, _, _, w in _collapse_pass(state0, params, [t], master_seed, n_traj):
+        weights[rows] = w[:, :, 0].T
     phases = np.asarray(state0.phases) - energies * t
     return np.sqrt(weights) * np.exp(1j * phases)
 
@@ -235,19 +253,17 @@ def ensemble_expectation_mc(
     obs: ObservableMatrix,
     n_traj: int,
     master_seed: int,
-    n_steps: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo ensemble expectation of obs at time t, with standard error.
 
-    Trajectories are sampled with the exact transition kernel (one step by
-    default; the marginal law is step-schedule invariant).  Deterministic
-    given master_seed.
+    Trajectories are sampled from the exact law of the record at t.
+    Deterministic given master_seed.
     """
     if n_traj < 2:
         raise DomainError("n_traj must be >= 2")
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
-    amps = _final_amplitudes(state0, params, t, n_traj, master_seed, n_steps)
+    amps = _final_amplitudes(state0, params, t, n_traj, master_seed)
     vals = np.einsum("ti,ij,tj->t", amps.conj(), obs.entries, amps).real
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_traj))

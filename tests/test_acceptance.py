@@ -18,9 +18,9 @@ from collapse_lab import _kernels
 from collapse_lab.engine import CollapseParams, evolve, evolve_from
 from collapse_lab.ensemble import (
     SmearingKernel,
-    draw_traj_variates,
     ensemble_density_matrix,
     ensemble_density_matrix_mc,
+    simulate_trajectories,
     smear,
 )
 from collapse_lab.hilbert import DiscreteSpectrum, EnergyLevel, SpectralState
@@ -50,11 +50,11 @@ def test_01_born_weight_collapse():
     # two-level (0.25, 0.75), lambda*t*(dE)^2 = 1e3, N = 1e4 trajectories
     energies = np.array([0.0, 1.0])
     log_w0 = 0.5 * np.log(np.array([0.25, 0.75]))
-    n = 10_000
-    uniforms, normals = draw_traj_variates(2024, range(n), 1)
-    _, _, weights = next(_kernels.collapse_steps(
-        energies, log_w0, CollapseParams(1.0), np.array([1000.0]), uniforms, normals
-    ))
+    state = SpectralState.from_amplitudes([EnergyLevel(e) for e in energies],
+                                          np.exp(log_w0))
+    params, t, n = CollapseParams(1.0), 1000.0, 10_000
+    b = simulate_trajectories(state, params, [t], 2024, n)[:, 0]
+    weights = _kernels.collapse_weights(energies, log_w0, params, t, b)
     frac = float(np.mean(np.argmax(weights, axis=0) == 0))
     tol = 4.0 * math.sqrt(0.1875 / n)
     ok = abs(frac - 0.25) < tol
@@ -103,15 +103,9 @@ def test_03_time_translation_and_chapman_kolmogorov():
     )
     # two-step vs one-step marginal of B(t), N = 1e5 each
     n, t = 100_000, 2.0
-    energies = state.energies()
-    log_w0 = np.asarray(state.log_magnitudes)
 
     def final_records(times, seed):
-        variates = draw_traj_variates(seed, range(n), len(times))
-        for _, b, _ in _kernels.collapse_steps(
-                energies, log_w0, params, times, *variates):
-            pass
-        return b
+        return simulate_trajectories(state, params, times, seed, n)[:, -1]
 
     b1 = final_records(np.array([t]), 42)
     b2 = final_records(np.array([t / 2, t]), 43)

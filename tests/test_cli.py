@@ -15,7 +15,7 @@ from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid
 from collapse_lab.engine import CollapseParams
 from collapse_lab._kernels import collapse_weights
-from collapse_lab.ensemble import draw_traj_variates, simulate_trajectories
+from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -459,7 +459,7 @@ n_s = 401
 
 class TestValidate:
     def test_accepts_a_billion_collapse_trajectories(self, tmp_path):
-        # the collapse pass holds one chunk of trajectories at a time
+        # the collapse pass holds one tile of trajectories at a time
         ini = COLLAPSE_INI.replace("n_traj = 40", f"n_traj = {10**9}")
         path = write_config(tmp_path, ini)
         assert main(["validate", "--config", str(path)]) == 0
@@ -501,19 +501,18 @@ class TestCollapseRunner:
         e0 = header.index("mean_weight_E0 (dimensionless)")
         assert abs(rows[-1][e0] - 0.1) < 0.05
 
-    def test_mean_weights_are_the_kernel_weights(self, tmp_path, monkeypatch):
-        # the CLI and the batched kernel are one sampler, not two
+    def test_mean_weights_are_the_kernel_weights(self, tmp_path, monkeypatch,
+                                                 stream_path):
+        # the CLI and the stream reference are one sampler, not two
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, COLLAPSE_INI)
         assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
         header, rows = read_csv(tmp_path / "c.csv")
         times = np.linspace(0.6, 6.0, 10)
         energies, log_w0 = np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75])
-        for _, _, weights in _kernels.collapse_steps(
-            energies, log_w0, CollapseParams(1.0), times,
-            *draw_traj_variates(5, range(40), 10),
-        ):
-            pass
+        state = cli._build_state(energies, (0.25, 0.75))
+        b = np.array([stream_path(state, 1.0, times, 5, i)[-1] for i in range(40)])
+        weights = collapse_weights(energies, log_w0, CollapseParams(1.0), times[-1], b)
         np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=1),
                                    rtol=0, atol=1e-12)
 
@@ -534,17 +533,16 @@ class TestCollapseRunner:
             assert abs(z) < 5
 
     def test_chunking_changes_no_record_or_count(self, tmp_path, monkeypatch):
-        # chunks of three trajectories give the records and the collapsed
-        # counts of one chunk of all 40, and step each chunk once
+        # tiles of three trajectories, or of four steps of one, give the
+        # records and the collapsed counts of one tile of all 40, and weigh
+        # each tile once (plus the Born weights once per pass)
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, COLLAPSE_INI)
         state = cli._build_state((0.0, 1.0), (0.25, 0.75))
         times = np.linspace(0.6, 6.0, 10)
         whole = simulate_trajectories(state, CollapseParams(1.0), times, 5, 40)
         assert main(["collapse", "--config", str(path), "--out", "one.csv"]) == 0
-        monkeypatch.setattr(ensemble, "_CHUNK_VARIATES", 2 * 10 * 3)
-        np.testing.assert_array_equal(
-            simulate_trajectories(state, CollapseParams(1.0), times, 5, 40), whole)
+        _, one = read_csv(tmp_path / "one.csv")
         calls = []
 
         def counting(*args):
@@ -552,13 +550,16 @@ class TestCollapseRunner:
             return collapse_weights(*args)
 
         monkeypatch.setattr(_kernels, "collapse_weights", counting)
-        assert main(["collapse", "--config", str(path), "--out", "three.csv"]) == 0
-        # 14 chunks, each weighed at t = 0 and after each of its 10 steps
-        assert len(calls) == 14 * 11
-        _, one = read_csv(tmp_path / "one.csv")
-        _, three = read_csv(tmp_path / "three.csv")
-        assert [r[1] for r in three] == [r[1] for r in one]
-        np.testing.assert_allclose(three, one, rtol=0, atol=1e-13)
+        for tile_values, n_tiles in ((2 * 10 * 3, 14), (2 * 4, 40 * 3)):
+            monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
+            calls.clear()
+            np.testing.assert_array_equal(
+                simulate_trajectories(state, CollapseParams(1.0), times, 5, 40), whole)
+            assert main(["collapse", "--config", str(path), "--out", "tiled.csv"]) == 0
+            assert len(calls) == 2 * (1 + n_tiles)
+            _, tiled = read_csv(tmp_path / "tiled.csv")
+            assert [r[1] for r in tiled] == [r[1] for r in one]
+            np.testing.assert_allclose(tiled, one, rtol=0, atol=1e-13)
 
     def test_memory_does_not_grow_with_n_traj(self):
         p = {"lambda": 1.0, "energies": (0.0, 1.0), "weights": (0.25, 0.75),
@@ -604,6 +605,18 @@ def test_run_builds_its_model_once(tmp_path, monkeypatch, ini, built):
 
 
 class TestEnsembleRunner:
+    def test_tiny_magnitudes_are_the_state_of_equal_ones(self, tmp_path, monkeypatch):
+        # 1e-170 squared underflows to 0; the state is that of magnitudes 1, 1
+        monkeypatch.chdir(tmp_path)
+        ini = ENSEMBLE_INI.replace("energies = 0.0, 1.0, 2.5", "energies = 0.0, 1.0")
+        scalars = []
+        for mags in ("1e-170, 1e-170", "1, 1"):
+            path = write_config(tmp_path, ini.replace(
+                "magnitudes = 0.5, 0.6, 0.6244997998398398", f"magnitudes = {mags}"))
+            assert main(["ensemble", "--config", str(path), "--out", "e.csv"]) == 0
+            scalars.append(json.loads((tmp_path / "e.summary.json").read_text())["scalars"])
+        assert scalars[0] == scalars[1]
+
     def test_mc_z_score_is_the_mc_deviation_in_standard_errors(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -721,6 +734,53 @@ n_t = 10
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "t (time)"
         assert len(doc["rows"]) == 50
+
+
+@pytest.mark.parametrize("ini", [
+    COLLAPSE_INI.replace("n_steps = 10", "n_steps = 20000").replace("n_traj = 40", "n_traj = 2"),
+    ENSEMBLE_INI.replace("n_t = 12", "n_t = 1000").replace("n_traj = 200", "n_traj = 10000"),
+    MEASUREMENT_INI.replace("n_t = 4", "n_t = 100").replace("n_b = 4", "n_b = 100"),
+    """[records]
+spectra = half_overlap
+lambda = 1.0
+b_plus = 1.0
+b_minus = -1.0
+t_max = 5.0
+n_t = 10000
+""",
+    SPIN_INI.replace("n_s = 50", "n_s = 10000"),
+    """[decay]
+epsilon = 1.0
+gamma = 5.0
+sigma = 1e-4
+t_cal = 1.0
+s_max = 4.0
+n_s = 10000
+""",
+    SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 2.0").replace(
+        "n_modes = 1024", "n_modes = 256").replace("record_every = 50", "record_every = 1"),
+], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
+        "kgrid_decay"])
+def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
+    # each table value is charged as its float plus the runner's temporaries,
+    # and the writers as one block: the estimate covers the tracemalloc peak
+    # of a run and its output, and charges the runner less than twice its own
+    # peak (a flat 64 bytes a value overcharged most runners about 2x and
+    # undercharged spin); a small measurement block leaves the per-value charge
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
+    cfg = ExperimentConfig.from_file(write_config(tmp_path, ini))
+    run_estimate = sum(cfg._array_bytes().values())
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cols, table, _ = cli.RUNNERS[cfg.experiment](cfg)
+        _, run_peak = tracemalloc.get_traced_memory()
+        cli.write_json(tmp_path / "o.json", {"seed": 0}, cols, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= run_estimate + cli._WRITE_BYTES
+    assert run_estimate <= 2 * run_peak
 
 
 class TestWriters:

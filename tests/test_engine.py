@@ -184,17 +184,13 @@ class TestSampleStep:
         d2 = simulate_trajectories(state, PARAMS, [1.0], 3, 6)[5, 0]
         assert d1 == d2
 
-    def test_increment_is_the_kernel_increment(self, stream_reference):
-        # row i draws one uniform, then one normal, from stream (seed, i)
+    def test_increment_is_the_kernel_increment(self, stream_path):
+        # row i takes its level from the uniform, word 0 of stream (seed, i),
+        # and its increment from the first normal after it
         state = two_level(0.3, 0.0, 2.0)
         dt = 0.7
         dB = simulate_trajectories(state, PARAMS, [dt], 8, 3)[2, 0]
-        u, z = stream_reference(8, 2, 1)
-        _, b, _ = next(_kernels.collapse_steps(
-            state.energies(), np.asarray(state.log_magnitudes), PARAMS,
-            np.array([dt]), u[None, :], z[None, :],
-        ))
-        assert dB == b[0]
+        assert dB == stream_path(state, PARAMS.lam, [dt], 8, 2)[0]
 
     def test_degenerate_levels_keep_phases_and_count(self):
         levels = [EnergyLevel(0.0, 0), EnergyLevel(0.0, 1), EnergyLevel(1.0)]
@@ -224,20 +220,38 @@ class TestSimulateTrajectory:
         final2 = evolve(state, PARAMS, times[-1], b2[0, -1])
         assert squared_norm(final1)[0] == squared_norm(final2)[0]
 
-    def test_records_are_the_batched_kernel_rows(self, stream_reference):
-        # one sampler and one stream order: row i is the kernel fed by
-        # stream (seed, i), all uniforms then all normals
+    def test_records_are_the_batched_kernel_rows(self, stream_path):
+        # one sampler and one stream order: row i is the level drawn from the
+        # uniform of stream (seed, i), then one cumsum of the normals after it
         levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
         state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
         times = np.linspace(0.25, 2.5, 10)
         b_path = simulate_trajectories(state, PARAMS, times, 4, 6)
         for i in range(6):
-            u, z = stream_reference(4, i, times.size)
-            row = [b[0] for _, b, _ in _kernels.collapse_steps(
-                state.energies(), np.asarray(state.log_magnitudes), PARAMS,
-                times, u[None, :], z[None, :],
-            )]
-            np.testing.assert_array_equal(row, b_path[i])
+            np.testing.assert_array_equal(
+                b_path[i], stream_path(state, PARAMS.lam, times, 4, i))
+
+    def test_records_follow_the_record_marginal_density(self):
+        # oracle: B(t) at two grid times against the CDF of the engine's
+        # density, sum_j w_j*Phi((x - 2*lam*t*E_j)/sqrt(lam*t)); KS, alpha 0.01
+        levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
+        state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
+        times = np.linspace(0.25, 3.0, 12)
+        b_path = simulate_trajectories(state, PARAMS, times, 17, 20_000)
+        e, w = energy_distribution(state).as_arrays()
+        for s in (1, 11):
+            t = times[s]
+
+            def cdf(x):
+                z = (np.asarray(x)[..., None] - 2.0 * PARAMS.lam * t * e) / math.sqrt(
+                    PARAMS.lam * t)
+                return (w * _kernels.normal_cdf(z).real).sum(axis=-1)
+
+            for x in (-1.0, 1.5, 4.0):
+                mass, _ = quad(lambda y: record_marginal_density(
+                    state, PARAMS, t, np.array([y]))[0], -np.inf, x)
+                assert abs(cdf(x) - mass) < 1e-8
+            assert stats.kstest(b_path[:, s], cdf).pvalue > 0.01
 
     def test_rejects_unsorted_times(self):
         for times in ([1.0, 0.5], [1.0, math.nan], [1.0, math.inf]):

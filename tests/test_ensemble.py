@@ -160,14 +160,6 @@ class TestEnsembleExpectation:
             exact = expectation(state, obs)
             assert abs(mean - exact) < 4 * se, name
 
-    def test_multi_step_schedule_leaves_marginal_invariant(self):
-        state = three_level()
-        params = CollapseParams(0.7)
-        obs = ObservableMatrix.hamiltonian(state.levels)
-        m1, se1 = ensemble_expectation_mc(state, params, 2.0, obs, 4000, 4, n_steps=1)
-        m4, se4 = ensemble_expectation_mc(state, params, 2.0, obs, 4000, 4, n_steps=4)
-        assert abs(m1 - m4) < 4 * math.hypot(se1, se4)
-
     def test_requires_matching_basis(self):
         state = three_level()
         obs = ObservableMatrix.identity((EnergyLevel(0.0),))

@@ -1,5 +1,5 @@
-"""Kernel tests: the batched collapse steps, the k-grid Chebyshev propagator
-and the normal distribution function."""
+"""Kernel tests: the collapse weights and the pass that evaluates them, the
+k-grid Chebyshev propagator and the normal distribution function."""
 
 import math
 
@@ -7,53 +7,55 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from collapse_lab import _kernels
+from collapse_lab import _kernels, ensemble
 from collapse_lab.decay import DecayModelParams, KGrid
 from collapse_lab.engine import CollapseParams, evolve
-from collapse_lab.ensemble import draw_traj_variates
+from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
 
 
-def traj_args(n_traj=64, n_steps=12, n_lev=5, seed=4):
+def pass_args(n_lev=5, seed=4):
     rng = np.random.default_rng(seed)
-    energies = np.sort(rng.uniform(0.0, 4.0, n_lev))
-    log_w0 = 0.5 * np.log(rng.dirichlet(np.ones(n_lev)))
-    times = np.cumsum(rng.uniform(0.05, 0.5, n_steps))
-    uniforms, normals = draw_traj_variates(seed, range(n_traj), n_steps)
-    return energies, log_w0, CollapseParams(0.8), times, uniforms, normals
-
-
-def run_steps(args):
-    """The record paths of `collapse_steps`, and the weights after its last step."""
-    paths = []
-    for _, b, w in _kernels.collapse_steps(*args):
-        paths.append(b)
-    return np.column_stack(paths), w
+    levels = [EnergyLevel(e) for e in np.sort(rng.uniform(0.0, 4.0, n_lev))]
+    state = SpectralState.from_amplitudes(levels, np.sqrt(rng.dirichlet(np.ones(n_lev))))
+    times = np.cumsum(rng.uniform(0.05, 0.5, 12))
+    return state, CollapseParams(0.8), times
 
 
 class TestCollapseSteps:
+    """The collapse pass over the step grid, `ensemble._collapse_pass`."""
+
     def test_numpy_weights_are_normalized(self):
-        b, w = run_steps(traj_args())
-        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
-        assert b.shape == (64, 12) and w.shape == (5, 64)
+        state, params, times = pass_args()
+        for rows, steps, b, w in ensemble._collapse_pass(state, params, times, 4, 64):
+            np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+            assert b.shape == (rows.stop - rows.start, steps.stop - steps.start)
+            assert w.shape == (5,) + b.shape
 
     def test_numpy_single_trajectory_independent_of_batch(self):
-        args = traj_args(n_traj=8)
-        b8, w8 = run_steps(args)
-        solo = tuple(
-            a if i < 4 else a[:1] for i, a in enumerate(args)
-        )
-        b1, w1 = run_steps(solo)
-        np.testing.assert_allclose(w1[:, 0], w8[:, 0], atol=1e-14)
-        np.testing.assert_allclose(b1[0], b8[0], atol=1e-14)
+        state, params, times = pass_args()
+        b8 = simulate_trajectories(state, params, times, 4, 8)
+        b1 = simulate_trajectories(state, params, times, 4, 1)
+        np.testing.assert_array_equal(b1[0], b8[0])
 
-    def test_yields_the_weights_at_each_grid_time(self):
-        # the weights after step s are those at (times[s], b), computed once
-        args = traj_args(n_steps=6)
-        energies, log_w0, params, times = args[:4]
-        for s, b, w in _kernels.collapse_steps(*args):
-            want = _kernels.collapse_weights(energies, log_w0, params, times[s], b)
-            np.testing.assert_array_equal(w, want)
+    def test_yields_the_weights_at_each_grid_time(self, monkeypatch):
+        # every (row, step) cell is yielded once, in tiles within the budget,
+        # with the weights at (times[s], b) and the records of the untiled
+        # pass; budgets of 3 rows, of 5 steps of one row, and of one step
+        state, params, times = pass_args()
+        whole = simulate_trajectories(state, params, times, 4, 64)
+        energies, log_w0 = state.energies(), np.asarray(state.log_magnitudes)
+        for tile_values in (5 * 12 * 3, 5 * 5, 1):
+            monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
+            seen = np.zeros(whole.shape, int)
+            for rows, steps, b, w in ensemble._collapse_pass(state, params, times, 4, 64):
+                assert w.size <= max(tile_values, 5)
+                seen[rows, steps] += 1
+                np.testing.assert_array_equal(b, whole[rows, steps])
+                for k, t in enumerate(times[steps]):
+                    want = _kernels.collapse_weights(energies, log_w0, params, t, b[:, k])
+                    np.testing.assert_array_equal(w[:, :, k], want)
+            assert np.all(seen == 1)
 
 
 class TestCollapseWeights:

@@ -40,23 +40,24 @@ def test_uniforms_are_generator_random_bits(seed, index, n_steps):
 def test_rows_across_chunk_boundaries_match_the_reference(
         monkeypatch, stream_reference, seed, n_steps):
     whole = draw_traj_variates(seed, range(8), n_steps)
-    n_blocks = -(-(n_steps + 2 * -(-n_steps // 2)) // 4)
+    n_blocks = -(-(1 + 2 * -(-n_steps // 2)) // 4)
     # three rows per chunk: rows 2|3 and 5|6 straddle chunk boundaries; then
-    # windows of one and two blocks split each row, and at n_steps = 7 they
-    # split the first Box-Muller pair (words 7 and 8)
+    # windows of one and two blocks split each row, and at n_steps = 4 and 7
+    # one-block windows split the second Box-Muller pair (words 3 and 4)
     for chunk_blocks in (3 * n_blocks, 1, 2):
         monkeypatch.setattr(ensemble, "_CHUNK_BLOCKS", chunk_blocks)
         uniforms, normals = draw_traj_variates(seed, range(8), n_steps)
+        assert uniforms.shape == (8,) and normals.shape == (8, n_steps)
         np.testing.assert_array_equal(uniforms, whole[0])
         np.testing.assert_array_equal(normals, whole[1])
         for i in range(8):
             want_u, want_z = stream_reference(seed, i, n_steps)
-            np.testing.assert_array_equal(uniforms[i], want_u)
+            assert uniforms[i] == want_u
             np.testing.assert_array_equal(normals[i], want_z)
 
 
 def test_long_row_draws_in_bounded_memory():
-    # 16 MB of output; whole-row temporaries would add about 56 MB
+    # 8 MB of output; whole-row temporaries would add about 56 MB
     n_steps = 10**6
     tracemalloc.start()
     try:
@@ -64,7 +65,7 @@ def test_long_row_draws_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert uniforms.shape == normals.shape == (1, n_steps)
+    assert uniforms.shape == (1,) and normals.shape == (1, n_steps)
     assert peak < 16 * n_steps + 2**23
 
 

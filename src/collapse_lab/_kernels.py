@@ -5,12 +5,12 @@ randomness stays in the counter-based generators of `collapse_lab.rng`.
 
 Kernels:
   * collapse_weights    -- level weights at (t, B), level-major, batched over B.
-  * bessel_j            -- J_0 ... J_n at one real argument, by Miller's
-                           backward recurrence.
+  * bessel_j            -- J_0 ... J_n at an array of real arguments, by one
+                           Miller backward recurrence.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
-                           k-grid decay Hamiltonian H.
+                           k-grid decay Hamiltonian H, tau one segment of a span.
   * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
-                           1e-15 series truncation) from record to record.
+                           1e-15 series truncation), one recurrence per segment.
   * faddeeva_upper      -- the Faddeeva function w in the closed upper
                            half-plane, by Weideman's rational series.
   * normal_cdf          -- Phi(z) for complex z, from faddeeva_upper.
@@ -28,11 +28,18 @@ import numpy as np
 from .engine import collapse_exponent
 from .hilbert import DomainError
 
-__all__ = ["collapse_weights", "bessel_j", "chebyshev_series", "kgrid_chebyshev",
-           "faddeeva_upper", "normal_cdf", "log_normal_cdf"]
+__all__ = ["collapse_weights", "bessel_j", "bessel_orders", "chebyshev_interval",
+           "chebyshev_series", "kgrid_chebyshev", "faddeeva_upper", "normal_cdf",
+           "log_normal_cdf"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
+#: the largest Bessel argument half*tau of one segment's series; it caps the
+#: series length at `bessel_orders(SEGMENT_Z)`, and so a segment's Gram blocks
+#: and Bessel block, whatever the span
+SEGMENT_Z = 256.0
+#: records whose Bessel factors are evaluated together
+RECORD_BLOCK = 64
 #: terms of Weideman's rational series for the Faddeeva function
 FADDEEVA_TERMS = 40
 
@@ -55,29 +62,52 @@ def collapse_weights(energies, log_w0, params, t, b):
 
 
 def bessel_j(n, z):
-    """J_0(z) ... J_n(z) for real z >= 0, shape (n + 1,).
+    """J_0(z) ... J_n(z) for real z >= 0, an array (or scalar): shape
+    (n + 1, *z.shape), orders first.
 
-    Miller's backward recurrence (Abramowitz & Stegun 9.12), run on the
-    ratios r_k = J_k/J_{k-1} = z/(2k - z*r_{k+1}) from r = 0 at an order
-    N = max(n, z) + 30 + 10*z**(1/3), where J_N is negligible, and
-    normalized by J_0 + 2*sum J_2k = 1.  Carrying ratios rescales the
-    running values at every step: each step of the unscaled recurrence
-    multiplies them by about 2k/z, which overflows for z near 1e-300 and
-    divides by zero at z = 0.
+    Miller's backward recurrence (Abramowitz & Stegun 9.12), run once for
+    every z on the ratios r_k = J_k/J_{k-1} = z/(2k - z*r_{k+1}) from r = 0
+    at the order top = z + 30 + 10*z**(1/3) of the largest z (J_top is below
+    1e-18 for z <= 4000), and normalized by J_0 + 2*sum J_2k = 1; orders
+    above top are 0.  Carrying ratios rescales the running values at every
+    step: each step of the unscaled recurrence multiplies them by about 2k/z,
+    which overflows for z near 1e-300 and divides by zero at z = 0.
     """
-    top = int(max(n, z) + 30.0 + 10.0 * z ** (1.0 / 3.0))
-    r = np.empty(top)
-    rk = 0.0
+    z = np.asarray(z, float)
+    z1 = z.reshape(-1)
+    z_max = float(np.max(z1, initial=0.0))
+    top = int(z_max + 30.0 + 10.0 * z_max ** (1.0 / 3.0))
+    # row k holds r_k, then J_k/J_0, then J_k; rows above top stay 0
+    j = np.zeros((max(n, top) + 1, z1.size))
+    rk, tmp = j[0], np.empty(z1.size)
     for k in range(top, 0, -1):
-        rk = z / (2.0 * k - z * rk)
-        r[k - 1] = rk
-    jk_over_j0 = np.cumprod(r)  # J_k/J_0 for k = 1 ... top
-    j0 = 1.0 / (1.0 + 2.0 * np.sum(jk_over_j0[1::2]))
-    return np.concatenate(([j0], j0 * jk_over_j0[:n]))
+        np.subtract(2.0 * k, np.multiply(z1, rk, out=tmp), out=tmp)
+        rk = np.divide(z1, tmp, out=j[k])
+    np.cumprod(j[1:top + 1], axis=0, out=j[1:top + 1])
+    j[0] = 1.0 / (1.0 + 2.0 * j[2:top + 1:2].sum(axis=0))
+    j[1:top + 1] *= j[0]
+    return j[:n + 1].reshape((n + 1,) + z.shape)
 
 
-def chebyshev_series(k, wk, g, eps, tau):
-    """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian.
+def bessel_orders(z):
+    """The orders a Chebyshev series of argument z computes: beyond order z,
+    |J_n(z)| decays over a transition region of width ~z**(1/3), and 1e-15
+    is reached within about 10*(z**(1/3) + 1) orders."""
+    return int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1
+
+
+def chebyshev_interval(k_min, k_max, c_norm, eps):
+    """(ctr, half) of `chebyshev_series` for modes k_min ... k_max and the
+    coupling norm c_norm = |c|."""
+    lo = min(k_min, eps) - c_norm
+    hi = max(k_max, eps) + c_norm
+    return 0.5 * (hi + lo), 1.01 * 0.5 * (hi - lo)
+
+
+def chebyshev_series(k, wk, g, eps, span):
+    """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian,
+    tau = span/n_seg for the fewest n_seg equal segments of the span whose
+    argument half*tau stays within SEGMENT_Z.
 
     H = [[diag(k), c], [c^H, eps]] with |c|**2 = g**2*sum(wk) (see
     `kgrid_chebyshev`).  By Weyl's inequality its spectrum lies in
@@ -90,56 +120,80 @@ def chebyshev_series(k, wk, g, eps, tau):
     at least two); `tail` is |J_n| of the first order dropped.  Raises DomainError if the
     Bessel factors have not fallen below 1e-15 within the orders computed.
 
-    Returns (ctr, half, coef, tail).
+    Returns (ctr, half, coef, tail, n_seg).
     """
-    c_norm = g * math.sqrt(float(np.sum(wk)))
-    lo = min(float(np.min(k)), eps) - c_norm
-    hi = max(float(np.max(k)), eps) + c_norm
-    ctr, half = 0.5 * (hi + lo), 1.01 * 0.5 * (hi - lo)
+    ctr, half = chebyshev_interval(float(np.min(k)), float(np.max(k)),
+                                   g * math.sqrt(float(np.sum(wk))), eps)
+    if not math.isfinite(half * span):
+        raise DomainError(f"Chebyshev argument half*span = {half * span} is not finite")
+    n_seg = max(1, math.ceil(half * span / SEGMENT_Z))
+    tau = span / n_seg
     z = half * tau
-    if not math.isfinite(z):
-        raise DomainError(f"Chebyshev argument half*tau = {z} is not finite")
-    # beyond order z, |J_n(z)| decays over a transition region of width
-    # ~z**(1/3); 1e-15 is reached within about 10*(z**(1/3) + 1) orders
-    orders = np.arange(int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1)
-    j = bessel_j(orders[-1], z)
+    n_orders = bessel_orders(z)
+    j = bessel_j(n_orders - 1, z)
     # nan counts as not small, so a failed Bessel evaluation cannot truncate
     kept = np.flatnonzero(~(np.abs(j) < CHEBYSHEV_TOL))
     n_terms = max(int(kept[-1]) + 1, 2)
-    if n_terms >= orders.size:
+    if n_terms >= n_orders:
         raise DomainError(
             f"Chebyshev truncation contract violated: |J_n({z:.6g})| has not "
-            f"fallen below {CHEBYSHEV_TOL:g} within {orders.size} orders"
+            f"fallen below {CHEBYSHEV_TOL:g} within {n_orders} orders"
         )
-    n = orders[:n_terms]
+    n = np.arange(n_terms)
     coef = np.where(n == 0, 1.0, 2.0) * (-1j) ** n * j[:n_terms]
-    return ctr, half, coef * cmath.exp(-1j * ctr * tau), float(abs(j[n_terms]))
+    return ctr, half, coef * cmath.exp(-1j * ctr * tau), float(abs(j[n_terms])), n_seg
 
 
-def _chebyshev_apply(coef, kn, cn, en, u, beta):
-    """sum_n coef[n]*T_n(Hn) applied to (u, beta), Hn = [[diag(kn), cn],
-    [cn^H, en]], by the recurrence T_{n+1} = 2*Hn*T_n - T_{n-1}."""
-    p0, b0 = u, beta
-    p1, b1 = kn * u + cn * beta, en * beta + np.vdot(cn, u)
-    acc, acc_b = coef[0] * u + coef[1] * p1, coef[0] * beta + coef[1] * b1
-    kn2, cn2 = 2.0 * kn, 2.0 * cn
-    for a in coef[2:]:
-        p2 = kn2 * p1
-        p2 += cn2 * b1
-        p2 -= p0
-        b2 = 2.0 * en * b1 + np.vdot(cn2, p1) - b0
-        acc += a * p2
-        acc_b += a * b2
-        p0, b0, p1, b1 = p1, b1, p2, b2
-    return acc, acc_b
+def _segment_moments(coef, kn, cn, en, u, beta):
+    """One segment's recurrence phi_n = T_n(Hn) psi, psi = (u, beta), Hn =
+    [[diag(kn), cn], [cn^H, en]], for n < coef.size: the beta components
+    b_n, the even moments mu_2n = <psi, T_2n(Hn) psi> = 2*|phi_n|**2 -
+    |psi|**2 and the state sum_n coef[n]*phi_n."""
+    n_terms = coef.size
+    b, nu = np.empty(n_terms, complex), np.empty(n_terms)
+    # kn2 complex: products with the complex state then need no casting
+    kn2, cn2 = (2.0 * kn).astype(complex), 2.0 * cn
+    # T_{n+1} = 2*Hn*T_n - T_{n-1}; T_{-1} = Hn makes T_1 = Hn
+    p0, b0, p1, b1 = kn * u + cn * beta, en * beta + np.vdot(cn, u), u, beta
+    acc, acc_b = np.zeros_like(u), 0j
+    for i in range(n_terms):
+        b[i], nu[i] = b1, float(np.vdot(p1, p1).real) + abs(b1) ** 2
+        acc += coef[i] * p1
+        acc_b += coef[i] * b1
+        if i + 1 < n_terms:
+            p2 = kn2 * p1
+            p2 += cn2 * b1
+            p2 -= p0
+            p0, b0, p1, b1 = p1, b1, p2, 2.0 * en * b1 + np.vdot(cn2, p1) - b0
+    return b, 2.0 * nu - nu[0], acc, acc_b
 
 
-def _chebyshev_step(k, wk, g, eps, c, tau):
-    """(`_chebyshev_apply`'s (coef, kn, cn, en), tail) for exp(-i*H*tau)."""
-    ctr, half, coef, tail = chebyshev_series(k, wk, g, eps, tau)
-    # kn complex: products with the complex state then need no casting
-    kn = ((k - ctr) / half).astype(complex)
-    return (coef, kn, c / half, (eps - ctr) / half), tail
+def _gram_blocks(nu):
+    """Twice the parity blocks of the Gram matrix <phi_m, phi_n> =
+    (mu_{m+n} + mu_{|m-n|})/2 at m = 2i + p, n = 2j + p: nu[i + j + p] +
+    nu[|i - j|], a Hankel and a Toeplitz matrix in nu_k = mu_2k (orders of
+    unlike parity do not meet in a norm; see `kgrid_chebyshev`)."""
+    window = np.lib.stride_tricks.sliding_window_view
+    return [window(nu[p:p + 2 * size - 1], size)
+            + window(np.concatenate((nu[size - 1:0:-1], nu[:size])), size)[:, ::-1]
+            for p, size in ((0, (nu.size + 1) // 2), (1, nu.size // 2))]
+
+
+def _record_block(b, grams, z):
+    """(occupation, total probability) at Bessel arguments z: |sum_n
+    (2 - delta_n0)(-i)**n J_n(z) b_n|**2 and the quadratic forms of the same
+    factors in the parity blocks of the Gram matrix."""
+    n = np.arange(b.size)
+    # x_n = (2 - delta_n0)*(-1)**(n//2)*J_n carries the parity blocks' signs
+    # (-1)**i, i = n//2; then (-i)**n*(-1)**(n//2) leaves 1 or -i for b_n
+    x = bessel_j(n[-1], z)
+    x *= np.where(n % 4 < 2, 2.0, -2.0)[:, None]
+    x[0] *= 0.5
+    a = np.where(n % 2, -1j, 1.0) * b
+    occ = np.einsum("i,ir->r", a.real, x) ** 2 + np.einsum("i,ir->r", a.imag, x) ** 2
+    prob = sum(np.einsum("ir,ir->r", xp, np.einsum("ij,jr->ir", gram, xp))
+               for gram, xp in zip(grams, (x[::2], x[1::2])))
+    return occ, 0.5 * prob
 
 
 def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
@@ -151,35 +205,46 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     With u_k = sqrt(wk)*alpha_k (wk > 0) this is i*d(u, beta)/dt = H (u, beta)
     for the Hermitian H = [[diag(k), c], [c^H, eps]], c_k =
     g*sqrt(wk)*exp(-i*k*x0), and sum wk*|alpha|**2 + |beta|**2 =
-    |u|**2 + |beta|**2.  Each record interval applies one `chebyshev_series`
-    of exp(-i*H*dt*record_every), one O(n_modes) matvec per term; the
-    n_steps % record_every steps after the last record get a series of
-    their own, so the final state is at n_steps*dt.
+    |u|**2 + |beta|**2.
+
+    The span n_steps*dt is cut into the equal segments of `chebyshev_series`.
+    Only the scalar factors of exp(-i*H*t) = e^{-i*ctr*t} sum_n (2 -
+    delta_n0)(-i)**n J_n(half*t) T_n(Hn) depend on t (Tal-Ezer & Kosloff
+    1984), so one recurrence phi_n = T_n(Hn) psi from the segment's start
+    psi, one O(n_modes) matvec per term, gives all of its records: the
+    occupation from the beta components of phi_n, and the total probability
+    as a quadratic form in the Gram matrix <phi_m, phi_n>, which the even
+    Chebyshev moments mu_2n give (Weisse et al. 2006).  The series at the
+    segment's end starts the next; the last one ends at n_steps*dt.
 
     Returns (times, occupation, total_prob, alpha_final, beta_final,
-    n_terms, tail): one sample per `record_every` steps (plus the initial
-    point), the final state, and the length and first dropped |J_n| of the
-    record-interval series.
+    n_terms, tail, n_matvecs): one sample per `record_every` steps (plus
+    the initial point), the final state, the length and first dropped |J_n|
+    of a segment's series, and the recurrence steps of all segments.
     """
     sw = np.sqrt(wk)
-    c = g * sw * np.exp(-1j * k * x0)
     u = sw * np.asarray(alpha0, complex)
     beta = complex(beta0)
     n_rec = n_steps // record_every + 1
     times = np.arange(n_rec) * record_every * dt
+    ctr, half, coef, tail, n_seg = chebyshev_series(k, wk, g, eps, n_steps * dt)
+    kn, en = (k - ctr) / half, (eps - ctr) / half
+    cn = g * sw * np.exp(-1j * k * x0) / half
+    # record r (step r*record_every) lies in segment s at tau = t - s*span/n_seg,
+    # 0 < tau <= span/n_seg, counted in units of dt/n_seg
+    m = np.arange(n_rec) * (record_every * n_seg)
+    seg = np.maximum(m - 1, 0) // max(n_steps, 1)
+    tau = (m - seg * n_steps) * dt / n_seg
     occ = np.empty(n_rec)
     prob = np.empty(n_rec)
-    step, tail = _chebyshev_step(k, wk, g, eps, c, dt * record_every)
-    for r in range(n_rec):
-        if r:
-            u, beta = _chebyshev_apply(*step, u, beta)
-        occ[r] = abs(beta) ** 2
-        prob[r] = float(np.vdot(u, u).real) + occ[r]
-    rem = n_steps % record_every
-    if rem:
-        rem_step, _ = _chebyshev_step(k, wk, g, eps, c, dt * rem)
-        u, beta = _chebyshev_apply(*rem_step, u, beta)
-    return times, occ, prob, u / sw, beta, step[0].size, tail
+    for s in range(n_seg):
+        b, nu, u, beta = _segment_moments(coef, kn, cn, en, u, beta)
+        grams = _gram_blocks(nu)
+        recs = np.flatnonzero(seg == s)
+        for lo in range(0, recs.size, RECORD_BLOCK):
+            block = recs[lo:lo + RECORD_BLOCK]
+            occ[block], prob[block] = _record_block(b, grams, half * tau[block])
+    return times, occ, prob, u / sw, beta, coef.size, tail, n_seg * coef.size
 
 
 @functools.cache

@@ -20,8 +20,8 @@ Exit codes: 0 success, 2 configuration error (including a non-finite value,
 spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
 packet that `decay` refuses, a k-grid span beyond the recurrence time, a
 non-finite k-grid s_max/dt, an unreadable fixture or one with a non-finite
-value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, weights or magnitudes
-whose level weights overflow, an --out outside an existing directory and count
+value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, collapse weights
+whose sum overflows, an --out outside an existing directory and count
 keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
 violation (including a non-finite result, a numpy floating-point error and a
 k-grid Chebyshev series whose Bessel factors do not fall below 1e-15).
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .decay import (DecayModelParams, KGrid, check_grid, check_packet,
                     integrate_kgrid, kgrid_span, occupation, occupation_collapsed)
 from .engine import CollapseParams
@@ -349,12 +349,9 @@ class ExperimentConfig:
             weights = p[key]
             if e == "ensemble":
                 # the level weights are the squares; scaling by the largest
-                # magnitude first keeps tiny ones from underflowing to 0
-                top = max(weights)
-                if not math.isfinite(top * top):
-                    raise ConfigError(
-                        f"invalid value for key '{key}': the level weight {top}**2 overflows")
-                weights = np.square(np.divide(weights, top))
+                # magnitude first keeps tiny ones from underflowing to 0 and
+                # large ones from overflowing
+                weights = np.square(np.divide(weights, max(weights)))
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     state0 = _build_state(p["energies"], weights, p.get("phases"))
@@ -440,11 +437,20 @@ class ExperimentConfig:
         if p["mode"] == "closed":
             return {"'n_s'": 48 * 3 * p["n_s"]}
         # k-grid: grid, coupling, state, three Chebyshev recurrence vectors
-        # and the accumulated output, with their temporaries, per mode; three
-        # columns per record
+        # and the accumulated state, with their temporaries, per mode; times,
+        # Bessel arguments and three columns per record; and one segment's
+        # Gram blocks (n**2/2 floats) and one record block's Bessel factors
+        # and products, n the orders computed for a segment's series, whose
+        # argument SEGMENT_Z caps whatever the span
+        dp, grid = self.model
+        _, span = kgrid_span(dp, grid, p["packet"], p["s_max"])
+        c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
+        _, half = _kernels.chebyshev_interval(grid.k_min, grid.k_max, c_norm, dp.epsilon)
+        n = _kernels.bessel_orders(min(half * span, _kernels.SEGMENT_Z))
         n_rec = _kgrid_steps(p) // p["record_every"] + 1
         return {"'n_modes'": 8 * 25 * p["n_modes"],
-                "'record_every'": 16 * 3 * n_rec}
+                "'record_every'": 8 * 12 * n_rec,
+                "'s_max'": 8 * (n * n // 2 + _kernels.RECORD_BLOCK * 2 * max(n, 32))}
 
     def derived_t_cal(self) -> float | None:
         """Smearing width sqrt(lambda*t) implied by the config, if any."""
@@ -589,6 +595,7 @@ def _run_decay(cfg):
         "recurrence_time": grid.recurrence_time,
         "chebyshev_terms": res.chebyshev_terms,
         "chebyshev_tail": res.chebyshev_tail,
+        "chebyshev_matvecs": res.chebyshev_matvecs,
     }
     return cols, table, summary
 

@@ -3,8 +3,10 @@
 Closed-form evaluators for the exactly solvable linear-dispersion model
 (coupling g = sqrt(Gamma/2/pi), photon energy k rather than |k| so decay is
 exactly exponential) plus an independent numerical oracle: the mode ODEs on
-a uniform k-grid, propagated from record to record by a Chebyshev series of
-exp(-i*H*dt) (`_kernels.kgrid_chebyshev`).
+a uniform k-grid, propagated by one Chebyshev series of exp(-i*H*t) per
+segment of the span, which gives every record in the segment: its occupation
+from the series' beta components and its total probability from the
+Chebyshev moments (`_kernels.kgrid_chebyshev`).
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -116,8 +118,9 @@ class KGrid:
 @dataclass(frozen=True)
 class KGridResult:
     """Grid-integration output: series of |beta|^2 and total probability,
-    plus the Chebyshev terms per record interval and the first dropped
-    |J_n| (`_kernels.chebyshev_series`)."""
+    plus the terms and first dropped |J_n| of a segment's Chebyshev series
+    (`_kernels.chebyshev_series`; every segment has the same length, so the
+    longest) and the recurrence steps (O(n_modes) matvecs) of all segments."""
 
     times: np.ndarray  # shifted times s = t - T
     occupation: np.ndarray
@@ -126,6 +129,7 @@ class KGridResult:
     alpha_final: np.ndarray
     chebyshev_terms: int
     chebyshev_tail: float
+    chebyshev_matvecs: int
 
 
 # --- decay without excitation ----------------------------------------------
@@ -322,8 +326,12 @@ def integrate_kgrid(
     record_every: int = 20,
 ) -> KGridResult:
     """Propagate the coupled mode ODEs over n_steps = round(span/dt) units of
-    the record-spacing unit `grid.dt`, by one Chebyshev series of
-    exp(-i*H*dt*record_every) per record (`_kernels.kgrid_chebyshev`).
+    the record-spacing unit `grid.dt`, recording every `record_every` steps.
+    The span is cut into the fewest equal segments whose Bessel argument
+    stays within `_kernels.SEGMENT_Z`; one Chebyshev recurrence per segment
+    gives all of its records, the occupation from the beta components and
+    the total probability from the Chebyshev moments
+    (`_kernels.kgrid_chebyshev`).
 
     packet="decay" starts from beta = 1 with no photons; packet="excitation"
     starts the regularized Gaussian packet left of x0, timed to arrive at
@@ -350,7 +358,7 @@ def integrate_kgrid(
         )
         beta0 = 0.0 + 0.0j
     n_steps = int(round(span / grid.dt))
-    times, occ, prob, alpha, _, n_terms, tail = _kernels.kgrid_chebyshev(
+    times, occ, prob, alpha, _, n_terms, tail, matvecs = _kernels.kgrid_chebyshev(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )
-    return KGridResult(times - lead, occ, prob, k, alpha, n_terms, tail)
+    return KGridResult(times - lead, occ, prob, k, alpha, n_terms, tail, matvecs)

@@ -302,9 +302,7 @@ n_traj = 10
     @pytest.mark.parametrize("ini, key", [
         (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = 1e308, 1e308"),
          "'weights'"),
-        (ENSEMBLE_INI.replace("magnitudes = 0.5, 0.6", "magnitudes = 1e200, 0.6"),
-         "'magnitudes'"),
-    ], ids=["collapse_weights", "ensemble_magnitudes"])
+    ], ids=["collapse_weights"])
     def test_state_weights_that_overflow_are_two(self, tmp_path, capsys, command,
                                                  ini, key):
         path = write_config(tmp_path, ini)
@@ -430,7 +428,8 @@ n_s = 401
 
     def test_chebyshev_truncation_is_three(self, tmp_path, capsys, monkeypatch):
         # Bessel factors that never fall below 1e-15 break the truncation contract
-        monkeypatch.setattr(_kernels, "bessel_j", lambda n, z: np.ones(n + 1))
+        monkeypatch.setattr(_kernels, "bessel_j",
+                            lambda n, z: np.ones((n + 1,) + np.shape(z)))
         path = write_config(tmp_path, SMALL_KGRID_INI)
         out = tmp_path / "d.csv"
         assert main(["decay", "--config", str(path), "--out", str(out)]) == 3
@@ -564,15 +563,17 @@ class TestCollapseRunner:
     def test_memory_does_not_grow_with_n_traj(self):
         p = {"lambda": 1.0, "energies": (0.0, 1.0), "weights": (0.25, 0.75),
              "t_max": 6.0, "n_steps": 10, "threshold": 0.999}
+        # both runs are several full tiles (2**14 weights each): 2*10**4 and
+        # 2*10**5 trajectories x 10 steps x 2 levels
         peaks = []
-        for n_traj in (2_000, 20_000):
+        for n_traj in (20_000, 200_000):
             tracemalloc.start()
             try:
                 cli._run_collapse(ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # variates and paths of the whole batch would add 4.3 MB at 20 000
+        # variates and paths of the whole batch would add 43 MB at 200 000
         assert peaks[1] < 1.1 * peaks[0]
 
 
@@ -616,6 +617,23 @@ class TestEnsembleRunner:
             assert main(["ensemble", "--config", str(path), "--out", "e.csv"]) == 0
             scalars.append(json.loads((tmp_path / "e.summary.json").read_text())["scalars"])
         assert scalars[0] == scalars[1]
+
+    def test_huge_magnitudes_are_the_state_of_their_ratios(self, tmp_path, monkeypatch):
+        # 1e200 squared overflows; divided by the largest magnitude first, the
+        # state is that of magnitudes 1, 0.6 (0.6e200/1e200 rounds 1 ulp off
+        # 0.6, so the scalars agree to rounding)
+        monkeypatch.chdir(tmp_path)
+        ini = ENSEMBLE_INI.replace("energies = 0.0, 1.0, 2.5", "energies = 0.0, 1.0")
+        scalars = []
+        for mags in ("1e200, 0.6e200", "1, 0.6"):
+            path = write_config(tmp_path, ini.replace(
+                "magnitudes = 0.5, 0.6, 0.6244997998398398", f"magnitudes = {mags}"))
+            for command in (["validate"], ["ensemble", "--out", "e.csv"]):
+                assert main([command[0], "--config", str(path), *command[1:]]) == 0
+            scalars.append(json.loads((tmp_path / "e.summary.json").read_text())["scalars"])
+        assert scalars[0].keys() == scalars[1].keys()
+        for key, value in scalars[1].items():
+            assert scalars[0][key] == pytest.approx(value, rel=1e-13, abs=1e-13), key
 
     def test_mc_z_score_is_the_mc_deviation_in_standard_errors(
             self, tmp_path, monkeypatch):
@@ -858,26 +876,58 @@ def test_runs_without_scipy(tmp_path):
         doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
         assert doc["versions"]["scipy"] is None
     # the numpy Bessel factors truncate the shipped k-grid series where
-    # scipy's did
-    assert doc["scalars"]["chebyshev_terms"] == 12
+    # scipy's do: its span of 5 is one segment, of argument z = half*5
+    from scipy.special import jv
+
+    dp = DecayModelParams(1.0, 1.0, 1e-4)
+    k, wk = KGrid.for_params(dp, 40.0, 4096, 5e-4).points_and_weights()
+    _, half, *_ = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 5.0)
+    j = np.abs(jv(np.arange(400), half * 5.0))
+    want = int(np.flatnonzero(j >= _kernels.CHEBYSHEV_TOL)[-1]) + 1
+    assert doc["scalars"]["chebyshev_terms"] == want == 283
+    assert doc["scalars"]["chebyshev_matvecs"] == want
 
 
-def test_kgrid_summary_reports_chebyshev_series(tmp_path):
-    # terms per record interval and the first dropped |J_n|, identical on rerun
-    path = write_config(tmp_path, SMALL_KGRID_INI)
+def kgrid_summaries(tmp_path, ini):
+    """The summary of two runs of `ini`, without their wall times."""
+    path = write_config(tmp_path, ini)
     docs = []
     for name in ("a.csv", "b.csv"):
         assert main(["decay", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         doc = json.loads((tmp_path / name).with_suffix(".summary.json").read_text())
         del doc["wall_time_s"]
         docs.append(doc)
+    return docs
+
+
+def test_kgrid_summary_reports_chebyshev_series(tmp_path):
+    # a span of 0.5 is one segment: the terms and first dropped |J_n| of the
+    # series of exp(-i*H*0.5), identical on rerun
+    docs = kgrid_summaries(tmp_path, SMALL_KGRID_INI)
     assert docs[0] == docs[1]
     dp = DecayModelParams(1.0, 1.0, 1e-4)
     k, wk = KGrid.for_params(dp, 20.0, 1024, 2e-3).points_and_weights()
-    _, _, coef, tail = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 2e-3 * 50)
+    _, _, coef, tail, _ = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 0.5)
     scalars = docs[0]["scalars"]
-    assert scalars["chebyshev_terms"] == coef.size
+    assert scalars["chebyshev_terms"] == scalars["chebyshev_matvecs"] == coef.size
     assert scalars["chebyshev_tail"] == tail < _kernels.CHEBYSHEV_TOL
+
+
+def test_kgrid_matvecs_count_every_segment(tmp_path):
+    # a span of 24 at half about 22.75 (argument about 546) is three segments
+    # of 8, each of one series of exp(-i*H*8): the terms and tail describe
+    # that series, the matvecs sum its terms over the segments, and both are
+    # identical on rerun
+    docs = kgrid_summaries(tmp_path, SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 24.0"))
+    assert docs[0] == docs[1]
+    dp = DecayModelParams(1.0, 1.0, 1e-4)
+    k, wk = KGrid.for_params(dp, 20.0, 1024, 2e-3).points_and_weights()
+    span = round(24.0 / 2e-3) * 2e-3
+    _, _, coef, tail, n_seg = _kernels.chebyshev_series(k, wk, dp.g, 1.0, span)
+    assert n_seg == 3
+    scalars = docs[0]["scalars"]
+    assert (scalars["chebyshev_terms"], scalars["chebyshev_tail"]) == (coef.size, tail)
+    assert scalars["chebyshev_matvecs"] == 3 * coef.size
 
 
 def _reject_constant(name):

@@ -97,18 +97,20 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
 class TestKGridChebyshev:
     def test_numpy_records_expected_shape(self):
         args = kgrid_args()
-        t, occ, prob, alpha, beta, n_terms, tail = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, n_terms, tail, matvecs = _kernels.kgrid_chebyshev(*args)
         assert t.shape == occ.shape == prob.shape == (11,)
         assert alpha.shape == (256,)
-        # the record-interval series, as `chebyshev_series` builds it
-        _, _, coef, want_tail = _kernels.chebyshev_series(*args[:4], 2e-3 * 40)
-        assert (n_terms, tail) == (coef.size, want_tail)
+        # the span (argument half*0.8, about 19) is one segment: one series of
+        # exp(-i*H*0.8), as `chebyshev_series` builds it, serves every record
+        _, _, coef, want_tail, n_seg = _kernels.chebyshev_series(*args[:4], 2e-3 * 400)
+        assert n_seg == 1
+        assert (n_terms, tail, matvecs) == (coef.size, want_tail, coef.size)
 
     def test_numpy_unitary_without_coupling(self):
         # g = 0: |alpha_k| and |beta| are constants of motion
         args = list(kgrid_args(excited=False))
         args[2] = 0.0
-        t, occ, prob, alpha, beta, _, _ = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, *_ = _kernels.kgrid_chebyshev(*args)
         np.testing.assert_allclose(np.abs(alpha), np.abs(args[6]), atol=1e-10)
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
 
@@ -150,31 +152,45 @@ class TestKGridChebyshevOracle:
             g, dt = 0.01, 0.02
         return k, wk, g, eps, 0.3, beta0, alpha0, dt, 410, 40
 
-    @pytest.mark.parametrize("start", ["decay", "random", "weak_coupling"])
-    def test_matches_dense_expm(self, start):
+    @pytest.mark.parametrize("start", ["decay", "random", "weak_coupling", "segments"])
+    def test_matches_dense_expm(self, start, monkeypatch):
         args = self.oracle_args(start)
+        if start == "segments":
+            # 1213 steps of 0.02 at record_every 40: a span of argument
+            # half*24.26, about 580, is three segments of one series each,
+            # with 10 or 11 records in blocks of 4, and 13 steps follow the
+            # last record
+            args = args[:7] + (0.02, 1213, 40)
+            monkeypatch.setattr(_kernels, "RECORD_BLOCK", 4)
         got = _kernels.kgrid_chebyshev(*args)
         want = dense_oracle(*args)
         np.testing.assert_array_equal(got[0], want[0])
         for a, b in zip(got[1:], want[1:]):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        n_terms, matvecs = got[5], got[7]
+        assert matvecs == (3 if start == "segments" else 1) * n_terms
 
-    def test_two_intervals_equal_one_of_twice_the_length(self):
+    def test_record_is_the_final_state_of_a_shorter_run(self):
+        # record 5 of a 410-step run is the final state of a 200-step run,
+        # whose series is shorter; so are the records before it
         args = list(self.oracle_args("random"))
-        args[8], args[9] = 400, 200
-        two = _kernels.kgrid_chebyshev(*args)
-        args[9] = 400
-        one = _kernels.kgrid_chebyshev(*args)
-        np.testing.assert_allclose(two[3], one[3], rtol=0, atol=1e-12)
-        assert abs(two[4] - one[4]) < 1e-12
-        np.testing.assert_allclose([two[1][-1], two[2][-1]], [one[1][-1], one[2][-1]],
-                                   rtol=0, atol=1e-12)
+        long = _kernels.kgrid_chebyshev(*args)
+        args[8] = 200
+        short = _kernels.kgrid_chebyshev(*args)
+        assert short[5] < long[5]
+        u, beta = np.sqrt(args[1]) * short[3], short[4]
+        np.testing.assert_allclose(
+            [long[1][5], long[2][5]],
+            [abs(beta) ** 2, float(np.vdot(u, u).real) + abs(beta) ** 2], rtol=0, atol=1e-12)
+        for a, b in zip(long[:3], short[:3]):
+            np.testing.assert_allclose(a[:6], b, rtol=0, atol=1e-12)
 
     def test_truncation_contract(self, monkeypatch):
         # Bessel factors that never fall below 1e-15 cannot be truncated
-        _, _, coef, tail = _kernels.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
+        _, _, coef, tail, _ = _kernels.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
         assert coef.size > 1 and 0.0 < tail < _kernels.CHEBYSHEV_TOL
-        monkeypatch.setattr(_kernels, "bessel_j", lambda n, z: np.ones(n + 1))
+        monkeypatch.setattr(_kernels, "bessel_j",
+                            lambda n, z: np.ones((n + 1,) + np.shape(z)))
         with pytest.raises(DomainError, match="truncation"):
             _kernels.kgrid_chebyshev(*self.oracle_args("decay"))
 
@@ -192,6 +208,18 @@ class TestBesselJ:
         n = self.truncation_orders(z)
         np.testing.assert_allclose(_kernels.bessel_j(n, z), jv(np.arange(n + 1), z),
                                    rtol=0, atol=1e-13)
+
+    def test_one_array_of_arguments(self):
+        # the Miller recurrence runs once over every z, from the order the
+        # largest needs; each column is J_0(z) ... J_n(z)
+        from scipy.special import jv
+
+        z = np.array([0.0, 1e-300, 0.4, 40.0, 400.0])
+        n = self.truncation_orders(400.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            j = _kernels.bessel_j(n, z)
+        assert j.shape == (n + 1, 5)
+        np.testing.assert_allclose(j, jv(np.arange(n + 1)[:, None], z), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-20, 1e-8])
     def test_small_arguments_stay_finite(self, z):
@@ -211,7 +239,7 @@ class TestChebyshevInterval:
     def test_spectrum_inside_series_interval(self, start):
         # the relative margin still covers every eigenvalue of H
         args = TestKGridChebyshevOracle().oracle_args(start)
-        ctr, half, _, _ = _kernels.chebyshev_series(*args[:4], 0.08)
+        ctr, half, *_ = _kernels.chebyshev_series(*args[:4], 0.08)
         ev = np.linalg.eigvalsh(dense_h(*args[:5]))
         assert ctr - half < ev.min() and ev.max() < ctr + half
 
@@ -219,7 +247,7 @@ class TestChebyshevInterval:
         # a narrow grid (span 0.08) needs few terms even for a long interval
         p = DecayModelParams(1.0, 1e-3, 1e-4)
         k, wk = KGrid.for_params(p).points_and_weights()
-        _, _, coef, _ = _kernels.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
+        _, _, coef, _, _ = _kernels.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
         assert coef.size <= 15
 
 

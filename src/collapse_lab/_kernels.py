@@ -218,9 +218,14 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     segment's end starts the next; the last one ends at n_steps*dt.
 
     Returns (times, occupation, total_prob, alpha_final, beta_final,
-    n_terms, tail, n_matvecs): one sample per `record_every` steps (plus
-    the initial point), the final state, the length and first dropped |J_n|
-    of a segment's series, and the recurrence steps of all segments.
+    n_terms, tail, n_matvecs, norm_drift): one sample per `record_every`
+    steps (plus the initial point), the final state, the length and first
+    dropped |J_n| of a segment's series, the recurrence steps of all
+    segments, and the largest | |psi|**2 - |psi_0|**2 | of the propagated
+    state psi = (u, beta) at a segment end.  Within a segment the total
+    probability is mu_0 up to the Bessel sum rule, whatever the recurrence
+    gives for the higher moments; the norm of the propagated state is the
+    conservation check that sees the recurrence.
     """
     sw = np.sqrt(wk)
     u = sw * np.asarray(alpha0, complex)
@@ -237,14 +242,18 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     tau = (m - seg * n_steps) * dt / n_seg
     occ = np.empty(n_rec)
     prob = np.empty(n_rec)
+    norm0, norm_drift = float(np.vdot(u, u).real + abs(beta) ** 2), 0.0
     for s in range(n_seg):
         b, nu, u, beta = _segment_moments(coef, kn, cn, en, u, beta)
+        norm = float(np.vdot(u, u).real + abs(beta) ** 2)
+        norm_drift = max(norm_drift, abs(norm - norm0))
         grams = _gram_blocks(nu)
         recs = np.flatnonzero(seg == s)
         for lo in range(0, recs.size, RECORD_BLOCK):
             block = recs[lo:lo + RECORD_BLOCK]
             occ[block], prob[block] = _record_block(b, grams, half * tau[block])
-    return times, occ, prob, u / sw, beta, coef.size, tail, n_seg * coef.size
+    return (times, occ, prob, u / sw, beta, coef.size, tail, n_seg * coef.size,
+            norm_drift)
 
 
 @functools.cache

@@ -120,7 +120,9 @@ class KGridResult:
     """Grid-integration output: series of |beta|^2 and total probability,
     plus the terms and first dropped |J_n| of a segment's Chebyshev series
     (`_kernels.chebyshev_series`; every segment has the same length, so the
-    longest) and the recurrence steps (O(n_modes) matvecs) of all segments."""
+    longest), the recurrence steps (O(n_modes) matvecs) of all segments and
+    the largest drift of the propagated state's squared norm from its
+    initial value at a segment end (`_kernels.kgrid_chebyshev`)."""
 
     times: np.ndarray  # shifted times s = t - T
     occupation: np.ndarray
@@ -130,6 +132,7 @@ class KGridResult:
     chebyshev_terms: int
     chebyshev_tail: float
     chebyshev_matvecs: int
+    norm_drift: float
 
 
 # --- decay without excitation ----------------------------------------------
@@ -336,7 +339,8 @@ def integrate_kgrid(
     packet="decay" starts from beta = 1 with no photons; packet="excitation"
     starts the regularized Gaussian packet left of x0, timed to arrive at
     s = 0 (returned times are shifted accordingly).  Total probability
-    (trapezoid k-sum plus |beta|^2) is reported along the way; the total
+    (trapezoid k-sum plus |beta|^2) is reported along the way, and its drift
+    at the segment ends is `norm_drift`, from the propagated state; the total
     simulated span must stay below the grid recurrence time (`kgrid_span`),
     and an excitation packet must be wide enough for the grid (`check_packet`).
     """
@@ -358,7 +362,7 @@ def integrate_kgrid(
         )
         beta0 = 0.0 + 0.0j
     n_steps = int(round(span / grid.dt))
-    times, occ, prob, alpha, _, n_terms, tail, matvecs = _kernels.kgrid_chebyshev(
+    times, occ, prob, alpha, _, *series = _kernels.kgrid_chebyshev(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )
-    return KGridResult(times - lead, occ, prob, k, alpha, n_terms, tail, matvecs)
+    return KGridResult(times - lead, occ, prob, k, alpha, *series)

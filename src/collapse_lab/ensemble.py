@@ -232,18 +232,22 @@ def simulate_trajectories(
     return b_path
 
 
-def _final_amplitudes(state0: SpectralState, params, t, n_traj, master_seed):
-    """Batched collapse sampling; returns per-trajectory normalized amplitudes.
+def _level_roots(state0: SpectralState, params, t, master_seed, n_traj):
+    """The collapse pass at the one time t, real: yields (rows, s) over its
+    tiles, s = sqrt(w) the roots of the level weights of the trajectories in
+    slice `rows`, shape (n_lev, len(rows)).
 
-    The collapse factor is real and positive, so the phase of every component
-    is the deterministic -E*t; only the magnitudes are stochastic.
+    The collapse factor is real and positive, so a trajectory's amplitude is
+    s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
+    only s is stochastic, and the estimators apply theta once.
     """
-    energies = state0.energies()
-    weights = np.empty((n_traj, energies.size))
     for rows, _, _, w in _collapse_pass(state0, params, [t], master_seed, n_traj):
-        weights[rows] = w[:, :, 0].T
-    phases = np.asarray(state0.phases) - energies * t
-    return np.sqrt(weights) * np.exp(1j * phases)
+        yield rows, np.sqrt(w[:, :, 0])
+
+
+def _phase_factors(state0: SpectralState, t) -> np.ndarray:
+    """exp(i*theta), theta = phases - E*t: the common phases at time t."""
+    return np.exp(1j * (np.asarray(state0.phases) - state0.energies() * t))
 
 
 def ensemble_expectation_mc(
@@ -256,15 +260,22 @@ def ensemble_expectation_mc(
 ) -> tuple[float, float]:
     """Monte Carlo ensemble expectation of obs at time t, with standard error.
 
-    Trajectories are sampled from the exact law of the record at t.
+    Trajectories are sampled from the exact law of the record at t.  A
+    trajectory's <a|O|a> is s^T Q s (`_level_roots`), with the one real
+    matrix Q = Re(D^H O D), D = diag(exp(i*theta)): one float per
+    trajectory, whose mean and standard error are returned.
     Deterministic given master_seed.
     """
     if n_traj < 2:
         raise DomainError("n_traj must be >= 2")
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
-    amps = _final_amplitudes(state0, params, t, n_traj, master_seed)
-    vals = np.einsum("ti,ij,tj->t", amps.conj(), obs.entries, amps).real
+    d = _phase_factors(state0, t)
+    q = (d.conj()[:, None] * obs.entries * d).real
+    vals = np.empty(n_traj)
+    # einsum, not a BLAS product: a first BLAS call costs RSS for its buffers
+    for rows, s in _level_roots(state0, params, t, master_seed, n_traj):
+        vals[rows] = np.einsum("it,ij,jt->t", s, q, s)
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_traj))
     return mean, se
@@ -302,15 +313,22 @@ def ensemble_density_matrix_mc(
     master_seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo density matrix (mean of normalized projectors) and the
-    entrywise standard error (complex: SE of real and imag parts in
-    quadrature).  Cross-check for `ensemble_density_matrix`.
+    entrywise standard error.  Cross-check for `ensemble_density_matrix`.
+
+    A trajectory's projector is s_i*s_j*exp(i*(theta_i - theta_j))
+    (`_level_roots`): the real products s_i*s_j are averaged and the common
+    phases applied once, to the mean.  The standard error of the real and
+    imaginary parts in quadrature is exactly that of s_i*s_j, so it is real.
     """
-    amps = _final_amplitudes(state0, params, t, n_traj, master_seed)
-    projs = amps[:, :, None] * amps.conj()[:, None, :]
-    mean = projs.mean(axis=0)
-    se = np.sqrt(
-        np.var(projs.real, axis=0, ddof=1) + np.var(projs.imag, axis=0, ddof=1)
-    ) / math.sqrt(n_traj)
+    if n_traj < 2:
+        raise DomainError("n_traj must be >= 2")
+    s = np.empty((len(state0.levels), n_traj))
+    for rows, s_tile in _level_roots(state0, params, t, master_seed, n_traj):
+        s[:, rows] = s_tile
+    prods = s[:, None, :] * s[None, :, :]
+    d = _phase_factors(state0, t)
+    mean = prods.mean(axis=-1) * d[:, None] * d.conj()
+    se = prods.std(axis=-1, ddof=1) / math.sqrt(n_traj)
     return mean, se
 
 

@@ -635,6 +635,23 @@ class TestEnsembleRunner:
         for key, value in scalars[1].items():
             assert scalars[0][key] == pytest.approx(value, rel=1e-13, abs=1e-13), key
 
+    def test_memory_grows_by_one_value_and_its_temporary_per_trajectory(self, tmp_path):
+        # the Monte Carlo keeps one float per trajectory, <a|H|a>, and np.std
+        # takes one temporary of them: 16 bytes, not the trajectories'
+        # complex amplitudes (about 112 bytes at three levels)
+        peaks = []
+        for n_traj in (20_000, 200_000):
+            cfg = ExperimentConfig.from_file(write_config(
+                tmp_path, ENSEMBLE_INI.replace("n_traj = 200", f"n_traj = {n_traj}")))
+            tracemalloc.start()
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    cli.RUNNERS["ensemble"](cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 24 * 180_000
+
     def test_mc_z_score_is_the_mc_deviation_in_standard_errors(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -777,8 +794,10 @@ n_s = 10000
 """,
     SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 2.0").replace(
         "n_modes = 1024", "n_modes = 256").replace("record_every = 50", "record_every = 1"),
+    # the Monte Carlo's one float per trajectory dominates the estimate
+    ENSEMBLE_INI.replace("n_traj = 200", "n_traj = 100000"),
 ], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
-        "kgrid_decay"])
+        "kgrid_decay", "ensemble_n_traj"])
 def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     # each table value is charged as its float plus the runner's temporaries,
     # and the writers as one block: the estimate covers the tracemalloc peak
@@ -806,23 +825,37 @@ class TestWriters:
     whole-table writers they replaced."""
 
     @staticmethod
-    def whole_csv(path, cols, table):
-        rows = (",".join(map(cli._fmt, row)) for row in table.tolist())
+    def fmt(x):
+        """One value as the whole-table writers formatted it."""
+        return format(float(x), ".17g")
+
+    @classmethod
+    def whole_csv(cls, path, cols, table):
+        rows = (",".join(map(cls.fmt, row)) for row in table.tolist())
         Path(path).write_text("\n".join([",".join(cols), *rows]) + "\n")
 
-    @staticmethod
-    def whole_json(path, doc, cols, table):
+    @classmethod
+    def whole_json(cls, path, doc, cols, table):
         doc = {**doc, "columns": cols,
-               "rows": [[cli._fmt(v) for v in row] for row in table.tolist()]}
+               "rows": [[cls.fmt(v) for v in row] for row in table.tolist()]}
         Path(path).write_text(json.dumps(doc, indent=2, default=float,
                                          allow_nan=False) + "\n")
 
-    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (3001, 5)])
+    #: signed zero, subnormals, huge values, values with no short 17-digit
+    #: form and integral floats; tiled to 15 rows of 3, three blocks of 5 rows
+    SPECIAL = np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3, 3.0, -2.0, 1e16, 0.0,
+                        -5e-324, -1e308, 2.0**53 + 2, 7e-310, -0.1, 100.0])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (3001, 5), "special"])
     def test_bytes_match_the_whole_table_writers(self, tmp_path, monkeypatch, shape):
         # blocks of 16 values: a 3001 x 5 table takes 1001 blocks of 3 rows
         monkeypatch.setattr(cli, "_WRITE_VALUES", 16)
-        rng = np.random.default_rng(sum(shape))
-        table = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+        if shape == "special":
+            table = np.tile(self.SPECIAL.reshape(5, 3), (3, 1))
+            shape = table.shape
+        else:
+            rng = np.random.default_rng(sum(shape))
+            table = rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
         cols = [f"c{i} (unit)" for i in range(shape[1])]
         doc = {"experiment": "x", "parameters": {"energies": (0.0, 1.5)},
                "scalars": {"z": np.float64(0.25), "n": 3}}
@@ -928,6 +961,17 @@ def test_kgrid_matvecs_count_every_segment(tmp_path):
     scalars = docs[0]["scalars"]
     assert (scalars["chebyshev_terms"], scalars["chebyshev_tail"]) == (coef.size, tail)
     assert scalars["chebyshev_matvecs"] == 3 * coef.size
+
+
+def test_kgrid_norm_drift_sees_every_segment(tmp_path):
+    # the three-segment span of test_kgrid_matvecs_count_every_segment: the
+    # squared norm of the state propagated to each segment end stays at the
+    # initial one, identical on rerun, next to the moment-based drift
+    docs = kgrid_summaries(tmp_path, SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 24.0"))
+    a, b = (doc["scalars"] for doc in docs)
+    assert a["norm_drift_per_unit_time"] == b["norm_drift_per_unit_time"]
+    assert 0.0 <= a["norm_drift_per_unit_time"] <= 1e-12
+    assert "probability_drift_per_unit_time" in a
 
 
 def _reject_constant(name):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
-from collapse_lab.engine import CollapseParams
+from collapse_lab import ensemble
+from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import (
     SmearingKernel,
     TimeSeries,
@@ -15,6 +16,7 @@ from collapse_lab.ensemble import (
     ensemble_density_matrix,
     ensemble_density_matrix_mc,
     ensemble_expectation_mc,
+    simulate_trajectories,
     smear,
     subsystem_expectation,
 )
@@ -197,6 +199,71 @@ class TestEnsembleDensityMatrix:
         mc, se = ensemble_density_matrix_mc(state, params, 1.5, 4000, 99)
         closed = ensemble_density_matrix(state, params, 1.5).entries
         assert np.all(np.abs(mc - closed) < 4 * np.maximum(se, 1e-15))
+
+
+class TestMonteCarloOracle:
+    """Both Monte Carlo estimators against the trajectories' complex
+    amplitudes, built here from their records: `engine.evolve` at (t, B)."""
+
+    T, N_TRAJ, SEED = 1.3, 400, 21
+
+    @staticmethod
+    def observable(state):
+        # Hermitian with complex off-diagonals: with the state's phases, the
+        # estimator's real matrix Re(D^H O D) differs from Re(O)
+        m = np.array([[0.4, 1.0 - 0.7j, 0.3 + 0.9j],
+                      [0.0, -1.2, 0.5 - 0.2j],
+                      [0.0, 0.0, 2.0]])
+        return ObservableMatrix(state.levels, np.triu(m) + np.triu(m, 1).conj().T)
+
+    def amplitudes(self, state, params):
+        b = simulate_trajectories(state, params, [self.T], self.SEED, self.N_TRAJ)
+        return np.array([evolve(state, params, self.T, float(x)).normalized().amplitudes()
+                         for x in b[:, 0]])
+
+    def test_expectation_is_the_mean_of_the_trajectories(self):
+        state, params = three_level(), CollapseParams(0.8)
+        obs = self.observable(state)
+        amps = self.amplitudes(state, params)
+        vals = np.einsum("ti,ij,tj->t", amps.conj(), obs.entries, amps).real
+        mean, se = ensemble_expectation_mc(state, params, self.T, obs, self.N_TRAJ, self.SEED)
+        assert mean == pytest.approx(vals.mean(), rel=0, abs=1e-12)
+        assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(self.N_TRAJ), rel=0, abs=1e-12)
+        # the phases matter: dropping them (Re(O) with |a|) is far off
+        mags = np.abs(amps)
+        wrong = np.einsum("ti,ij,tj->t", mags, obs.entries.real, mags).mean()
+        assert abs(wrong - mean) > 1e-2
+
+    def test_density_matrix_is_the_mean_projector(self):
+        state, params = three_level(), CollapseParams(0.8)
+        amps = self.amplitudes(state, params)
+        projs = amps[:, :, None] * amps.conj()[:, None, :]
+        want_se = np.sqrt(np.var(projs.real, axis=0, ddof=1)
+                          + np.var(projs.imag, axis=0, ddof=1)) / math.sqrt(self.N_TRAJ)
+        mean, se = ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED)
+        np.testing.assert_allclose(mean, projs.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(se, want_se, rtol=0, atol=1e-12)
+
+    def test_tiles_change_no_estimate(self, monkeypatch):
+        # tiles of 21 trajectories (2**6 level weights) or one tile of all 400
+        state, params = three_level(), CollapseParams(0.8)
+        obs = self.observable(state)
+        got = []
+        for tile_values in (2**6, 2**14):
+            monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
+            got.append((
+                ensemble_expectation_mc(state, params, self.T, obs, self.N_TRAJ, self.SEED),
+                ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED),
+            ))
+        (e0, (m0, s0)), (e1, (m1, s1)) = got
+        assert e0 == e1
+        np.testing.assert_array_equal(m0, m1)
+        np.testing.assert_array_equal(s0, s1)
+
+    def test_density_matrix_needs_two_trajectories(self):
+        # one trajectory has no sample standard error
+        with pytest.raises(DomainError, match="n_traj must be >= 2"):
+            ensemble_density_matrix_mc(three_level(), CollapseParams(1.0), 1.0, 1, 0)
 
 
 class TestSubsystemExpectation:

@@ -97,8 +97,9 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
 class TestKGridChebyshev:
     def test_numpy_records_expected_shape(self):
         args = kgrid_args()
-        t, occ, prob, alpha, beta, n_terms, tail, matvecs = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, n_terms, tail, matvecs, drift = _kernels.kgrid_chebyshev(*args)
         assert t.shape == occ.shape == prob.shape == (11,)
+        assert 0.0 <= drift <= 1e-12
         assert alpha.shape == (256,)
         # the span (argument half*0.8, about 19) is one segment: one series of
         # exp(-i*H*0.8), as `chebyshev_series` builds it, serves every record
@@ -169,6 +170,8 @@ class TestKGridChebyshevOracle:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         n_terms, matvecs = got[5], got[7]
         assert matvecs == (3 if start == "segments" else 1) * n_terms
+        # the squared norm at every segment end is the initial one
+        assert got[8] <= 1e-12
 
     def test_record_is_the_final_state_of_a_shorter_run(self):
         # record 5 of a 410-step run is the final state of a 200-step run,

@@ -35,8 +35,8 @@ __all__ = ["collapse_weights", "bessel_j", "bessel_orders", "chebyshev_interval"
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
 #: the largest Bessel argument half*tau of one segment's series; it caps the
-#: series length at `bessel_orders(SEGMENT_Z)`, and so a segment's Gram blocks
-#: and Bessel block, whatever the span
+#: series length at `bessel_orders(SEGMENT_Z)`, and so a record block's Bessel
+#: factors, whatever the span
 SEGMENT_Z = 256.0
 #: records whose Bessel factors are evaluated together
 RECORD_BLOCK = 64
@@ -144,20 +144,19 @@ def chebyshev_series(k, wk, g, eps, span):
     return ctr, half, coef * cmath.exp(-1j * ctr * tau), float(abs(j[n_terms])), n_seg
 
 
-def _segment_moments(coef, kn, cn, en, u, beta):
+def _segment(coef, kn, cn, en, u, beta):
     """One segment's recurrence phi_n = T_n(Hn) psi, psi = (u, beta), Hn =
     [[diag(kn), cn], [cn^H, en]], for n < coef.size: the beta components
-    b_n, the even moments mu_2n = <psi, T_2n(Hn) psi> = 2*|phi_n|**2 -
-    |psi|**2 and the state sum_n coef[n]*phi_n."""
+    b_n and the state sum_n coef[n]*phi_n."""
     n_terms = coef.size
-    b, nu = np.empty(n_terms, complex), np.empty(n_terms)
+    b = np.empty(n_terms, complex)
     # kn2 complex: products with the complex state then need no casting
     kn2, cn2 = (2.0 * kn).astype(complex), 2.0 * cn
     # T_{n+1} = 2*Hn*T_n - T_{n-1}; T_{-1} = Hn makes T_1 = Hn
     p0, b0, p1, b1 = kn * u + cn * beta, en * beta + np.vdot(cn, u), u, beta
     acc, acc_b = np.zeros_like(u), 0j
     for i in range(n_terms):
-        b[i], nu[i] = b1, float(np.vdot(p1, p1).real) + abs(b1) ** 2
+        b[i] = b1
         acc += coef[i] * p1
         acc_b += coef[i] * b1
         if i + 1 < n_terms:
@@ -165,35 +164,20 @@ def _segment_moments(coef, kn, cn, en, u, beta):
             p2 += cn2 * b1
             p2 -= p0
             p0, b0, p1, b1 = p1, b1, p2, 2.0 * en * b1 + np.vdot(cn2, p1) - b0
-    return b, 2.0 * nu - nu[0], acc, acc_b
+    return b, acc, acc_b
 
 
-def _gram_blocks(nu):
-    """Twice the parity blocks of the Gram matrix <phi_m, phi_n> =
-    (mu_{m+n} + mu_{|m-n|})/2 at m = 2i + p, n = 2j + p: nu[i + j + p] +
-    nu[|i - j|], a Hankel and a Toeplitz matrix in nu_k = mu_2k (orders of
-    unlike parity do not meet in a norm; see `kgrid_chebyshev`)."""
-    window = np.lib.stride_tricks.sliding_window_view
-    return [window(nu[p:p + 2 * size - 1], size)
-            + window(np.concatenate((nu[size - 1:0:-1], nu[:size])), size)[:, ::-1]
-            for p, size in ((0, (nu.size + 1) // 2), (1, nu.size // 2))]
-
-
-def _record_block(b, grams, z):
-    """(occupation, total probability) at Bessel arguments z: |sum_n
-    (2 - delta_n0)(-i)**n J_n(z) b_n|**2 and the quadratic forms of the same
-    factors in the parity blocks of the Gram matrix."""
+def _record_block(b, z):
+    """The occupation |sum_n (2 - delta_n0)(-i)**n J_n(z) b_n|**2 at Bessel
+    arguments z."""
     n = np.arange(b.size)
-    # x_n = (2 - delta_n0)*(-1)**(n//2)*J_n carries the parity blocks' signs
-    # (-1)**i, i = n//2; then (-i)**n*(-1)**(n//2) leaves 1 or -i for b_n
+    # x_n = (2 - delta_n0)*(-1)**(n//2)*J_n is real; (-i)**n*(-1)**(n//2)
+    # leaves 1 or -i for b_n
     x = bessel_j(n[-1], z)
     x *= np.where(n % 4 < 2, 2.0, -2.0)[:, None]
     x[0] *= 0.5
     a = np.where(n % 2, -1j, 1.0) * b
-    occ = np.einsum("i,ir->r", a.real, x) ** 2 + np.einsum("i,ir->r", a.imag, x) ** 2
-    prob = sum(np.einsum("ir,ir->r", xp, np.einsum("ij,jr->ir", gram, xp))
-               for gram, xp in zip(grams, (x[::2], x[1::2])))
-    return occ, 0.5 * prob
+    return np.einsum("i,ir->r", a.real, x) ** 2 + np.einsum("i,ir->r", a.imag, x) ** 2
 
 
 def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every):
@@ -211,21 +195,20 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     Only the scalar factors of exp(-i*H*t) = e^{-i*ctr*t} sum_n (2 -
     delta_n0)(-i)**n J_n(half*t) T_n(Hn) depend on t (Tal-Ezer & Kosloff
     1984), so one recurrence phi_n = T_n(Hn) psi from the segment's start
-    psi, one O(n_modes) matvec per term, gives all of its records: the
-    occupation from the beta components of phi_n, and the total probability
-    as a quadratic form in the Gram matrix <phi_m, phi_n>, which the even
-    Chebyshev moments mu_2n give (Weisse et al. 2006).  The series at the
-    segment's end starts the next; the last one ends at n_steps*dt.
+    psi, one O(n_modes) matvec per term, gives all of its records'
+    occupations from the beta components of phi_n.  The series at the
+    segment's end starts the next; the last one ends at n_steps*dt.  The
+    kept series is unitary to its dropped |J_n| < 1e-15, so a record's total
+    probability is the squared norm |u|**2 + |beta|**2 of the propagated
+    state at the start of its segment.
 
     Returns (times, occupation, total_prob, alpha_final, beta_final,
     n_terms, tail, n_matvecs, norm_drift): one sample per `record_every`
     steps (plus the initial point), the final state, the length and first
     dropped |J_n| of a segment's series, the recurrence steps of all
     segments, and the largest | |psi|**2 - |psi_0|**2 | of the propagated
-    state psi = (u, beta) at a segment end.  Within a segment the total
-    probability is mu_0 up to the Bessel sum rule, whatever the recurrence
-    gives for the higher moments; the norm of the propagated state is the
-    conservation check that sees the recurrence.
+    state psi at a segment end, the conservation check that sees the
+    recurrence.
     """
     sw = np.sqrt(wk)
     u = sw * np.asarray(alpha0, complex)
@@ -241,19 +224,18 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     seg = np.maximum(m - 1, 0) // max(n_steps, 1)
     tau = (m - seg * n_steps) * dt / n_seg
     occ = np.empty(n_rec)
-    prob = np.empty(n_rec)
-    norm0, norm_drift = float(np.vdot(u, u).real + abs(beta) ** 2), 0.0
+    # the squared norm of the propagated state at the start and every segment end
+    norms = [float(np.vdot(u, u).real + abs(beta) ** 2)]
     for s in range(n_seg):
-        b, nu, u, beta = _segment_moments(coef, kn, cn, en, u, beta)
-        norm = float(np.vdot(u, u).real + abs(beta) ** 2)
-        norm_drift = max(norm_drift, abs(norm - norm0))
-        grams = _gram_blocks(nu)
+        b, u, beta = _segment(coef, kn, cn, en, u, beta)
         recs = np.flatnonzero(seg == s)
         for lo in range(0, recs.size, RECORD_BLOCK):
             block = recs[lo:lo + RECORD_BLOCK]
-            occ[block], prob[block] = _record_block(b, grams, half * tau[block])
-    return (times, occ, prob, u / sw, beta, coef.size, tail, n_seg * coef.size,
-            norm_drift)
+            occ[block] = _record_block(b, half * tau[block])
+        norms.append(float(np.vdot(u, u).real + abs(beta) ** 2))
+    norms = np.array(norms)
+    return (times, occ, norms[seg], u / sw, beta, coef.size, tail, n_seg * coef.size,
+            float(np.max(np.abs(norms - norms[0]))))
 
 
 @functools.cache

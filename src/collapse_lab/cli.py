@@ -11,10 +11,9 @@ energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 
 Outputs: a data table (CSV by default, one leading t or x abscissa column,
 floats at 17 significant digits so they round-trip exactly) and a JSON
-summary with the resolved parameters, seed, version, library versions
-(scipy null when the run never imported it) and key scalars.  The data
-table is byte-identical across reruns with the same config and seed; the
-summary additionally records wall time.
+summary with the resolved parameters, seed, version, the python and numpy
+versions and key scalars.  The data table is byte-identical across reruns
+with the same config and seed; the summary additionally records wall time.
 
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
 spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
@@ -438,10 +437,9 @@ class ExperimentConfig:
             return {"'n_s'": 48 * 3 * p["n_s"]}
         # k-grid: grid, coupling, state, three Chebyshev recurrence vectors
         # and the accumulated state, with their temporaries, per mode; times,
-        # Bessel arguments and three columns per record; and one segment's
-        # Gram blocks (n**2/2 floats) and one record block's Bessel factors
-        # and products, n the orders computed for a segment's series, whose
-        # argument SEGMENT_Z caps whatever the span
+        # Bessel arguments and three columns per record; and one record
+        # block's Bessel factors and products, n the orders computed for a
+        # segment's series, whose argument SEGMENT_Z caps whatever the span
         dp, grid = self.model
         _, span = kgrid_span(dp, grid, p["packet"], p["s_max"])
         c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
@@ -450,7 +448,7 @@ class ExperimentConfig:
         n_rec = _kgrid_steps(p) // p["record_every"] + 1
         return {"'n_modes'": 8 * 25 * p["n_modes"],
                 "'record_every'": 8 * 12 * n_rec,
-                "'s_max'": 8 * (n * n // 2 + _kernels.RECORD_BLOCK * 2 * max(n, 32))}
+                "'s_max'": 8 * _kernels.RECORD_BLOCK * 2 * max(n, 32)}
 
     def derived_t_cal(self) -> float | None:
         """Smearing width sqrt(lambda*t) implied by the config, if any."""
@@ -589,14 +587,11 @@ def _run_decay(cfg):
     span = res.times[-1] - res.times[0]
     summary = {
         "T_cal": cfg.derived_t_cal(),
-        "probability_drift_per_unit_time": float(
-            abs(res.total_probability[-1] - res.total_probability[0]) / span
-        ),
+        "probability_drift_per_unit_time": res.norm_drift / span,
         "recurrence_time": grid.recurrence_time,
         "chebyshev_terms": res.chebyshev_terms,
         "chebyshev_tail": res.chebyshev_tail,
         "chebyshev_matvecs": res.chebyshev_matvecs,
-        "norm_drift_per_unit_time": res.norm_drift / span,
     }
     return cols, table, summary
 
@@ -654,12 +649,9 @@ def _dumps(doc) -> str:
 
 
 def _versions() -> dict:
-    """Interpreter and library versions; scipy is null when the run never
-    imported it."""
-    scipy = sys.modules.get("scipy")
+    """Interpreter and numpy versions (no run imports another library)."""
     return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__,
-            "scipy": None if scipy is None else scipy.__version__}
+            "numpy": np.__version__}
 
 
 def _summary_doc(cfg, summary, wall_time):

@@ -4,9 +4,9 @@ Closed-form evaluators for the exactly solvable linear-dispersion model
 (coupling g = sqrt(Gamma/2/pi), photon energy k rather than |k| so decay is
 exactly exponential) plus an independent numerical oracle: the mode ODEs on
 a uniform k-grid, propagated by one Chebyshev series of exp(-i*H*t) per
-segment of the span, which gives every record in the segment: its occupation
-from the series' beta components and its total probability from the
-Chebyshev moments (`_kernels.kgrid_chebyshev`).
+segment of the span, whose beta components give every record's occupation in
+the segment; a record's total probability is the propagated state's squared
+norm at the start of its segment (`_kernels.kgrid_chebyshev`).
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -117,12 +117,14 @@ class KGrid:
 
 @dataclass(frozen=True)
 class KGridResult:
-    """Grid-integration output: series of |beta|^2 and total probability,
-    plus the terms and first dropped |J_n| of a segment's Chebyshev series
-    (`_kernels.chebyshev_series`; every segment has the same length, so the
-    longest), the recurrence steps (O(n_modes) matvecs) of all segments and
-    the largest drift of the propagated state's squared norm from its
-    initial value at a segment end (`_kernels.kgrid_chebyshev`)."""
+    """Grid-integration output: series of |beta|^2 and total probability
+    (the propagated state's squared norm at the start of the record's
+    segment), plus the terms and first dropped |J_n| of a segment's Chebyshev
+    series (`_kernels.chebyshev_series`; every segment has the same length,
+    so the longest), the recurrence steps (O(n_modes) matvecs) of all
+    segments and the largest drift of the propagated state's squared norm
+    from its initial value at a segment end, the conservation check
+    (`_kernels.kgrid_chebyshev`)."""
 
     times: np.ndarray  # shifted times s = t - T
     occupation: np.ndarray
@@ -332,17 +334,17 @@ def integrate_kgrid(
     the record-spacing unit `grid.dt`, recording every `record_every` steps.
     The span is cut into the fewest equal segments whose Bessel argument
     stays within `_kernels.SEGMENT_Z`; one Chebyshev recurrence per segment
-    gives all of its records, the occupation from the beta components and
-    the total probability from the Chebyshev moments
+    gives all of its records' occupations from the beta components
     (`_kernels.kgrid_chebyshev`).
 
     packet="decay" starts from beta = 1 with no photons; packet="excitation"
     starts the regularized Gaussian packet left of x0, timed to arrive at
     s = 0 (returned times are shifted accordingly).  Total probability
-    (trapezoid k-sum plus |beta|^2) is reported along the way, and its drift
-    at the segment ends is `norm_drift`, from the propagated state; the total
-    simulated span must stay below the grid recurrence time (`kgrid_span`),
-    and an excitation packet must be wide enough for the grid (`check_packet`).
+    (trapezoid k-sum plus |beta|^2) is reported per record as its value at
+    the start of the record's segment, and its largest drift at a segment end
+    is `norm_drift`, the conservation check; the total simulated span must
+    stay below the grid recurrence time (`kgrid_span`), and an excitation
+    packet must be wide enough for the grid (`check_packet`).
     """
     check_grid(p, grid)
     check_packet(p, grid, packet)

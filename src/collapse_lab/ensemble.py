@@ -204,11 +204,13 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
         j = np.minimum(np.searchsorted(born, uniforms, side="right"), energies.size - 1)
         b_rows = np.cumsum(normals * scale, axis=1)
         b_rows += (2.0 * params.lam * energies[j])[:, None] * times
+        del uniforms, normals, j  # spent once the records are formed
         for s0 in range(0, times.size, tile_steps):
             steps = slice(s0, min(s0 + tile_steps, times.size))
             b = b_rows[:, steps]
             yield (slice(rows.start, rows.stop), steps, b,
                    _kernels.collapse_weights(energies, log_w0, params, times[steps], b))
+        del b_rows, b  # released before the next tile is drawn
 
 
 def simulate_trajectories(
@@ -241,8 +243,10 @@ def _level_roots(state0: SpectralState, params, t, master_seed, n_traj):
     s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
     only s is stochastic, and the estimators apply theta once.
     """
-    for rows, _, _, w in _collapse_pass(state0, params, [t], master_seed, n_traj):
-        yield rows, np.sqrt(w[:, :, 0])
+    for tile in _collapse_pass(state0, params, [t], master_seed, n_traj):
+        rows, s = tile[0], np.sqrt(tile[3][:, :, 0])
+        del tile  # its records and weights, before the next tile is drawn
+        yield rows, s
 
 
 def _phase_factors(state0: SpectralState, t) -> np.ndarray:

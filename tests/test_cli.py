@@ -12,7 +12,7 @@ import pytest
 
 from collapse_lab import _kernels, cli, ensemble
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
-from collapse_lab.decay import DecayModelParams, KGrid
+from collapse_lab.decay import DecayModelParams, KGrid, integrate_kgrid
 from collapse_lab.engine import CollapseParams
 from collapse_lab._kernels import collapse_weights
 from collapse_lab.ensemble import simulate_trajectories
@@ -715,9 +715,8 @@ class TestOutputs:
         assert abs(doc["scalars"]["envelope"] - math.exp(-4.5)) < 1e-12
         assert doc["seed"] == 0
         assert "version" in doc and "wall_time_s" in doc
-        # spin's complex normal CDF is numpy code: the run never loads scipy
         assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
-                                   "numpy": np.__version__, "scipy": None}
+                                   "numpy": np.__version__}
 
     def test_records_disjoint_bound_sup_zero(self, tmp_path):
         ini = """[records]
@@ -886,8 +885,8 @@ class TestWriters:
 
 def test_runs_without_scipy(tmp_path):
     # one fresh interpreter: the package import and a run of every shipped
-    # config must leave scipy unimported, and the summaries must say so; the
-    # Faddeeva coefficients must not pull in numpy.fft either
+    # config must leave scipy unimported, and the summaries name no scipy
+    # version; the Faddeeva coefficients must not pull in numpy.fft either
     runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
             ("ensemble", "universe_tcal"), ("measurement", "measurement_shared"),
             ("records", "records_half_overlap"), ("spin", "spin_suppression"),
@@ -907,7 +906,7 @@ def test_runs_without_scipy(tmp_path):
     assert json.loads(res.stdout.splitlines()[-1]) == []
     for _, stem in runs:
         doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
-        assert doc["versions"]["scipy"] is None
+        assert set(doc["versions"]) == {"python", "numpy"}
     # the numpy Bessel factors truncate the shipped k-grid series where
     # scipy's do: its span of 5 is one segment, of argument z = half*5
     from scipy.special import jv
@@ -966,12 +965,19 @@ def test_kgrid_matvecs_count_every_segment(tmp_path):
 def test_kgrid_norm_drift_sees_every_segment(tmp_path):
     # the three-segment span of test_kgrid_matvecs_count_every_segment: the
     # squared norm of the state propagated to each segment end stays at the
-    # initial one, identical on rerun, next to the moment-based drift
+    # initial one, identical on rerun; one key reports it
     docs = kgrid_summaries(tmp_path, SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 24.0"))
     a, b = (doc["scalars"] for doc in docs)
-    assert a["norm_drift_per_unit_time"] == b["norm_drift_per_unit_time"]
-    assert 0.0 <= a["norm_drift_per_unit_time"] <= 1e-12
-    assert "probability_drift_per_unit_time" in a
+    assert a["probability_drift_per_unit_time"] == b["probability_drift_per_unit_time"]
+    assert 0.0 <= a["probability_drift_per_unit_time"] <= 1e-12
+    assert "norm_drift_per_unit_time" not in a
+    # the propagated norm at the segment ends, not the total_probability
+    # column, which holds only the segment starts
+    dp = DecayModelParams(1.0, 1.0, 1e-4)
+    res = integrate_kgrid(dp, KGrid.for_params(dp, 20.0, 1024, 2e-3), "decay", 24.0, 50)
+    span = res.times[-1] - res.times[0]
+    assert a["probability_drift_per_unit_time"] == res.norm_drift / span
+    assert res.norm_drift / span != abs(res.total_probability[-1] - res.total_probability[0]) / span
 
 
 def _reject_constant(name):

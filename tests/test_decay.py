@@ -331,6 +331,8 @@ class TestKGridOracle:
                               record_every=100)
         drift = np.abs(res.total_probability - res.total_probability[0]).max()
         assert drift / res.times[-1] < 1e-8
+        # the propagated norm at every segment end
+        assert res.norm_drift / (res.times[-1] - res.times[0]) < 1e-8
 
     def test_excitation_matches_closed_form(self):
         # sigma large enough that the packet's k-support fits the grid

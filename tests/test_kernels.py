@@ -173,6 +173,32 @@ class TestKGridChebyshevOracle:
         # the squared norm at every segment end is the initial one
         assert got[8] <= 1e-12
 
+    def test_total_probability_is_the_norm_at_its_segment_start(self, monkeypatch):
+        # the three segments of test_matches_dense_expm, with every series
+        # scaled by 1.001: the propagated squared norm grows 1.001**2-fold per
+        # segment, and each record's total probability is the norm at the
+        # start of its segment (records 0-10, 11-20 and 21-30; a record at a
+        # segment's end belongs to that segment), so the column steps only at
+        # the segment boundaries, and the drift is the norm at the last end
+        args = self.oracle_args("random")[:7] + (0.02, 1213, 40)
+        series = _kernels.chebyshev_series
+
+        def scaled(*a):
+            ctr, half, coef, *rest = series(*a)
+            return (ctr, half, 1.001 * coef, *rest)
+
+        monkeypatch.setattr(_kernels, "chebyshev_series", scaled)
+        got = _kernels.kgrid_chebyshev(*args)
+        prob, drift = got[2], got[8]
+        assert np.flatnonzero(np.diff(prob)).tolist() == [10, 20]
+        norm0 = float(np.sum(args[1] * np.abs(args[6]) ** 2) + abs(args[5]) ** 2)
+        want = norm0 * 1.001 ** (2 * np.repeat([0, 1, 2], [11, 10, 10]))
+        np.testing.assert_allclose(prob, want, rtol=1e-12, atol=0)
+        assert drift == pytest.approx(norm0 * (1.001**6 - 1.0), rel=1e-9)
+        u, beta = np.sqrt(args[1]) * got[3], got[4]
+        assert drift == pytest.approx(float(np.vdot(u, u).real) + abs(beta) ** 2 - prob[0],
+                                      rel=1e-13)
+
     def test_record_is_the_final_state_of_a_shorter_run(self):
         # record 5 of a 410-step run is the final state of a 200-step run,
         # whose series is shorter; so are the records before it

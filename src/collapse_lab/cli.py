@@ -18,9 +18,9 @@ with the same config and seed; the summary additionally records wall time.
 Exit codes: 0 success, 2 configuration error (including a non-finite value,
 spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
 packet that `decay` refuses, a k-grid span beyond the recurrence time, a
-non-finite k-grid s_max/dt, an unreadable fixture or one with a non-finite
-value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, collapse weights
-whose sum overflows, an --out outside an existing directory and count
+non-finite k-grid step count span/dt, an unreadable fixture or one with a
+non-finite value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, collapse
+weights whose sum overflows, an --out outside an existing directory and count
 keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
 violation (including a non-finite result, a numpy floating-point error and a
 k-grid Chebyshev series whose Bessel factors do not fall below 1e-15).
@@ -205,19 +205,11 @@ _BLOCK_BYTES = 2**26
 
 def _chunk_level_bytes(n_lev, n_traj, n_steps) -> int:
     """The (level, trajectory, step) temporaries of one tile of the collapse
-    pass: about six float arrays at their peak (tracemalloc), charged as seven."""
+    pass: about six float arrays at their peak (tracemalloc) for the ensemble
+    runner's one-step tiles, about four for the collapse runner's, which
+    releases each tile before the next is drawn; charged as seven."""
     rows, steps = _tile_shape(n_lev, n_traj, n_steps)
     return 56 * n_lev * rows * steps
-
-
-def _kgrid_steps(p) -> int:
-    """The k-grid step count round(s_max/dt), which must be finite."""
-    steps = p["s_max"] / p["dt"]
-    if not math.isfinite(steps):
-        raise ConfigError(
-            f"key 's_max' gives a non-finite step count s_max/dt = {steps}"
-        )
-    return round(steps)
 
 
 # --- model builders, called by ExperimentConfig.validate_domain only --------
@@ -388,14 +380,13 @@ class ExperimentConfig:
                     key = "packet"
                     check_packet(dp, grid, p["packet"])
                     key = "s_max"
-                    kgrid_span(dp, grid, p["packet"], p["s_max"])
+                    _, _, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
                 except DomainError as exc:
                     raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
-                n_steps = _kgrid_steps(p)
                 if p["record_every"] > n_steps:
                     raise ConfigError(
                         f"key 'record_every' must not exceed the step count "
-                        f"round(s_max/dt) = {n_steps}"
+                        f"round(span/dt) = {n_steps}"
                     )
             self.model = dp, grid
         if e == "measurement":
@@ -441,11 +432,11 @@ class ExperimentConfig:
         # block's Bessel factors and products, n the orders computed for a
         # segment's series, whose argument SEGMENT_Z caps whatever the span
         dp, grid = self.model
-        _, span = kgrid_span(dp, grid, p["packet"], p["s_max"])
+        _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
         c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
         _, half = _kernels.chebyshev_interval(grid.k_min, grid.k_max, c_norm, dp.epsilon)
         n = _kernels.bessel_orders(min(half * span, _kernels.SEGMENT_Z))
-        n_rec = _kgrid_steps(p) // p["record_every"] + 1
+        n_rec = n_steps // p["record_every"] + 1
         return {"'n_modes'": 8 * 25 * p["n_modes"],
                 "'record_every'": 8 * 12 * n_rec,
                 "'s_max'": 8 * _kernels.RECORD_BLOCK * 2 * max(n, 32)}
@@ -472,9 +463,11 @@ def _run_collapse(cfg):
     n_lev = len(p["energies"])
     n_collapsed = np.zeros(n_steps, np.int64)
     weight_sums = np.zeros((n_steps, n_lev))
-    for _, steps, _, w in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
+    for tile in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
+        steps, w = tile[1], tile[3]
         n_collapsed[steps] += np.count_nonzero(w.max(axis=0) >= p["threshold"], axis=0)
         weight_sums[steps] += w.sum(axis=1).T
+        del tile, w  # released before the pass draws the next tile
     frac, mean_w = n_collapsed / n_traj, weight_sums / n_traj
     cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)

@@ -307,10 +307,11 @@ def check_packet(p: DecayModelParams, grid: KGrid, packet: str):
 
 
 def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
-               t_final: float) -> tuple[float, float]:
-    """(lead before s = 0, total span) of `integrate_kgrid`: the excitation
-    packet starts 10 packet widths early.  Raises DomainError for an unknown
-    packet or a span beyond the grid recurrence time."""
+               t_final: float) -> tuple[float, float, int]:
+    """(lead before s = 0, total span, step count round(span/dt)) of
+    `integrate_kgrid`: the excitation packet starts 10 packet widths early.
+    Raises DomainError for an unknown packet, a span beyond the grid
+    recurrence time or a non-finite step count."""
     if packet not in ("decay", "excitation"):
         raise DomainError(f"unknown packet {packet!r}")
     lead = 10.0 * packet_width(p) if packet == "excitation" else 0.0
@@ -320,7 +321,11 @@ def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
             f"simulated span {span} exceeds grid recurrence time "
             f"{grid.recurrence_time}"
         )
-    return lead, span
+    steps = span / grid.dt
+    if not math.isfinite(steps):
+        raise DomainError(f"simulated span {span} gives a non-finite step "
+                          f"count span/dt = {steps}")
+    return lead, span, round(steps)
 
 
 def integrate_kgrid(
@@ -331,7 +336,8 @@ def integrate_kgrid(
     record_every: int = 20,
 ) -> KGridResult:
     """Propagate the coupled mode ODEs over n_steps = round(span/dt) units of
-    the record-spacing unit `grid.dt`, recording every `record_every` steps.
+    the record-spacing unit `grid.dt` (`kgrid_span`), recording every
+    `record_every` steps.
     The span is cut into the fewest equal segments whose Bessel argument
     stays within `_kernels.SEGMENT_Z`; one Chebyshev recurrence per segment
     gives all of its records' occupations from the beta components
@@ -348,7 +354,7 @@ def integrate_kgrid(
     """
     check_grid(p, grid)
     check_packet(p, grid, packet)
-    lead, span = kgrid_span(p, grid, packet, t_final)
+    lead, _, n_steps = kgrid_span(p, grid, packet, t_final)
     k, wk = grid.points_and_weights()
     if packet == "decay":
         beta0 = 1.0 + 0.0j
@@ -363,7 +369,6 @@ def integrate_kgrid(
             * np.exp(-1j * k * (p.x0 - lead))
         )
         beta0 = 0.0 + 0.0j
-    n_steps = int(round(span / grid.dt))
     times, occ, prob, alpha, _, *series = _kernels.kgrid_chebyshev(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )

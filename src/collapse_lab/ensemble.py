@@ -37,8 +37,6 @@ __all__ = [
 _CHUNK_BLOCKS = 2**14
 #: (level, trajectory, step) weights per tile of `_collapse_pass` (128 KiB)
 _TILE_VALUES = 2**14
-#: the Gaussian window is truncated at 8 widths (mass beyond < 1e-14)
-WINDOW_HALF_WIDTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -84,44 +82,27 @@ class TimeSeries:
         return np.interp(t, ts, vs)
 
 
-def smear(f, t: float, kernel: SmearingKernel, adaptive: bool = False):
+def smear(f, t: float, kernel: SmearingKernel):
     """Gaussian time-smear of f at t:
     (2*pi)**-0.5 * integral deta exp(-eta^2/2) f(t - T_cal*eta).
 
-    Gauss-Hermite quadrature by default (spectral accuracy for smooth f);
-    pass adaptive=True for integrands with steps or kinks, which uses
-    adaptive quadrature on the truncated window (tolerance 1e-8).
-    For T_cal = 0 this returns f(t) exactly.
+    Gauss-Hermite quadrature of `kernel.quadrature_order` nodes, spectrally
+    accurate for smooth f (steps and kinks converge slowly).  The nodes reach
+    sqrt(2)*max|x| widths either side of t, 14.9 at order 64; a TimeSeries
+    must cover that span.  For T_cal = 0 this returns f(t) exactly.
     """
     tcal = kernel.T_cal
-    if isinstance(f, TimeSeries) and tcal > 0:
-        lo, hi = t - WINDOW_HALF_WIDTH * tcal, t + WINDOW_HALF_WIDTH * tcal
+    if tcal == 0.0:
+        return f(t)
+    # Gauss-Hermite for weight exp(-x^2); substitute eta = sqrt(2)*x.
+    x, w = np.polynomial.hermite.hermgauss(kernel.quadrature_order)
+    pts = t - tcal * math.sqrt(2.0) * x
+    if isinstance(f, TimeSeries):
+        lo, hi = pts.min(), pts.max()
         if lo < f.times[0] or hi > f.times[-1]:
             raise DomainError(
                 f"TimeSeries domain too short for the smear window [{lo}, {hi}]"
             )
-    if tcal == 0.0:
-        return f(t)
-    if adaptive:
-        from scipy.integrate import quad  # lazy: keeps scipy off the import path
-
-        inv = 1.0 / math.sqrt(2.0 * math.pi)
-
-        def integrand(eta):
-            return inv * math.exp(-0.5 * eta * eta) * f(t - tcal * eta)
-
-        val, _ = quad(
-            integrand,
-            -WINDOW_HALF_WIDTH,
-            WINDOW_HALF_WIDTH,
-            epsabs=1e-10,
-            epsrel=1e-10,
-            limit=400,
-        )
-        return val
-    # Gauss-Hermite for weight exp(-x^2); substitute eta = sqrt(2)*x.
-    x, w = np.polynomial.hermite.hermgauss(kernel.quadrature_order)
-    pts = t - tcal * math.sqrt(2.0) * x
     vals = np.array([f(p) for p in pts])
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
@@ -229,8 +210,9 @@ def simulate_trajectories(
     tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
     """
     b_path = np.empty((n_traj, np.size(times)))
-    for rows, steps, b, _ in _collapse_pass(state0, params, times, master_seed, n_traj):
-        b_path[rows, steps] = b
+    for tile in _collapse_pass(state0, params, times, master_seed, n_traj):
+        b_path[tile[0], tile[1]] = tile[2]
+        del tile  # released before the pass draws the next tile
     return b_path
 
 
@@ -337,13 +319,12 @@ def ensemble_density_matrix_mc(
 
 
 def subsystem_expectation(
-    state1_fn, obs1: ObservableMatrix, t: float, kernel: SmearingKernel,
-    adaptive: bool = False,
+    state1_fn, obs1: ObservableMatrix, t: float, kernel: SmearingKernel
 ):
     """Smeared expectation of a noninteracting subsystem observable.
 
     ``state1_fn`` maps a time to the subsystem's unitary Schrodinger state;
-    the result is the smear of tau -> <psi1,tau|V1|psi1,tau> at t.
+    the result is the Gauss-Hermite smear (`smear`) of
+    tau -> <psi1,tau|V1|psi1,tau> at t.
     """
-    return smear(lambda tau: expectation(state1_fn(tau), obs1), t, kernel,
-                 adaptive=adaptive)
+    return smear(lambda tau: expectation(state1_fn(tau), obs1), t, kernel)

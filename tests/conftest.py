@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 
 def stream_variates(seed: int, index: int, n_steps: int):
@@ -45,6 +46,25 @@ def stream_record_path(state, lam, times, seed, index):
         path.append(acc + drift * t)
         prev = t
     return np.array(path)
+
+
+def quad_time_smear(f, t, kernel):
+    """Gaussian time-smear of f at t by adaptive quadrature on +-8 widths
+    of kernel.T_cal (the mass beyond is below 1e-14): the oracle for
+    integrands with steps or kinks, where `ensemble.smear`'s Gauss-Hermite
+    rule converges slowly."""
+    inv = 1.0 / math.sqrt(2.0 * math.pi)
+
+    def integrand(eta):
+        return inv * math.exp(-0.5 * eta * eta) * f(t - kernel.T_cal * eta)
+
+    val, _ = quad(integrand, -8.0, 8.0, epsabs=1e-10, epsrel=1e-10, limit=400)
+    return val
+
+
+@pytest.fixture
+def quad_smear():
+    return quad_time_smear
 
 
 @pytest.fixture

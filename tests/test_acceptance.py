@@ -173,7 +173,7 @@ def test_05_spectrum_conservation_density_matrix():
     )
 
 
-def test_06_smearing_identities():
+def test_06_smearing_identities(quad_smear):
     # (a) pure tone
     eps, tcal = 2.0, 0.7
     kernel = SmearingKernel(tcal)
@@ -189,7 +189,7 @@ def test_06_smearing_identities():
     k_spin = SmearingKernel(0.01)
     err_spin = max(
         abs(
-            smear(lambda u: sigma1_standard(u, sp), float(s), k_spin, adaptive=True)
+            quad_smear(lambda u: sigma1_standard(u, sp), float(s), k_spin)
             - sigma1_collapsed(float(s), sp)
         )
         for s in np.linspace(-0.04, 0.04, 9)
@@ -199,7 +199,7 @@ def test_06_smearing_identities():
     k_dec = SmearingKernel(0.5)
     err_occ = max(
         abs(
-            smear(lambda u: occupation(u, dp), float(s), k_dec, adaptive=True)
+            quad_smear(lambda u: occupation(u, dp), float(s), k_dec)
             - occupation_collapsed(float(s), dp)
         )
         for s in np.linspace(-0.5, 2.0, 9)

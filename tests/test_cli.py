@@ -414,17 +414,40 @@ n_s = 401
         assert main(argv) == 2
         assert key in capsys.readouterr().err
 
+    def test_excitation_step_count_includes_the_packet_lead(self, tmp_path):
+        # the excitation packet starts 10 widths (3.9995 here) before s = 0:
+        # 7999 steps of dt = 5e-4, not round(s_max/dt) = 20, in the check,
+        # the run and the memory estimate alike
+        ini = """[decay]
+mode = kgrid
+packet = excitation
+epsilon = 1.0
+gamma = 1.0
+sigma = 2.0
+s_max = 0.01
+record_every = 40
+"""
+        path = write_config(tmp_path, ini)
+        assert main(["validate", "--config", str(path)]) == 0
+        cfg = ExperimentConfig.from_file(path)
+        _, table, _ = cli.RUNNERS["decay"](cfg)
+        assert len(table) == 7999 // 40 + 1 == 200
+        cfg = ExperimentConfig.from_file(
+            write_config(tmp_path, ini.replace("record_every = 40", "record_every = 10")))
+        assert cfg._array_bytes()["'record_every'"] == 8 * 12 * 800
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_non_finite_step_count_is_two(self, tmp_path, capsys, command):
-        # s_max/dt overflows to inf: the config alone is at fault
-        ini = SMALL_KGRID_INI.replace("s_max = 0.5", "s_max = 1e300")
-        path = write_config(tmp_path, ini.replace("dt = 2e-3", "dt = 1e-10"))
+        # span/dt overflows to inf within the recurrence time: the config
+        # alone is at fault
+        path = write_config(tmp_path, SMALL_KGRID_INI.replace("dt = 2e-3", "dt = 1e-310"))
         if command == "run":
             argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
         else:
             argv = ["validate", "--config", str(path)]
         assert main(argv) == 2
-        assert "'s_max'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'s_max'" in err and "non-finite step count" in err
 
     def test_chebyshev_truncation_is_three(self, tmp_path, capsys, monkeypatch):
         # Bessel factors that never fall below 1e-15 break the truncation contract
@@ -575,6 +598,29 @@ class TestCollapseRunner:
                 tracemalloc.stop()
         # variates and paths of the whole batch would add 43 MB at 200 000
         assert peaks[1] < 1.1 * peaks[0]
+
+    def test_many_tiles_peak_as_one_tile(self):
+        # the runner and the sampler release each tile before the pass draws
+        # the next, so a run of 25 tiles peaks where a run of one does (1.4x
+        # while they held the last tile); the sampler's own output excluded
+        p = {"lambda": 1.0, "energies": (0.0, 1.0), "weights": (0.25, 0.75),
+             "t_max": 6.0, "n_steps": 10, "threshold": 0.999}
+        times = np.linspace(0.6, 6.0, 10)
+        one_tile, _ = ensemble._tile_shape(2, 20_000, 10)
+        peaks = []
+        for n_traj in (one_tile, 20_000):
+            cfg = ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5)
+            tracemalloc.start()
+            try:
+                cli._run_collapse(cfg)
+                run_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                b = simulate_trajectories(*cfg.model, times, 5, n_traj)
+                peaks.append((run_peak, tracemalloc.get_traced_memory()[1] - b.nbytes))
+            finally:
+                tracemalloc.stop()
+        assert peaks[1][0] < 1.1 * peaks[0][0]
+        assert peaks[1][1] < 1.1 * peaks[0][1]
 
 
 @pytest.mark.parametrize("ini, built", [
@@ -884,22 +930,42 @@ class TestWriters:
 
 
 def test_runs_without_scipy(tmp_path):
-    # one fresh interpreter: the package import and a run of every shipped
-    # config must leave scipy unimported, and the summaries name no scipy
-    # version; the Faddeeva coefficients must not pull in numpy.fft either
+    # one fresh interpreter in which importing scipy raises: the package
+    # import, a run of every shipped config, the Gauss-Hermite smear and the
+    # Schwarz chain on the builtin record pairs must succeed, and the
+    # summaries name no scipy version; the Faddeeva coefficients must not
+    # pull in numpy.fft either
     runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
             ("ensemble", "universe_tcal"), ("measurement", "measurement_shared"),
             ("records", "records_half_overlap"), ("spin", "spin_suppression"),
             ("decay", "decay_closed"), ("decay", "decay_kgrid")]
     child = (
-        "import json, sys\n"
-        "from collapse_lab.cli import main\n"
+        "import json, math, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from collapse_lab.cli import builtin_record_spectra, main\n"
+        "from collapse_lab.ensemble import SmearingKernel, smear, subsystem_expectation\n"
+        "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
+        "from collapse_lab.records import RecordScenario, verify_schwarz_chain\n"
         f"for section, stem in {runs!r}:\n"
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
         "    assert main([section, '--config', config, '--out', out]) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                        or m.startswith('numpy.fft'))))\n"
+        "kernel = SmearingKernel(0.5)\n"
+        "damped = math.exp(-0.5) * math.cos(2.4)\n"
+        "assert abs(smear(lambda u: math.cos(2.0 * u), 1.2, kernel) - damped) < 1e-12\n"
+        "levels = (EnergyLevel(0.0), EnergyLevel(2.0))\n"
+        "v = ObservableMatrix(levels, np.array([[0.0, 1.0], [1.0, 0.0]]))\n"
+        "state_at = lambda t: SpectralState.from_amplitudes(\n"
+        "    levels, np.array([1.0, np.exp(-2j * t)]) / math.sqrt(2.0))\n"
+        "assert abs(subsystem_expectation(state_at, v, 1.2, kernel) - damped) < 1e-10\n"
+        "for kind in ('identical', 'disjoint', 'half_overlap'):\n"
+        "    sc = RecordScenario(*builtin_record_spectra(kind), 1.0, -1.0, 1.0, 1.0)\n"
+        "    part = [(-math.inf, 0.0), (0.0, 1.0), (1.0, math.inf)]\n"
+        "    assert verify_schwarz_chain(sc, 2.0, part)[2], kind\n"
+        "print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None\n"
+        "                        and (m.split('.')[0] == 'scipy'\n"
+        "                             or m.startswith('numpy.fft')))))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

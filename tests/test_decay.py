@@ -22,7 +22,7 @@ from collapse_lab.decay import (
     position_asymptotic,
     position_collapsed,
 )
-from collapse_lab.ensemble import SmearingKernel, smear
+from collapse_lab.ensemble import SmearingKernel
 from collapse_lab.hilbert import DomainError
 
 
@@ -232,11 +232,11 @@ class TestCollapsedObservables:
         p = make_params(tcal=0.0)
         assert occupation_collapsed(1.0, p) == occupation(1.0, p)
 
-    def test_matches_quadrature_smear(self):
+    def test_matches_quadrature_smear(self, quad_smear):
         p = make_params(gamma=2.0, sigma=1e-4, tcal=0.5)
         kernel = SmearingKernel(0.5)
         for s in [-0.5, 0.0, 0.8, 2.0]:
-            sm = smear(lambda u: occupation(u, p), s, kernel, adaptive=True)
+            sm = quad_smear(lambda u: occupation(u, p), s, kernel)
             assert abs(sm - occupation_collapsed(s, p)) < 1e-6 * max(
                 1.0, occupation_collapsed(s, p)
             )
@@ -264,7 +264,7 @@ class TestCollapsedObservables:
             got = float(position_collapsed(x, s, p)["packet"])
             assert abs(got - want) < 1e-6 * want
 
-    def test_position_tail_term_matches_quadrature_smear(self):
+    def test_position_tail_term_matches_quadrature_smear(self, quad_smear):
         p = make_params(gamma=2.0, sigma=1e-4, tcal=0.5)
         kernel = SmearingKernel(0.5)
         s = 1.0
@@ -273,7 +273,7 @@ class TestCollapsedObservables:
             if (x > 0 and tau > x) else 0.0
         )
         for x in [0.3, 0.9, 1.4]:
-            sm = smear(lambda tau: tail_sharp(tau, x), s, kernel, adaptive=True)
+            sm = quad_smear(lambda tau: tail_sharp(tau, x), s, kernel)
             got = float(position_collapsed(x, s, p)["decay_tail"])
             assert abs(sm - got) < 1e-8
 

@@ -67,18 +67,18 @@ class TestSmear:
             want = math.exp(-0.5 * (eps * tcal) ** 2) * math.cos(eps * t)
             assert abs(got - want) < 1e-12
 
-    def test_step_function_smears_to_normal_cdf(self):
+    def test_step_function_smears_to_normal_cdf(self, quad_smear):
         tcal = 0.5
         k = SmearingKernel(tcal)
         for t in [-1.0, -0.2, 0.0, 0.3, 1.2]:
-            got = smear(lambda u: float(u > 0), t, k, adaptive=True)
+            got = quad_smear(lambda u: float(u > 0), t, k)
             assert abs(got - ndtr(t / tcal)) < 1e-8
 
-    def test_adaptive_and_hermite_agree_on_smooth(self):
+    def test_adaptive_and_hermite_agree_on_smooth(self, quad_smear):
         k = SmearingKernel(0.8)
         f = lambda t: math.exp(-0.3 * t) * math.sin(t)
         a = smear(f, 1.1, k)
-        b = smear(f, 1.1, k, adaptive=True)
+        b = quad_smear(f, 1.1, k)
         assert abs(a - b) < 1e-9
 
     def test_gaussian_widths_add_in_quadrature(self):
@@ -119,9 +119,14 @@ class TestTimeSeries:
         assert ts(0.5) == pytest.approx(0.5 + 0.5j)
 
     def test_smear_rejects_short_series(self):
-        ts = TimeSeries(tuple(np.linspace(-1, 1, 11)), tuple(np.zeros(11)))
-        with pytest.raises(DomainError):
-            smear(ts, 0.0, SmearingKernel(1.0))
+        # the guard checks the span the Gauss-Hermite nodes reach, 14.9
+        # widths at order 64, so a series on +-10 widths is refused by it
+        # rather than by the series at its first node outside
+        for half_width in (1.0, 10.0):
+            grid = np.linspace(-half_width, half_width, 11)
+            ts = TimeSeries(tuple(grid), tuple(np.zeros(11)))
+            with pytest.raises(DomainError, match="too short for the smear window"):
+                smear(ts, 0.0, SmearingKernel(1.0))
 
     def test_smear_of_sampled_cosine(self):
         # the series must cover the Gauss-Hermite node span, which reaches

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from collapse_lab.ensemble import SmearingKernel, smear
+from collapse_lab.ensemble import SmearingKernel
 from collapse_lab.hilbert import DomainError
 from collapse_lab.spin import (
     SpinModelParams,
@@ -99,13 +99,12 @@ class TestSigma1Collapsed:
         want = ndtr(1.3) + math.exp(-4.5) * math.cos(3.0 * -1.3) * ndtr(-1.3)
         assert abs(got - want) < 1e-6
 
-    def test_matches_smeared_standard_form(self):
+    def test_matches_smeared_standard_form(self, quad_smear):
         # regime where the closed form is exact: eps*T_cal small
         p = params(eps=0.03, sigma=1e-4, tcal=0.01)
         kernel = SmearingKernel(0.01)
         for s in np.linspace(-0.04, 0.04, 9):
-            sm = smear(lambda u: sigma1_standard(u, p), float(s), kernel,
-                       adaptive=True)
+            sm = quad_smear(lambda u: sigma1_standard(u, p), float(s), kernel)
             assert abs(sm - sigma1_collapsed(float(s), p)) < 1e-6
 
 

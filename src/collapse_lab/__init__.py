@@ -5,23 +5,28 @@ B(t): nonunitary evolution in the energy basis, exact record-trajectory
 sampling, ensemble smearing statistics, the permanent-record bound, and two
 worked experiments (a precessing spin and an excitation/decay chain).
 
-Every name in a layer module's ``__all__`` is re-exported here.
+Every name in a layer module's ``__all__`` is a name of the package too,
+resolved on first use (PEP 562), so ``import collapse_lab`` loads no layer.
 """
 
-from . import decay, engine, ensemble, hilbert, measurement, records, rng, spin
-from .hilbert import *  # noqa: F401,F403
-from .engine import *  # noqa: F401,F403
-from .rng import *  # noqa: F401,F403
-from .ensemble import *  # noqa: F401,F403
-from .records import *  # noqa: F401,F403
-from .measurement import *  # noqa: F401,F403
-from .spin import *  # noqa: F401,F403
-from .decay import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (hilbert, engine, rng, ensemble, records, measurement, spin, decay)
-    for name in module.__all__
-] + ["__version__"]
+#: the layer modules whose public names the package re-exports, in lookup order
+_LAYERS = ("hilbert", "engine", "rng", "ensemble", "records", "measurement",
+           "spin", "decay")
+
+
+def __getattr__(name):
+    # `from collapse_lab import cli` asks here first: import it, not every layer
+    if name in _LAYERS or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [n for layer in _LAYERS for n in __getattr__(layer).__all__] + ["__version__"]
+    # a private name is never re-exported; `from . import _kernels` asks here
+    # before the import system loads the submodule
+    for layer in () if name.startswith("_") else map(__getattr__, _LAYERS):
+        if name in layer.__all__:
+            return getattr(layer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

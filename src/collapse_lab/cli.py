@@ -9,23 +9,25 @@ Configs are INI files with a single section named after the experiment.  All
 physical inputs are in natural units (hbar = 1); lambda carries units
 energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 
+Each experiment is one `Experiment` record in `EXPERIMENTS`: its config
+schema, the build of its library objects (with the cross-key checks), its
+array estimate, its T_cal and its runner.  The build and the runner import
+the experiment's layers when called, so a run loads only the layers it uses.
+The rest of this module is shared by every experiment: argument and config
+parsing, the array cap, the writers and the summary envelope.
+
 Outputs: a data table (CSV by default, one leading t or x abscissa column,
 floats at 17 significant digits so they round-trip exactly) and a JSON
 summary with the resolved parameters, seed, version, the python and numpy
 versions and key scalars.  The data table is byte-identical across reruns
 with the same config and seed; the summary additionally records wall time.
 
-Exit codes: 0 success, 2 configuration error (including a non-finite value,
-spin amplitudes a, b that `spin` refuses, a k-grid n_modes, half_width or
-packet that `decay` refuses, a k-grid span beyond the recurrence time, a
-non-finite k-grid step count span/dt, an unreadable fixture or one with a
-non-finite value, beta2_1 <= 0, beta2_2 < 0 or an all-zero branch, collapse
-weights whose sum overflows, an --out outside an existing directory and count
-keys whose arrays would exceed MAX_ARRAY_BYTES), 3 numerical-contract
-violation (including a non-finite result, a numpy floating-point error and a
-k-grid Chebyshev series whose Bessel factors do not fall below 1e-15).
-`validate` builds the same model objects the run uses, so it refuses exactly
-the configs a run refuses with exit 2.
+Exit codes (README lists every case): 0 success, 2 configuration error
+(a bad key or value, a model its layer refuses, an --out outside an existing
+directory, or arrays above MAX_ARRAY_BYTES), 3 numerical-contract violation
+(a non-finite result, a numpy floating-point error, a k-grid Chebyshev series
+that does not truncate).  `validate` builds the same model objects the run
+uses, so it refuses exactly the configs a run refuses with exit 2.
 """
 
 from __future__ import annotations
@@ -36,28 +38,14 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
-from .decay import (DecayModelParams, KGrid, check_grid, check_packet,
-                    integrate_kgrid, kgrid_span, occupation, occupation_collapsed)
-from .engine import CollapseParams
-from .hilbert import (
-    DiscreteSpectrum,
-    DomainError,
-    EnergyLevel,
-    ObservableMatrix,
-    SpectralState,
-    expectation,
-)
-from .ensemble import (
-    _collapse_pass, _tile_shape, ensemble_density_matrix, ensemble_expectation_mc,
-)
-from .measurement import branch_weight_ratio, fixture_path, load_branch_fixture
-from .records import RecordScenario, record_violation_bound
-from .spin import SpinModelParams, sigma1_collapsed, sigma1_standard
+from . import __version__
+from .hilbert import DomainError
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -66,46 +54,24 @@ class ConfigError(Exception):
     """Configuration file is malformed or violates an experiment schema."""
 
 
-def _float(raw: str) -> float:
-    v = float(raw)
-    if not math.isfinite(v):
-        raise ValueError(f"must be finite, got {raw}")
-    return v
+def _parser(convert, ok, must):
+    """Parser of a value `convert(raw)` for which `ok` holds; the error says
+    it must `must`."""
+    def parse(raw: str):
+        v = convert(raw)
+        if not ok(v):
+            raise ValueError(f"must {must}, got {raw}")
+        return v
+
+    return parse
 
 
-def _positive(raw: str) -> float:
-    v = float(raw)
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"must be positive, got {raw}")
-    return v
-
-
-def _nonneg(raw: str) -> float:
-    v = float(raw)
-    if not (math.isfinite(v) and v >= 0):
-        raise ValueError(f"must be >= 0, got {raw}")
-    return v
-
-
-def _int_pos(raw: str) -> int:
-    v = int(raw)
-    if v <= 0:
-        raise ValueError(f"must be a positive integer, got {raw}")
-    return v
-
-
-def _n_traj_mc(raw: str) -> int:
-    v = int(raw)
-    if v < 0 or v == 1:
-        raise ValueError(f"must be 0 (no Monte Carlo) or at least 2, got {raw}")
-    return v
-
-
-def _fraction(raw: str) -> float:
-    v = float(raw)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"must lie in (0, 1), got {raw}")
-    return v
+_float = _parser(float, math.isfinite, "be finite")
+_positive = _parser(float, lambda v: math.isfinite(v) and v > 0, "be positive")
+_nonneg = _parser(float, lambda v: math.isfinite(v) and v >= 0, "be >= 0")
+_fraction = _parser(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_int_pos = _parser(int, lambda v: v > 0, "be a positive integer")
+_n_traj_mc = _parser(int, lambda v: v == 0 or v >= 2, "be 0 (no Monte Carlo) or at least 2")
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -124,74 +90,9 @@ def _choice(*options):
     return parse
 
 
-# key -> (parser, required, default); every experiment also accepts "seed".
-SCHEMAS: dict[str, dict] = {
-    "collapse": {
-        "lambda": (_positive, True, None),
-        "energies": (_floats, True, None),
-        "weights": (_floats, True, None),
-        "t_max": (_positive, True, None),
-        "n_steps": (_int_pos, False, 50),
-        "n_traj": (_int_pos, False, 200),
-        "threshold": (_fraction, False, 0.999),
-    },
-    "ensemble": {
-        "lambda": (_positive, True, None),
-        "energies": (_floats, True, None),
-        "magnitudes": (_floats, True, None),
-        "phases": (_floats, False, None),
-        "t_max": (_positive, True, None),
-        "n_t": (_int_pos, False, 100),
-        "n_traj": (_n_traj_mc, False, 0),
-    },
-    "measurement": {
-        "fixture": (str, True, None),
-        "lambda": (_positive, True, None),
-        "t_max": (_positive, True, None),
-        "n_t": (_int_pos, False, 20),
-        "b_max": (_positive, True, None),
-        "n_b": (_int_pos, False, 20),
-    },
-    "records": {
-        "spectra": (_choice("disjoint", "identical", "half_overlap"), True, None),
-        "lambda": (_positive, True, None),
-        "b_plus": (_float, True, None),
-        "b_minus": (_float, True, None),
-        "t0": (_nonneg, False, 0.0),
-        "t_max": (_positive, True, None),
-        "n_t": (_int_pos, False, 100),
-    },
-    "spin": {
-        "a": (_float, True, None),
-        "b": (_float, True, None),
-        "epsilon": (_positive, True, None),
-        "sigma": (_positive, True, None),
-        "t_cal": (_nonneg, False, 0.0),
-        "s_min": (_float, False, None),
-        "s_max": (_float, True, None),
-        "n_s": (_int_pos, False, 200),
-    },
-    "decay": {
-        "epsilon": (_positive, True, None),
-        "gamma": (_positive, True, None),
-        "sigma": (_positive, True, None),
-        "x0": (_float, False, 0.0),
-        "t_cal": (_nonneg, False, 0.0),
-        "mode": (_choice("closed", "kgrid"), False, "closed"),
-        "s_max": (_positive, True, None),
-        "n_s": (_int_pos, False, 200),
-        "n_modes": (_int_pos, False, 4096),
-        "half_width": (_positive, False, 40.0),
-        "dt": (_positive, False, 5e-4),
-        "record_every": (_int_pos, False, 20),
-        "packet": (_choice("decay", "excitation"), False, "decay"),
-    },
-}
-
-
 #: cap on the estimated peak array memory of one run (2 GiB); a config whose
-#: estimate (`ExperimentConfig._array_bytes`) exceeds it exits 2, naming the
-#: key, before numpy is asked for the arrays
+#: estimate (`Experiment.array_bytes`) exceeds it exits 2, naming the key,
+#: before numpy is asked for the arrays
 MAX_ARRAY_BYTES = 2**31
 #: values formatted and written at a time by the output writers (about 1 MB
 #: of row text), so the text never holds the whole table
@@ -203,70 +104,47 @@ _WRITE_BYTES = 192 * _WRITE_VALUES
 _BLOCK_BYTES = 2**26
 
 
-def _chunk_level_bytes(n_lev, n_traj, n_steps) -> int:
-    """The (level, trajectory, step) temporaries of one tile of the collapse
-    pass: about six float arrays at their peak (tracemalloc) for the ensemble
-    runner's one-step tiles, about four for the collapse runner's, which
-    releases each tile before the next is drawn; charged as seven."""
-    rows, steps = _tile_shape(n_lev, n_traj, n_steps)
-    return 56 * n_lev * rows * steps
+@dataclass(frozen=True)
+class Experiment:
+    """Everything this module knows of one experiment.
 
+    schema: key -> (parser, required, default); "seed" is always accepted.
+    build: parameters -> model, the run's library objects, built nowhere
+      else; raises ConfigError on cross-key checks, and may reorder values.
+    array_bytes: (parameters, model) -> estimated peak array bytes of a run
+      by the count key sizing them; each table value is charged as its float
+      plus the runner's temporaries, in whole floats as tracemalloc sees them.
+    t_cal: parameters -> the smearing width sqrt(lambda*t) of the config.
+    run: config -> (column names with units, 2-D float table, summary
+      scalars), from `cfg.model` as built.
+    """
 
-# --- model builders, called by ExperimentConfig.validate_domain only --------
-
-
-def _build_state(energies, weights, phases=None):
-    levels = [EnergyLevel(float(e)) for e in energies]
-    mags = np.sqrt(np.asarray(weights, float) / np.sum(weights))
-    ph = np.zeros(len(levels)) if phases is None else np.asarray(phases, float)
-    return SpectralState.from_amplitudes(levels, mags * np.exp(1j * ph)).normalized()
-
-
-def _load_fixture(name):
-    """The branch fixture at path `name`, else the packaged one of that name."""
-    path = Path(name)
-    if not path.is_file():
-        path = fixture_path(name)
-    try:
-        return load_branch_fixture(path)
-    except OSError as exc:
-        raise ConfigError(
-            f"key 'fixture': no file or packaged fixture {name!r}"
-        ) from exc
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
-
-
-#: (plus, minus) index ranges of the builtin record spectra on their shared
-#: 1500-point grid; half_overlap shares 500 points, so its overlap is exactly 0.5
-_RECORD_SPECTRA = {
-    "disjoint": ((0, 750), (750, 1500)),
-    "identical": ((0, 1500), (0, 1500)),
-    "half_overlap": ((0, 1000), (500, 1500)),
-}
-
-
-def builtin_record_spectra(name: str) -> tuple[DiscreteSpectrum, DiscreteSpectrum]:
-    """The `_RECORD_SPECTRA` pair `name`: equal weights on each index range."""
-    grid = tuple(i * 1e-3 for i in range(1500))
-    w = np.zeros((2, len(grid)))
-    for row, (lo, hi) in zip(w, _RECORD_SPECTRA[name]):
-        row[lo:hi] = 1.0 / (hi - lo)
-    return DiscreteSpectrum(grid, tuple(w[0])), DiscreteSpectrum(grid, tuple(w[1]))
+    schema: dict
+    build: Callable
+    array_bytes: Callable
+    t_cal: Callable
+    run: Callable
 
 
 class ExperimentConfig:
-    """Validated experiment parameters, their `model` (the library objects
-    `validate_domain` builds on construction; the run uses them as built)."""
+    """Validated experiment parameters and their `model`: the library objects
+    the experiment's `build` makes on construction; the run uses them as
+    built."""
 
-    def __init__(self, experiment, parameters, master_seed=0,
-                 output_path=None, output_format="csv"):
+    def __init__(self, experiment, parameters, master_seed=0):
         self.experiment = experiment
         self.parameters = parameters
         self.master_seed = master_seed
-        self.output_path = output_path
-        self.output_format = output_format
-        self.validate_domain()
+        spec = EXPERIMENTS[experiment]
+        self.model = spec.build(parameters)
+        sizes = spec.array_bytes(parameters, self.model)
+        total = sum(sizes.values()) + _WRITE_BYTES
+        if total > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"key {max(sizes, key=sizes.get)} asks for about "
+                f"{total / 2**30:.3g} GiB of arrays, above the "
+                f"{MAX_ARRAY_BYTES / 2**30:g} GiB cap"
+            )
 
     @classmethod
     def from_file(cls, path, experiment=None) -> "ExperimentConfig":
@@ -284,14 +162,14 @@ class ExperimentConfig:
                 f"found {sections}"
             )
         section = sections[0]
-        if section not in SCHEMAS:
+        if section not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment section [{section}]")
         if experiment is not None and section != experiment:
             raise ConfigError(
                 f"config section [{section}] does not match experiment "
                 f"{experiment!r}"
             )
-        schema = SCHEMAS[section]
+        schema = EXPERIMENTS[section].schema
         raw = dict(parser[section])
         seed = 0
         if "seed" in raw:
@@ -317,146 +195,70 @@ class ExperimentConfig:
                 params[key] = default
         return cls(section, params, master_seed=seed)
 
-    def validate_domain(self):
-        """Cross-key checks that a single-key parser cannot express, and the
-        run's library objects (`self.model`), built here and nowhere else."""
-        p = self.parameters
-        e = self.experiment
-        if e in ("collapse", "ensemble"):
-            key = "weights" if e == "collapse" else "magnitudes"
-            if len(p["energies"]) != len(p[key]):
-                raise ConfigError(f"keys 'energies' and '{key}' must align")
-            if len(set(p["energies"])) != len(p["energies"]):
-                raise ConfigError("key 'energies' must not repeat values")
-            if any(w < 0 for w in p[key]) or sum(p[key]) <= 0:
-                raise ConfigError(f"key '{key}' must be nonnegative, not all zero")
-            if p.get("phases") is not None and len(p["phases"]) != len(p["energies"]):
-                raise ConfigError("keys 'energies' and 'phases' must align")
-            # output columns index levels by ascending energy; echo that order
-            order = sorted(range(len(p["energies"])), key=p["energies"].__getitem__)
-            for k in ("energies", key, "phases"):
-                if p.get(k) is not None:
-                    p[k] = tuple(p[k][i] for i in order)
-            weights = p[key]
-            if e == "ensemble":
-                # the level weights are the squares; scaling by the largest
-                # magnitude first keeps tiny ones from underflowing to 0 and
-                # large ones from overflowing
-                weights = np.square(np.divide(weights, max(weights)))
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    state0 = _build_state(p["energies"], weights, p.get("phases"))
-            except (DomainError, FloatingPointError) as exc:
-                raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
-            self.model = state0, CollapseParams(p["lambda"])
-        if e == "records":
-            if p["b_plus"] == p["b_minus"]:
-                raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
-            if p["t_max"] <= p["t0"]:
-                raise ConfigError("key 't_max' must exceed 't0'")
-            self.model = RecordScenario(*builtin_record_spectra(p["spectra"]),
-                                        p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
-        if e == "spin":
-            try:
-                self.model = SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"],
-                                             p["t_cal"])
-            except DomainError as exc:
-                raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
-            if p["s_min"] is None:
-                p["s_min"] = -p["s_max"]
-            if p["s_min"] >= p["s_max"]:
-                raise ConfigError("key 's_min' must be below 's_max'")
-        if e == "decay":
-            dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
-            grid = None
-            if p["mode"] == "kgrid":
-                # decay's own grid checks, so a config accepted here passes check_grid
-                key = "n_modes"
-                try:
-                    KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
-                    key = "half_width"
-                    grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
-                    check_grid(dp, grid)
-                    key = "packet"
-                    check_packet(dp, grid, p["packet"])
-                    key = "s_max"
-                    _, _, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
-                except DomainError as exc:
-                    raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
-                if p["record_every"] > n_steps:
-                    raise ConfigError(
-                        f"key 'record_every' must not exceed the step count "
-                        f"round(span/dt) = {n_steps}"
-                    )
-            self.model = dp, grid
-        if e == "measurement":
-            self.model = _load_fixture(p["fixture"]), CollapseParams(p["lambda"])
-        sizes = self._array_bytes()
-        total = sum(sizes.values()) + _WRITE_BYTES
-        if total > MAX_ARRAY_BYTES:
-            raise ConfigError(
-                f"key {max(sizes, key=sizes.get)} asks for about "
-                f"{total / 2**30:.3g} GiB of arrays, above the "
-                f"{MAX_ARRAY_BYTES / 2**30:g} GiB cap"
-            )
 
-    def _array_bytes(self) -> dict[str, int]:
-        """Estimated peak array bytes of a run, by the count keys sizing them.
+# --- the experiments: each one's functions, then its record -----------------
 
-        Each output-table value is charged as its float plus the runner's
-        temporaries behind it, in whole floats as tracemalloc measures them
-        (spin's complex normal distribution function takes nine)."""
-        p, e = self.parameters, self.experiment
-        n_lev = len(p.get("energies", ()))
-        if e == "collapse":
-            # the output table and the per-step arrays, then the level weights
-            # of one pass tile; nothing grows with n_traj
-            return {"'n_steps'": 24 * (2 + n_lev) * p["n_steps"],
-                    "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"])}
-        if e == "ensemble":
-            # one float per trajectory, <a|H|a>, and np.std's one temporary
-            return {"'n_traj'": 16 * p["n_traj"],
-                    "'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
-                    "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1)}
-        if e == "measurement":
-            return {"'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
-        if e == "records":
-            return {"'n_t'": 16 * 2 * p["n_t"]}
-        if e == "spin":
-            return {"'n_s'": 72 * 3 * p["n_s"]}
-        if p["mode"] == "closed":
-            return {"'n_s'": 48 * 3 * p["n_s"]}
-        # k-grid: grid, coupling, state, three Chebyshev recurrence vectors
-        # and the accumulated state, with their temporaries, per mode; times,
-        # Bessel arguments and three columns per record; and one record
-        # block's Bessel factors and products, n the orders computed for a
-        # segment's series, whose argument SEGMENT_Z caps whatever the span
-        dp, grid = self.model
-        _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
-        c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
-        _, half = _kernels.chebyshev_interval(grid.k_min, grid.k_max, c_norm, dp.epsilon)
-        n = _kernels.bessel_orders(min(half * span, _kernels.SEGMENT_Z))
-        n_rec = n_steps // p["record_every"] + 1
-        return {"'n_modes'": 8 * 25 * p["n_modes"],
-                "'record_every'": 8 * 12 * n_rec,
-                "'s_max'": 8 * _kernels.RECORD_BLOCK * 2 * max(n, 32)}
-
-    def derived_t_cal(self) -> float | None:
-        """Smearing width sqrt(lambda*t) implied by the config, if any."""
-        p = self.parameters
-        if self.experiment in ("collapse", "ensemble", "measurement"):
-            return math.sqrt(p["lambda"] * p["t_max"])
-        if self.experiment == "records":
-            return math.sqrt(p["lambda"] * (p["t_max"] - p["t0"]))
-        return p["t_cal"]
+#: the experiment records by config section, in the order the CLI lists them
+EXPERIMENTS: dict[str, Experiment] = {}
 
 
-# --- experiment runners -----------------------------------------------------
-# Each takes the validated config, runs its model (`cfg.model`) as built, and
-# returns (column names incl. units, 2-D float table, summary scalars).
+def _t_cal(p) -> float:
+    """sqrt(lambda*t) over the run's span, from t0 (0 if the schema has none)."""
+    return math.sqrt(p["lambda"] * (p["t_max"] - p.get("t0", 0.0)))
+
+
+def _chunk_level_bytes(n_lev, n_traj, n_steps, floats) -> int:
+    """The (level, trajectory, step) temporaries of one tile of the collapse
+    pass, charged as `floats` floats per weight."""
+    from .ensemble import _tile_shape
+    rows, steps = _tile_shape(n_lev, n_traj, n_steps)
+    return 8 * floats * n_lev * rows * steps
+
+
+def _build_levels(p, key, level_weights):
+    """(initial SpectralState, CollapseParams) of a config that gives one
+    value per level under `key`, mapped to the level weights by
+    `level_weights`.  Sorts `energies` ascending, and `key` and `phases`
+    with them: the output columns index levels by ascending energy, and the
+    summary echoes that order."""
+    from .engine import CollapseParams
+    from .hilbert import EnergyLevel, SpectralState
+    if len(p["energies"]) != len(p[key]):
+        raise ConfigError(f"keys 'energies' and '{key}' must align")
+    if len(set(p["energies"])) != len(p["energies"]):
+        raise ConfigError("key 'energies' must not repeat values")
+    if any(w < 0 for w in p[key]) or sum(p[key]) <= 0:
+        raise ConfigError(f"key '{key}' must be nonnegative, not all zero")
+    if p.get("phases") is not None and len(p["phases"]) != len(p["energies"]):
+        raise ConfigError("keys 'energies' and 'phases' must align")
+    order = sorted(range(len(p["energies"])), key=p["energies"].__getitem__)
+    for k in ("energies", key, "phases"):
+        if p.get(k) is not None:
+            p[k] = tuple(p[k][i] for i in order)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            levels = [EnergyLevel(float(e)) for e in p["energies"]]
+            weights = level_weights(p[key])
+            mags = np.sqrt(np.asarray(weights, float) / np.sum(weights))
+            ph = np.asarray(p.get("phases") or [0.0] * len(levels), float)
+            state0 = SpectralState.from_amplitudes(levels, mags * np.exp(1j * ph)).normalized()
+    except (DomainError, FloatingPointError) as exc:
+        raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+    return state0, CollapseParams(p["lambda"])
+
+
+def _collapse_bytes(p, model):
+    # the output table and the per-step arrays, then the level weights of one
+    # pass tile, which peak at about four floats per weight (tracemalloc):
+    # the runner releases each tile before the pass draws the next, so
+    # nothing grows with n_traj
+    n_lev = len(p["energies"])
+    return {"'n_steps'": 24 * (2 + n_lev) * p["n_steps"],
+            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"], 4)}
 
 
 def _run_collapse(cfg):
+    from .ensemble import _collapse_pass
     p, (state0, params) = cfg.parameters, cfg.model
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
@@ -473,7 +275,7 @@ def _run_collapse(cfg):
         f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
     ]
     summary = {
-        "T_cal": cfg.derived_t_cal(),
+        "T_cal": _t_cal(p),
         "collapsed_fraction": float(frac[-1]),
         "n_traj": n_traj,
     }
@@ -486,7 +288,31 @@ def _run_collapse(cfg):
     return cols, np.column_stack([times, frac, mean_w]), summary
 
 
+EXPERIMENTS["collapse"] = Experiment(
+    {"lambda": (_positive, True, None),
+     "energies": (_floats, True, None),
+     "weights": (_floats, True, None),
+     "t_max": (_positive, True, None),
+     "n_steps": (_int_pos, False, 50),
+     "n_traj": (_int_pos, False, 200),
+     "threshold": (_fraction, False, 0.999)},
+    build=lambda p: _build_levels(p, "weights", lambda weights: weights),
+    array_bytes=_collapse_bytes, t_cal=_t_cal, run=_run_collapse)
+
+
+def _ensemble_bytes(p, model):
+    # one float per trajectory, <a|H|a>, and np.std's one temporary; the
+    # table; and one one-step tile's level weights, which peak at about six
+    # floats per weight (tracemalloc), charged as seven
+    n_lev = len(p["energies"])
+    return {"'n_traj'": 16 * p["n_traj"],
+            "'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
+            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1, 7)}
+
+
 def _run_ensemble(cfg):
+    from .ensemble import ensemble_density_matrix, ensemble_expectation_mc
+    from .hilbert import ObservableMatrix, expectation
     p, (state0, params) = cfg.parameters, cfg.model
     times = np.linspace(0.0, p["t_max"], p["n_t"])
     energies = state0.energies()
@@ -502,7 +328,7 @@ def _run_ensemble(cfg):
                   *np.abs(rho[iu])]
     ham = ObservableMatrix.hamiltonian(state0.levels)
     summary = {
-        "T_cal": cfg.derived_t_cal(),
+        "T_cal": _t_cal(p),
         "mean_energy": float(expectation(state0, ham)),
     }
     if p["n_traj"]:
@@ -516,7 +342,44 @@ def _run_ensemble(cfg):
     return cols, table, summary
 
 
+EXPERIMENTS["ensemble"] = Experiment(
+    {"lambda": (_positive, True, None),
+     "energies": (_floats, True, None),
+     "magnitudes": (_floats, True, None),
+     "phases": (_floats, False, None),
+     "t_max": (_positive, True, None),
+     "n_t": (_int_pos, False, 100),
+     "n_traj": (_n_traj_mc, False, 0)},
+    # the level weights are the squared magnitudes; scaling by the largest
+    # first keeps tiny ones from underflowing to 0 and large ones from
+    # overflowing
+    build=lambda p: _build_levels(
+        p, "magnitudes", lambda mags: np.square(np.divide(mags, max(mags)))),
+    array_bytes=_ensemble_bytes, t_cal=_t_cal, run=_run_ensemble)
+
+
+def _build_measurement(p):
+    """The branch fixture at path `fixture`, else the packaged one of that
+    name, and the collapse parameters."""
+    from .engine import CollapseParams
+    from .measurement import fixture_path, load_branch_fixture
+    name = p["fixture"]
+    path = Path(name)
+    if not path.is_file():
+        path = fixture_path(name)
+    try:
+        spec = load_branch_fixture(path)
+    except OSError as exc:
+        raise ConfigError(
+            f"key 'fixture': no file or packaged fixture {name!r}"
+        ) from exc
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
+    return spec, CollapseParams(p["lambda"])
+
+
 def _run_measurement(cfg):
+    from .measurement import branch_weight_ratio
     p, (spec, params) = cfg.parameters, cfg.model
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
@@ -535,17 +398,82 @@ def _run_measurement(cfg):
     return cols, np.column_stack([t, b, ratios]), summary
 
 
+EXPERIMENTS["measurement"] = Experiment(
+    {"fixture": (str, True, None),
+     "lambda": (_positive, True, None),
+     "t_max": (_positive, True, None),
+     "n_t": (_int_pos, False, 20),
+     "b_max": (_positive, True, None),
+     "n_b": (_int_pos, False, 20)},
+    build=_build_measurement, t_cal=_t_cal, run=_run_measurement,
+    array_bytes=lambda p, model: {
+        "'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES})
+
+
+#: (plus, minus) index ranges of the builtin record spectra on their shared
+#: 1500-point grid; half_overlap shares 500 points, so its overlap is exactly 0.5
+_RECORD_SPECTRA = {
+    "disjoint": ((0, 750), (750, 1500)),
+    "identical": ((0, 1500), (0, 1500)),
+    "half_overlap": ((0, 1000), (500, 1500)),
+}
+
+
+def _build_records(p):
+    """The `RecordScenario` of the builtin `spectra` pair, with equal weights
+    on each of its `_RECORD_SPECTRA` index ranges."""
+    from .hilbert import DiscreteSpectrum
+    from .records import RecordScenario
+    if p["b_plus"] == p["b_minus"]:
+        raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
+    if p["t_max"] <= p["t0"]:
+        raise ConfigError("key 't_max' must exceed 't0'")
+    grid = tuple(i * 1e-3 for i in range(1500))
+    w = np.zeros((2, len(grid)))
+    for row, (lo, hi) in zip(w, _RECORD_SPECTRA[p["spectra"]]):
+        row[lo:hi] = 1.0 / (hi - lo)
+    plus, minus = (DiscreteSpectrum(grid, tuple(row)) for row in w)
+    return RecordScenario(plus, minus, p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
+
+
 def _run_records(cfg):
+    from .records import record_violation_bound
     p, scenario = cfg.parameters, cfg.model
     dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
     ts = np.linspace(p["t0"] + dt0, p["t_max"], p["n_t"])
     cols = ["t (time)", "record_bound (dimensionless)"]
     bound, sup = record_violation_bound(scenario, ts)
-    summary = {"bound_sup": sup, "T_cal": cfg.derived_t_cal()}
+    summary = {"bound_sup": sup, "T_cal": _t_cal(p)}
     return cols, np.column_stack([ts, bound]), summary
 
 
+EXPERIMENTS["records"] = Experiment(
+    {"spectra": (_choice("disjoint", "identical", "half_overlap"), True, None),
+     "lambda": (_positive, True, None),
+     "b_plus": (_float, True, None),
+     "b_minus": (_float, True, None),
+     "t0": (_nonneg, False, 0.0),
+     "t_max": (_positive, True, None),
+     "n_t": (_int_pos, False, 100)},
+    build=_build_records, t_cal=_t_cal, run=_run_records,
+    array_bytes=lambda p, model: {"'n_t'": 16 * 2 * p["n_t"]})
+
+
+def _build_spin(p):
+    from .spin import SpinModelParams
+    try:
+        sp = SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"], p["t_cal"])
+    except DomainError as exc:
+        raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
+    if p["s_min"] is None:
+        p["s_min"] = -p["s_max"]
+    if p["s_min"] >= p["s_max"]:
+        raise ConfigError("key 's_min' must be below 's_max'")
+    return sp
+
+
 def _run_spin(cfg):
+    from .spin import sigma1_collapsed, sigma1_standard
     p, sp = cfg.parameters, cfg.model
     ss = np.linspace(p["s_min"], p["s_max"], p["n_s"])
     cols = [
@@ -558,7 +486,68 @@ def _run_spin(cfg):
     return cols, table, summary
 
 
+EXPERIMENTS["spin"] = Experiment(
+    {"a": (_float, True, None),
+     "b": (_float, True, None),
+     "epsilon": (_positive, True, None),
+     "sigma": (_positive, True, None),
+     "t_cal": (_nonneg, False, 0.0),
+     "s_min": (_float, False, None),
+     "s_max": (_float, True, None),
+     "n_s": (_int_pos, False, 200)},
+    build=_build_spin, t_cal=lambda p: p["t_cal"], run=_run_spin,
+    # the complex normal distribution function takes nine floats a value
+    array_bytes=lambda p, model: {"'n_s'": 72 * 3 * p["n_s"]})
+
+
+def _build_decay(p):
+    """`DecayModelParams` and, in k-grid mode, the `KGrid`; decay's own
+    checks decide, so a config accepted here passes `integrate_kgrid`'s, and
+    each refusal names the key it tests."""
+    from .decay import DecayModelParams, KGrid, check_grid, check_packet, kgrid_span
+    dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
+    if p["mode"] == "closed":
+        return dp, None
+    key = "n_modes"
+    try:
+        KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
+        key = "half_width"
+        grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
+        check_grid(dp, grid)
+        key = "packet"
+        check_packet(dp, grid, p["packet"])
+        key = "s_max"
+        kgrid_span(dp, grid, p["packet"], p["s_max"])
+        key = "record_every"
+        kgrid_span(dp, grid, p["packet"], p["s_max"], p["record_every"])
+    except DomainError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+    return dp, grid
+
+
+def _decay_bytes(p, model):
+    if p["mode"] == "closed":
+        return {"'n_s'": 48 * 3 * p["n_s"]}
+    # k-grid: grid, coupling, state, three Chebyshev recurrence vectors and
+    # the accumulated state, with their temporaries, per mode; times, Bessel
+    # arguments and three columns per record; and one record block's Bessel
+    # factors and products, n the orders computed for a segment's series,
+    # whose argument SEGMENT_Z caps whatever the span
+    from ._kernels import RECORD_BLOCK, SEGMENT_Z, bessel_orders, chebyshev_interval
+    from .decay import kgrid_span
+    dp, grid = model
+    _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
+    c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
+    _, half = chebyshev_interval(grid.k_min, grid.k_max, c_norm, dp.epsilon)
+    n = bessel_orders(min(half * span, SEGMENT_Z))
+    n_rec = n_steps // p["record_every"] + 1
+    return {"'n_modes'": 8 * 25 * p["n_modes"],
+            "'record_every'": 8 * 12 * n_rec,
+            "'s_max'": 8 * RECORD_BLOCK * 2 * max(n, 32)}
+
+
 def _run_decay(cfg):
+    from .decay import integrate_kgrid, occupation, occupation_collapsed
     p, (dp, grid) = cfg.parameters, cfg.model
     if grid is None:
         ss = np.linspace(-p["s_max"], p["s_max"], p["n_s"])
@@ -568,7 +557,7 @@ def _run_decay(cfg):
             "occupation_collapsed (dimensionless)",
         ]
         table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
-        summary = {"T_cal": cfg.derived_t_cal(), "Gamma_T_cal": p["gamma"] * p["t_cal"]}
+        summary = {"T_cal": p["t_cal"], "Gamma_T_cal": p["gamma"] * p["t_cal"]}
         return cols, table, summary
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
@@ -579,7 +568,7 @@ def _run_decay(cfg):
     table = np.column_stack([res.times, res.occupation, res.total_probability])
     span = res.times[-1] - res.times[0]
     summary = {
-        "T_cal": cfg.derived_t_cal(),
+        "T_cal": p["t_cal"],
         "probability_drift_per_unit_time": res.norm_drift / span,
         "recurrence_time": grid.recurrence_time,
         "chebyshev_terms": res.chebyshev_terms,
@@ -589,14 +578,26 @@ def _run_decay(cfg):
     return cols, table, summary
 
 
-RUNNERS = {
-    "collapse": _run_collapse,
-    "ensemble": _run_ensemble,
-    "measurement": _run_measurement,
-    "records": _run_records,
-    "spin": _run_spin,
-    "decay": _run_decay,
-}
+EXPERIMENTS["decay"] = Experiment(
+    {"epsilon": (_positive, True, None),
+     "gamma": (_positive, True, None),
+     "sigma": (_positive, True, None),
+     "x0": (_float, False, 0.0),
+     "t_cal": (_nonneg, False, 0.0),
+     "mode": (_choice("closed", "kgrid"), False, "closed"),
+     "s_max": (_positive, True, None),
+     "n_s": (_int_pos, False, 200),
+     "n_modes": (_int_pos, False, 4096),
+     "half_width": (_positive, False, 40.0),
+     "dt": (_positive, False, 5e-4),
+     "record_every": (_int_pos, False, 20),
+     "packet": (_choice("decay", "excitation"), False, "decay")},
+    build=_build_decay, array_bytes=_decay_bytes, t_cal=lambda p: p["t_cal"],
+    run=_run_decay)
+
+#: each experiment's runner; `run` calls it through this table, so a caller
+#: can replace or wrap one runner here
+RUNNERS = {name: spec.run for name, spec in EXPERIMENTS.items()}
 
 
 # --- output -----------------------------------------------------------------
@@ -641,24 +642,6 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, default=float, allow_nan=False)
 
 
-def _versions() -> dict:
-    """Interpreter and numpy versions (no run imports another library)."""
-    return {"python": ".".join(map(str, sys.version_info[:3])),
-            "numpy": np.__version__}
-
-
-def _summary_doc(cfg, summary, wall_time):
-    return {
-        "experiment": cfg.experiment,
-        "parameters": {k: v for k, v in cfg.parameters.items()},
-        "seed": cfg.master_seed,
-        "version": f"collapse-lab-v{__version__}",
-        "versions": _versions(),
-        "wall_time_s": wall_time,
-        "scalars": summary,
-    }
-
-
 def _check_finite(cols, table, summary):
     """No run may report a non-finite number as a result."""
     for key, v in summary.items():
@@ -670,16 +653,21 @@ def _check_finite(cols, table, summary):
         raise DomainError(f"column {col!r} holds non-finite values")
 
 
-def run(cfg: ExperimentConfig) -> int:
+def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
     start = time.perf_counter()
     # a numpy overflow or invalid value is a contract violation, not a warning
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         cols, table, summary = RUNNERS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     _check_finite(cols, table, summary)
-    out = Path(cfg.output_path or f"{cfg.experiment}_out.{cfg.output_format}")
-    doc = _summary_doc(cfg, summary, wall)
-    if cfg.output_format == "csv":
+    out = Path(output_path or f"{cfg.experiment}_out.{output_format}")
+    doc = {"experiment": cfg.experiment, "parameters": dict(cfg.parameters),
+           "seed": cfg.master_seed, "version": f"collapse-lab-v{__version__}",
+           # interpreter and numpy versions: no run imports another library
+           "versions": {"python": ".".join(map(str, sys.version_info[:3])),
+                        "numpy": np.__version__},
+           "wall_time_s": wall, "scalars": summary}
+    if output_format == "csv":
         write_csv(out, cols, table)
         out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
     else:
@@ -690,15 +678,14 @@ def run(cfg: ExperimentConfig) -> int:
 
 def validate(path) -> int:
     cfg = ExperimentConfig.from_file(path)
-    tcal = cfg.derived_t_cal()
-    if tcal is not None and not math.isfinite(tcal):
+    tcal = EXPERIMENTS[cfg.experiment].t_cal(cfg.parameters)
+    if not math.isfinite(tcal):
         raise DomainError(f"derived T_cal is not finite: {tcal}")
     print(f"experiment: {cfg.experiment}")
     for key, val in sorted(cfg.parameters.items()):
         print(f"  {key} = {val}")
     print(f"  seed = {cfg.master_seed}")
-    if tcal is not None:
-        print(f"derived T_cal = sqrt(lambda*t) = {_FMT.format(tcal)}")
+    print(f"derived T_cal = sqrt(lambda*t) = {_FMT.format(tcal)}")
     return 0
 
 
@@ -708,7 +695,7 @@ def main(argv=None) -> int:
         description="Energy-driven collapse experiments on finite spectral models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SCHEMAS:
+    for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
         sp.add_argument("--seed", type=int, default=None)
@@ -732,9 +719,7 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--out {args.out!r} must name a file in an existing directory"
                 )
-        cfg.output_path = args.out
-        cfg.output_format = args.format
-        return run(cfg)
+        return run(cfg, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

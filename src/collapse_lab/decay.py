@@ -306,12 +306,14 @@ def check_packet(p: DecayModelParams, grid: KGrid, packet: str):
         raise DomainError("packet too narrow for the k-grid span")
 
 
-def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
-               t_final: float) -> tuple[float, float, int]:
+def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str, t_final: float,
+               record_every: int | None = None) -> tuple[float, float, int]:
     """(lead before s = 0, total span, step count round(span/dt)) of
     `integrate_kgrid`: the excitation packet starts 10 packet widths early.
     Raises DomainError for an unknown packet, a span beyond the grid
-    recurrence time or a non-finite step count."""
+    recurrence time, a non-finite step count or, if given, a `record_every`
+    outside 1 .. step count (a record spacing beyond the span would record
+    only t = 0)."""
     if packet not in ("decay", "excitation"):
         raise DomainError(f"unknown packet {packet!r}")
     lead = 10.0 * packet_width(p) if packet == "excitation" else 0.0
@@ -325,7 +327,11 @@ def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str,
     if not math.isfinite(steps):
         raise DomainError(f"simulated span {span} gives a non-finite step "
                           f"count span/dt = {steps}")
-    return lead, span, round(steps)
+    n_steps = round(steps)
+    if record_every is not None and not 1 <= record_every <= n_steps:
+        raise DomainError(f"record_every must lie between 1 and the step count "
+                          f"round(span/dt) = {n_steps}, got {record_every}")
+    return lead, span, n_steps
 
 
 def integrate_kgrid(
@@ -354,7 +360,7 @@ def integrate_kgrid(
     """
     check_grid(p, grid)
     check_packet(p, grid, packet)
-    lead, _, n_steps = kgrid_span(p, grid, packet, t_final)
+    lead, _, n_steps = kgrid_span(p, grid, packet, t_final, record_every)
     k, wk = grid.points_and_weights()
     if packet == "decay":
         beta0 = 1.0 + 0.0j

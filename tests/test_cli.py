@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels, cli, ensemble
+from collapse_lab import _kernels, cli, ensemble, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid, integrate_kgrid
 from collapse_lab.engine import CollapseParams
@@ -25,6 +25,18 @@ def write_config(tmp_path, body, name="exp.ini"):
     path = tmp_path / name
     path.write_text(body)
     return path
+
+
+def array_bytes(cfg):
+    """The array estimate of `cfg`'s experiment record, by count key."""
+    return cli.EXPERIMENTS[cfg.experiment].array_bytes(cfg.parameters, cfg.model)
+
+
+def collapse_state(energies, weights):
+    """The initial state the `collapse` record builds from these keys."""
+    state, _ = cli.EXPERIMENTS["collapse"].build(
+        {"lambda": 1.0, "energies": tuple(energies), "weights": weights})
+    return state
 
 
 SPIN_INI = """[spin]
@@ -132,7 +144,8 @@ class TestConfigParsing:
 
     def test_derived_t_cal(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, COLLAPSE_INI))
-        assert abs(cfg.derived_t_cal() - math.sqrt(6.0)) < 1e-12
+        t_cal = cli.EXPERIMENTS[cfg.experiment].t_cal(cfg.parameters)
+        assert abs(t_cal - math.sqrt(6.0)) < 1e-12
 
     def test_levels_sorted_with_aligned_keys(self, tmp_path):
         ini = """[ensemble]
@@ -434,7 +447,7 @@ record_every = 40
         assert len(table) == 7999 // 40 + 1 == 200
         cfg = ExperimentConfig.from_file(
             write_config(tmp_path, ini.replace("record_every = 40", "record_every = 10")))
-        assert cfg._array_bytes()["'record_every'"] == 8 * 12 * 800
+        assert array_bytes(cfg)["'record_every'"] == 8 * 12 * 800
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_non_finite_step_count_is_two(self, tmp_path, capsys, command):
@@ -532,7 +545,7 @@ class TestCollapseRunner:
         header, rows = read_csv(tmp_path / "c.csv")
         times = np.linspace(0.6, 6.0, 10)
         energies, log_w0 = np.array([0.0, 1.0]), 0.5 * np.log([0.25, 0.75])
-        state = cli._build_state(energies, (0.25, 0.75))
+        state = collapse_state(energies, (0.25, 0.75))
         b = np.array([stream_path(state, 1.0, times, 5, i)[-1] for i in range(40)])
         weights = collapse_weights(energies, log_w0, CollapseParams(1.0), times[-1], b)
         np.testing.assert_allclose(rows[-1][2:], weights.mean(axis=1),
@@ -560,7 +573,7 @@ class TestCollapseRunner:
         # each tile once (plus the Born weights once per pass)
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, COLLAPSE_INI)
-        state = cli._build_state((0.0, 1.0), (0.25, 0.75))
+        state = collapse_state((0.0, 1.0), (0.25, 0.75))
         times = np.linspace(0.6, 6.0, 10)
         whole = simulate_trajectories(state, CollapseParams(1.0), times, 5, 40)
         assert main(["collapse", "--config", str(path), "--out", "one.csv"]) == 0
@@ -629,7 +642,7 @@ class TestCollapseRunner:
     (MEASUREMENT_INI, "load_branch_fixture"),
 ], ids=["spin", "kgrid_decay", "measurement"])
 def test_run_builds_its_model_once(tmp_path, monkeypatch, ini, built):
-    # validate_domain builds the model and the runner uses it as built
+    # the experiment's build makes the model and the runner uses it as built
     calls = []
 
     def counting(name, fn):
@@ -638,12 +651,12 @@ def test_run_builds_its_model_once(tmp_path, monkeypatch, ini, built):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "SpinModelParams",
-                        counting("SpinModelParams", cli.SpinModelParams))
+    monkeypatch.setattr(spin, "SpinModelParams",
+                        counting("SpinModelParams", spin.SpinModelParams))
     monkeypatch.setattr(KGrid, "for_params", classmethod(
         counting("KGrid.for_params", KGrid.for_params.__func__)))
-    monkeypatch.setattr(cli, "load_branch_fixture",
-                        counting("load_branch_fixture", cli.load_branch_fixture))
+    monkeypatch.setattr(measurement, "load_branch_fixture",
+                        counting("load_branch_fixture", measurement.load_branch_fixture))
     monkeypatch.chdir(tmp_path)
     path = write_config(tmp_path, ini)
     section = ini[1:ini.index("]")]
@@ -841,8 +854,13 @@ n_s = 10000
         "n_modes = 1024", "n_modes = 256").replace("record_every = 50", "record_every = 1"),
     # the Monte Carlo's one float per trajectory dominates the estimate
     ENSEMBLE_INI.replace("n_traj = 200", "n_traj = 100000"),
+    # full collapse tiles dominate: the ensemble's one-step charge of seven
+    # floats a weight would put the estimate at 2.04x the peak
+    COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 0.0, 1.0, 2.0, 3.0").replace(
+        "weights = 0.25, 0.75", "weights = 0.1, 0.2, 0.3, 0.4").replace(
+        "n_steps = 10", "n_steps = 40").replace("n_traj = 40", "n_traj = 20000"),
 ], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
-        "kgrid_decay", "ensemble_n_traj"])
+        "kgrid_decay", "ensemble_n_traj", "collapse_tiles"])
 def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     # each table value is charged as its float plus the runner's temporaries,
     # and the writers as one block: the estimate covers the tracemalloc peak
@@ -851,7 +869,7 @@ def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     # undercharged spin); a small measurement block leaves the per-value charge
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
     cfg = ExperimentConfig.from_file(write_config(tmp_path, ini))
-    run_estimate = sum(cfg._array_bytes().values())
+    run_estimate = sum(array_bytes(cfg).values())
     tracemalloc.start()
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -943,10 +961,10 @@ def test_runs_without_scipy(tmp_path):
         "import json, math, sys\n"
         "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
-        "from collapse_lab.cli import builtin_record_spectra, main\n"
+        "from collapse_lab.cli import EXPERIMENTS, main\n"
         "from collapse_lab.ensemble import SmearingKernel, smear, subsystem_expectation\n"
         "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
-        "from collapse_lab.records import RecordScenario, verify_schwarz_chain\n"
+        "from collapse_lab.records import verify_schwarz_chain\n"
         f"for section, stem in {runs!r}:\n"
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
@@ -960,7 +978,8 @@ def test_runs_without_scipy(tmp_path):
         "    levels, np.array([1.0, np.exp(-2j * t)]) / math.sqrt(2.0))\n"
         "assert abs(subsystem_expectation(state_at, v, 1.2, kernel) - damped) < 1e-10\n"
         "for kind in ('identical', 'disjoint', 'half_overlap'):\n"
-        "    sc = RecordScenario(*builtin_record_spectra(kind), 1.0, -1.0, 1.0, 1.0)\n"
+        "    sc = EXPERIMENTS['records'].build({'spectra': kind, 'b_plus': 1.0,\n"
+        "        'b_minus': -1.0, 'lambda': 1.0, 't0': 1.0, 't_max': 2.0})\n"
         "    part = [(-math.inf, 0.0), (0.0, 1.0), (1.0, math.inf)]\n"
         "    assert verify_schwarz_chain(sc, 2.0, part)[2], kind\n"
         "print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None\n"
@@ -1059,3 +1078,27 @@ def test_shipped_config_runs_clean(tmp_path, config):
     assert rows and np.isfinite(rows).all()
     json.loads(out.with_suffix(".summary.json").read_text(),
                parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("section, stem, unloaded", [
+    ("records", "records_half_overlap",
+     {"ensemble", "rng", "_kernels", "decay", "spin", "measurement"}),
+    ("spin", "spin_suppression", {"ensemble", "rng", "decay", "records", "measurement"}),
+], ids=["records", "spin"])
+def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
+    # one fresh interpreter per run: the experiment's build and runner import
+    # its layers, and the package imports none of its own accord
+    child = (
+        "import json, sys\n"
+        "from collapse_lab.cli import main\n"
+        f"argv = [{section!r}, '--config', {str(CONFIGS / (stem + '.ini'))!r},\n"
+        f"        '--out', {str(tmp_path / 'o.csv')!r}]\n"
+        "assert main(argv) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('collapse_lab.')]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    loaded = {m.removeprefix("collapse_lab.") for m in loaded}
+    assert section in loaded
+    assert not loaded & unloaded

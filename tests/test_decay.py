@@ -353,3 +353,13 @@ class TestKGridOracle:
         p = make_params()
         with pytest.raises(DomainError):
             integrate_kgrid(p, self.small_grid(p), "plane", 1.0)
+
+    def test_record_spacing_beyond_the_span_rejected(self):
+        # a span of 0.01 is 20 steps of 5e-4: recording every 100 would give
+        # only the record at t = 0 after propagating the whole span
+        p = DecayModelParams(1.0, 1.0, 1e-4)
+        grid = KGrid.for_params(p, 20.0, 256, 5e-4)
+        with pytest.raises(DomainError, match="record_every"):
+            integrate_kgrid(p, grid, "decay", 0.01, record_every=100)
+        res = integrate_kgrid(p, grid, "decay", 0.01, record_every=20)
+        np.testing.assert_allclose(res.times, [0.0, 0.01], rtol=0, atol=1e-15)

@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +39,35 @@ def test_public_definitions_are_listed(layer):
         and obj.__module__ == module.__name__
     }
     assert defined <= set(module.__all__)
+
+
+def fresh_interpreter(code):
+    """The JSON value `code` prints on its last line, run in a fresh
+    interpreter (this process has imported every layer already)."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_layer():
+    # the package alone, then the CLI module with the one layer it needs
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('collapse_lab.'))\n"
+        "import collapse_lab\n"
+        "package = loaded()\n"
+        "from collapse_lab import cli\n"
+        "print(json.dumps([package, loaded()]))\n"
+    )
+    assert loaded == [[], ["collapse_lab.cli", "collapse_lab.hilbert"]]
+
+
+def test_star_import_binds_every_public_name():
+    unbound = fresh_interpreter(
+        "import json\n"
+        "from collapse_lab import *\n"
+        "import collapse_lab\n"
+        "print(json.dumps([n for n in collapse_lab.__all__\n"
+        "                  if globals().get(n) is not getattr(collapse_lab, n)]))\n"
+    )
+    assert unbound == []

@@ -7,11 +7,18 @@ worked experiments (a precessing spin and an excitation/decay chain).
 
 Every name in a layer module's ``__all__`` is a name of the package too,
 resolved on first use (PEP 562), so ``import collapse_lab`` loads no layer.
+`DomainError` is defined here, so a layer that raises it need not load
+`hilbert`, which re-exports it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class DomainError(ValueError):
+    """Raised when an operation's precondition is violated."""
+
 
 #: the layer modules whose public names the package re-exports, in lookup order
 _LAYERS = ("hilbert", "engine", "rng", "ensemble", "records", "measurement",

@@ -1,10 +1,9 @@
 """Hot numeric kernels, written in numpy.
 
-The collapse weights are evaluated on records sampled elsewhere, so all
-randomness stays in the counter-based generators of `collapse_lab.rng`.
+Pure numerics (Bessel, Chebyshev and Faddeeva): the module imports no layer,
+so a run loads it only for that work.
 
 Kernels:
-  * collapse_weights    -- level weights at (t, B), level-major, batched over B.
   * bessel_j            -- J_0 ... J_n at an array of real arguments, by one
                            Miller backward recurrence.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
@@ -25,12 +24,10 @@ import math
 
 import numpy as np
 
-from .engine import collapse_exponent
-from .hilbert import DomainError
+from . import DomainError
 
-__all__ = ["collapse_weights", "bessel_j", "bessel_orders", "chebyshev_interval",
-           "chebyshev_series", "kgrid_chebyshev", "faddeeva_upper", "normal_cdf",
-           "log_normal_cdf"]
+__all__ = ["bessel_j", "bessel_orders", "chebyshev_interval", "chebyshev_series",
+           "kgrid_chebyshev", "faddeeva_upper", "normal_cdf", "log_normal_cdf"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
@@ -42,23 +39,6 @@ SEGMENT_Z = 256.0
 RECORD_BLOCK = 64
 #: terms of Weideman's rational series for the Faddeeva function
 FADDEEVA_TERMS = 40
-
-
-def collapse_weights(energies, log_w0, params, t, b):
-    """Normalized level weights at times t and records b, level-major.
-
-    The batched form of `engine.evolve`: each log magnitude gains
-    `engine.collapse_exponent` (the E-independent -b**2/(4*lam*t) cancels on
-    normalization).  t broadcasts against b; returns weights of shape
-    (n_lev, *b.shape).
-    """
-    b = np.asarray(b, float)
-    lev = (-1,) + (1,) * b.ndim
-    lw = np.reshape(np.asarray(log_w0, float), lev) + collapse_exponent(
-        params, t, b, np.reshape(np.asarray(energies, float), lev))
-    w = np.exp(2.0 * (lw - lw.max(axis=0)))
-    w /= w.sum(axis=0)
-    return w
 
 
 def bessel_j(n, z):

@@ -16,6 +16,10 @@ the experiment's layers when called, so a run loads only the layers it uses.
 The rest of this module is shared by every experiment: argument and config
 parsing, the array cap, the writers and the summary envelope.
 
+A run uses one BLAS thread: the module sets OPENBLAS_NUM_THREADS to 1 before
+it imports numpy, unless the variable is already set, in which case the
+user's value holds.
+
 Outputs: a data table (CSV by default, one leading t or x abscissa column,
 floats at 17 significant digits so they round-trip exactly) and a JSON
 summary with the resolved parameters, seed, version, the python and numpy
@@ -36,16 +40,19 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+# set before numpy loads OpenBLAS: no run's BLAS calls use a second thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__
-from .hilbert import DomainError
+from . import DomainError, __version__
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -104,8 +111,7 @@ _WRITE_BYTES = 192 * _WRITE_VALUES
 _BLOCK_BYTES = 2**26
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """Everything this module knows of one experiment.
 
     schema: key -> (parser, required, default); "seed" is always accepted.

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import DomainError, _kernels
 from ._kernels import log_normal_cdf
-from .hilbert import DomainError
 from .spin import normal_cdf
 
 __all__ = [

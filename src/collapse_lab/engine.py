@@ -22,6 +22,7 @@ from .hilbert import DomainError, SpectralState, energy_distribution
 __all__ = [
     "CollapseParams",
     "collapse_exponent",
+    "collapse_weights",
     "evolve",
     "evolve_from",
     "record_marginal_density",
@@ -48,6 +49,22 @@ def collapse_exponent(params: CollapseParams, t, B, energies) -> np.ndarray:
     B = np.where(t == 0, 0.0, np.asarray(B, float))
     e = np.asarray(energies, float)
     return -params.lam * t * e * e + B * e
+
+
+def collapse_weights(energies, log_w0, params, t, b):
+    """Normalized level weights at times t and records b, level-major.
+
+    The batched form of `evolve`: each log magnitude gains `collapse_exponent`
+    (the E-independent -b**2/(4*lam*t) cancels on normalization).  t
+    broadcasts against b; returns weights of shape (n_lev, *b.shape).
+    """
+    b = np.asarray(b, float)
+    lev = (-1,) + (1,) * b.ndim
+    lw = np.reshape(np.asarray(log_w0, float), lev) + collapse_exponent(
+        params, t, b, np.reshape(np.asarray(energies, float), lev))
+    w = np.exp(2.0 * (lw - lw.max(axis=0)))
+    w /= w.sum(axis=0)
+    return w
 
 
 def evolve(

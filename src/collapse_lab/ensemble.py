@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import engine
 from .hilbert import (
     DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
 )
@@ -156,7 +156,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     """The one collapse pass: yields (rows, steps, b, w) over tiles of the
     (trajectory, step) grid, with b the records at times[steps] of the
     trajectories in slice `rows`, shape (len(rows), len(steps)), and w the
-    level weights there, `_kernels.collapse_weights`, shape (n_lev, *b.shape).
+    level weights there, `engine.collapse_weights`, shape (n_lev, *b.shape).
 
     The record B(t) is a Born-weighted mixture of drifted Brownian motions,
     B = 2*lam*E_J*t + sqrt(lam)*W(t) with J drawn once from |a_j|**2
@@ -176,7 +176,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
-    born = np.cumsum(_kernels.collapse_weights(energies, log_w0, params, 0.0, 0.0))
+    born = np.cumsum(engine.collapse_weights(energies, log_w0, params, 0.0, 0.0))
     scale = np.sqrt(params.lam * np.diff(times, prepend=0.0))
     tile_rows, tile_steps = _tile_shape(energies.size, n_traj, times.size)
     for start in range(0, n_traj, tile_rows):
@@ -190,7 +190,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
             steps = slice(s0, min(s0 + tile_steps, times.size))
             b = b_rows[:, steps]
             yield (slice(rows.start, rows.stop), steps, b,
-                   _kernels.collapse_weights(energies, log_w0, params, times[steps], b))
+                   engine.collapse_weights(energies, log_w0, params, times[steps], b))
         del b_rows, b  # released before the next tile is drawn
 
 

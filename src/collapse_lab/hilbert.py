@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DomainError
+
 __all__ = [
     "DomainError",
     "EnergyLevel",
@@ -27,10 +29,6 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
-
-
-class DomainError(ValueError):
-    """Raised when an operation's precondition is violated."""
 
 
 @dataclass(frozen=True, order=True)

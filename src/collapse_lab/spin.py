@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .hilbert import DomainError
+from . import DomainError, _kernels
 
 __all__ = [
     "SpinModelParams",

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from collapse_lab import _kernels
-from collapse_lab.engine import CollapseParams, evolve, evolve_from
+from collapse_lab.engine import CollapseParams, collapse_weights, evolve, evolve_from
 from collapse_lab.ensemble import (
     SmearingKernel,
     ensemble_density_matrix,
@@ -54,7 +53,7 @@ def test_01_born_weight_collapse():
                                           np.exp(log_w0))
     params, t, n = CollapseParams(1.0), 1000.0, 10_000
     b = simulate_trajectories(state, params, [t], 2024, n)[:, 0]
-    weights = _kernels.collapse_weights(energies, log_w0, params, t, b)
+    weights = collapse_weights(energies, log_w0, params, t, b)
     frac = float(np.mean(np.argmax(weights, axis=0) == 0))
     tol = 4.0 * math.sqrt(0.1875 / n)
     ok = abs(frac - 0.25) < tol

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -10,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels, cli, ensemble, measurement, spin
+from collapse_lab import _kernels, cli, engine, ensemble, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid, integrate_kgrid
-from collapse_lab.engine import CollapseParams
-from collapse_lab._kernels import collapse_weights
+from collapse_lab.engine import CollapseParams, collapse_weights
 from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
@@ -584,7 +584,7 @@ class TestCollapseRunner:
             calls.append(args[3])
             return collapse_weights(*args)
 
-        monkeypatch.setattr(_kernels, "collapse_weights", counting)
+        monkeypatch.setattr(engine, "collapse_weights", counting)
         for tile_values, n_tiles in ((2 * 10 * 3, 14), (2 * 4, 40 * 3)):
             monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
             calls.clear()
@@ -947,6 +947,33 @@ class TestWriters:
         assert peak < 2 * 2**20
 
 
+def test_cli_runs_one_blas_thread():
+    # fresh interpreters: importing the CLI sets OPENBLAS_NUM_THREADS before
+    # numpy loads OpenBLAS, so no idle worker thread starts; a value the user
+    # set holds, and the library alone leaves the variable unset
+    report = (
+        "import json, os\n"
+        "task = '/proc/self/task'\n"
+        "n = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), n]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+    def child(modules, **extra):
+        res = subprocess.run([sys.executable, "-c", f"import {modules}\n{report}"],
+                             capture_output=True, text=True, env={**env, **extra})
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    value, n_tasks = child("collapse_lab.cli")
+    assert value == "1"
+    assert child("collapse_lab.cli", OPENBLAS_NUM_THREADS="3")[0] == "3"
+    assert child("collapse_lab, collapse_lab.spin")[0] is None
+    if n_tasks is None or (os.cpu_count() or 1) < 2:
+        pytest.skip("counting threads needs /proc/self/task and two CPUs")
+    assert n_tasks == 1
+
+
 def test_runs_without_scipy(tmp_path):
     # one fresh interpreter in which importing scipy raises: the package
     # import, a run of every shipped config, the Gauss-Hermite smear and the
@@ -1083,8 +1110,13 @@ def test_shipped_config_runs_clean(tmp_path, config):
 @pytest.mark.parametrize("section, stem, unloaded", [
     ("records", "records_half_overlap",
      {"ensemble", "rng", "_kernels", "decay", "spin", "measurement"}),
-    ("spin", "spin_suppression", {"ensemble", "rng", "decay", "records", "measurement"}),
-], ids=["records", "spin"])
+    ("spin", "spin_suppression",
+     {"hilbert", "engine", "ensemble", "rng", "decay", "records", "measurement"}),
+    ("decay", "decay_closed",
+     {"hilbert", "engine", "ensemble", "rng", "records", "measurement"}),
+    ("ensemble", "ensemble_damping",
+     {"_kernels", "decay", "spin", "records", "measurement"}),
+], ids=["records", "spin", "decay", "ensemble"])
 def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
     # one fresh interpreter per run: the experiment's build and runner import
     # its layers, and the package imports none of its own accord

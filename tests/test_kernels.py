@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from collapse_lab import _kernels, ensemble
 from collapse_lab.decay import DecayModelParams, KGrid
-from collapse_lab.engine import CollapseParams, evolve
+from collapse_lab.engine import CollapseParams, collapse_weights, evolve
 from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
 
@@ -53,7 +53,7 @@ class TestCollapseSteps:
                 seen[rows, steps] += 1
                 np.testing.assert_array_equal(b, whole[rows, steps])
                 for k, t in enumerate(times[steps]):
-                    want = _kernels.collapse_weights(energies, log_w0, params, t, b[:, k])
+                    want = collapse_weights(energies, log_w0, params, t, b[:, k])
                     np.testing.assert_array_equal(w[:, :, k], want)
             assert np.all(seen == 1)
 
@@ -69,7 +69,7 @@ class TestCollapseWeights:
         )
         params = CollapseParams(0.7)
         bs = t * np.array([-2.0, 0.0, 0.4, 1.7, 3.5])
-        w = _kernels.collapse_weights(
+        w = collapse_weights(
             energies, np.asarray(state.log_magnitudes), params, t, bs
         )
         assert w.shape == (energies.size, bs.size)

@@ -50,7 +50,7 @@ def fresh_interpreter(code):
 
 
 def test_import_loads_no_layer():
-    # the package alone, then the CLI module with the one layer it needs
+    # the package alone, then the CLI module, which needs no layer
     loaded = fresh_interpreter(
         "import json, sys\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('collapse_lab.'))\n"
@@ -59,7 +59,14 @@ def test_import_loads_no_layer():
         "from collapse_lab import cli\n"
         "print(json.dumps([package, loaded()]))\n"
     )
-    assert loaded == [[], ["collapse_lab.cli", "collapse_lab.hilbert"]]
+    assert loaded == [[], ["collapse_lab.cli"]]
+
+
+@pytest.mark.parametrize("module", [m for m in LAYERS if m != "rng"] + ["_kernels", "cli"])
+def test_domain_error_is_one_class(module):
+    # the CLI maps DomainError to exit 2 or 3: every layer raises the package's
+    module = importlib.import_module(f"collapse_lab.{module}")
+    assert module.DomainError is collapse_lab.DomainError
 
 
 def test_star_import_binds_every_public_name():

@@ -472,6 +472,8 @@ def _build_spin(p):
     except DomainError as exc:
         raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
     if p["s_min"] is None:
+        if p["s_max"] <= 0:
+            raise ConfigError("key 's_max' must be positive when 's_min' is not given")
         p["s_min"] = -p["s_max"]
     if p["s_min"] >= p["s_max"]:
         raise ConfigError("key 's_min' must be below 's_max'")

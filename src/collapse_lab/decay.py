@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import DomainError, _kernels
-from ._kernels import log_normal_cdf
-from .spin import normal_cdf
+from ._kernels import log_normal_cdf, normal_cdf
 
 __all__ = [
     "DecayModelParams",
@@ -258,7 +257,8 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     """Smeared photon position density, by labeled term.
 
     The broadened-packet term carries the (regularized) interference delta;
-    the decay tail gets the same log-safe Phi damping as the occupation.
+    the decay tail is Gamma*Theta(x - x0) times the smeared occupation
+    `occupation_collapsed` at u = s - (x - x0).
     """
     if p.T_cal <= 0:
         raise DomainError("smeared form needs T_cal > 0")
@@ -268,8 +268,7 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     after = (x > p.x0).astype(float)
     gauss = np.exp(-0.5 * (u / t) ** 2) / (t * math.sqrt(2.0 * math.pi))
     packet = gauss * (1.0 - g * p.sigma * after)
-    log_tail = -g * u + 0.5 * (g * t) ** 2 + log_normal_cdf(u / t - g * t)
-    tail = g**2 * p.sigma * after * np.exp(log_tail)
+    tail = g * after * occupation_collapsed(u, p)
     return {"packet": packet, "decay_tail": tail, "total": packet + tail}
 
 

@@ -22,7 +22,6 @@ from .engine import CollapseParams
 from .rng import philox4x64
 
 __all__ = [
-    "SmearingKernel",
     "TimeSeries",
     "smear",
     "draw_traj_variates",
@@ -37,24 +36,8 @@ __all__ = [
 _CHUNK_BLOCKS = 2**14
 #: (level, trajectory, step) weights per tile of `_collapse_pass` (128 KiB)
 _TILE_VALUES = 2**14
-
-
-@dataclass(frozen=True)
-class SmearingKernel:
-    """Gaussian smearing window of width T_cal (time units)."""
-
-    T_cal: float
-    quadrature_order: int = 64
-
-    def __post_init__(self):
-        if not (math.isfinite(self.T_cal) and self.T_cal >= 0):
-            raise DomainError("T_cal must be finite and >= 0")
-        if self.quadrature_order < 8 or self.quadrature_order % 2:
-            raise DomainError("quadrature_order must be even and >= 8")
-
-    @classmethod
-    def from_collapse(cls, params: CollapseParams, t: float, order: int = 64):
-        return cls(math.sqrt(params.lam * t), order)
+#: Gauss-Hermite nodes of `smear`
+_SMEAR_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -82,21 +65,23 @@ class TimeSeries:
         return np.interp(t, ts, vs)
 
 
-def smear(f, t: float, kernel: SmearingKernel):
-    """Gaussian time-smear of f at t:
-    (2*pi)**-0.5 * integral deta exp(-eta^2/2) f(t - T_cal*eta).
+def smear(f, t: float, t_cal: float):
+    """Gaussian time-smear of f at t over a window of width t_cal (T_cal):
+    (2*pi)**-0.5 * integral deta exp(-eta^2/2) f(t - t_cal*eta).
 
-    Gauss-Hermite quadrature of `kernel.quadrature_order` nodes, spectrally
-    accurate for smooth f (steps and kinks converge slowly).  The nodes reach
-    sqrt(2)*max|x| widths either side of t, 14.9 at order 64; a TimeSeries
-    must cover that span.  For T_cal = 0 this returns f(t) exactly.
+    Gauss-Hermite quadrature of _SMEAR_NODES = 64 nodes, spectrally accurate
+    for smooth f (steps and kinks converge slowly).  The nodes reach
+    sqrt(2)*max|x| = 14.9 widths either side of t; a TimeSeries must cover
+    that span.  For t_cal = 0 this returns f(t) exactly; a negative or
+    non-finite t_cal raises DomainError.
     """
-    tcal = kernel.T_cal
-    if tcal == 0.0:
+    if not (math.isfinite(t_cal) and t_cal >= 0):
+        raise DomainError("T_cal must be finite and >= 0")
+    if t_cal == 0.0:
         return f(t)
     # Gauss-Hermite for weight exp(-x^2); substitute eta = sqrt(2)*x.
-    x, w = np.polynomial.hermite.hermgauss(kernel.quadrature_order)
-    pts = t - tcal * math.sqrt(2.0) * x
+    x, w = np.polynomial.hermite.hermgauss(_SMEAR_NODES)
+    pts = t - t_cal * math.sqrt(2.0) * x
     if isinstance(f, TimeSeries):
         lo, hi = pts.min(), pts.max()
         if lo < f.times[0] or hi > f.times[-1]:
@@ -319,12 +304,12 @@ def ensemble_density_matrix_mc(
 
 
 def subsystem_expectation(
-    state1_fn, obs1: ObservableMatrix, t: float, kernel: SmearingKernel
+    state1_fn, obs1: ObservableMatrix, t: float, t_cal: float
 ):
     """Smeared expectation of a noninteracting subsystem observable.
 
     ``state1_fn`` maps a time to the subsystem's unitary Schrodinger state;
-    the result is the Gauss-Hermite smear (`smear`) of
+    the result is the Gauss-Hermite smear (`smear`) of width t_cal of
     tau -> <psi1,tau|V1|psi1,tau> at t.
     """
-    return smear(lambda tau: expectation(state1_fn(tau), obs1), t, kernel)
+    return smear(lambda tau: expectation(state1_fn(tau), obs1), t, t_cal)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DomainError, _kernels
+from . import DomainError
+from ._kernels import normal_cdf
 
 __all__ = [
     "SpinModelParams",
@@ -27,9 +28,6 @@ __all__ = [
     "sigma1_collapsed",
     "spin_density_matrix",
 ]
-
-#: documented domain bound for the complex normal CDF
-MAX_IMAG = 30.0
 
 
 @dataclass(frozen=True)
@@ -60,52 +58,11 @@ class SpinModelParams:
         return math.exp(-0.5 * (self.epsilon * self.T_cal) ** 2)
 
 
-def normal_cdf(z):
-    """Normal distribution function Phi(z), analytically continued.
-
-    Real arguments reduce to the standard CDF, with an imaginary part of
-    exactly zero; Phi(z) + Phi(-z) = 1 and Phi(conj z) = conj Phi(z).
-    Domain: |Im z| <= 30.  Broadcasts over arrays; a scalar gives a complex
-    scalar.
-
-    Computed by `_kernels.normal_cdf` from Weideman's series for the Faddeeva
-    function w(zeta), which it evaluates only at Im zeta >= 0 (for Re z > 0
-    it reflects in Phi, as 1 - Phi(-z)).  Accuracy: relative error <= 1e-13 for Re z <= 0, |Im z| <= 3 and for
-    real |z| <= 10; error <= 5e-13*max(1, |Phi(z)|, |Phi(-z)|) over
-    |Re z| <= 40, |Im z| <= 30.
-    """
-    z = np.asarray(z, complex)
-    if np.any(np.abs(z.imag) > MAX_IMAG):
-        raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {np.abs(z.imag).max()}")
-    return _kernels.normal_cdf(z)
-
-
-def sigma1_standard(s, p: SpinModelParams):
-    """<sigma_1> under ordinary Schrodinger evolution (exact closed form).
-
-    For real a, b and sigma*epsilon << 1 this reduces to
-    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].  Broadcasts over s.
-    """
+def _sigma1(s, p: SpinModelParams, tcal: float):
+    """<sigma_1> under collapse smearing of width tcal (exact closed form);
+    tcal = 0 is ordinary Schrodinger evolution."""
     s = np.asarray(s, float)
     a, b, eps, sig = complex(p.a), complex(p.b), p.epsilon, p.sigma
-    cross = a.conjugate() * b
-    return (
-        2.0 * cross.real * normal_cdf(-s / sig).real
-        + math.exp(-0.5 * (eps * sig) ** 2)
-        * 2.0
-        * (cross * np.exp(1j * eps * s) * normal_cdf(s / sig + 1j * eps * sig)).real
-    )
-
-
-def sigma1_collapsed(s, p: SpinModelParams):
-    """<sigma_1> under collapse smearing of width T_cal (closed form).
-
-    For real a, b, sigma*epsilon << 1, sigma << T_cal this reduces to
-    2ab*[Phi(-s/T) + exp(-eps^2 T^2/2)*cos(eps*s)*Phi(s/T)].
-    T_cal = 0 recovers `sigma1_standard` exactly.  Broadcasts over s.
-    """
-    s = np.asarray(s, float)
-    a, b, eps, sig, tcal = complex(p.a), complex(p.b), p.epsilon, p.sigma, p.T_cal
     width = math.hypot(sig, tcal)
     cross = a.conjugate() * b
     arg = (s + 1j * eps * sig * (sig + tcal)) / width
@@ -115,6 +72,26 @@ def sigma1_collapsed(s, p: SpinModelParams):
         * 2.0
         * (cross * np.exp(1j * eps * s) * normal_cdf(arg)).real
     )
+
+
+def sigma1_standard(s, p: SpinModelParams):
+    """<sigma_1> under ordinary Schrodinger evolution (exact closed form):
+    `sigma1_collapsed` at T_cal = 0.
+
+    For real a, b and sigma*epsilon << 1 this reduces to
+    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].  Broadcasts over s.
+    """
+    return _sigma1(s, p, 0.0)
+
+
+def sigma1_collapsed(s, p: SpinModelParams):
+    """<sigma_1> under collapse smearing of width T_cal (closed form).
+
+    For real a, b, sigma*epsilon << 1, sigma << T_cal this reduces to
+    2ab*[Phi(-s/T) + exp(-eps^2 T^2/2)*cos(eps*s)*Phi(s/T)].
+    T_cal = 0 recovers `sigma1_standard` exactly.  Broadcasts over s.
+    """
+    return _sigma1(s, p, p.T_cal)
 
 
 def spin_density_matrix(s: float, p: SpinModelParams) -> np.ndarray:

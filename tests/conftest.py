@@ -48,15 +48,15 @@ def stream_record_path(state, lam, times, seed, index):
     return np.array(path)
 
 
-def quad_time_smear(f, t, kernel):
-    """Gaussian time-smear of f at t by adaptive quadrature on +-8 widths
-    of kernel.T_cal (the mass beyond is below 1e-14): the oracle for
+def quad_time_smear(f, t, t_cal):
+    """Gaussian time-smear of width t_cal of f at t by adaptive quadrature on
+    +-8 widths (the mass beyond is below 1e-14): the oracle for
     integrands with steps or kinks, where `ensemble.smear`'s Gauss-Hermite
     rule converges slowly."""
     inv = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(eta):
-        return inv * math.exp(-0.5 * eta * eta) * f(t - kernel.T_cal * eta)
+        return inv * math.exp(-0.5 * eta * eta) * f(t - t_cal * eta)
 
     val, _ = quad(integrand, -8.0, 8.0, epsabs=1e-10, epsrel=1e-10, limit=400)
     return val

@@ -16,7 +16,6 @@ from scipy import stats
 
 from collapse_lab.engine import CollapseParams, collapse_weights, evolve, evolve_from
 from collapse_lab.ensemble import (
-    SmearingKernel,
     ensemble_density_matrix,
     ensemble_density_matrix_mc,
     simulate_trajectories,
@@ -175,30 +174,27 @@ def test_05_spectrum_conservation_density_matrix():
 def test_06_smearing_identities(quad_smear):
     # (a) pure tone
     eps, tcal = 2.0, 0.7
-    kernel = SmearingKernel(tcal)
     err_cos = max(
         abs(
-            smear(lambda u: math.cos(eps * u), float(t), kernel)
+            smear(lambda u: math.cos(eps * u), float(t), tcal)
             - math.exp(-0.5 * (eps * tcal) ** 2) * math.cos(eps * t)
         )
         for t in np.linspace(-2.0, 4.0, 13)
     )
     # (b) spin closed form, in its validity regime eps*T_cal << 1
     sp = SpinModelParams(INV_SQRT2, INV_SQRT2, 0.03, 1e-4, 0.01)
-    k_spin = SmearingKernel(0.01)
     err_spin = max(
         abs(
-            quad_smear(lambda u: sigma1_standard(u, sp), float(s), k_spin)
+            quad_smear(lambda u: sigma1_standard(u, sp), float(s), sp.T_cal)
             - sigma1_collapsed(float(s), sp)
         )
         for s in np.linspace(-0.04, 0.04, 9)
     )
     # (c) decay occupation
     dp = DecayModelParams(1.0, 2.0, 1e-4, 0.0, 0.5)
-    k_dec = SmearingKernel(0.5)
     err_occ = max(
         abs(
-            quad_smear(lambda u: occupation(u, dp), float(s), k_dec)
+            quad_smear(lambda u: occupation(u, dp), float(s), dp.T_cal)
             - occupation_collapsed(float(s), dp)
         )
         for s in np.linspace(-0.5, 2.0, 9)

@@ -253,6 +253,21 @@ dt = 0.1
         err = capsys.readouterr().err
         assert "'a'" in err and "'b'" in err
 
+    @pytest.mark.parametrize("s_max", ["0.0", "-2.0"])
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_nonpositive_s_max_without_s_min_names_s_max(self, tmp_path, capsys,
+                                                          command, s_max):
+        # s_min defaults to -s_max, so the range is empty; the key at fault is
+        # the one the config holds, not the defaulted s_min
+        path = write_config(tmp_path, SPIN_INI.replace("s_max = 6.0", f"s_max = {s_max}"))
+        if command == "run":
+            argv = ["spin", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "key 's_max'" in err and "key 's_min'" not in err
+
     @pytest.mark.parametrize("ini, key", [
         (SPIN_INI.replace("a = 0.7071067811865476", "a = nan"), "'a'"),
         (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = nan, 1"), "'weights'"),
@@ -989,21 +1004,20 @@ def test_runs_without_scipy(tmp_path):
         "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
         "from collapse_lab.cli import EXPERIMENTS, main\n"
-        "from collapse_lab.ensemble import SmearingKernel, smear, subsystem_expectation\n"
+        "from collapse_lab.ensemble import smear, subsystem_expectation\n"
         "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
         "from collapse_lab.records import verify_schwarz_chain\n"
         f"for section, stem in {runs!r}:\n"
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
         "    assert main([section, '--config', config, '--out', out]) == 0\n"
-        "kernel = SmearingKernel(0.5)\n"
         "damped = math.exp(-0.5) * math.cos(2.4)\n"
-        "assert abs(smear(lambda u: math.cos(2.0 * u), 1.2, kernel) - damped) < 1e-12\n"
+        "assert abs(smear(lambda u: math.cos(2.0 * u), 1.2, 0.5) - damped) < 1e-12\n"
         "levels = (EnergyLevel(0.0), EnergyLevel(2.0))\n"
         "v = ObservableMatrix(levels, np.array([[0.0, 1.0], [1.0, 0.0]]))\n"
         "state_at = lambda t: SpectralState.from_amplitudes(\n"
         "    levels, np.array([1.0, np.exp(-2j * t)]) / math.sqrt(2.0))\n"
-        "assert abs(subsystem_expectation(state_at, v, 1.2, kernel) - damped) < 1e-10\n"
+        "assert abs(subsystem_expectation(state_at, v, 1.2, 0.5) - damped) < 1e-10\n"
         "for kind in ('identical', 'disjoint', 'half_overlap'):\n"
         "    sc = EXPERIMENTS['records'].build({'spectra': kind, 'b_plus': 1.0,\n"
         "        'b_minus': -1.0, 'lambda': 1.0, 't0': 1.0, 't_max': 2.0})\n"
@@ -1113,7 +1127,7 @@ def test_shipped_config_runs_clean(tmp_path, config):
     ("spin", "spin_suppression",
      {"hilbert", "engine", "ensemble", "rng", "decay", "records", "measurement"}),
     ("decay", "decay_closed",
-     {"hilbert", "engine", "ensemble", "rng", "records", "measurement"}),
+     {"hilbert", "engine", "ensemble", "rng", "records", "measurement", "spin"}),
     ("ensemble", "ensemble_damping",
      {"_kernels", "decay", "spin", "records", "measurement"}),
 ], ids=["records", "spin", "decay", "ensemble"])

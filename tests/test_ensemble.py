@@ -10,7 +10,6 @@ from scipy.special import ndtr
 from collapse_lab import ensemble
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import (
-    SmearingKernel,
     TimeSeries,
     draw_traj_variates,
     ensemble_density_matrix,
@@ -37,57 +36,44 @@ def three_level():
     return SpectralState.from_amplitudes(levels, amps).normalized()
 
 
-class TestSmearingKernel:
-    def test_from_collapse_width(self):
-        k = SmearingKernel.from_collapse(CollapseParams(0.25), 4.0)
-        assert k.T_cal == 1.0
-
-    def test_rejects_negative_width(self):
-        with pytest.raises(DomainError):
-            SmearingKernel(-1.0)
-
-    def test_rejects_odd_order(self):
-        with pytest.raises(DomainError):
-            SmearingKernel(1.0, quadrature_order=7)
-
-
 class TestSmear:
+    @pytest.mark.parametrize("tcal", [-1.0, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite_width(self, tcal):
+        with pytest.raises(DomainError, match="T_cal must be finite and >= 0"):
+            smear(lambda t: t, 0.0, tcal)
+
     def test_zero_width_returns_value(self):
-        assert smear(lambda t: t**2, 3.0, SmearingKernel(0.0)) == 9.0
+        assert smear(lambda t: t**2, 3.0, 0.0) == 9.0
 
     def test_constant_invariant(self):
-        assert abs(smear(lambda t: 5.0, 1.0, SmearingKernel(2.0)) - 5.0) < 1e-12
+        assert abs(smear(lambda t: 5.0, 1.0, 2.0) - 5.0) < 1e-12
 
     def test_cosine_damping_identity(self):
         # smearing a pure tone damps it by exp(-eps^2*T^2/2), same phase
         eps, tcal = 2.0, 0.7
-        k = SmearingKernel(tcal)
         for t in np.linspace(-2.0, 4.0, 9):
-            got = smear(lambda u: math.cos(eps * u), float(t), k)
+            got = smear(lambda u: math.cos(eps * u), float(t), tcal)
             want = math.exp(-0.5 * (eps * tcal) ** 2) * math.cos(eps * t)
             assert abs(got - want) < 1e-12
 
     def test_step_function_smears_to_normal_cdf(self, quad_smear):
         tcal = 0.5
-        k = SmearingKernel(tcal)
         for t in [-1.0, -0.2, 0.0, 0.3, 1.2]:
-            got = quad_smear(lambda u: float(u > 0), t, k)
+            got = quad_smear(lambda u: float(u > 0), t, tcal)
             assert abs(got - ndtr(t / tcal)) < 1e-8
 
     def test_adaptive_and_hermite_agree_on_smooth(self, quad_smear):
-        k = SmearingKernel(0.8)
         f = lambda t: math.exp(-0.3 * t) * math.sin(t)
-        a = smear(f, 1.1, k)
-        b = quad_smear(f, 1.1, k)
+        a = smear(f, 1.1, 0.8)
+        b = quad_smear(f, 1.1, 0.8)
         assert abs(a - b) < 1e-9
 
     def test_gaussian_widths_add_in_quadrature(self):
         # smearing a unit Gaussian by T gives a Gaussian of width sqrt(1+T^2)
         tcal = 1.3
-        k = SmearingKernel(tcal)
         f = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
         for t in [0.0, 0.7, 2.0]:
-            got = smear(f, t, k)
+            got = smear(f, t, tcal)
             w2 = 1.0 + tcal**2
             want = math.exp(-0.5 * t * t / w2) / math.sqrt(2 * math.pi * w2)
             assert abs(got - want) < 1e-12
@@ -99,11 +85,10 @@ class TestSmear:
         t=st.floats(-1.0, 1.0),
     )
     def test_linearity(self, a, b, t):
-        k = SmearingKernel(0.6)
         f = lambda u: math.sin(u)
         g = lambda u: u
-        combined = smear(lambda u: a * f(u) + b * g(u), t, k)
-        separate = a * smear(f, t, k) + b * smear(g, t, k)
+        combined = smear(lambda u: a * f(u) + b * g(u), t, 0.6)
+        separate = a * smear(f, t, 0.6) + b * smear(g, t, 0.6)
         assert abs(combined - separate) < 1e-10
 
 
@@ -126,7 +111,7 @@ class TestTimeSeries:
             grid = np.linspace(-half_width, half_width, 11)
             ts = TimeSeries(tuple(grid), tuple(np.zeros(11)))
             with pytest.raises(DomainError, match="too short for the smear window"):
-                smear(ts, 0.0, SmearingKernel(1.0))
+                smear(ts, 0.0, 1.0)
 
     def test_smear_of_sampled_cosine(self):
         # the series must cover the Gauss-Hermite node span, which reaches
@@ -134,7 +119,7 @@ class TestTimeSeries:
         eps, tcal = 1.5, 0.4
         grid = np.linspace(-8.0, 8.0, 5001)
         ts = TimeSeries(tuple(grid), tuple(np.cos(eps * grid)))
-        got = smear(ts, 1.0, SmearingKernel(tcal))
+        got = smear(ts, 1.0, tcal)
         want = math.exp(-0.5 * (eps * tcal) ** 2) * math.cos(eps)
         assert abs(got - want) < 1e-6
 
@@ -275,7 +260,7 @@ class TestSubsystemExpectation:
     def test_stationary_state_unsmeared(self):
         state = three_level()
         obs = ObservableMatrix.hamiltonian(state.levels)
-        got = subsystem_expectation(lambda t: state, obs, 2.0, SmearingKernel(0.9))
+        got = subsystem_expectation(lambda t: state, obs, 2.0, 0.9)
         assert abs(got - expectation(state, obs)) < 1e-10
 
     def test_oscillating_coherence_damped(self):
@@ -288,6 +273,6 @@ class TestSubsystemExpectation:
             return SpectralState.from_amplitudes(levels, amps)
 
         tcal = 0.5
-        got = subsystem_expectation(state_at, v, 1.2, SmearingKernel(tcal))
+        got = subsystem_expectation(state_at, v, 1.2, tcal)
         want = math.exp(-0.5 * (2 * tcal) ** 2) * math.cos(2 * 1.2)
         assert abs(got - want) < 1e-10

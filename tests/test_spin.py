@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from collapse_lab.ensemble import SmearingKernel
+from collapse_lab import _kernels, spin
 from collapse_lab.hilbert import DomainError
 from collapse_lab.spin import (
     SpinModelParams,
@@ -55,6 +55,10 @@ class TestNormalCdf:
         with pytest.raises(DomainError):
             normal_cdf(0.0 + 31.0j)
 
+    def test_is_the_kernel_function(self):
+        # one Phi, with one domain check, for spin and decay alike
+        assert spin.normal_cdf is _kernels.normal_cdf
+
 
 class TestSigma1Standard:
     def test_long_before_switch_no_precession(self):
@@ -80,6 +84,33 @@ class TestSigma1Standard:
         assert abs(sigma1_standard(1.0, p) - (-math.sin(2.0))) < 1e-5
 
 
+def sigma1_oracle(s, p):
+    """<sigma_1>(s) = 2 Re[conj(a)*b*(P(X > s) + E[exp(i*eps*(s - X)); X < s])]
+    for the packet position X ~ N(0, sigma^2): the tail by math.erfc, the
+    expectation by 64-node Gauss-Legendre on 40 panels of width sigma over
+    [s - 40*sigma, s]; for s <= 5*sigma the packet's mass left of that
+    window is below 1e-260."""
+    sig, eps = p.sigma, p.epsilon
+    tail = 0.5 * math.erfc(s / (sig * math.sqrt(2.0)))
+    x, w = np.polynomial.legendre.leggauss(64)
+    left = s - sig * np.arange(40, 0, -1)
+    pts = (left[:, None] + 0.5 * sig * (x + 1.0)).ravel()
+    wts = np.tile(0.5 * sig * w, 40)
+    dens = np.exp(-0.5 * (pts / sig) ** 2) / (sig * math.sqrt(2.0 * math.pi))
+    inside = np.sum(wts * dens * np.exp(1j * eps * (s - pts)))
+    return 2.0 * (complex(p.a).conjugate() * complex(p.b) * (tail + inside)).real
+
+
+class TestSigma1ExactForm:
+    # sigma*eps ~ 1, where the shortcut forms fail and only the exact form holds
+    @pytest.mark.parametrize("b", [0.8j, 0.8])
+    @pytest.mark.parametrize("eps, sigma", [(3.0, 0.3), (2.0, 0.5), (1.0, 1.0)])
+    def test_matches_quadrature_oracle(self, b, eps, sigma):
+        p = SpinModelParams(0.6, b, eps, sigma)
+        for s in np.linspace(-3.0 * sigma, 5.0 * sigma, 17):
+            assert abs(sigma1_standard(float(s), p) - sigma1_oracle(float(s), p)) < 1e-13
+
+
 class TestSigma1Collapsed:
     def test_tcal_zero_recovers_standard(self):
         p = params(tcal=0.0)
@@ -102,9 +133,8 @@ class TestSigma1Collapsed:
     def test_matches_smeared_standard_form(self, quad_smear):
         # regime where the closed form is exact: eps*T_cal small
         p = params(eps=0.03, sigma=1e-4, tcal=0.01)
-        kernel = SmearingKernel(0.01)
         for s in np.linspace(-0.04, 0.04, 9):
-            sm = quad_smear(lambda u: sigma1_standard(u, p), float(s), kernel)
+            sm = quad_smear(lambda u: sigma1_standard(u, p), float(s), p.T_cal)
             assert abs(sm - sigma1_collapsed(float(s), p)) < 1e-6
 
 

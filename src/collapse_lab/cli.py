@@ -213,12 +213,14 @@ def _t_cal(p) -> float:
     return math.sqrt(p["lambda"] * (p["t_max"] - p.get("t0", 0.0)))
 
 
-def _chunk_level_bytes(n_lev, n_traj, n_steps, floats) -> int:
+def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_floats=0) -> int:
     """The (level, trajectory, step) temporaries of one tile of the collapse
-    pass, charged as `floats` floats per weight."""
-    from .ensemble import _tile_shape
+    pass, charged as `floats` floats per weight, and those of one block of
+    the Monte Carlo moments, as `block_floats` floats per trajectory."""
+    from .ensemble import _MOMENT_BLOCK, _tile_shape
     rows, steps = _tile_shape(n_lev, n_traj, n_steps)
-    return 8 * floats * n_lev * rows * steps
+    block = min(_MOMENT_BLOCK, n_traj)
+    return 8 * (floats * n_lev * rows * steps + block_floats * block)
 
 
 def _build_levels(p, key, level_weights):
@@ -307,13 +309,13 @@ EXPERIMENTS["collapse"] = Experiment(
 
 
 def _ensemble_bytes(p, model):
-    # one float per trajectory, <a|H|a>, and np.std's one temporary; the
-    # table; and one one-step tile's level weights, which peak at about six
-    # floats per weight (tracemalloc), charged as seven
+    # the table; one one-step tile's level weights, which peak at about six
+    # floats per weight (tracemalloc), charged as seven; and one moment
+    # block: its n_lev level roots, values and deviations per trajectory.
+    # The moments are streamed block by block, so nothing grows with n_traj
     n_lev = len(p["energies"])
-    return {"'n_traj'": 16 * p["n_traj"],
-            "'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
-            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1, 7)}
+    return {"'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
+            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2)}
 
 
 def _run_ensemble(cfg):

@@ -56,13 +56,16 @@ def collapse_weights(energies, log_w0, params, t, b):
 
     The batched form of `evolve`: each log magnitude gains `collapse_exponent`
     (the E-independent -b**2/(4*lam*t) cancels on normalization).  t
-    broadcasts against b; returns weights of shape (n_lev, *b.shape).
+    broadcasts against b; returns weights of shape (n_lev, *b.shape), formed
+    in place in the one array of the exponent.
     """
     b = np.asarray(b, float)
     lev = (-1,) + (1,) * b.ndim
-    lw = np.reshape(np.asarray(log_w0, float), lev) + collapse_exponent(
-        params, t, b, np.reshape(np.asarray(energies, float), lev))
-    w = np.exp(2.0 * (lw - lw.max(axis=0)))
+    w = collapse_exponent(params, t, b, np.reshape(np.asarray(energies, float), lev))
+    w += np.reshape(np.asarray(log_w0, float), lev)
+    w -= w.max(axis=0)
+    w *= 2.0
+    np.exp(w, out=w)
     w /= w.sum(axis=0)
     return w
 

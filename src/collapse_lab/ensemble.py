@@ -36,6 +36,8 @@ __all__ = [
 _CHUNK_BLOCKS = 2**14
 #: (level, trajectory, step) weights per tile of `_collapse_pass` (128 KiB)
 _TILE_VALUES = 2**14
+#: trajectories per block of the Monte Carlo estimators' moments (`_root_blocks`)
+_MOMENT_BLOCK = 2**12
 #: Gauss-Hermite nodes of `smear`
 _SMEAR_NODES = 64
 
@@ -148,15 +150,16 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     (Hughston, Proc. R. Soc. A 452, 953 (1996); Adler, Brody, Brun and
     Hughston, J. Phys. A 34, 8795 (2001)); given the path, J's posterior is
     w.  So each trajectory takes J from its uniform against the cumulative
-    Born weights, and its path is one cumsum of its normals.  A tile's
+    Born weights, and its path is one cumsum of its normals.  The grid may
+    start at t = 0, where B = 0 and w are the Born weights.  A tile's
     weights never exceed _TILE_VALUES, whatever n_traj or n_steps.
     """
     times = np.asarray(times, float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
-            or times[0] <= 0 or np.any(np.diff(times) <= 0)):
+            or times[0] < 0 or np.any(np.diff(times) <= 0)):
         raise DomainError(
-            "times must be a non-empty 1-d grid of finite, positive, strictly "
-            "increasing values"
+            "times must be a non-empty 1-d grid of finite, non-negative, "
+            "strictly increasing values"
         )
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
@@ -189,7 +192,7 @@ def simulate_trajectories(
     """Record paths B(t) of n_traj collapse trajectories, shape (n_traj, len(times)).
 
     The records of the tiled collapse pass, exact Gaussian-mixture sampling
-    from B(0) = 0 on a strictly increasing grid of positive times.  Row i
+    from B(0) = 0 on a strictly increasing grid of non-negative times.  Row i
     consumes only the Philox stream (master_seed, i), one uniform (its
     level) then the normals, so it does not depend on n_traj or on the
     tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
@@ -201,19 +204,61 @@ def simulate_trajectories(
     return b_path
 
 
-def _level_roots(state0: SpectralState, params, t, master_seed, n_traj):
-    """The collapse pass at the one time t, real: yields (rows, s) over its
-    tiles, s = sqrt(w) the roots of the level weights of the trajectories in
-    slice `rows`, shape (n_lev, len(rows)).
+def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj):
+    """The collapse pass at the one time t, real: yields s = sqrt(w), the
+    roots of the level weights, in blocks of _MOMENT_BLOCK trajectories (the
+    last one shorter), shape (n_lev, len(block)).  The block boundaries do
+    not depend on the tiling; every block is yielded in one buffer, which
+    the next block overwrites.
 
     The collapse factor is real and positive, so a trajectory's amplitude is
     s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
     only s is stochastic, and the estimators apply theta once.
     """
+    if n_traj < 2:
+        raise DomainError("n_traj must be >= 2")
+    if t < 0:
+        raise DomainError("t must be >= 0")
+    block, fill = np.empty((len(state0.levels), min(_MOMENT_BLOCK, n_traj))), 0
     for tile in _collapse_pass(state0, params, [t], master_seed, n_traj):
-        rows, s = tile[0], np.sqrt(tile[3][:, :, 0])
-        del tile  # its records and weights, before the next tile is drawn
-        yield rows, s
+        w = tile[3][:, :, 0]
+        del tile  # its records
+        while w.shape[1]:
+            k = min(block.shape[1] - fill, w.shape[1])
+            np.sqrt(w[:, :k], out=block[:, fill:fill + k])
+            w, fill = w[:, k:], fill + k
+            if fill == block.shape[1]:
+                yield block
+                fill = 0
+        del w  # released before the pass draws the next tile
+    if fill:
+        yield block[:, :fill]
+
+
+def _block_moments(blocks):
+    """(n, mean, m2) of the samples along the last axis of the arrays
+    `blocks`, with m2 the sum of squared deviations from the mean.
+
+    Each block is reduced two-pass, its mean and then its m2; the blocks are
+    combined in order by the pairwise update of Chan, Golub and LeVeque
+    ("Updating formulae and a pairwise algorithm for computing sample
+    variances", 1979).  One block gives np.mean and np.var's m2 exactly.
+    """
+    n = 0
+    for x in blocks:
+        nb, mean_b = x.shape[-1], x.mean(axis=-1)
+        dev = x - mean_b[..., None]
+        dev *= dev
+        m2_b = dev.sum(axis=-1)
+        del dev  # before the next block is drawn
+        if n == 0:
+            mean, m2 = mean_b, m2_b
+        else:
+            delta = mean_b - mean
+            mean = mean + delta * (nb / (n + nb))
+            m2 = m2 + m2_b + delta * delta * (n * nb / (n + nb))
+        n += nb
+    return n, mean, m2
 
 
 def _phase_factors(state0: SpectralState, t) -> np.ndarray:
@@ -232,24 +277,20 @@ def ensemble_expectation_mc(
     """Monte Carlo ensemble expectation of obs at time t, with standard error.
 
     Trajectories are sampled from the exact law of the record at t.  A
-    trajectory's <a|O|a> is s^T Q s (`_level_roots`), with the one real
-    matrix Q = Re(D^H O D), D = diag(exp(i*theta)): one float per
-    trajectory, whose mean and standard error are returned.
-    Deterministic given master_seed.
+    trajectory's <a|O|a> is s^T Q s (`_root_blocks`), with the one real
+    matrix Q = Re(D^H O D), D = diag(exp(i*theta)); its mean and standard
+    error are streamed over blocks of trajectories (`_block_moments`), so
+    memory does not grow with n_traj.  Deterministic given master_seed.
     """
-    if n_traj < 2:
-        raise DomainError("n_traj must be >= 2")
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
     d = _phase_factors(state0, t)
     q = (d.conj()[:, None] * obs.entries * d).real
-    vals = np.empty(n_traj)
     # einsum, not a BLAS product: a first BLAS call costs RSS for its buffers
-    for rows, s in _level_roots(state0, params, t, master_seed, n_traj):
-        vals[rows] = np.einsum("it,ij,jt->t", s, q, s)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_traj))
-    return mean, se
+    n, mean, m2 = _block_moments(
+        np.einsum("it,ij,jt->t", s, q, s)
+        for s in _root_blocks(state0, params, t, master_seed, n_traj))
+    return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def ensemble_density_matrix(
@@ -287,20 +328,16 @@ def ensemble_density_matrix_mc(
     entrywise standard error.  Cross-check for `ensemble_density_matrix`.
 
     A trajectory's projector is s_i*s_j*exp(i*(theta_i - theta_j))
-    (`_level_roots`): the real products s_i*s_j are averaged and the common
-    phases applied once, to the mean.  The standard error of the real and
-    imaginary parts in quadrature is exactly that of s_i*s_j, so it is real.
+    (`_root_blocks`): the real products s_i*s_j are averaged over blocks of
+    trajectories (`_block_moments`) and the common phases applied once, to
+    the mean.  The standard error of the real and imaginary parts in
+    quadrature is exactly that of s_i*s_j, so it is real.
     """
-    if n_traj < 2:
-        raise DomainError("n_traj must be >= 2")
-    s = np.empty((len(state0.levels), n_traj))
-    for rows, s_tile in _level_roots(state0, params, t, master_seed, n_traj):
-        s[:, rows] = s_tile
-    prods = s[:, None, :] * s[None, :, :]
+    n, mean, m2 = _block_moments(
+        s[:, None, :] * s[None, :, :]
+        for s in _root_blocks(state0, params, t, master_seed, n_traj))
     d = _phase_factors(state0, t)
-    mean = prods.mean(axis=-1) * d[:, None] * d.conj()
-    se = prods.std(axis=-1, ddof=1) / math.sqrt(n_traj)
-    return mean, se
+    return mean * d[:, None] * d.conj(), np.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 def subsystem_expectation(

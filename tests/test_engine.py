@@ -15,6 +15,8 @@ from collapse_lab import _kernels
 from collapse_lab.engine import (
     CollapseParams,
     collapse_diagnostic,
+    collapse_exponent,
+    collapse_weights,
     evolve,
     evolve_from,
     record_marginal_density,
@@ -208,6 +210,23 @@ class TestSampleStep:
         assert abs((out.log_magnitudes[0] - out.log_magnitudes[1]) - (lm0 - lm1)) < 1e-12
 
 
+class TestCollapseWeights:
+    def test_are_the_out_of_place_weights_bit_for_bit(self):
+        # formed in place, in the order of exp(2*(lw - max lw)) / sum
+        born = np.array([0.2, 0.5, 0.3])
+        energies, log_w0 = np.array([-0.4, 0.0, 1.3]), 0.5 * np.log(born)
+        times = np.array([0.0, 0.3, 2.0, 9.0])
+        b = np.random.default_rng(2).normal(scale=3.0, size=(7, times.size))
+        lev = (-1, 1, 1)
+        lw = log_w0.reshape(lev) + collapse_exponent(PARAMS, times, b, energies.reshape(lev))
+        want = np.exp(2.0 * (lw - lw.max(axis=0)))
+        want /= want.sum(axis=0)
+        got = collapse_weights(energies, log_w0, PARAMS, times, b)
+        np.testing.assert_array_equal(got, want)
+        # t = 0 gives the Born weights
+        np.testing.assert_allclose(got[:, :, 0], born[:, None].repeat(7, 1), rtol=1e-15)
+
+
 class TestSimulateTrajectory:
     def test_records_are_cumulative_and_reproducible(self):
         state = two_level()
@@ -254,9 +273,15 @@ class TestSimulateTrajectory:
             assert stats.kstest(b_path[:, s], cdf).pvalue > 0.01
 
     def test_rejects_unsorted_times(self):
-        for times in ([1.0, 0.5], [1.0, math.nan], [1.0, math.inf]):
+        for times in ([1.0, 0.5], [1.0, math.nan], [1.0, math.inf], [-0.5, 1.0]):
             with pytest.raises(DomainError):
                 simulate_trajectories(two_level(), PARAMS, np.array(times), 0, 1)
+
+    def test_grid_may_start_at_zero(self):
+        # B(0) = 0 exactly; the later records are those of the grid without it
+        b = simulate_trajectories(two_level(), PARAMS, [0.0, 1.0], 3, 50)
+        assert np.all(b[:, 0] == 0.0)
+        assert np.all(b[:, 1] != 0.0)
 
     def test_long_run_collapses_and_preserves_spectrum_on_average(self):
         state = two_level(0.25)

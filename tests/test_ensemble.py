@@ -1,6 +1,7 @@
 """Tests for Gaussian time smearing and Monte Carlo ensemble statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,25 +236,88 @@ class TestMonteCarloOracle:
         np.testing.assert_allclose(se, want_se, rtol=0, atol=1e-12)
 
     def test_tiles_change_no_estimate(self, monkeypatch):
-        # tiles of 21 trajectories (2**6 level weights) or one tile of all 400
+        # tiles of 21 trajectories (2**6 level weights) or one tile of all 400,
+        # with moment blocks of 7 trajectories (their boundaries fall inside
+        # the tiles) or one block of all 400
         state, params = three_level(), CollapseParams(0.8)
         obs = self.observable(state)
-        got = []
-        for tile_values in (2**6, 2**14):
-            monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
-            got.append((
-                ensemble_expectation_mc(state, params, self.T, obs, self.N_TRAJ, self.SEED),
-                ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED),
-            ))
-        (e0, (m0, s0)), (e1, (m1, s1)) = got
-        assert e0 == e1
-        np.testing.assert_array_equal(m0, m1)
-        np.testing.assert_array_equal(s0, s1)
+        for moment_block in (7, 2**12):
+            monkeypatch.setattr(ensemble, "_MOMENT_BLOCK", moment_block)
+            got = []
+            for tile_values in (2**6, 2**14):
+                monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
+                got.append((
+                    ensemble_expectation_mc(state, params, self.T, obs, self.N_TRAJ, self.SEED),
+                    ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED),
+                ))
+            (e0, (m0, s0)), (e1, (m1, s1)) = got
+            assert e0 == e1
+            np.testing.assert_array_equal(m0, m1)
+            np.testing.assert_array_equal(s0, s1)
+
+    @pytest.mark.parametrize("block", [1, 7, 10**4])
+    def test_block_moments_are_the_whole_sample_moments(self, block):
+        # 10**4 values of 10**6 + N(0, 1), in blocks of `block` (7 leaves a
+        # last block of 4): a naive sum x**2 - n*mean**2 is off by 1.4e-4 here
+        x = 1e6 + np.random.default_rng(3).standard_normal(10**4)
+        n, mean, m2 = ensemble._block_moments(
+            x[i:i + block] for i in range(0, x.size, block))
+        assert n == x.size
+        assert mean == pytest.approx(np.mean(x), rel=1e-14, abs=0)
+        assert m2 == pytest.approx(np.var(x, ddof=1) * (x.size - 1), rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("estimator", ["expectation", "density_matrix"])
+    def test_memory_does_not_grow_with_n_traj(self, estimator):
+        # both runs are many tiles and moment blocks; one float (or n_lev**2
+        # products) per trajectory would grow the peak 3x (10x)
+        state, params = three_level(), CollapseParams(0.8)
+        obs = ObservableMatrix.hamiltonian(state.levels)
+        peaks = []
+        for n_traj in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                if estimator == "expectation":
+                    ensemble_expectation_mc(state, params, self.T, obs, n_traj, self.SEED)
+                else:
+                    ensemble_density_matrix_mc(state, params, self.T, n_traj, self.SEED)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_density_matrix_needs_two_trajectories(self):
         # one trajectory has no sample standard error
         with pytest.raises(DomainError, match="n_traj must be >= 2"):
             ensemble_density_matrix_mc(three_level(), CollapseParams(1.0), 1.0, 1, 0)
+
+
+class TestMonteCarloAtTimeZero:
+    """At t = 0 every trajectory has B = 0 and the Born weights, so both
+    estimators give the closed form with no spread."""
+
+    PARAMS, N_TRAJ, SEED = CollapseParams(0.5), 10**4, 11
+
+    def test_expectation_is_the_exact_mean(self):
+        state = three_level()
+        ham = ObservableMatrix.hamiltonian(state.levels)
+        mean, se = ensemble_expectation_mc(state, self.PARAMS, 0.0, ham, self.N_TRAJ, self.SEED)
+        assert mean == pytest.approx(expectation(state, ham), rel=1e-14, abs=0)
+        assert se < 1e-15
+
+    def test_density_matrix_is_the_pure_projector(self):
+        state = three_level()
+        mean, se = ensemble_density_matrix_mc(state, self.PARAMS, 0.0, self.N_TRAJ, self.SEED)
+        closed = ensemble_density_matrix(state, self.PARAMS, 0.0).entries
+        np.testing.assert_allclose(mean, closed, rtol=1e-14, atol=0)
+        assert np.all(se < 1e-15)
+
+    def test_negative_t_is_refused(self):
+        state = three_level()
+        ham = ObservableMatrix.hamiltonian(state.levels)
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            ensemble_expectation_mc(state, self.PARAMS, -0.1, ham, self.N_TRAJ, self.SEED)
+        with pytest.raises(DomainError, match="t must be >= 0"):
+            ensemble_density_matrix_mc(state, self.PARAMS, -0.1, self.N_TRAJ, self.SEED)
 
 
 class TestSubsystemExpectation:

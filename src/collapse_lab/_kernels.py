@@ -8,6 +8,8 @@ Kernels:
                            Miller backward recurrence.
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
                            k-grid decay Hamiltonian H, tau one segment of a span.
+  * chebyshev_size      -- that series' interval, segment count and Bessel
+                           orders, which the CLI's array estimate shares.
   * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
                            1e-15 series truncation), one recurrence per segment.
   * faddeeva_upper      -- the Faddeeva function w in the closed upper
@@ -27,14 +29,14 @@ import numpy as np
 
 from . import DomainError
 
-__all__ = ["bessel_j", "bessel_orders", "chebyshev_interval", "chebyshev_series",
+__all__ = ["bessel_j", "chebyshev_size", "chebyshev_series",
            "kgrid_chebyshev", "faddeeva_upper", "normal_cdf", "log_normal_cdf"]
 
 #: a Chebyshev series stops where the Bessel factors |J_n| fall below this
 CHEBYSHEV_TOL = 1e-15
 #: the largest Bessel argument half*tau of one segment's series; it caps the
-#: series length at `bessel_orders(SEGMENT_Z)`, and so a record block's Bessel
-#: factors, whatever the span
+#: series length (`chebyshev_size`), and so a record block's Bessel factors,
+#: whatever the span
 SEGMENT_Z = 256.0
 #: records whose Bessel factors are evaluated together
 RECORD_BLOCK = 64
@@ -72,31 +74,32 @@ def bessel_j(n, z):
     return j[:n + 1].reshape((n + 1,) + z.shape)
 
 
-def bessel_orders(z):
-    """The orders a Chebyshev series of argument z computes: beyond order z,
-    |J_n(z)| decays over a transition region of width ~z**(1/3), and 1e-15
-    is reached within about 10*(z**(1/3) + 1) orders."""
-    return int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1
-
-
-def chebyshev_interval(k_min, k_max, c_norm, eps):
-    """(ctr, half) of `chebyshev_series` for modes k_min ... k_max and the
-    coupling norm c_norm = |c|."""
+def chebyshev_size(k_min, k_max, g, eps, span, weight_sum=None):
+    """(ctr, half, n_seg, n_orders) of `chebyshev_series` for modes k_min ...
+    k_max of weights summing to weight_sum (k_max - k_min by default, as for
+    the trapezoid weights).  By Weyl's inequality H's spectrum lies in
+    [min(k_min, eps) - |c|, max(k_max, eps) + |c|], |c| = g*sqrt(weight_sum):
+    centre `ctr`, `half` its half-width plus 1 % (headroom for rounding).  The
+    span is cut into the fewest n_seg equal segments whose argument z =
+    half*span/n_seg stays within SEGMENT_Z.  Beyond order z, |J_n(z)| falls
+    below 1e-15 within about 10*(z**(1/3) + 1) orders; n_orders leaves twice
+    that margin.  Raises DomainError if half*span is not finite."""
+    c_norm = g * math.sqrt(k_max - k_min if weight_sum is None else weight_sum)
     lo = min(k_min, eps) - c_norm
     hi = max(k_max, eps) + c_norm
-    return 0.5 * (hi + lo), 1.01 * 0.5 * (hi - lo)
+    ctr, half = 0.5 * (hi + lo), 1.01 * 0.5 * (hi - lo)
+    if not math.isfinite(half * span):
+        raise DomainError(f"Chebyshev argument half*span = {half * span} is not finite")
+    n_seg = max(1, math.ceil(half * span / SEGMENT_Z))
+    z = half * (span / n_seg)
+    return ctr, half, n_seg, int(z + 20.0 * (z ** (1.0 / 3.0) + 1.0)) + 1
 
 
 def chebyshev_series(k, wk, g, eps, span):
-    """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian,
-    tau = span/n_seg for the fewest n_seg equal segments of the span whose
-    argument half*tau stays within SEGMENT_Z.
-
-    H = [[diag(k), c], [c^H, eps]] with |c|**2 = g**2*sum(wk) (see
-    `kgrid_chebyshev`).  By Weyl's inequality its spectrum lies in
-    [min(k_min, eps) - |c|, max(k_max, eps) + |c|]; that interval has
-    centre `ctr`, `half` is its half-width plus 1 % (headroom for rounding),
-    and exp(-i*H*tau) = sum_n coef[n]*T_n((H - ctr)/half) with
+    """Chebyshev series of exp(-i*H*tau) for the scaled k-grid Hamiltonian
+    H = [[diag(k), c], [c^H, eps]], |c|**2 = g**2*sum(wk) (`kgrid_chebyshev`),
+    tau = span/n_seg on the interval (ctr, half) and segments of
+    `chebyshev_size`: exp(-i*H*tau) = sum_n coef[n]*T_n((H - ctr)/half) with
     coef[n] = (2 - delta_n0)*(-i)**n*J_n(half*tau)*exp(-i*ctr*tau).
 
     The series keeps every order up to the last with |J_n| >= 1e-15 (and
@@ -105,14 +108,10 @@ def chebyshev_series(k, wk, g, eps, span):
 
     Returns (ctr, half, coef, tail, n_seg).
     """
-    ctr, half = chebyshev_interval(float(np.min(k)), float(np.max(k)),
-                                   g * math.sqrt(float(np.sum(wk))), eps)
-    if not math.isfinite(half * span):
-        raise DomainError(f"Chebyshev argument half*span = {half * span} is not finite")
-    n_seg = max(1, math.ceil(half * span / SEGMENT_Z))
+    ctr, half, n_seg, n_orders = chebyshev_size(float(np.min(k)), float(np.max(k)), g,
+                                                eps, span, float(np.sum(wk)))
     tau = span / n_seg
     z = half * tau
-    n_orders = bessel_orders(z)
     j = bessel_j(n_orders - 1, z)
     # nan counts as not small, so a failed Bessel evaluation cannot truncate
     kept = np.flatnonzero(~(np.abs(j) < CHEBYSHEV_TOL))

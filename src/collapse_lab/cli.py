@@ -11,7 +11,7 @@ energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 
 Each experiment is one `Experiment` record in `EXPERIMENTS`: its config
 schema, the build of its library objects (with the cross-key checks), its
-array estimate, its T_cal and its runner.  The build and the runner import
+array estimate and its runner.  The build and the runner import
 the experiment's layers when called, so a run loads only the layers it uses.
 The rest of this module is shared by every experiment: argument and config
 parsing, the array cap, the writers and the summary envelope.
@@ -107,8 +107,6 @@ _WRITE_VALUES = 2**13
 #: the writers' peak: one block of values as Python floats and text (at most
 #: 165 bytes a value under tracemalloc, charged as 192)
 _WRITE_BYTES = 192 * _WRITE_VALUES
-#: cap on the (point, level) temporaries of one measurement block (64 MiB)
-_BLOCK_BYTES = 2**26
 
 
 class Experiment(NamedTuple):
@@ -120,7 +118,6 @@ class Experiment(NamedTuple):
     array_bytes: (parameters, model) -> estimated peak array bytes of a run
       by the count key sizing them; each table value is charged as its float
       plus the runner's temporaries, in whole floats as tracemalloc sees them.
-    t_cal: parameters -> the smearing width sqrt(lambda*t) of the config.
     run: config -> (column names with units, 2-D float table, summary
       scalars), from `cfg.model` as built.
     """
@@ -128,7 +125,6 @@ class Experiment(NamedTuple):
     schema: dict
     build: Callable
     array_bytes: Callable
-    t_cal: Callable
     run: Callable
 
 
@@ -209,7 +205,9 @@ EXPERIMENTS: dict[str, Experiment] = {}
 
 
 def _t_cal(p) -> float:
-    """sqrt(lambda*t) over the run's span, from t0 (0 if the schema has none)."""
+    """T_cal: the `t_cal` key, else sqrt(lambda*t) over the span from t0 (or 0)."""
+    if "t_cal" in p:
+        return p["t_cal"]
     return math.sqrt(p["lambda"] * (p["t_max"] - p.get("t0", 0.0)))
 
 
@@ -217,9 +215,9 @@ def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_floats=0) -> int:
     """The (level, trajectory, step) temporaries of one tile of the collapse
     pass, charged as `floats` floats per weight, and those of one block of
     the Monte Carlo moments, as `block_floats` floats per trajectory."""
-    from .ensemble import _MOMENT_BLOCK, _tile_shape
+    from .ensemble import _moment_block, _tile_shape
     rows, steps = _tile_shape(n_lev, n_traj, n_steps)
-    block = min(_MOMENT_BLOCK, n_traj)
+    block = _moment_block(n_lev, n_traj)  # the expectation's: n_lev roots
     return 8 * (floats * n_lev * rows * steps + block_floats * block)
 
 
@@ -305,7 +303,7 @@ EXPERIMENTS["collapse"] = Experiment(
      "n_traj": (_int_pos, False, 200),
      "threshold": (_fraction, False, 0.999)},
     build=lambda p: _build_levels(p, "weights", lambda weights: weights),
-    array_bytes=_collapse_bytes, t_cal=_t_cal, run=_run_collapse)
+    array_bytes=_collapse_bytes, run=_run_collapse)
 
 
 def _ensemble_bytes(p, model):
@@ -363,7 +361,7 @@ EXPERIMENTS["ensemble"] = Experiment(
     # overflowing
     build=lambda p: _build_levels(
         p, "magnitudes", lambda mags: np.square(np.divide(mags, max(mags)))),
-    array_bytes=_ensemble_bytes, t_cal=_t_cal, run=_run_ensemble)
+    array_bytes=_ensemble_bytes, run=_run_ensemble)
 
 
 def _build_measurement(p):
@@ -386,6 +384,11 @@ def _build_measurement(p):
     return spec, CollapseParams(p["lambda"])
 
 
+def _measurement_bytes(p, model):
+    from .measurement import _BLOCK_BYTES  # the ratio's block of temporaries
+    return {"'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
+
+
 def _run_measurement(cfg):
     from .measurement import branch_weight_ratio
     p, (spec, params) = cfg.parameters, cfg.model
@@ -393,10 +396,7 @@ def _run_measurement(cfg):
     bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
     cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
     t, b = (x.ravel() for x in np.meshgrid(ts, bs, indexing="ij"))
-    # branch_weight_ratio takes 32 bytes per point and level: block the points
-    n = max(1, _BLOCK_BYTES // (32 * len(spec.energies)))
-    ratios = np.concatenate([branch_weight_ratio(spec, params, t[i:i + n], b[i:i + n])
-                             for i in range(0, t.size, n)])
+    ratios = branch_weight_ratio(spec, params, t, b)
     summary = {
         "shared_spectrum": spec.shared_spectrum,
         "ratio_min": float(ratios.min()),
@@ -413,9 +413,7 @@ EXPERIMENTS["measurement"] = Experiment(
      "n_t": (_int_pos, False, 20),
      "b_max": (_positive, True, None),
      "n_b": (_int_pos, False, 20)},
-    build=_build_measurement, t_cal=_t_cal, run=_run_measurement,
-    array_bytes=lambda p, model: {
-        "'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES})
+    build=_build_measurement, array_bytes=_measurement_bytes, run=_run_measurement)
 
 
 #: (plus, minus) index ranges of the builtin record spectra on their shared
@@ -463,7 +461,7 @@ EXPERIMENTS["records"] = Experiment(
      "t0": (_nonneg, False, 0.0),
      "t_max": (_positive, True, None),
      "n_t": (_int_pos, False, 100)},
-    build=_build_records, t_cal=_t_cal, run=_run_records,
+    build=_build_records, run=_run_records,
     array_bytes=lambda p, model: {"'n_t'": 16 * 2 * p["n_t"]})
 
 
@@ -492,7 +490,7 @@ def _run_spin(cfg):
         "sigma1_collapsed (dimensionless)",
     ]
     table = np.column_stack([ss, sigma1_standard(ss, sp), sigma1_collapsed(ss, sp)])
-    summary = {"envelope": sp.envelope, "epsilon_T_cal": p["epsilon"] * p["t_cal"]}
+    summary = {"envelope": sp.envelope, "epsilon_T_cal": p["epsilon"] * _t_cal(p)}
     return cols, table, summary
 
 
@@ -505,7 +503,7 @@ EXPERIMENTS["spin"] = Experiment(
      "s_min": (_float, False, None),
      "s_max": (_float, True, None),
      "n_s": (_int_pos, False, 200)},
-    build=_build_spin, t_cal=lambda p: p["t_cal"], run=_run_spin,
+    build=_build_spin, run=_run_spin,
     # the complex normal distribution function takes nine floats a value
     array_bytes=lambda p, model: {"'n_s'": 72 * 3 * p["n_s"]})
 
@@ -541,15 +539,12 @@ def _decay_bytes(p, model):
     # k-grid: grid, coupling, state, three Chebyshev recurrence vectors and
     # the accumulated state, with their temporaries, per mode; times, Bessel
     # arguments and three columns per record; and one record block's Bessel
-    # factors and products, n the orders computed for a segment's series,
-    # whose argument SEGMENT_Z caps whatever the span
-    from ._kernels import RECORD_BLOCK, SEGMENT_Z, bessel_orders, chebyshev_interval
+    # factors and products, n the orders computed for a segment's series
+    from ._kernels import RECORD_BLOCK, chebyshev_size
     from .decay import kgrid_span
     dp, grid = model
     _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
-    c_norm = dp.g * math.sqrt(grid.k_max - grid.k_min)  # trapezoid weights sum
-    _, half = chebyshev_interval(grid.k_min, grid.k_max, c_norm, dp.epsilon)
-    n = bessel_orders(min(half * span, SEGMENT_Z))
+    *_, n = chebyshev_size(grid.k_min, grid.k_max, dp.g, dp.epsilon, span)
     n_rec = n_steps // p["record_every"] + 1
     return {"'n_modes'": 8 * 25 * p["n_modes"],
             "'record_every'": 8 * 12 * n_rec,
@@ -567,7 +562,7 @@ def _run_decay(cfg):
             "occupation_collapsed (dimensionless)",
         ]
         table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
-        summary = {"T_cal": p["t_cal"], "Gamma_T_cal": p["gamma"] * p["t_cal"]}
+        summary = {"T_cal": _t_cal(p), "Gamma_T_cal": p["gamma"] * _t_cal(p)}
         return cols, table, summary
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
@@ -578,7 +573,7 @@ def _run_decay(cfg):
     table = np.column_stack([res.times, res.occupation, res.total_probability])
     span = res.times[-1] - res.times[0]
     summary = {
-        "T_cal": p["t_cal"],
+        "T_cal": _t_cal(p),
         "probability_drift_per_unit_time": res.norm_drift / span,
         "recurrence_time": grid.recurrence_time,
         "chebyshev_terms": res.chebyshev_terms,
@@ -602,8 +597,7 @@ EXPERIMENTS["decay"] = Experiment(
      "dt": (_positive, False, 5e-4),
      "record_every": (_int_pos, False, 20),
      "packet": (_choice("decay", "excitation"), False, "decay")},
-    build=_build_decay, array_bytes=_decay_bytes, t_cal=lambda p: p["t_cal"],
-    run=_run_decay)
+    build=_build_decay, array_bytes=_decay_bytes, run=_run_decay)
 
 #: each experiment's runner; `run` calls it through this table, so a caller
 #: can replace or wrap one runner here
@@ -688,7 +682,7 @@ def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
 
 def validate(path) -> int:
     cfg = ExperimentConfig.from_file(path)
-    tcal = EXPERIMENTS[cfg.experiment].t_cal(cfg.parameters)
+    tcal = _t_cal(cfg.parameters)
     if not math.isfinite(tcal):
         raise DomainError(f"derived T_cal is not finite: {tcal}")
     print(f"experiment: {cfg.experiment}")

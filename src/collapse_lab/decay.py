@@ -63,6 +63,9 @@ class DecayModelParams:
     T_cal: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.epsilon, self.Gamma, self.sigma, self.x0,
+                                       self.T_cal))):
+            raise DomainError("epsilon, Gamma, sigma, x0 and T_cal must be finite")
         if self.epsilon <= 0 or self.Gamma <= 0 or self.sigma <= 0:
             raise DomainError("epsilon, Gamma and sigma must be positive")
         if self.T_cal < 0:
@@ -88,6 +91,8 @@ class KGrid:
     dt: float = 5e-4
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k_min, self.k_max, self.dt))):
+            raise DomainError("k_min, k_max and dt must be finite")
         if self.n_modes < 64:
             raise DomainError("n_modes must be >= 64")
         if self.k_max <= self.k_min:

@@ -36,8 +36,8 @@ __all__ = [
 _CHUNK_BLOCKS = 2**14
 #: (level, trajectory, step) weights per tile of `_collapse_pass` (128 KiB)
 _TILE_VALUES = 2**14
-#: trajectories per block of the Monte Carlo estimators' moments (`_root_blocks`)
-_MOMENT_BLOCK = 2**12
+#: values per block of the Monte Carlo estimators' moments (`_moment_block`)
+_MOMENT_VALUES = 2**15
 #: Gauss-Hermite nodes of `smear`
 _SMEAR_NODES = 64
 
@@ -204,12 +204,18 @@ def simulate_trajectories(
     return b_path
 
 
-def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj):
+def _moment_block(n_values: int, n_traj: int) -> int:
+    """Trajectories per Monte Carlo moment block: those whose n_values values
+    each fill _MOMENT_VALUES, at least one and at most n_traj."""
+    return min(n_traj, max(1, _MOMENT_VALUES // n_values))
+
+
+def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj, n_values):
     """The collapse pass at the one time t, real: yields s = sqrt(w), the
-    roots of the level weights, in blocks of _MOMENT_BLOCK trajectories (the
-    last one shorter), shape (n_lev, len(block)).  The block boundaries do
-    not depend on the tiling; every block is yielded in one buffer, which
-    the next block overwrites.
+    roots of the level weights, in blocks of `_moment_block(n_values,
+    n_traj)` trajectories (the last one shorter), shape (n_lev, len(block)).
+    The block boundaries do not depend on the tiling; every block is yielded
+    in one buffer, which the next block overwrites.
 
     The collapse factor is real and positive, so a trajectory's amplitude is
     s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
@@ -219,7 +225,7 @@ def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj):
         raise DomainError("n_traj must be >= 2")
     if t < 0:
         raise DomainError("t must be >= 0")
-    block, fill = np.empty((len(state0.levels), min(_MOMENT_BLOCK, n_traj))), 0
+    block, fill = np.empty((len(state0.levels), _moment_block(n_values, n_traj))), 0
     for tile in _collapse_pass(state0, params, [t], master_seed, n_traj):
         w = tile[3][:, :, 0]
         del tile  # its records
@@ -289,7 +295,7 @@ def ensemble_expectation_mc(
     # einsum, not a BLAS product: a first BLAS call costs RSS for its buffers
     n, mean, m2 = _block_moments(
         np.einsum("it,ij,jt->t", s, q, s)
-        for s in _root_blocks(state0, params, t, master_seed, n_traj))
+        for s in _root_blocks(state0, params, t, master_seed, n_traj, len(q)))
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
@@ -328,16 +334,21 @@ def ensemble_density_matrix_mc(
     entrywise standard error.  Cross-check for `ensemble_density_matrix`.
 
     A trajectory's projector is s_i*s_j*exp(i*(theta_i - theta_j))
-    (`_root_blocks`): the real products s_i*s_j are averaged over blocks of
-    trajectories (`_block_moments`) and the common phases applied once, to
-    the mean.  The standard error of the real and imaginary parts in
-    quadrature is exactly that of s_i*s_j, so it is real.
+    (`_root_blocks`): the real products s_i*s_j, i <= j (they are
+    symmetric), are averaged over blocks of trajectories (`_block_moments`)
+    and the common phases applied once, to the mean.  The standard error of
+    the real and imaginary parts in quadrature is exactly that of s_i*s_j,
+    so it is real.
     """
-    n, mean, m2 = _block_moments(
-        s[:, None, :] * s[None, :, :]
-        for s in _root_blocks(state0, params, t, master_seed, n_traj))
     d = _phase_factors(state0, t)
-    return mean * d[:, None] * d.conj(), np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    i, j = np.triu_indices(d.size)
+    n, mean, m2 = _block_moments(
+        s[i] * s[j]
+        for s in _root_blocks(state0, params, t, master_seed, n_traj, d.size ** 2))
+    rho, se = np.empty((2, d.size, d.size))
+    rho[i, j] = rho[j, i] = mean
+    se[i, j] = se[j, i] = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    return rho * d[:, None] * d.conj(), se
 
 
 def subsystem_expectation(

@@ -28,6 +28,9 @@ __all__ = [
     "fixture_path",
 ]
 
+#: cap on the (point, level) temporaries of a `branch_weight_ratio` block (64 MiB)
+_BLOCK_BYTES = 2**26
+
 
 @dataclass(frozen=True)
 class BranchSpec:
@@ -93,15 +96,20 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
 
     For shared-spectrum branches this equals |beta_2|^2/|beta_1|^2 for every
     (t, B): there is no collapse between the branches.  Broadcasts over t
-    and B, with temporaries of about 32 bytes per (t, B) point and level.
-    Each log norm is a log-sum-exp over levels of 2*(log m + dlog), dlog
-    being `engine.collapse_exponent`.
+    and B, in blocks of (t, B) points whose temporaries, 32 bytes a point and
+    level, fit _BLOCK_BYTES.  Each log norm is a log-sum-exp over levels of
+    2*(log m + dlog), dlog being `engine.collapse_exponent`.
     """
     if spec.beta_1 == 0:
         raise DomainError("beta_1 = 0: ratio undefined")
-    t, B = np.asarray(t, float), np.asarray(B, float)
+    t, B = np.broadcast_arrays(np.asarray(t, float), np.asarray(B, float))
     if not (np.isfinite(t).all() and np.isfinite(B).all() and (t >= 0).all()):
         raise DomainError("t and B must be finite and t >= 0")
+    n = max(1, _BLOCK_BYTES // (32 * len(spec.energies)))
+    if t.size > n:  # the ratios of blocks of n points, in C order
+        return np.concatenate([branch_weight_ratio(spec, params, t.flat[i:i + n],
+                                                   B.flat[i:i + n])
+                               for i in range(0, t.size, n)]).reshape(t.shape)
     dlog2 = 2.0 * collapse_exponent(params, t[..., None], B[..., None], spec.energies)
 
     def log_norm2(mags):

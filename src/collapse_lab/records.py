@@ -43,6 +43,8 @@ class RecordScenario:
     def __post_init__(self):
         if self.spectrum_plus.energies != self.spectrum_minus.energies:
             raise DomainError("outcome spectra must share a common energy grid")
+        if not all(map(math.isfinite, (self.B_plus, self.B_minus, self.lam, self.t0))):
+            raise DomainError("B_plus, B_minus, lambda and t0 must be finite")
         if self.lam <= 0:
             raise DomainError("lambda must be positive")
         if self.t0 < 0:

@@ -45,6 +45,9 @@ class SpinModelParams:
     T_cal: float = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.a, self.b, self.epsilon, self.sigma,
+                                        self.T_cal))):
+            raise DomainError("a, b, epsilon, sigma and T_cal must be finite")
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-12:
             raise DomainError("|a|^2 + |b|^2 must equal 1")
         if self.epsilon <= 0 or self.sigma <= 0:

@@ -111,6 +111,16 @@ record_every = 50
 """
 
 
+RECORDS_INI = """[records]
+spectra = half_overlap
+lambda = 1.0
+b_plus = 1.0
+b_minus = -1.0
+t_max = 5.0
+n_t = 10
+"""
+
+
 class TestConfigParsing:
     def test_valid_config_resolves_defaults(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, SPIN_INI))
@@ -144,8 +154,7 @@ class TestConfigParsing:
 
     def test_derived_t_cal(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, COLLAPSE_INI))
-        t_cal = cli.EXPERIMENTS[cfg.experiment].t_cal(cfg.parameters)
-        assert abs(t_cal - math.sqrt(6.0)) < 1e-12
+        assert abs(cli._t_cal(cfg.parameters) - math.sqrt(6.0)) < 1e-12
 
     def test_levels_sorted_with_aligned_keys(self, tmp_path):
         ini = """[ensemble]
@@ -505,6 +514,75 @@ record_every = 40
         err = capsys.readouterr().err
         assert key in err and "GiB" in err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("ini, needle", [
+        (SPIN_INI + "epsilon = 2.0\n", "'epsilon'"),
+        (SPIN_INI + RECORDS_INI, "'records'"),
+        ("[bogus]\nlambda = 1.0\n", "[bogus]"),
+        (COLLAPSE_INI.replace("seed = 5", "seed = five"), "'seed'"),
+        (COLLAPSE_INI.replace("seed = 5", "seed = -1"), "'seed'"),
+        (COLLAPSE_INI.replace("seed = 5", f"seed = {2**64}"), "'seed'"),
+        (COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = ,"), "'energies'"),
+        (RECORDS_INI.replace("half_overlap", "bogus"), "'spectra'"),
+        (SMALL_KGRID_INI.replace("mode = kgrid", "mode = bogus"), "'mode'"),
+        (SMALL_KGRID_INI + "packet = bogus\n", "'packet'"),
+        (COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 1.0, 1.0"), "'energies'"),
+        (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = -0.25, 0.75"), "'weights'"),
+        (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = 0, 0"), "'weights'"),
+        (ENSEMBLE_INI + "phases = 0.1, 0.2\n", "'phases'"),
+        (RECORDS_INI.replace("b_minus = -1.0", "b_minus = 1.0"), "'b_minus'"),
+        (RECORDS_INI + "t0 = 5.0\n", "'t0'"),
+        (SPIN_INI + "s_min = 6.0\n", "'s_min'"),
+    ], ids=["malformed", "two_sections", "unknown_section", "seed_not_integer",
+            "seed_negative", "seed_above_64_bits", "empty_list", "bad_spectra",
+            "bad_mode", "bad_packet", "repeated_energies", "negative_weights",
+            "zero_weights", "misaligned_phases", "equal_records", "t_max_not_after_t0",
+            "empty_s_range"])
+    def test_config_refusal_is_two_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                      capsys, command, ini, needle):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, ini)
+        section = ini[1:ini.index("]")]
+        if command == "run":
+            argv = [section if section in cli.EXPERIMENTS else "spin",
+                    "--config", str(path), "--out", "o.csv"]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        assert needle in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("cols, table, summary, needle", [
+        (["t (time)", "x (1)"], [[0.0, 1.0], [1.0, math.inf]], {}, "'x (1)'"),
+        (["t (time)"], [[0.0]], {"bad": math.nan}, "'bad'"),
+    ], ids=["table_inf", "summary_nan"])
+    def test_non_finite_output_is_three_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, cols, table, summary, needle):
+        # a runner's result passes _check_finite before anything is written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli.RUNNERS, "spin",
+                            lambda cfg: (cols, np.array(table), summary))
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 3
+        assert needle in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_python_overflow_is_three(self, tmp_path, monkeypatch, capsys):
+        # Gamma*T_cal = 1e200 is finite, but occupation_collapsed's
+        # (Gamma*T_cal)**2 is a Python float power: OverflowError, not numpy's
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, """[decay]
+epsilon = 1.0
+gamma = 1e100
+sigma = 1e-4
+t_cal = 1e100
+s_max = 1.0
+n_s = 5
+""")
+        assert main(["decay", "--config", str(path), "--out", "o.csv"]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 class TestValidate:
     def test_accepts_a_billion_collapse_trajectories(self, tmp_path):
@@ -744,8 +822,9 @@ class TestEnsembleRunner:
 
 class TestMeasurementRunner:
     def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
-        # the (point, level) temporaries are bounded by _BLOCK_BYTES, not by
-        # n_t*n_b times the fixture's level count, and blocking changes no value
+        # the (point, level) temporaries are bounded by measurement's
+        # _BLOCK_BYTES, not by n_t*n_b times the fixture's level count, and
+        # blocking changes no value
         fixture = tmp_path / "many.txt"
         fixture.write_text("".join(
             f"{0.01 * i} {1.0 + 0.001 * i} 0.0 0.5 {1.0 - 0.001 * i}\n"
@@ -753,7 +832,7 @@ class TestMeasurementRunner:
         ))
         p = {"fixture": str(fixture), "lambda": 1.0, "t_max": 2.0,
              "n_t": 20, "b_max": 3.0, "n_b": 20}
-        monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
+        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**16)
         tracemalloc.start()
         try:
             _, table, _ = cli._run_measurement(ExperimentConfig("measurement", p))
@@ -763,6 +842,7 @@ class TestMeasurementRunner:
         # unblocked, the temporaries alone are 32*200*400 bytes = 2.5 MB
         assert peak < 2**19
         spec = load_branch_fixture(fixture)
+        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**40)  # one block
         whole = branch_weight_ratio(spec, CollapseParams(1.0), table[:, 0], table[:, 1])
         np.testing.assert_array_equal(table[:, 2], whole)
 
@@ -887,7 +967,7 @@ def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     # of a run and its output, and charges the runner less than twice its own
     # peak (a flat 64 bytes a value overcharged most runners about 2x and
     # undercharged spin); a small measurement block leaves the per-value charge
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 2**16)
+    monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**16)
     cfg = ExperimentConfig.from_file(write_config(tmp_path, ini))
     run_estimate = sum(array_bytes(cfg).values())
     tracemalloc.start()

@@ -237,12 +237,13 @@ class TestMonteCarloOracle:
 
     def test_tiles_change_no_estimate(self, monkeypatch):
         # tiles of 21 trajectories (2**6 level weights) or one tile of all 400,
-        # with moment blocks of 7 trajectories (their boundaries fall inside
-        # the tiles) or one block of all 400
+        # with moment blocks of 45 values, 15 trajectories of 3 roots for the
+        # expectation and 5 of 9 products s_i*s_j for the density matrix
+        # (their boundaries fall inside the tiles), or one block of all 400
         state, params = three_level(), CollapseParams(0.8)
         obs = self.observable(state)
-        for moment_block in (7, 2**12):
-            monkeypatch.setattr(ensemble, "_MOMENT_BLOCK", moment_block)
+        for moment_values in (45, 2**15):
+            monkeypatch.setattr(ensemble, "_MOMENT_VALUES", moment_values)
             got = []
             for tile_values in (2**6, 2**14):
                 monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
@@ -254,6 +255,20 @@ class TestMonteCarloOracle:
             assert e0 == e1
             np.testing.assert_array_equal(m0, m1)
             np.testing.assert_array_equal(s0, s1)
+
+    def test_density_matrix_is_the_moments_of_the_full_products(self, monkeypatch):
+        # the estimator reduces the products s_i*s_j with i <= j only; those
+        # of the full (n_lev, n_lev) matrix, in the same blocks of 5
+        # trajectories, give the same mean and standard error exactly
+        state, params = three_level(), CollapseParams(0.8)
+        monkeypatch.setattr(ensemble, "_MOMENT_VALUES", 45)
+        mean, se = ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED)
+        n, full, m2 = ensemble._block_moments(
+            s[:, None, :] * s[None, :, :]
+            for s in ensemble._root_blocks(state, params, self.T, self.SEED, self.N_TRAJ, 9))
+        d = ensemble._phase_factors(state, self.T)
+        np.testing.assert_array_equal(mean, full * d[:, None] * d.conj())
+        np.testing.assert_array_equal(se, np.sqrt(m2 / (n - 1)) / math.sqrt(n))
 
     @pytest.mark.parametrize("block", [1, 7, 10**4])
     def test_block_moments_are_the_whole_sample_moments(self, block):
@@ -284,6 +299,20 @@ class TestMonteCarloOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_density_matrix_memory_does_not_grow_with_the_levels(self):
+        # 32 levels, 2*10**4 trajectories: a moment block is 2**15 // 32**2 =
+        # 32 trajectories, not 2**12 trajectories of 1024 products s_i*s_j
+        # and as many deviations, which peaked at 68 MB
+        levels = [EnergyLevel(0.1 * i) for i in range(32)]
+        state = SpectralState.from_amplitudes(levels, np.full(32, 1.0 / math.sqrt(32)))
+        tracemalloc.start()
+        try:
+            ensemble_density_matrix_mc(state, CollapseParams(0.8), self.T, 20_000, self.SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_density_matrix_needs_two_trajectories(self):
         # one trajectory has no sample standard error

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from collapse_lab import measurement
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.hilbert import DomainError, squared_norm
 from collapse_lab.measurement import (
@@ -103,6 +104,15 @@ class TestBranchWeightRatio:
                 assert got[i, j] == pytest.approx(want, rel=1e-12)
                 assert branch_weight_ratio(spec, PARAMS, t, b) == got[i, j]
         np.testing.assert_array_equal(got[0], got[0, 0])
+
+    def test_blocks_change_no_ratio(self, monkeypatch):
+        # blocks of 3 points cut across the rows of a broadcast (4, 5) grid
+        spec = load_branch_fixture(fixture_path("branch_control.txt"))
+        ts = np.array([0.0, 0.25, 1.0, 5.0])[:, None]
+        bs = np.array([-12.0, -0.5, 0.0, 3.0, 12.0])
+        whole = branch_weight_ratio(spec, PARAMS, ts, bs)
+        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 3 * 32 * len(spec.energies))
+        np.testing.assert_array_equal(branch_weight_ratio(spec, PARAMS, ts, bs), whole)
 
     def test_zero_magnitudes_take_no_log_of_zero(self):
         half = complex(math.sqrt(0.5))

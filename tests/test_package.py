@@ -1,8 +1,10 @@
 """The package namespace: one list of public names, kept by the layer modules."""
 
+import dataclasses
 import importlib
 import inspect
 import json
+import math
 import subprocess
 import sys
 
@@ -78,3 +80,30 @@ def test_star_import_binds_every_public_name():
         "                  if globals().get(n) is not getattr(collapse_lab, n)]))\n"
     )
     assert unbound == []
+
+
+def valid_records():
+    """One valid instance of each parameter record that checks its fields."""
+    from collapse_lab.decay import DecayModelParams, KGrid
+    from collapse_lab.hilbert import DiscreteSpectrum
+    from collapse_lab.records import RecordScenario
+    from collapse_lab.spin import SpinModelParams
+    spectrum = DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))
+    return {"DecayModelParams": DecayModelParams(1.0, 1.0, 1e-4, 0.0, 1.0),
+            "KGrid": KGrid(-39.0, 41.0, 64, 5e-4),
+            "SpinModelParams": SpinModelParams(0.6, 0.8, 3.0, 1e-4, 1.0),
+            "RecordScenario": RecordScenario(spectrum, spectrum, 1.0, -1.0, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("record, field", [
+    *(("DecayModelParams", f) for f in ("epsilon", "Gamma", "sigma", "x0", "T_cal")),
+    *(("KGrid", f) for f in ("k_min", "k_max", "dt")),
+    *(("SpinModelParams", f) for f in ("a", "b", "epsilon", "sigma", "T_cal")),
+    *(("RecordScenario", f) for f in ("B_plus", "B_minus", "lam", "t0")),
+])
+def test_parameter_records_refuse_non_finite_fields(record, field, value):
+    # a non-finite field would give nan results with no error (sigma1_collapsed
+    # and occupation_collapsed returned [nan] for a nan T_cal)
+    with pytest.raises(collapse_lab.DomainError, match="finite"):
+        dataclasses.replace(valid_records()[record], **{field: value})

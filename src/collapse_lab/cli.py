@@ -211,14 +211,14 @@ def _t_cal(p) -> float:
     return math.sqrt(p["lambda"] * (p["t_max"] - p.get("t0", 0.0)))
 
 
-def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_floats=0) -> int:
+def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_values=0) -> int:
     """The (level, trajectory, step) temporaries of one tile of the collapse
-    pass, charged as `floats` floats per weight, and those of one block of
-    the Monte Carlo moments, as `block_floats` floats per trajectory."""
+    pass, charged as `floats` floats per weight, and one block of the Monte
+    Carlo moments that holds `block_values` floats per trajectory."""
     from .ensemble import _moment_block, _tile_shape
     rows, steps = _tile_shape(n_lev, n_traj, n_steps)
-    block = _moment_block(n_lev, n_traj)  # the expectation's: n_lev roots
-    return 8 * (floats * n_lev * rows * steps + block_floats * block)
+    block = block_values and _moment_block(block_values, n_traj)
+    return 8 * (floats * n_lev * rows * steps + block_values * block)
 
 
 def _build_levels(p, key, level_weights):
@@ -317,7 +317,7 @@ def _ensemble_bytes(p, model):
 
 
 def _run_ensemble(cfg):
-    from .ensemble import ensemble_density_matrix, ensemble_expectation_mc
+    from .ensemble import _density_matrices, ensemble_expectation_mc
     from .hilbert import ObservableMatrix, expectation
     p, (state0, params) = cfg.parameters, cfg.model
     times = np.linspace(0.0, p["t_max"], p["n_t"])
@@ -326,12 +326,12 @@ def _run_ensemble(cfg):
     cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
-    table = np.empty((len(times), len(cols)))
-    for row, t in zip(table, times):
-        rho = ensemble_density_matrix(state0, params, float(t)).entries
-        # Tr(rho H) and Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), no matmul
-        row[:] = [t, rho.diagonal().real @ energies, np.vdot(rho, rho).real,
-                  *np.abs(rho[iu])]
+    rho = _density_matrices(state0, params, times)
+    # Tr(rho H) = weights @ energies, the diagonal being time-invariant, and
+    # Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), no matmul
+    table = np.column_stack([
+        times, np.full(len(times), rho[0].diagonal().real @ energies),
+        [np.vdot(r, r).real for r in rho], np.abs(rho[:, iu[0], iu[1]])])
     ham = ObservableMatrix.hamiltonian(state0.levels)
     summary = {
         "T_cal": _t_cal(p),
@@ -385,8 +385,12 @@ def _build_measurement(p):
 
 
 def _measurement_bytes(p, model):
-    from .measurement import _BLOCK_BYTES  # the ratio's block of temporaries
-    return {"'n_t' x 'n_b'": 24 * 3 * p["n_t"] * p["n_b"] + _BLOCK_BYTES}
+    # the table, then the ratio's temporaries: 32 bytes a point and level, in
+    # blocks of at most _BLOCK_BYTES
+    from .measurement import _BLOCK_BYTES
+    points = p["n_t"] * p["n_b"]
+    temps = min(_BLOCK_BYTES, 32 * points * len(model[0].energies))
+    return {"'n_t' x 'n_b'": 24 * 3 * points + temps}
 
 
 def _run_measurement(cfg):
@@ -689,7 +693,8 @@ def validate(path) -> int:
     for key, val in sorted(cfg.parameters.items()):
         print(f"  {key} = {val}")
     print(f"  seed = {cfg.master_seed}")
-    print(f"derived T_cal = sqrt(lambda*t) = {_FMT.format(tcal)}")
+    source = "key 't_cal'" if "t_cal" in cfg.parameters else "derived, sqrt(lambda*t)"
+    print(f"T_cal ({source}) = {_FMT.format(tcal)}")
     return 0
 
 

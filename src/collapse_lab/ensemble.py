@@ -94,41 +94,41 @@ def smear(f, t: float, t_cal: float):
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
-def draw_traj_variates(master_seed: int, rows: range, n_steps: int):
-    """Per-trajectory variates: one uniform each, shape (len(rows),), and
-    n_steps normals each, shape (len(rows), n_steps).
+def draw_traj_variates(master_seed: int, rows: range, n_steps: int, out=None):
+    """Per-trajectory variates, into out = (uniforms, normals) if given: one
+    uniform each, shape (len(rows),), and n_steps normals, (len(rows), n_steps).
 
     Row i reads only the Philox stream (master_seed, i) (`rng.philox4x64`),
-    so the draw is independent of batching or ordering.  Word 0 gives the
-    uniform (w >> 11) * 2**-53, bit-equal to numpy's ``Generator.random()``
-    on that stream.  The next 2*ceil(n_steps/2) words, in pairs (u1, u2),
-    give the normals by Box-Muller: r = sqrt(-2*log(1 - u1)), then
-    r*cos(2*pi*u2) and r*sin(2*pi*u2).  The draw walks windows of at most
-    _CHUNK_BLOCKS Philox blocks: several rows per window, or one row in
-    several windows, so its temporaries do not grow with len(rows) or n_steps.
+    so the draw is independent of batching or ordering.  Word 0, x_0[:, 0],
+    is the uniform (w >> 11) * 2**-53, bit-equal to ``Generator.random()``;
+    pair p of the next words gives normals 2p and 2p + 1 by Box-Muller, in
+    place: r*(cos, sin)(2*pi*u2), r = sqrt(-2*log(1 - u1)), with pair 2c
+    (x_1, x_2) of block c and pair 2c+1 (x_3 of c, x_0 of c+1).  Windows of
+    at most _CHUNK_BLOCKS Philox blocks, across rows or along one row, keep
+    the temporaries from growing with len(rows) or n_steps.
     """
-    n_words = 1 + 2 * -(-n_steps // 2)
-    n_blocks = -(-n_words // 4)
-    uniforms = np.empty(len(rows))
-    normals = np.empty((len(rows), n_steps))
+    n_blocks = -(-(1 + 2 * -(-n_steps // 2)) // 4)
+    uniforms, normals = out or (np.empty(len(rows)), np.empty((len(rows), n_steps)))
     n_rows = max(1, _CHUNK_BLOCKS // n_blocks)
     for r in range(0, len(rows), n_rows):
-        out, sub = slice(r, r + n_rows), rows[r:r + n_rows]
-        idx = np.arange(sub.start, sub.stop, sub.step)
+        sub = rows[r:r + n_rows]
+        idx = np.arange(sub.start, sub.stop, sub.step, dtype=np.uint64)
         for b0 in range(0, n_blocks, _CHUNK_BLOCKS):
-            w0, w1 = 4 * b0, min(4 * (b0 + _CHUNK_BLOCKS), n_words)
-            # one block past the window completes a pair that its end splits
-            n = min(_CHUNK_BLOCKS + 1, n_blocks - b0)
-            u = (philox4x64(master_seed, idx, n, b0) >> 11) * 2.0**-53
+            nb = min(_CHUNK_BLOCKS, n_blocks - b0)
+            # one block past the window completes its last pair
+            x = philox4x64(master_seed, idx, min(nb + 1, n_blocks - b0), b0)
+            for w in x:
+                w >>= 11
             if b0 == 0:
-                uniforms[out] = u[:, 0]
-            # the pairs p whose first word, 1 + 2*p, lies in [w0, w1)
-            p0, p1 = (-(-(w - 1) // 2) for w in (w0, w1))
-            pairs = u[:, 1 + 2 * p0 - w0:][:, :2 * (p1 - p0)]
-            radius = np.sqrt(-2.0 * np.log(1.0 - pairs[:, 0::2]))
-            theta = 2.0 * np.pi * pairs[:, 1::2]
-            z = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
-            normals[out, 2 * p0:2 * p1] = z.reshape(len(idx), -1)[:, :n_steps - 2 * p0]
+                np.multiply(x[0][:, 0], 2.0**-53, out=uniforms[r:r + n_rows])
+            z = [normals[r:r + n_rows, q + 4 * b0:4 * (b0 + nb):4] for q in range(4)]
+            for u1, u2, cos, sin in (x[1], x[2], *z[:2]), (x[3], x[0][:, 1:], *z[2:]):
+                k, m, theta = cos.shape[1], sin.shape[1], u1.view(float)[:, :cos.shape[1]]
+                np.subtract(1.0, np.multiply(u1[:, :k], 2.0**-53, out=cos), out=cos)
+                np.sqrt(np.multiply(np.log(cos, out=cos), -2.0, out=cos), out=cos)  # r
+                np.multiply(u2[:, :k], 2.0 * np.pi * 2.0**-53, out=theta)  # in u1's words
+                np.multiply(np.sin(theta[:, :m], out=sin), cos[:, :m], out=sin)
+                cos *= np.cos(theta, out=theta)
     return uniforms, normals
 
 
@@ -151,8 +151,8 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     Hughston, J. Phys. A 34, 8795 (2001)); given the path, J's posterior is
     w.  So each trajectory takes J from its uniform against the cumulative
     Born weights, and its path is one cumsum of its normals.  The grid may
-    start at t = 0, where B = 0 and w are the Born weights.  A tile's
-    weights never exceed _TILE_VALUES, whatever n_traj or n_steps.
+    start at t = 0, where B = 0 and w are the Born weights.  A tile holds at
+    most _TILE_VALUES weights, whatever n_traj or n_steps; the next overwrites b.
     """
     times = np.asarray(times, float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
@@ -167,19 +167,19 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     born = np.cumsum(engine.collapse_weights(energies, log_w0, params, 0.0, 0.0))
     scale = np.sqrt(params.lam * np.diff(times, prepend=0.0))
     tile_rows, tile_steps = _tile_shape(energies.size, n_traj, times.size)
+    uniforms, normals = np.empty(tile_rows), np.empty((tile_rows, times.size))
     for start in range(0, n_traj, tile_rows):
         rows = range(start, min(start + tile_rows, n_traj))
-        uniforms, normals = draw_traj_variates(master_seed, rows, times.size)
-        j = np.minimum(np.searchsorted(born, uniforms, side="right"), energies.size - 1)
-        b_rows = np.cumsum(normals * scale, axis=1)
-        b_rows += (2.0 * params.lam * energies[j])[:, None] * times
-        del uniforms, normals, j  # spent once the records are formed
+        u, z = draw_traj_variates(master_seed, rows, times.size,
+                                  (uniforms[:len(rows)], normals[:len(rows)]))
+        b = np.cumsum(np.multiply(z, scale, out=z), axis=1, out=z)  # the records
+        u[:] = 2.0 * params.lam * energies[  # the drift rate of the level picked
+            np.minimum(np.searchsorted(born, u, side="right"), energies.size - 1)]
+        b += u[:, None] * times
         for s0 in range(0, times.size, tile_steps):
             steps = slice(s0, min(s0 + tile_steps, times.size))
-            b = b_rows[:, steps]
-            yield (slice(rows.start, rows.stop), steps, b,
-                   engine.collapse_weights(energies, log_w0, params, times[steps], b))
-        del b_rows, b  # released before the next tile is drawn
+            yield (slice(rows.start, rows.stop), steps, b[:, steps], engine.collapse_weights(
+                energies, log_w0, params, times[steps], b[:, steps]))
 
 
 def simulate_trajectories(
@@ -205,8 +205,8 @@ def simulate_trajectories(
 
 
 def _moment_block(n_values: int, n_traj: int) -> int:
-    """Trajectories per Monte Carlo moment block: those whose n_values values
-    each fill _MOMENT_VALUES, at least one and at most n_traj."""
+    """Trajectories per Monte Carlo moment block, 1 to n_traj, whose n_values
+    values each (all a block holds per trajectory) fill _MOMENT_VALUES."""
     return min(n_traj, max(1, _MOMENT_VALUES // n_values))
 
 
@@ -226,9 +226,8 @@ def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj, n_values
     if t < 0:
         raise DomainError("t must be >= 0")
     block, fill = np.empty((len(state0.levels), _moment_block(n_values, n_traj))), 0
-    for tile in _collapse_pass(state0, params, [t], master_seed, n_traj):
-        w = tile[3][:, :, 0]
-        del tile  # its records
+    for _, _, _, w in _collapse_pass(state0, params, [t], master_seed, n_traj):
+        w = w[:, :, 0]
         while w.shape[1]:
             k = min(block.shape[1] - fill, w.shape[1])
             np.sqrt(w[:, :k], out=block[:, fill:fill + k])
@@ -254,9 +253,8 @@ def _block_moments(blocks):
     for x in blocks:
         nb, mean_b = x.shape[-1], x.mean(axis=-1)
         dev = x - mean_b[..., None]
-        dev *= dev
-        m2_b = dev.sum(axis=-1)
-        del dev  # before the next block is drawn
+        m2_b = np.square(dev, out=dev).sum(axis=-1)
+        del dev, x  # before the next block is drawn
         if n == 0:
             mean, m2 = mean_b, m2_b
         else:
@@ -295,8 +293,22 @@ def ensemble_expectation_mc(
     # einsum, not a BLAS product: a first BLAS call costs RSS for its buffers
     n, mean, m2 = _block_moments(
         np.einsum("it,ij,jt->t", s, q, s)
-        for s in _root_blocks(state0, params, t, master_seed, n_traj, len(q)))
+        for s in _root_blocks(state0, params, t, master_seed, n_traj, len(q) + 2))
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+
+
+def _density_matrices(state0: SpectralState, params, t) -> np.ndarray:
+    """`ensemble_density_matrix` at each of the times t, shape t.shape + (n, n)."""
+    t = np.asarray(t, float)[..., None]
+    if np.any(t < 0):
+        raise DomainError("t must be >= 0")
+    (log_n2, _), e = squared_norm(state0), state0.energies()
+    amps = state0.amplitudes(log_shift=0.5 * log_n2) * np.exp(-1j * e * t)
+    rho = amps[..., :, None] * amps.conj()[..., None, :]
+    rho *= np.exp(-0.5 * params.lam * t[..., None] * (e[:, None] - e[None, :]) ** 2)
+    i = np.arange(e.size)
+    rho[..., i, i] = np.exp(2.0 * (np.asarray(state0.log_magnitudes) - 0.5 * log_n2))
+    return rho
 
 
 def ensemble_density_matrix(
@@ -305,22 +317,10 @@ def ensemble_density_matrix(
     """Closed-form ensemble density matrix in the energy basis at time t.
 
     The pure unitary projector is damped entrywise by
-    exp(-lambda*t*(E'-E)^2/2); diagonals (the energy distribution) are
-    untouched for all t.
+    exp(-lambda*t*(E'-E)^2/2).  The diagonal, the energy distribution, is set
+    phase-free, so it is exactly the same for all t, not up to rounding.
     """
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    log_n2, _ = squared_norm(state0)
-    e = state0.energies()
-    amps = state0.amplitudes(log_shift=0.5 * log_n2) * np.exp(-1j * e * t)
-    rho = np.outer(amps, amps.conj())
-    damp = np.exp(-0.5 * params.lam * t * (e[:, None] - e[None, :]) ** 2)
-    rho = rho * damp
-    # set the diagonal phase-free so it is exactly time-invariant, not
-    # merely invariant up to rounding of |a*exp(-iEt)|^2
-    weights = np.exp(2.0 * (np.asarray(state0.log_magnitudes) - 0.5 * log_n2))
-    np.fill_diagonal(rho, weights)
-    return ObservableMatrix(state0.levels, rho)
+    return ObservableMatrix(state0.levels, _density_matrices(state0, params, t))
 
 
 def ensemble_density_matrix_mc(
@@ -344,7 +344,7 @@ def ensemble_density_matrix_mc(
     i, j = np.triu_indices(d.size)
     n, mean, m2 = _block_moments(
         s[i] * s[j]
-        for s in _root_blocks(state0, params, t, master_seed, n_traj, d.size ** 2))
+        for s in _root_blocks(state0, params, t, master_seed, n_traj, d.size + 2 * i.size))
     rho, se = np.empty((2, d.size, d.size))
     rho[i, j] = rho[j, i] = mean
     se[i, j] = se[j, i] = np.sqrt(m2 / (n - 1)) / math.sqrt(n)

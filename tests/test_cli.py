@@ -604,6 +604,19 @@ class TestValidate:
         assert "T_cal" in out
         assert abs(float(out.strip().split("=")[-1]) - math.sqrt(6.0)) < 1e-15
 
+    @pytest.mark.parametrize("config, source", [
+        ("spin_suppression.ini", "key 't_cal'"),
+        ("decay_closed.ini", "key 't_cal'"),
+        ("collapse_two_level.ini", "derived, sqrt(lambda*t)"),
+        ("records_half_overlap.ini", "derived, sqrt(lambda*t)"),
+    ])
+    def test_t_cal_label_names_its_source(self, capsys, config, source):
+        # spin and decay take T_cal from their t_cal key and have no lambda
+        assert main(["validate", "--config", str(CONFIGS / config)]) == 0
+        label, value = capsys.readouterr().out.splitlines()[-1].split(" = ")
+        assert label == f"T_cal ({source})"
+        assert float(value) == cli._t_cal(ExperimentConfig.from_file(CONFIGS / config).parameters)
+
     def test_universe_fixture_t_cal(self, capsys):
         assert main(["validate", "--config", str(CONFIGS / "universe_tcal.ini")]) == 0
         out = capsys.readouterr().out
@@ -821,6 +834,17 @@ class TestEnsembleRunner:
 
 
 class TestMeasurementRunner:
+    def test_estimate_charges_the_grid_up_to_one_block(self):
+        # 32 bytes a point and level, at most one _BLOCK_BYTES block: the
+        # shipped 400-point, 6-level grid is charged about 77 KB, not 64 MiB
+        cfg = ExperimentConfig.from_file(CONFIGS / "measurement_shared.ini")
+        p, levels = cfg.parameters, len(cfg.model[0].energies)
+        points = p["n_t"] * p["n_b"]
+        assert array_bytes(cfg) == {"'n_t' x 'n_b'": 72 * points + 32 * points * levels}
+        big = {**p, "n_t": 1000, "n_b": 1000}
+        assert cli._measurement_bytes(big, cfg.model) == {
+            "'n_t' x 'n_b'": 72 * 10**6 + measurement._BLOCK_BYTES}
+
     def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
         # the (point, level) temporaries are bounded by measurement's
         # _BLOCK_BYTES, not by n_t*n_b times the fixture's level count, and

@@ -2,13 +2,14 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
-from collapse_lab import ensemble
+from collapse_lab import cli, ensemble
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import (
     TimeSeries,
@@ -27,6 +28,22 @@ from collapse_lab.hilbert import (
     SpectralState,
     expectation,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def record_moment_blocks(monkeypatch):
+    """Patch `_block_moments` to record the shape of each block it reduces."""
+    shapes, reduce = [], ensemble._block_moments
+
+    def recording(blocks):
+        for x in blocks:
+            shapes.append(x.shape)
+            yield x
+
+    monkeypatch.setattr(ensemble, "_block_moments", lambda blocks: reduce(recording(blocks)))
+    return shapes
 
 
 def three_level():
@@ -237,9 +254,10 @@ class TestMonteCarloOracle:
 
     def test_tiles_change_no_estimate(self, monkeypatch):
         # tiles of 21 trajectories (2**6 level weights) or one tile of all 400,
-        # with moment blocks of 45 values, 15 trajectories of 3 roots for the
-        # expectation and 5 of 9 products s_i*s_j for the density matrix
-        # (their boundaries fall inside the tiles), or one block of all 400
+        # with moment blocks of 45 values, 9 trajectories of 3 roots, a value
+        # and its deviation for the expectation and 3 of 3 roots, 6 products
+        # s_i*s_j and their deviations for the density matrix (their
+        # boundaries fall inside the tiles), or one block of all 400
         state, params = three_level(), CollapseParams(0.8)
         obs = self.observable(state)
         for moment_values in (45, 2**15):
@@ -258,14 +276,15 @@ class TestMonteCarloOracle:
 
     def test_density_matrix_is_the_moments_of_the_full_products(self, monkeypatch):
         # the estimator reduces the products s_i*s_j with i <= j only; those
-        # of the full (n_lev, n_lev) matrix, in the same blocks of 5
-        # trajectories, give the same mean and standard error exactly
+        # of the full (n_lev, n_lev) matrix, in the same blocks of 3
+        # trajectories (45 values of 15 each), give the same mean and
+        # standard error exactly
         state, params = three_level(), CollapseParams(0.8)
         monkeypatch.setattr(ensemble, "_MOMENT_VALUES", 45)
         mean, se = ensemble_density_matrix_mc(state, params, self.T, self.N_TRAJ, self.SEED)
         n, full, m2 = ensemble._block_moments(
             s[:, None, :] * s[None, :, :]
-            for s in ensemble._root_blocks(state, params, self.T, self.SEED, self.N_TRAJ, 9))
+            for s in ensemble._root_blocks(state, params, self.T, self.SEED, self.N_TRAJ, 15))
         d = ensemble._phase_factors(state, self.T)
         np.testing.assert_array_equal(mean, full * d[:, None] * d.conj())
         np.testing.assert_array_equal(se, np.sqrt(m2 / (n - 1)) / math.sqrt(n))
@@ -299,6 +318,52 @@ class TestMonteCarloOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_expectation_working_set_at_1e5_trajectories(self):
+        # the peak is a tile's draw: the moment block's roots (6553
+        # trajectories x 3 levels), the tile's uniforms and normals (5461
+        # rows x 2 floats), its row indices and the 8 Philox arrays (8 words
+        # a row), about 630 KiB; interleaved copies of the words, their
+        # floats and whole-tile Box-Muller terms, with blocks of 10922
+        # trajectories, peaked at 1.09 MiB
+        state, params = three_level(), CollapseParams(0.8)
+        obs = ObservableMatrix.hamiltonian(state.levels)
+        ensemble_expectation_mc(state, params, self.T, obs, 10**5, self.SEED)
+        tracemalloc.start()
+        try:
+            ensemble_expectation_mc(state, params, self.T, obs, 10**5, self.SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * 2**10
+
+    @pytest.mark.parametrize("estimator", ["expectation", "density_matrix"])
+    def test_moment_block_counts_every_value_it_holds(self, monkeypatch, estimator):
+        # per trajectory a block holds the n_lev roots and, for each value it
+        # reduces (one s^T Q s, or the n_lev*(n_lev+1)/2 products s_i*s_j),
+        # that value and its deviation from the block mean: the largest
+        # block that keeps them within _MOMENT_VALUES
+        state, params = three_level(), CollapseParams(0.8)
+        shapes = record_moment_blocks(monkeypatch)
+        if estimator == "expectation":
+            obs = ObservableMatrix.hamiltonian(state.levels)
+            ensemble_expectation_mc(state, params, self.T, obs, 20_000, self.SEED)
+        else:
+            ensemble_density_matrix_mc(state, params, self.T, 20_000, self.SEED)
+        per_traj = len(state.levels) + 2 * math.prod(shapes[0][:-1])
+        assert per_traj == (5 if estimator == "expectation" else 15)
+        blocks = [shape[-1] for shape in shapes]
+        assert len(blocks) > 1 and sum(blocks) == 20_000 and max(blocks) == blocks[0]
+        assert blocks[0] * per_traj <= ensemble._MOMENT_VALUES < (blocks[0] + 1) * per_traj
+
+    def test_shipped_ensemble_config_is_one_moment_block(self, monkeypatch):
+        # ensemble_damping.ini's 2000 trajectories of 3 levels reduce in one
+        # block, so its golden summary does not depend on the block size
+        cfg = cli.ExperimentConfig.from_file(CONFIGS / "ensemble_damping.ini")
+        shapes = record_moment_blocks(monkeypatch)
+        cli.RUNNERS["ensemble"](cfg)
+        assert len(cfg.parameters["energies"]) == 3
+        assert shapes == [(cfg.parameters["n_traj"],)] == [(2000,)]
 
     def test_density_matrix_memory_does_not_grow_with_the_levels(self):
         # 32 levels, 2*10**4 trajectories: a moment block is 2**15 // 32**2 =

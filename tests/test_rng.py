@@ -13,23 +13,33 @@ from collapse_lab.rng import philox4x64
 SEEDS = (0, 2**64 - 1)
 
 
+def stream_words(seed, indices, n_blocks, first_block=0):
+    """The rows' words in stream order: word 4b+j is x_j[:, b]."""
+    x = philox4x64(seed, indices, n_blocks, first_block)
+    assert len(x) == 4 and all(w.shape == (len(indices), n_blocks) for w in x)
+    return np.stack(x, axis=-1).reshape(len(indices), 4 * n_blocks)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_words_are_numpy_philox_words(seed):
     indices = [0, 1, 2**32 + 5, 2**64 - 1]
-    words = philox4x64(seed, indices, 3)
+    words = stream_words(seed, indices, 3)
     for row, i in zip(words, indices):
         key = np.array([seed, i], dtype=np.uint64)
         np.testing.assert_array_equal(row, np.random.Philox(key=key).random_raw(12))
-    # a window from block 1 on is the same streams less their first block
-    window = philox4x64(seed, indices, 2, first_block=1)
-    np.testing.assert_array_equal(window, words[:, 4:])
+    # windows from block 1 and 2 on are the same streams less their first
+    # blocks
+    np.testing.assert_array_equal(stream_words(seed, indices, 2, first_block=1), words[:, 4:])
+    x = philox4x64(seed, indices, 1, first_block=2)
+    for j in range(4):
+        np.testing.assert_array_equal(x[j][:, 0], words[:, 8 + j])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("index", [0, 2**32 + 7])
 @pytest.mark.parametrize("n_steps", [1, 6, 13])
 def test_uniforms_are_generator_random_bits(seed, index, n_steps):
-    words = philox4x64(seed, [index], -(-n_steps // 4))[0, :n_steps]
+    words = stream_words(seed, [index], -(-n_steps // 4))[0, :n_steps]
     key = np.array([seed, index], dtype=np.uint64)
     want = np.random.Generator(np.random.Philox(key=key)).random(n_steps)
     np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, want)

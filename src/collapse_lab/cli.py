@@ -306,14 +306,22 @@ EXPERIMENTS["collapse"] = Experiment(
     array_bytes=_collapse_bytes, run=_run_collapse)
 
 
+def _rho_rows(n_lev) -> int:
+    """Rows of the ensemble table per block: _WRITE_VALUES matrix entries."""
+    return max(1, _WRITE_VALUES // n_lev**2)
+
+
 def _ensemble_bytes(p, model):
-    # the table; one one-step tile's level weights, which peak at about six
-    # floats per weight (tracemalloc), charged as seven; and one moment
-    # block: its n_lev level roots, values and deviations per trajectory.
-    # The moments are streamed block by block, so nothing grows with n_traj
+    # the table, then the larger of what its rows and the Monte Carlo hold
+    # in turn: one block of density matrices, 60-130 bytes an entry
+    # (tracemalloc), charged as 128; or one one-step tile's level weights,
+    # about six floats per weight, charged as seven, and one moment block,
+    # its n_lev level roots, values and deviations per trajectory.  Rows and
+    # moments are streamed in blocks, so nothing grows with n_traj
     n_lev = len(p["energies"])
     return {"'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
-            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2)}
+            "'energies'": max(128 * min(p["n_t"], _rho_rows(n_lev)) * n_lev**2,
+                              _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2))}
 
 
 def _run_ensemble(cfg):
@@ -326,12 +334,15 @@ def _run_ensemble(cfg):
     cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
-    rho = _density_matrices(state0, params, times)
+    # the density matrices in blocks of rows holding _WRITE_VALUES entries;
     # Tr(rho H) = weights @ energies, the diagonal being time-invariant, and
     # Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), no matmul
-    table = np.column_stack([
-        times, np.full(len(times), rho[0].diagonal().real @ energies),
-        [np.vdot(r, r).real for r in rho], np.abs(rho[:, iu[0], iu[1]])])
+    table, n_rows = np.empty((len(times), len(cols))), _rho_rows(len(energies))
+    for r in range(0, len(times), n_rows):
+        rho, out = _density_matrices(state0, params, times[r:r + n_rows]), table[r:r + n_rows]
+        out[:, 0], out[:, 1] = times[r:r + n_rows], rho[0].diagonal().real @ energies
+        out[:, 2] = [np.vdot(x, x).real for x in rho]
+        out[:, 3:] = np.abs(rho[:, iu[0], iu[1]])
     ham = ObservableMatrix.hamiltonian(state0.levels)
     summary = {
         "T_cal": _t_cal(p),

@@ -983,8 +983,12 @@ n_s = 10000
     COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 0.0, 1.0, 2.0, 3.0").replace(
         "weights = 0.25, 0.75", "weights = 0.1, 0.2, 0.3, 0.4").replace(
         "n_steps = 10", "n_steps = 40").replace("n_traj = 40", "n_traj = 20000"),
+    # a long time grid and few trajectories: the table dominates, so its
+    # density matrices must be formed in bounded blocks of rows, not as one
+    # (n_t, n_lev, n_lev) broadcast
+    ENSEMBLE_INI.replace("n_t = 12", "n_t = 20000").replace("n_traj = 200", "n_traj = 2"),
 ], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
-        "kgrid_decay", "ensemble_n_traj", "collapse_tiles"])
+        "kgrid_decay", "ensemble_n_traj", "collapse_tiles", "ensemble_n_t"])
 def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     # each table value is charged as its float plus the runner's temporaries,
     # and the writers as one block: the estimate covers the tracemalloc peak

@@ -323,9 +323,7 @@ class TestMonteCarloOracle:
         # the peak is a tile's draw: the moment block's roots (6553
         # trajectories x 3 levels), the tile's uniforms and normals (5461
         # rows x 2 floats), its row indices and the 8 Philox arrays (8 words
-        # a row), about 630 KiB; interleaved copies of the words, their
-        # floats and whole-tile Box-Muller terms, with blocks of 10922
-        # trajectories, peaked at 1.09 MiB
+        # a row), about 630 KiB
         state, params = three_level(), CollapseParams(0.8)
         obs = ObservableMatrix.hamiltonian(state.levels)
         ensemble_expectation_mc(state, params, self.T, obs, 10**5, self.SEED)

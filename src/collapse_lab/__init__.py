@@ -7,8 +7,8 @@ worked experiments (a precessing spin and an excitation/decay chain).
 
 Every name in a layer module's ``__all__`` is a name of the package too,
 resolved on first use (PEP 562), so ``import collapse_lab`` loads no layer.
-`DomainError` is defined here, so a layer that raises it need not load
-`hilbert`, which re-exports it.
+`DomainError` and `_checked` (the parameter records' checks) are defined here,
+so a layer that raises or checks need not load `hilbert`, which re-exports the first.
 """
 
 import importlib
@@ -18,6 +18,17 @@ __version__ = "0.1.0"
 
 class DomainError(ValueError):
     """Raised when an operation's precondition is violated."""
+
+
+def _checked(cls):
+    """NamedTuple `cls` with its `_check` run on every new record, `_make` and
+    so `_replace` included.  `_check` raises DomainError, or returns the record
+    to give in place of the one built (a sorted or coerced copy, itself built
+    and checked), or None to give that one."""
+    new = cls.__new__
+    cls.__new__ = lambda cls, *args, **kw: (rec := new(cls, *args, **kw))._check() or rec
+    cls._make = classmethod(lambda cls, it: cls(*it))
+    return cls
 
 
 #: the layer modules whose public names the package re-exports, in lookup order

@@ -78,6 +78,7 @@ _positive = _parser(float, lambda v: math.isfinite(v) and v > 0, "be positive")
 _nonneg = _parser(float, lambda v: math.isfinite(v) and v >= 0, "be >= 0")
 _fraction = _parser(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _int_pos = _parser(int, lambda v: v > 0, "be a positive integer")
+_n_grid = _parser(int, lambda v: v >= 2, "be at least 2: the grid spans both endpoints")
 _n_traj_mc = _parser(int, lambda v: v == 0 or v >= 2, "be 0 (no Monte Carlo) or at least 2")
 
 
@@ -365,7 +366,7 @@ EXPERIMENTS["ensemble"] = Experiment(
      "magnitudes": (_floats, True, None),
      "phases": (_floats, False, None),
      "t_max": (_positive, True, None),
-     "n_t": (_int_pos, False, 100),
+     "n_t": (_n_grid, False, 100),
      "n_traj": (_n_traj_mc, False, 0)},
     # the level weights are the squared magnitudes; scaling by the largest
     # first keeps tiny ones from underflowing to 0 and large ones from
@@ -427,7 +428,7 @@ EXPERIMENTS["measurement"] = Experiment(
      "t_max": (_positive, True, None),
      "n_t": (_int_pos, False, 20),
      "b_max": (_positive, True, None),
-     "n_b": (_int_pos, False, 20)},
+     "n_b": (_n_grid, False, 20)},
     build=_build_measurement, array_bytes=_measurement_bytes, run=_run_measurement)
 
 
@@ -517,7 +518,7 @@ EXPERIMENTS["spin"] = Experiment(
      "t_cal": (_nonneg, False, 0.0),
      "s_min": (_float, False, None),
      "s_max": (_float, True, None),
-     "n_s": (_int_pos, False, 200)},
+     "n_s": (_n_grid, False, 200)},
     build=_build_spin, run=_run_spin,
     # the complex normal distribution function takes nine floats a value
     array_bytes=lambda p, model: {"'n_s'": 72 * 3 * p["n_s"]})
@@ -606,7 +607,7 @@ EXPERIMENTS["decay"] = Experiment(
      "t_cal": (_nonneg, False, 0.0),
      "mode": (_choice("closed", "kgrid"), False, "closed"),
      "s_max": (_positive, True, None),
-     "n_s": (_int_pos, False, 200),
+     "n_s": (_n_grid, False, 200),
      "n_modes": (_int_pos, False, 4096),
      "half_width": (_positive, False, 40.0),
      "dt": (_positive, False, 5e-4),

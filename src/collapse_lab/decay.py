@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError, _kernels
+from . import DomainError, _checked, _kernels
 from ._kernels import log_normal_cdf, normal_cdf
 
 __all__ = [
@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecayModelParams:
+@_checked
+class DecayModelParams(NamedTuple):
     """Bound-state energy epsilon, decay rate Gamma, packet width sigma,
     bound-state location x0 and smearing width T_cal.
 
@@ -62,9 +62,8 @@ class DecayModelParams:
     x0: float = 0.0
     T_cal: float = 0.0
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.epsilon, self.Gamma, self.sigma, self.x0,
-                                       self.T_cal))):
+    def _check(self):
+        if not all(map(math.isfinite, self)):
             raise DomainError("epsilon, Gamma, sigma, x0 and T_cal must be finite")
         if self.epsilon <= 0 or self.Gamma <= 0 or self.sigma <= 0:
             raise DomainError("epsilon, Gamma and sigma must be positive")
@@ -81,8 +80,8 @@ def packet_width(p: DecayModelParams) -> float:
     return p.sigma / (2.0 * math.sqrt(2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class KGrid:
+@_checked
+class KGrid(NamedTuple):
     """Uniform photon momentum grid and the record-spacing unit dt."""
 
     k_min: float
@@ -90,7 +89,7 @@ class KGrid:
     n_modes: int = 4096
     dt: float = 5e-4
 
-    def __post_init__(self):
+    def _check(self):
         if not all(map(math.isfinite, (self.k_min, self.k_max, self.dt))):
             raise DomainError("k_min, k_max and dt must be finite")
         if self.n_modes < 64:
@@ -118,8 +117,7 @@ class KGrid:
         return k, w
 
 
-@dataclass(frozen=True)
-class KGridResult:
+class KGridResult(NamedTuple):
     """Grid-integration output: series of |beta|^2 and total probability
     (the propagated state's squared norm at the start of the record's
     segment), plus the terms and first dropped |J_n| of a segment's Chebyshev

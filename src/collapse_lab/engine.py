@@ -13,10 +13,11 @@ discretization error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _checked
 from .hilbert import DomainError, SpectralState, energy_distribution
 
 __all__ = [
@@ -30,13 +31,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CollapseParams:
+@_checked
+class CollapseParams(NamedTuple):
     """Collapse rate lambda, units energy^-2 time^-1 (hbar = 1)."""
 
     lam: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
 
@@ -85,12 +86,8 @@ def evolve(
         return state0
     e = state0.energies()
     dlog = collapse_exponent(params, t, B, e) - B * B / (4.0 * params.lam * t)
-    return SpectralState(
-        state0.levels,
-        tuple(float(x) for x in np.asarray(state0.log_magnitudes) + dlog),
-        tuple(float(x) for x in np.asarray(state0.phases) - e * t),
-        normalized_flag=False,
-    )
+    return SpectralState(state0.levels, tuple((dlog + state0.log_magnitudes).tolist()),
+                         tuple((state0.phases - e * t).tolist()))
 
 
 def evolve_from(

@@ -10,11 +10,11 @@ signature of energy-driven collapse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import engine
+from . import _checked, engine
 from .hilbert import (
     DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
 )
@@ -42,14 +42,14 @@ _MOMENT_VALUES = 2**15
 _SMEAR_NODES = 64
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+@_checked
+class TimeSeries(NamedTuple):
     """Sampled function of time; linear interpolation, no extrapolation."""
 
     times: tuple[float, ...]
     values: tuple
 
-    def __post_init__(self):
+    def _check(self):
         t = np.asarray(self.times, float)
         if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
             raise DomainError("times must be strictly increasing, length >= 2")

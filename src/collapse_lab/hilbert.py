@@ -11,11 +11,11 @@ common log offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError
+from . import DomainError, _checked
 
 __all__ = [
     "DomainError",
@@ -31,22 +31,22 @@ __all__ = [
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, order=True)
-class EnergyLevel:
+@_checked
+class EnergyLevel(NamedTuple):
     """One energy eigenvalue together with its degeneracy label."""
 
     energy: float
     degeneracy_index: int = 0
 
-    def __post_init__(self):
+    def _check(self):
         if not math.isfinite(self.energy):
             raise DomainError(f"energy must be finite, got {self.energy}")
         if self.degeneracy_index < 0:
             raise DomainError("degeneracy_index must be >= 0")
 
 
-@dataclass(frozen=True)
-class SpectralState:
+@_checked
+class SpectralState(NamedTuple):
     """Complex amplitudes over energy levels, in log-magnitude/phase form.
 
     Components are kept in canonical order (energy, then degeneracy index)
@@ -58,7 +58,7 @@ class SpectralState:
     phases: tuple[float, ...]
     normalized_flag: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.levels)
         if n == 0:
             raise DomainError("state must have at least one component")
@@ -68,11 +68,9 @@ class SpectralState:
             raise DomainError("(energy, degeneracy_index) pairs must be unique")
         order = sorted(range(n), key=lambda i: self.levels[i])
         if order != list(range(n)):
-            object.__setattr__(self, "levels", tuple(self.levels[i] for i in order))
-            object.__setattr__(
-                self, "log_magnitudes", tuple(self.log_magnitudes[i] for i in order)
-            )
-            object.__setattr__(self, "phases", tuple(self.phases[i] for i in order))
+            # the record of the fields in that order, itself checked
+            return self._make([*(tuple(f[i] for i in order) for f in self[:3]),
+                               self.normalized_flag])
         if all(lm == NEG_INF for lm in self.log_magnitudes):
             raise DomainError("state must have at least one nonzero amplitude")
         if self.normalized_flag:
@@ -90,12 +88,8 @@ class SpectralState:
         nonzero = amplitudes != 0
         log_mags[nonzero] = np.log(np.abs(amplitudes[nonzero]))
         phases = np.angle(amplitudes)
-        return cls(
-            tuple(levels),
-            tuple(float(x) for x in log_mags),
-            tuple(float(x) for x in phases),
-            normalized_flag,
-        )
+        return cls(tuple(levels), tuple(log_mags.tolist()), tuple(phases.tolist()),
+                   normalized_flag)
 
     def energies(self) -> np.ndarray:
         return np.array([lv.energy for lv in self.levels])
@@ -115,18 +109,18 @@ class SpectralState:
         return SpectralState(self.levels, lm, self.phases, normalized_flag=True)
 
 
-@dataclass(frozen=True)
-class ObservableMatrix:
+@_checked
+class ObservableMatrix(NamedTuple):
     """Hermitian matrix over a list of energy levels."""
 
     basis: tuple[EnergyLevel, ...]
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray
 
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "basis", tuple(self.basis))
-        n = len(self.basis)
+    def _check(self):
+        basis, entries = tuple(self.basis), np.asarray(self.entries, dtype=complex)
+        if basis is not self.basis or entries is not self.entries:
+            return self._replace(basis=basis, entries=entries)
+        n = len(basis)
         if entries.shape != (n, n):
             raise DomainError(f"entries must be {n}x{n}, got {entries.shape}")
         scale = max(1.0, float(np.abs(entries).max()))
@@ -149,14 +143,14 @@ class ObservableMatrix:
         return cls(basis, np.diag(diag).astype(complex))
 
 
-@dataclass(frozen=True)
-class DiscreteSpectrum:
+@_checked
+class DiscreteSpectrum(NamedTuple):
     """Unity-normalized probability weights over strictly increasing energies."""
 
     energies: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self):
+    def _check(self):
         e = np.asarray(self.energies, float)
         w = np.asarray(self.weights, float)
         if e.shape != w.shape or e.ndim != 1 or e.size == 0:

@@ -11,12 +11,13 @@ magnitudes shows what collapse sensitivity would look like.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _checked
 from .engine import CollapseParams, collapse_exponent
 from .hilbert import DomainError, EnergyLevel, SpectralState
 
@@ -32,8 +33,8 @@ __all__ = [
 _BLOCK_BYTES = 2**26
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+@_checked
+class BranchSpec(NamedTuple):
     """Levels and per-branch phases of a two-branch superposition.
 
     ``magnitudes`` is shared by both branches (the no-collapse hypothesis);
@@ -48,7 +49,7 @@ class BranchSpec:
     beta_2: complex
     magnitudes_2: tuple[float, ...] | None = None
 
-    def __post_init__(self):
+    def _check(self):
         n = len(self.energies)
         if not (len(self.magnitudes) == len(self.phases_1) == len(self.phases_2) == n):
             raise DomainError("energies, magnitudes and phase lists must align")

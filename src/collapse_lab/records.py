@@ -10,10 +10,11 @@ spectra, and the exponential tends to 1 as t grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _checked
 from .hilbert import DiscreteSpectrum, DomainError
 
 __all__ = [
@@ -29,8 +30,8 @@ _PANEL_NODES = 16
 _BLOCK_VALUES = 2**16
 
 
-@dataclass(frozen=True)
-class RecordScenario:
+@_checked
+class RecordScenario(NamedTuple):
     """Two candidate outcome universes at time t0 sharing an energy grid."""
 
     spectrum_plus: DiscreteSpectrum
@@ -40,7 +41,7 @@ class RecordScenario:
     lam: float
     t0: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.spectrum_plus.energies != self.spectrum_minus.energies:
             raise DomainError("outcome spectra must share a common energy grid")
         if not all(map(math.isfinite, (self.B_plus, self.B_minus, self.lam, self.t0))):
@@ -55,9 +56,7 @@ def bhattacharyya(rho1: DiscreteSpectrum, rho2: DiscreteSpectrum) -> float:
     """Spectral overlap sum sqrt(w1*w2); 1 iff identical, 0 iff disjoint."""
     if rho1.energies != rho2.energies:
         raise DomainError("spectra must share a common energy grid")
-    _, w1 = rho1.as_arrays()
-    _, w2 = rho2.as_arrays()
-    return float(np.sum(np.sqrt(w1 * w2)))
+    return float(np.sum(np.sqrt(rho1.as_arrays()[1] * rho2.as_arrays()[1])))
 
 
 def record_violation_bound(scenario: RecordScenario, t):
@@ -104,10 +103,8 @@ def verify_schwarz_chain(
         raise DomainError("partition must be 3 disjoint intervals covering R")
     dt = t - scenario.t0
     var = scenario.lam * dt
-    e = np.asarray(scenario.spectrum_plus.energies, float)
-    _, w1 = scenario.spectrum_plus.as_arrays()
-    _, w2 = scenario.spectrum_minus.as_arrays()
-    s = np.sqrt(w1 * w2)
+    e, w1 = scenario.spectrum_plus.as_arrays()
+    s = np.sqrt(w1 * scenario.spectrum_minus.as_arrays()[1])
     mask = s > 0
     e, s = e[mask], s[mask]
     norm = 1.0 / math.sqrt(2.0 * math.pi * var)

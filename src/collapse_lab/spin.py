@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError
+from . import DomainError, _checked
 from ._kernels import normal_cdf
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpinModelParams:
+@_checked
+class SpinModelParams(NamedTuple):
     """Spin amplitudes (a, b), splitting epsilon, packet width sigma, T_cal.
 
     The shortcut (b)-forms of the printed results assume sigma*epsilon << 1
@@ -44,9 +44,8 @@ class SpinModelParams:
     sigma: float
     T_cal: float = 0.0
 
-    def __post_init__(self):
-        if not all(map(cmath.isfinite, (self.a, self.b, self.epsilon, self.sigma,
-                                        self.T_cal))):
+    def _check(self):
+        if not all(map(cmath.isfinite, self)):
             raise DomainError("a, b, epsilon, sigma and T_cal must be finite")
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-12:
             raise DomainError("|a|^2 + |b|^2 must equal 1")

@@ -515,6 +515,40 @@ record_every = 40
         assert key in err and "GiB" in err
 
     @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("ini, key", [
+        (ENSEMBLE_INI.replace("n_t = 12", "n_t = 1"), "'n_t'"),
+        (SPIN_INI.replace("n_s = 50", "n_s = 1"), "'n_s'"),
+        (SMALL_KGRID_INI.replace("mode = kgrid", "mode = closed") + "n_s = 1\n", "'n_s'"),
+        (MEASUREMENT_INI.replace("n_b = 4", "n_b = 1"), "'n_b'"),
+    ], ids=["ensemble_n_t", "spin_n_s", "closed_decay_n_s", "measurement_n_b"])
+    def test_one_point_grid_between_endpoints_is_two(self, tmp_path, capsys, command,
+                                                      ini, key):
+        # linspace(lo, hi, 1) holds lo alone: the table would miss its far end
+        # (the ensemble its t_max, where the Monte Carlo summary is taken)
+        path = write_config(tmp_path, ini)
+        if command == "run":
+            experiment = ini[1:ini.index("]")]
+            argv = [experiment, "--config", str(path), "--out", str(tmp_path / "o.csv")]
+        else:
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"key {key}" in err and "at least 2" in err
+
+    @pytest.mark.parametrize("ini, t_max", [
+        (COLLAPSE_INI.replace("n_steps = 10", "n_steps = 1"), 6.0),
+        (RECORDS_INI.replace("n_t = 10", "n_t = 1"), 5.0),
+        (MEASUREMENT_INI.replace("n_t = 4", "n_t = 1"), 5.0),
+    ], ids=["collapse_n_steps", "records_n_t", "measurement_n_t"])
+    def test_one_point_grid_from_t_max_over_n_runs(self, tmp_path, ini, t_max):
+        # these grids start at t_max/n, so their one point is t_max
+        path, out = write_config(tmp_path, ini), tmp_path / "o.csv"
+        experiment = ini[1:ini.index("]")]
+        assert main([experiment, "--config", str(path), "--out", str(out)]) == 0
+        t = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        assert set(t) == {t_max}
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("ini, needle", [
         (SPIN_INI + "epsilon = 2.0\n", "'epsilon'"),
         (SPIN_INI + RECORDS_INI, "'records'"),
@@ -1116,6 +1150,7 @@ def test_runs_without_scipy(tmp_path):
         "import json, math, sys\n"
         "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
+        "after_numpy = set(sys.modules)\n"
         "from collapse_lab.cli import EXPERIMENTS, main\n"
         "from collapse_lab.ensemble import smear, subsystem_expectation\n"
         "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
@@ -1136,13 +1171,16 @@ def test_runs_without_scipy(tmp_path):
         "        'b_minus': -1.0, 'lambda': 1.0, 't0': 1.0, 't_max': 2.0})\n"
         "    part = [(-math.inf, 0.0), (0.0, 1.0), (1.0, math.inf)]\n"
         "    assert verify_schwarz_chain(sc, 2.0, part)[2], kind\n"
-        "print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod is not None\n"
-        "                        and (m.split('.')[0] == 'scipy'\n"
-        "                             or m.startswith('numpy.fft')))))\n"
+        "print(json.dumps([sorted(m for m, mod in sys.modules.items() if mod is not None\n"
+        "                         and (m.split('.')[0] == 'scipy'\n"
+        "                              or m.startswith('numpy.fft'))),\n"
+        "                  sorted({'dataclasses'} & (sys.modules.keys() - after_numpy))]))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout.splitlines()[-1]) == []
+    # nor `dataclasses`, unless numpy itself loads it: the parameter records
+    # are NamedTuples, which generate no code
+    assert json.loads(res.stdout.splitlines()[-1]) == [[], []]
     for _, stem in runs:
         doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
         assert set(doc["versions"]) == {"python", "numpy"}

@@ -1,6 +1,5 @@
 """The package namespace: one list of public names, kept by the layer modules."""
 
-import dataclasses
 import importlib
 import inspect
 import json
@@ -82,21 +81,39 @@ def test_star_import_binds_every_public_name():
     assert unbound == []
 
 
+#: every parameter record, by class name, and the layer that defines it
+RECORDS = {"EnergyLevel": "hilbert", "SpectralState": "hilbert",
+           "ObservableMatrix": "hilbert", "DiscreteSpectrum": "hilbert",
+           "DecayModelParams": "decay", "KGrid": "decay", "KGridResult": "decay",
+           "CollapseParams": "engine", "TimeSeries": "ensemble",
+           "BranchSpec": "measurement", "RecordScenario": "records",
+           "SpinModelParams": "spin"}
+
+
 def valid_records():
-    """One valid instance of each parameter record that checks its fields."""
-    from collapse_lab.decay import DecayModelParams, KGrid
-    from collapse_lab.hilbert import DiscreteSpectrum
-    from collapse_lab.records import RecordScenario
-    from collapse_lab.spin import SpinModelParams
-    spectrum = DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))
-    return {"DecayModelParams": DecayModelParams(1.0, 1.0, 1e-4, 0.0, 1.0),
-            "KGrid": KGrid(-39.0, 41.0, 64, 5e-4),
-            "SpinModelParams": SpinModelParams(0.6, 0.8, 3.0, 1e-4, 1.0),
-            "RecordScenario": RecordScenario(spectrum, spectrum, 1.0, -1.0, 1.0, 0.0)}
+    """One valid instance of each parameter record."""
+    r = {name: getattr(importlib.import_module(f"collapse_lab.{layer}"), name)
+         for name, layer in RECORDS.items()}
+    levels = (r["EnergyLevel"](0.0), r["EnergyLevel"](1.0))
+    spectrum = r["DiscreteSpectrum"]((0.0, 1.0), (0.5, 0.5))
+    return {"EnergyLevel": levels[1],
+            "SpectralState": r["SpectralState"](levels, (0.0, 0.0), (0.0, 0.0)),
+            "ObservableMatrix": r["ObservableMatrix"].hamiltonian(levels),
+            "DiscreteSpectrum": spectrum,
+            "DecayModelParams": r["DecayModelParams"](1.0, 1.0, 1e-4, 0.0, 1.0),
+            "KGrid": r["KGrid"](-39.0, 41.0, 64, 5e-4),
+            "KGridResult": r["KGridResult"](*[None] * 9),
+            "CollapseParams": r["CollapseParams"](1.0),
+            "TimeSeries": r["TimeSeries"]((0.0, 1.0), (0.0, 1.0)),
+            "BranchSpec": r["BranchSpec"]((0.0,), (1.0,), (0.0,), (1.0,), 0.6, 0.8),
+            "SpinModelParams": r["SpinModelParams"](0.6, 0.8, 3.0, 1e-4, 1.0),
+            "RecordScenario": r["RecordScenario"](spectrum, spectrum, 1.0, -1.0, 1.0, 0.0)}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("record, field", [
+    ("EnergyLevel", "energy"),
+    ("CollapseParams", "lam"),
     *(("DecayModelParams", f) for f in ("epsilon", "Gamma", "sigma", "x0", "T_cal")),
     *(("KGrid", f) for f in ("k_min", "k_max", "dt")),
     *(("SpinModelParams", f) for f in ("a", "b", "epsilon", "sigma", "T_cal")),
@@ -104,6 +121,23 @@ def valid_records():
 ])
 def test_parameter_records_refuse_non_finite_fields(record, field, value):
     # a non-finite field would give nan results with no error (sigma1_collapsed
-    # and occupation_collapsed returned [nan] for a nan T_cal)
+    # and occupation_collapsed returned [nan] for a nan T_cal); `_replace`
+    # builds through `_make`, which must check as the constructor does
     with pytest.raises(collapse_lab.DomainError, match="finite"):
-        dataclasses.replace(valid_records()[record], **{field: value})
+        valid_records()[record]._replace(**{field: value})
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_records_are_frozen(record):
+    # a field cannot be reassigned, and no attribute can be added
+    rec = valid_records()[record]
+    with pytest.raises(AttributeError):
+        setattr(rec, rec._fields[0], rec[0])
+    with pytest.raises(AttributeError):
+        rec.note = "mutable"
+
+
+def test_energy_levels_order_by_energy_then_degeneracy_index():
+    from collapse_lab.hilbert import EnergyLevel
+    levels = [EnergyLevel(1.0, 2), EnergyLevel(-1.0, 5), EnergyLevel(1.0)]
+    assert sorted(levels) == [EnergyLevel(-1.0, 5), EnergyLevel(1.0), EnergyLevel(1.0, 2)]

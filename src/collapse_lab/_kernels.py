@@ -236,7 +236,7 @@ def _weideman_coefficients():
     # the angle n*k*pi/M is reduced mod 2*pi exactly, as n*k mod 2M: rounding
     # the unreduced angle (up to 80*pi) moves w(0) off 1 by 4e-16
     angle = math.pi / m * (np.outer(np.arange(1, n + 1), k) % (2 * m))
-    a = (big_l**2 + 2.0 * np.cos(angle) @ f) / (2 * m)
+    a = (big_l**2 + 2.0 * np.einsum("nk,k->n", np.cos(angle), f)) / (2 * m)
     a.flags.writeable = False  # one cached array, shared by every caller
     return big_l, a
 

@@ -244,11 +244,13 @@ def _build_levels(p, key, level_weights):
             p[k] = tuple(p[k][i] for i in order)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            levels = [EnergyLevel(float(e)) for e in p["energies"]]
-            weights = level_weights(p[key])
-            mags = np.sqrt(np.asarray(weights, float) / np.sum(weights))
-            ph = np.asarray(p.get("phases") or [0.0] * len(levels), float)
-            state0 = SpectralState.from_amplitudes(levels, mags * np.exp(1j * ph)).normalized()
+            levels = tuple(EnergyLevel(float(e)) for e in p["energies"])
+            w = np.asarray(level_weights(p[key]), float)
+            # log|amplitude| = (log w - log sum w)/2, a zero weight -inf
+            log_m = 0.5 * (np.log(w, where=w > 0, out=np.full_like(w, -np.inf))
+                           - np.log(np.sum(w)))
+            ph = p.get("phases") or (0.0,) * len(levels)
+            state0 = SpectralState(levels, tuple(log_m.tolist()), ph).normalized()
     except (DomainError, FloatingPointError) as exc:
         raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
     return state0, CollapseParams(p["lambda"])
@@ -336,13 +338,14 @@ def _run_ensemble(cfg):
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
     # the density matrices in blocks of rows holding _WRITE_VALUES entries;
-    # Tr(rho H) = weights @ energies, the diagonal being time-invariant, and
-    # Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), no matmul
+    # Tr(rho H) = weights . energies, the diagonal being time-invariant, and
+    # Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), both einsum, not BLAS
     table, n_rows = np.empty((len(times), len(cols))), _rho_rows(len(energies))
     for r in range(0, len(times), n_rows):
         rho, out = _density_matrices(state0, params, times[r:r + n_rows]), table[r:r + n_rows]
-        out[:, 0], out[:, 1] = times[r:r + n_rows], rho[0].diagonal().real @ energies
-        out[:, 2] = [np.vdot(x, x).real for x in rho]
+        out[:, 0] = times[r:r + n_rows]
+        out[:, 1] = np.einsum("i,i->", rho[0].diagonal().real, energies)
+        out[:, 2] = sum(np.einsum("rij,rij->r", x, x) for x in (rho.real, rho.imag))
         out[:, 3:] = np.abs(rho[:, iu[0], iu[1]])
     ham = ObservableMatrix.hamiltonian(state0.levels)
     summary = {

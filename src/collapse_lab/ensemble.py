@@ -14,11 +14,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _checked, engine
+from . import _checked
 from .hilbert import (
     DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
 )
-from .engine import CollapseParams
+from .engine import CollapseParams, collapse_weights
 from .rng import philox4x64
 
 __all__ = [
@@ -164,7 +164,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     if n_traj < 1:
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
-    born = np.cumsum(engine.collapse_weights(energies, log_w0, params, 0.0, 0.0))
+    born = np.cumsum(collapse_weights(energies, log_w0, params, 0.0, 0.0))
     scale = np.sqrt(params.lam * np.diff(times, prepend=0.0))
     tile_rows, tile_steps = _tile_shape(energies.size, n_traj, times.size)
     uniforms, normals = np.empty(tile_rows), np.empty((tile_rows, times.size))
@@ -178,7 +178,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
         b += u[:, None] * times
         for s0 in range(0, times.size, tile_steps):
             steps = slice(s0, min(s0 + tile_steps, times.size))
-            yield (slice(rows.start, rows.stop), steps, b[:, steps], engine.collapse_weights(
+            yield (slice(rows.start, rows.stop), steps, b[:, steps], collapse_weights(
                 energies, log_w0, params, times[steps], b[:, steps]))
 
 
@@ -290,7 +290,7 @@ def ensemble_expectation_mc(
         raise DomainError("observable basis does not match state levels")
     d = _phase_factors(state0, t)
     q = (d.conj()[:, None] * obs.entries * d).real
-    # einsum, not a BLAS product: a first BLAS call costs RSS for its buffers
+    # einsum, not a BLAS product: a first BLAS call faults in OpenBLAS code pages
     n, mean, m2 = _block_moments(
         np.einsum("it,ij,jt->t", s, q, s)
         for s in _root_blocks(state0, params, t, master_seed, n_traj, len(q) + 2))

@@ -200,7 +200,8 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
         raise DomainError("zero-norm state")
     # Shift by half the log norm: amplitudes of the normalized state.
     amps = state.amplitudes(log_shift=0.5 * log_n2)
-    val = complex(amps.conj() @ (obs.entries @ amps))
+    # einsum, not BLAS: a first BLAS call faults in OpenBLAS code pages
+    val = complex(np.einsum("i,i->", amps.conj(), np.einsum("ij,j->i", obs.entries, amps)))
     scale = max(1.0, abs(val))
     if abs(val.imag) > 1e-10 * scale:
         raise AssertionError(f"Hermitian expectation has imaginary part {val.imag}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels, cli, engine, ensemble, measurement, spin
+from collapse_lab import _kernels, cli, ensemble, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams, KGrid, integrate_kgrid
 from collapse_lab.engine import CollapseParams, collapse_weights
@@ -729,7 +729,8 @@ class TestCollapseRunner:
             calls.append(args[3])
             return collapse_weights(*args)
 
-        monkeypatch.setattr(engine, "collapse_weights", counting)
+        # the binding the collapse pass calls: ensemble imports the name
+        monkeypatch.setattr(ensemble, "collapse_weights", counting)
         for tile_values, n_tiles in ((2 * 10 * 3, 14), (2 * 4, 40 * 3)):
             monkeypatch.setattr(ensemble, "_TILE_VALUES", tile_values)
             calls.clear()
@@ -838,6 +839,23 @@ class TestEnsembleRunner:
         assert scalars[0].keys() == scalars[1].keys()
         for key, value in scalars[1].items():
             assert scalars[0][key] == pytest.approx(value, rel=1e-13, abs=1e-13), key
+
+    def test_phases_are_kept_as_written(self, tmp_path, monkeypatch):
+        # the state stores the config's phases, not their angles wrapped into
+        # (-pi, pi]; they enter only through exp(i*(phase - E*t)), so phases
+        # shifted by 2*pi give the table of the unshifted ones, and a zero
+        # magnitude gives a level of log-magnitude -inf
+        monkeypatch.chdir(tmp_path)
+        ini = ENSEMBLE_INI.replace("0.5, 0.6, 0.6244997998398398", "0.5, 0.0, 0.6")
+        tables = []
+        for phases in ((0.3, -1.2, 2.9), tuple(x + 2 * math.pi for x in (0.3, -1.2, 2.9))):
+            path = write_config(tmp_path, ini + f"phases = {', '.join(map(repr, phases))}\n")
+            state0 = ExperimentConfig.from_file(path).model[0]
+            assert state0.phases == phases
+            assert state0.log_magnitudes[1] == -math.inf
+            assert main(["ensemble", "--config", str(path), "--out", "e.csv"]) == 0
+            tables.append(read_csv(tmp_path / "e.csv")[1])
+        np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=0)
 
     def test_memory_grows_by_one_value_and_its_temporary_per_trajectory(self, tmp_path):
         # the Monte Carlo keeps one float per trajectory, <a|H|a>, and np.std
@@ -1155,10 +1173,25 @@ def test_runs_without_scipy(tmp_path):
         "from collapse_lab.ensemble import smear, subsystem_expectation\n"
         "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
         "from collapse_lab.records import verify_schwarz_chain\n"
+        "def blas_kb():\n"
+        "    # resident kB of numpy's OpenBLAS mappings; None without them\n"
+        "    try:\n"
+        "        smaps = open('/proc/self/smaps').read().splitlines()\n"
+        "    except OSError:\n"
+        "        return None\n"
+        "    kb, path = [], ''\n"
+        "    for f in map(str.split, smaps):\n"
+        "        if not f[0].endswith(':'):\n"
+        "            path = f[-1] if len(f) > 5 else ''\n"
+        "        elif f[0] == 'Rss:' and 'openblas' in path:\n"
+        "            kb.append(int(f[1]))\n"
+        "    return sum(kb) if kb else None\n"
+        "blas = [blas_kb()]\n"
         f"for section, stem in {runs!r}:\n"
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
         "    assert main([section, '--config', config, '--out', out]) == 0\n"
+        "    blas.append(blas_kb())\n"
         "damped = math.exp(-0.5) * math.cos(2.4)\n"
         "assert abs(smear(lambda u: math.cos(2.0 * u), 1.2, 0.5) - damped) < 1e-12\n"
         "levels = (EnergyLevel(0.0), EnergyLevel(2.0))\n"
@@ -1174,13 +1207,20 @@ def test_runs_without_scipy(tmp_path):
         "print(json.dumps([sorted(m for m, mod in sys.modules.items() if mod is not None\n"
         "                         and (m.split('.')[0] == 'scipy'\n"
         "                              or m.startswith('numpy.fft'))),\n"
-        "                  sorted({'dataclasses'} & (sys.modules.keys() - after_numpy))]))\n"
+        "                  sorted({'dataclasses'} & (sys.modules.keys() - after_numpy)),\n"
+        "                  blas]))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     # nor `dataclasses`, unless numpy itself loads it: the parameter records
     # are NamedTuples, which generate no code
-    assert json.loads(res.stdout.splitlines()[-1]) == [[], []]
+    *unwanted, blas = json.loads(res.stdout.splitlines()[-1])
+    assert unwanted == [[], []]
+    # a first BLAS call faults in OpenBLAS code pages (348 KB on `ensemble`):
+    # every run computes its small products with einsum, and only the k-grid
+    # oracle, run last, takes its O(n_modes) inner products from BLAS
+    if blas[0] is not None:
+        assert max(blas[1:-1]) <= blas[0], list(zip(["import"] + runs, blas))
     for _, stem in runs:
         doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
         assert set(doc["versions"]) == {"python", "numpy"}

@@ -81,6 +81,24 @@ def test_star_import_binds_every_public_name():
     assert unbound == []
 
 
+@pytest.mark.parametrize("layer", LAYERS)
+def test_importtime_times_every_layer_a_layer_loads(layer):
+    # `-X importtime` times the import system's path, not the package's
+    # __getattr__ (importlib): a layer loaded through `from . import <layer>`
+    # would go unlisted and its time would be charged to the layer that
+    # loaded it
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         f"import json, sys, numpy, collapse_lab.{layer}\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('collapse_lab'))))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    timed = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()
+             if line.startswith("import time:")}
+    loaded = json.loads(res.stdout.splitlines()[-1])
+    assert sorted(timed & set(loaded)) == loaded
+
+
 #: every parameter record, by class name, and the layer that defines it
 RECORDS = {"EnergyLevel": "hilbert", "SpectralState": "hilbert",
            "ObservableMatrix": "hilbert", "DiscreteSpectrum": "hilbert",

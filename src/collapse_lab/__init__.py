@@ -33,7 +33,7 @@ def _checked(cls):
 
 #: the layer modules whose public names the package re-exports, in lookup order
 _LAYERS = ("hilbert", "engine", "rng", "ensemble", "records", "measurement",
-           "spin", "decay")
+           "spin", "decay", "kgrid")
 
 
 def __getattr__(name):

@@ -528,13 +528,14 @@ EXPERIMENTS["spin"] = Experiment(
 
 
 def _build_decay(p):
-    """`DecayModelParams` and, in k-grid mode, the `KGrid`; decay's own
+    """`DecayModelParams` and, in k-grid mode, the `KGrid`; kgrid's own
     checks decide, so a config accepted here passes `integrate_kgrid`'s, and
     each refusal names the key it tests."""
-    from .decay import DecayModelParams, KGrid, check_grid, check_packet, kgrid_span
+    from .decay import DecayModelParams
     dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
     if p["mode"] == "closed":
         return dp, None
+    from .kgrid import KGrid, check_grid, check_packet, kgrid_span
     key = "n_modes"
     try:
         KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
@@ -559,8 +560,7 @@ def _decay_bytes(p, model):
     # the accumulated state, with their temporaries, per mode; times, Bessel
     # arguments and three columns per record; and one record block's Bessel
     # factors and products, n the orders computed for a segment's series
-    from ._kernels import RECORD_BLOCK, chebyshev_size
-    from .decay import kgrid_span
+    from .kgrid import RECORD_BLOCK, chebyshev_size, kgrid_span
     dp, grid = model
     _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
     *_, n = chebyshev_size(grid.k_min, grid.k_max, dp.g, dp.epsilon, span)
@@ -571,7 +571,7 @@ def _decay_bytes(p, model):
 
 
 def _run_decay(cfg):
-    from .decay import integrate_kgrid, occupation, occupation_collapsed
+    from .decay import occupation, occupation_collapsed
     p, (dp, grid) = cfg.parameters, cfg.model
     if grid is None:
         ss = np.linspace(-p["s_max"], p["s_max"], p["n_s"])
@@ -583,6 +583,7 @@ def _run_decay(cfg):
         table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
         summary = {"T_cal": _t_cal(p), "Gamma_T_cal": p["gamma"] * _t_cal(p)}
         return cols, table, summary
+    from .kgrid import integrate_kgrid
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
         "t (time)",

@@ -2,11 +2,8 @@
 
 Closed-form evaluators for the exactly solvable linear-dispersion model
 (coupling g = sqrt(Gamma/2/pi), photon energy k rather than |k| so decay is
-exactly exponential) plus an independent numerical oracle: the mode ODEs on
-a uniform k-grid, propagated by one Chebyshev series of exp(-i*H*t) per
-segment of the span, whose beta components give every record's occupation in
-the segment; a record's total probability is the propagated state's squared
-norm at the start of its segment (`_kernels.kgrid_chebyshev`).
+exactly exponential).  The independent numerical oracle, the mode ODEs on a
+uniform k-grid, is the `kgrid` layer, so a closed-form run loads none of it.
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -22,16 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError, _checked, _kernels
+from . import DomainError, _checked
 from ._kernels import log_normal_cdf, normal_cdf
 
 __all__ = [
     "DecayModelParams",
-    "KGrid",
-    "KGridResult",
-    "check_grid",
-    "check_packet",
-    "kgrid_span",
     "packet_width",
     "beta_decay_closed",
     "alpha_decay_closed",
@@ -43,7 +35,6 @@ __all__ = [
     "occupation_gaussian_asymptotic",
     "position_collapsed",
     "position_asymptotic",
-    "integrate_kgrid",
 ]
 
 
@@ -78,64 +69,6 @@ class DecayModelParams(NamedTuple):
 def packet_width(p: DecayModelParams) -> float:
     """Standard deviation of the regularized incident packet."""
     return p.sigma / (2.0 * math.sqrt(2.0 * math.pi))
-
-
-@_checked
-class KGrid(NamedTuple):
-    """Uniform photon momentum grid and the record-spacing unit dt."""
-
-    k_min: float
-    k_max: float
-    n_modes: int = 4096
-    dt: float = 5e-4
-
-    def _check(self):
-        if not all(map(math.isfinite, (self.k_min, self.k_max, self.dt))):
-            raise DomainError("k_min, k_max and dt must be finite")
-        if self.n_modes < 64:
-            raise DomainError("n_modes must be >= 64")
-        if self.k_max <= self.k_min:
-            raise DomainError("k_max must exceed k_min")
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
-
-    @classmethod
-    def for_params(cls, p: DecayModelParams, half_width_rates: float = 40.0,
-                   n_modes: int = 4096, dt: float = 5e-4) -> "KGrid":
-        hw = half_width_rates * p.Gamma
-        return cls(p.epsilon - hw, p.epsilon + hw, n_modes, dt)
-
-    @property
-    def recurrence_time(self) -> float:
-        return 2.0 * math.pi * self.n_modes / (self.k_max - self.k_min)
-
-    def points_and_weights(self):
-        k = np.linspace(self.k_min, self.k_max, self.n_modes)
-        dk = k[1] - k[0]
-        w = np.full(self.n_modes, dk)
-        w[0] = w[-1] = 0.5 * dk
-        return k, w
-
-
-class KGridResult(NamedTuple):
-    """Grid-integration output: series of |beta|^2 and total probability
-    (the propagated state's squared norm at the start of the record's
-    segment), plus the terms and first dropped |J_n| of a segment's Chebyshev
-    series (`_kernels.chebyshev_series`; every segment has the same length,
-    so the longest), the recurrence steps (O(n_modes) matvecs) of all
-    segments and the largest drift of the propagated state's squared norm
-    from its initial value at a segment end, the conservation check
-    (`_kernels.kgrid_chebyshev`)."""
-
-    times: np.ndarray  # shifted times s = t - T
-    occupation: np.ndarray
-    total_probability: np.ndarray
-    k: np.ndarray
-    alpha_final: np.ndarray
-    chebyshev_terms: int
-    chebyshev_tail: float
-    chebyshev_matvecs: int
-    norm_drift: float
 
 
 # --- decay without excitation ----------------------------------------------
@@ -287,96 +220,3 @@ def position_asymptotic(x, s: float, p: DecayModelParams):
     packet = 1.0 - g * p.sigma * after
     blip = g * p.sigma * after * (1.0 + u / (g * t * t))
     return gauss * (packet + blip)
-
-
-# --- k-grid oracle ---------------------------------------------------------
-
-
-def check_grid(p: DecayModelParams, grid: KGrid):
-    """Raise DomainError unless the grid covers epsilon +- 20*Gamma."""
-    if min(p.epsilon - grid.k_min, grid.k_max - p.epsilon) < 20.0 * p.Gamma:
-        raise DomainError("grid must cover epsilon +- 20*Gamma")
-
-
-def check_packet(p: DecayModelParams, grid: KGrid, packet: str):
-    """Raise DomainError if an excitation packet is too narrow for the grid:
-    its momentum profile exp(-(k*w)^2) must fall below 1e-12 at the grid
-    half-span."""
-    half_span = (grid.k_max - grid.k_min) / 2.0
-    if packet == "excitation" and math.exp(-(half_span * packet_width(p)) ** 2) > 1e-12:
-        raise DomainError("packet too narrow for the k-grid span")
-
-
-def kgrid_span(p: DecayModelParams, grid: KGrid, packet: str, t_final: float,
-               record_every: int | None = None) -> tuple[float, float, int]:
-    """(lead before s = 0, total span, step count round(span/dt)) of
-    `integrate_kgrid`: the excitation packet starts 10 packet widths early.
-    Raises DomainError for an unknown packet, a span beyond the grid
-    recurrence time, a non-finite step count or, if given, a `record_every`
-    outside 1 .. step count (a record spacing beyond the span would record
-    only t = 0)."""
-    if packet not in ("decay", "excitation"):
-        raise DomainError(f"unknown packet {packet!r}")
-    lead = 10.0 * packet_width(p) if packet == "excitation" else 0.0
-    span = t_final + lead
-    if span > grid.recurrence_time:
-        raise DomainError(
-            f"simulated span {span} exceeds grid recurrence time "
-            f"{grid.recurrence_time}"
-        )
-    steps = span / grid.dt
-    if not math.isfinite(steps):
-        raise DomainError(f"simulated span {span} gives a non-finite step "
-                          f"count span/dt = {steps}")
-    n_steps = round(steps)
-    if record_every is not None and not 1 <= record_every <= n_steps:
-        raise DomainError(f"record_every must lie between 1 and the step count "
-                          f"round(span/dt) = {n_steps}, got {record_every}")
-    return lead, span, n_steps
-
-
-def integrate_kgrid(
-    p: DecayModelParams,
-    grid: KGrid,
-    packet: str = "decay",
-    t_final: float = 5.0,
-    record_every: int = 20,
-) -> KGridResult:
-    """Propagate the coupled mode ODEs over n_steps = round(span/dt) units of
-    the record-spacing unit `grid.dt` (`kgrid_span`), recording every
-    `record_every` steps.
-    The span is cut into the fewest equal segments whose Bessel argument
-    stays within `_kernels.SEGMENT_Z`; one Chebyshev recurrence per segment
-    gives all of its records' occupations from the beta components
-    (`_kernels.kgrid_chebyshev`).
-
-    packet="decay" starts from beta = 1 with no photons; packet="excitation"
-    starts the regularized Gaussian packet left of x0, timed to arrive at
-    s = 0 (returned times are shifted accordingly).  Total probability
-    (trapezoid k-sum plus |beta|^2) is reported per record as its value at
-    the start of the record's segment, and its largest drift at a segment end
-    is `norm_drift`, the conservation check; the total simulated span must
-    stay below the grid recurrence time (`kgrid_span`), and an excitation
-    packet must be wide enough for the grid (`check_packet`).
-    """
-    check_grid(p, grid)
-    check_packet(p, grid, packet)
-    lead, _, n_steps = kgrid_span(p, grid, packet, t_final, record_every)
-    k, wk = grid.points_and_weights()
-    if packet == "decay":
-        beta0 = 1.0 + 0.0j
-        alpha0 = np.zeros_like(k, dtype=complex)
-    else:
-        w = packet_width(p)
-        amp = (2.0 * math.pi * w * w) ** -0.25
-        f_hat = amp * 2.0 * w * math.sqrt(math.pi) * np.exp(-(k * w) ** 2)
-        alpha0 = (
-            f_hat
-            / math.sqrt(2.0 * math.pi)
-            * np.exp(-1j * k * (p.x0 - lead))
-        )
-        beta0 = 0.0 + 0.0j
-    times, occ, prob, alpha, _, *series = _kernels.kgrid_chebyshev(
-        k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
-    )
-    return KGridResult(times - lead, occ, prob, k, alpha, *series)

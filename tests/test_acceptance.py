@@ -24,14 +24,13 @@ from collapse_lab.ensemble import (
 from collapse_lab.hilbert import DiscreteSpectrum, EnergyLevel, SpectralState
 from collapse_lab.decay import (
     DecayModelParams,
-    KGrid,
     alpha_decay_closed,
-    integrate_kgrid,
     occupation,
     occupation_collapsed,
     occupation_gaussian_asymptotic,
     photon_number_density,
 )
+from collapse_lab.kgrid import KGrid, integrate_kgrid
 from collapse_lab.measurement import branch_weight_ratio, fixture_path, load_branch_fixture
 from collapse_lab.records import RecordScenario, bhattacharyya, verify_schwarz_chain
 from collapse_lab.spin import SpinModelParams, sigma1_collapsed, sigma1_standard

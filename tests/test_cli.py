@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import _kernels, cli, ensemble, measurement, spin
+from collapse_lab import cli, ensemble, kgrid, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
-from collapse_lab.decay import DecayModelParams, KGrid, integrate_kgrid
+from collapse_lab.decay import DecayModelParams
 from collapse_lab.engine import CollapseParams, collapse_weights
 from collapse_lab.ensemble import simulate_trajectories
+from collapse_lab.kgrid import KGrid, integrate_kgrid
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -442,7 +443,7 @@ n_s = 401
     ], ids=["n_modes", "half_width", "span_below_ulp"])
     def test_kgrid_refused_by_decay_is_two(self, tmp_path, capsys, command,
                                            old, new, key):
-        # decay's own grid checks, raised at the boundary as the key they test
+        # kgrid's own grid checks, raised at the boundary as the key they test
         path = write_config(tmp_path, SMALL_KGRID_INI.replace(old, new))
         if command == "run":
             argv = ["decay", "--config", str(path), "--out", str(tmp_path / "d.csv")]
@@ -488,7 +489,7 @@ record_every = 40
 
     def test_chebyshev_truncation_is_three(self, tmp_path, capsys, monkeypatch):
         # Bessel factors that never fall below 1e-15 break the truncation contract
-        monkeypatch.setattr(_kernels, "bessel_j",
+        monkeypatch.setattr(kgrid, "bessel_j",
                             lambda n, z: np.ones((n + 1,) + np.shape(z)))
         path = write_config(tmp_path, SMALL_KGRID_INI)
         out = tmp_path / "d.csv"
@@ -1230,9 +1231,9 @@ def test_runs_without_scipy(tmp_path):
 
     dp = DecayModelParams(1.0, 1.0, 1e-4)
     k, wk = KGrid.for_params(dp, 40.0, 4096, 5e-4).points_and_weights()
-    _, half, *_ = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 5.0)
+    _, half, *_ = kgrid.chebyshev_series(k, wk, dp.g, 1.0, 5.0)
     j = np.abs(jv(np.arange(400), half * 5.0))
-    want = int(np.flatnonzero(j >= _kernels.CHEBYSHEV_TOL)[-1]) + 1
+    want = int(np.flatnonzero(j >= kgrid.CHEBYSHEV_TOL)[-1]) + 1
     assert doc["scalars"]["chebyshev_terms"] == want == 283
     assert doc["scalars"]["chebyshev_matvecs"] == want
 
@@ -1256,10 +1257,10 @@ def test_kgrid_summary_reports_chebyshev_series(tmp_path):
     assert docs[0] == docs[1]
     dp = DecayModelParams(1.0, 1.0, 1e-4)
     k, wk = KGrid.for_params(dp, 20.0, 1024, 2e-3).points_and_weights()
-    _, _, coef, tail, _ = _kernels.chebyshev_series(k, wk, dp.g, 1.0, 0.5)
+    _, _, coef, tail, _ = kgrid.chebyshev_series(k, wk, dp.g, 1.0, 0.5)
     scalars = docs[0]["scalars"]
     assert scalars["chebyshev_terms"] == scalars["chebyshev_matvecs"] == coef.size
-    assert scalars["chebyshev_tail"] == tail < _kernels.CHEBYSHEV_TOL
+    assert scalars["chebyshev_tail"] == tail < kgrid.CHEBYSHEV_TOL
 
 
 def test_kgrid_matvecs_count_every_segment(tmp_path):
@@ -1272,7 +1273,7 @@ def test_kgrid_matvecs_count_every_segment(tmp_path):
     dp = DecayModelParams(1.0, 1.0, 1e-4)
     k, wk = KGrid.for_params(dp, 20.0, 1024, 2e-3).points_and_weights()
     span = round(24.0 / 2e-3) * 2e-3
-    _, _, coef, tail, n_seg = _kernels.chebyshev_series(k, wk, dp.g, 1.0, span)
+    _, _, coef, tail, n_seg = kgrid.chebyshev_series(k, wk, dp.g, 1.0, span)
     assert n_seg == 3
     scalars = docs[0]["scalars"]
     assert (scalars["chebyshev_terms"], scalars["chebyshev_tail"]) == (coef.size, tail)
@@ -1312,16 +1313,23 @@ def test_shipped_config_runs_clean(tmp_path, config):
                parse_constant=_reject_constant)
 
 
+#: the k-grid oracle's own functions; a run that does not integrate on the
+#: k-grid holds none of them in any module it loads
+KGRID_ORACLE = ("integrate_kgrid", "kgrid_chebyshev", "bessel_j")
+
+
 @pytest.mark.parametrize("section, stem, unloaded", [
     ("records", "records_half_overlap",
-     {"ensemble", "rng", "_kernels", "decay", "spin", "measurement"}),
+     {"ensemble", "rng", "_kernels", "decay", "kgrid", "spin", "measurement"}),
     ("spin", "spin_suppression",
-     {"hilbert", "engine", "ensemble", "rng", "decay", "records", "measurement"}),
+     {"hilbert", "engine", "ensemble", "rng", "decay", "kgrid", "records", "measurement"}),
     ("decay", "decay_closed",
-     {"hilbert", "engine", "ensemble", "rng", "records", "measurement", "spin"}),
+     {"hilbert", "engine", "ensemble", "rng", "kgrid", "records", "measurement", "spin"}),
     ("ensemble", "ensemble_damping",
-     {"_kernels", "decay", "spin", "records", "measurement"}),
-], ids=["records", "spin", "decay", "ensemble"])
+     {"_kernels", "decay", "kgrid", "spin", "records", "measurement"}),
+    ("decay", "decay_kgrid",
+     {"hilbert", "engine", "ensemble", "rng", "records", "measurement", "spin"}),
+], ids=["records", "spin", "decay", "ensemble", "decay_kgrid"])
 def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
     # one fresh interpreter per run: the experiment's build and runner import
     # its layers, and the package imports none of its own accord
@@ -1331,11 +1339,18 @@ def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
         f"argv = [{section!r}, '--config', {str(CONFIGS / (stem + '.ini'))!r},\n"
         f"        '--out', {str(tmp_path / 'o.csv')!r}]\n"
         "assert main(argv) == 0\n"
-        "print(json.dumps([m for m in sys.modules if m.startswith('collapse_lab.')]))\n"
+        "mods = {n: m for n, m in sys.modules.items() if n.startswith('collapse_lab.')}\n"
+        f"print(json.dumps({{n: [f for f in {KGRID_ORACLE!r} if hasattr(m, f)]\n"
+        "                  for n, m in mods.items()}))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout.splitlines()[-1])
-    loaded = {m.removeprefix("collapse_lab.") for m in loaded}
+    oracle = json.loads(res.stdout.splitlines()[-1])
+    loaded = {m.removeprefix("collapse_lab.") for m in oracle}
     assert section in loaded
     assert not loaded & unloaded
+    if stem == "decay_kgrid":
+        assert {"decay", "kgrid", "_kernels"} <= loaded
+    if stem in ("spin_suppression", "decay_closed"):
+        # the oracle's code is neither loaded nor compiled by these runs
+        assert not any(oracle.values()), oracle

@@ -8,11 +8,9 @@ from scipy.integrate import quad
 
 from collapse_lab.decay import (
     DecayModelParams,
-    KGrid,
     alpha_decay_closed,
     beta_decay_closed,
     beta_excitation,
-    integrate_kgrid,
     occupation,
     occupation_collapsed,
     occupation_gaussian_asymptotic,
@@ -23,6 +21,7 @@ from collapse_lab.decay import (
     position_collapsed,
 )
 from collapse_lab.hilbert import DomainError
+from collapse_lab.kgrid import KGrid, integrate_kgrid
 
 
 def make_params(eps=1.0, gamma=1.0, sigma=1e-4, x0=0.0, tcal=0.0):

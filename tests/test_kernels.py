@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from collapse_lab import _kernels, ensemble
-from collapse_lab.decay import DecayModelParams, KGrid
+from collapse_lab import _kernels, ensemble, kgrid
+from collapse_lab.decay import DecayModelParams
 from collapse_lab.engine import CollapseParams, collapse_weights, evolve
 from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
+from collapse_lab.kgrid import KGrid
 
 
 def pass_args(n_lev=5, seed=4):
@@ -97,13 +98,13 @@ def kgrid_args(n_k=256, n_steps=400, excited=True):
 class TestKGridChebyshev:
     def test_numpy_records_expected_shape(self):
         args = kgrid_args()
-        t, occ, prob, alpha, beta, n_terms, tail, matvecs, drift = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, n_terms, tail, matvecs, drift = kgrid.kgrid_chebyshev(*args)
         assert t.shape == occ.shape == prob.shape == (11,)
         assert 0.0 <= drift <= 1e-12
         assert alpha.shape == (256,)
         # the span (argument half*0.8, about 19) is one segment: one series of
         # exp(-i*H*0.8), as `chebyshev_series` builds it, serves every record
-        _, _, coef, want_tail, n_seg = _kernels.chebyshev_series(*args[:4], 2e-3 * 400)
+        _, _, coef, want_tail, n_seg = kgrid.chebyshev_series(*args[:4], 2e-3 * 400)
         assert n_seg == 1
         assert (n_terms, tail, matvecs) == (coef.size, want_tail, coef.size)
 
@@ -111,7 +112,7 @@ class TestKGridChebyshev:
         # g = 0: |alpha_k| and |beta| are constants of motion
         args = list(kgrid_args(excited=False))
         args[2] = 0.0
-        t, occ, prob, alpha, beta, *_ = _kernels.kgrid_chebyshev(*args)
+        t, occ, prob, alpha, beta, *_ = kgrid.kgrid_chebyshev(*args)
         np.testing.assert_allclose(np.abs(alpha), np.abs(args[6]), atol=1e-10)
         np.testing.assert_allclose(prob, prob[0], atol=1e-10)
 
@@ -162,8 +163,8 @@ class TestKGridChebyshevOracle:
             # with 10 or 11 records in blocks of 4, and 13 steps follow the
             # last record
             args = args[:7] + (0.02, 1213, 40)
-            monkeypatch.setattr(_kernels, "RECORD_BLOCK", 4)
-        got = _kernels.kgrid_chebyshev(*args)
+            monkeypatch.setattr(kgrid, "RECORD_BLOCK", 4)
+        got = kgrid.kgrid_chebyshev(*args)
         want = dense_oracle(*args)
         np.testing.assert_array_equal(got[0], want[0])
         for a, b in zip(got[1:], want[1:]):
@@ -181,14 +182,14 @@ class TestKGridChebyshevOracle:
         # segment's end belongs to that segment), so the column steps only at
         # the segment boundaries, and the drift is the norm at the last end
         args = self.oracle_args("random")[:7] + (0.02, 1213, 40)
-        series = _kernels.chebyshev_series
+        series = kgrid.chebyshev_series
 
         def scaled(*a):
             ctr, half, coef, *rest = series(*a)
             return (ctr, half, 1.001 * coef, *rest)
 
-        monkeypatch.setattr(_kernels, "chebyshev_series", scaled)
-        got = _kernels.kgrid_chebyshev(*args)
+        monkeypatch.setattr(kgrid, "chebyshev_series", scaled)
+        got = kgrid.kgrid_chebyshev(*args)
         prob, drift = got[2], got[8]
         assert np.flatnonzero(np.diff(prob)).tolist() == [10, 20]
         norm0 = float(np.sum(args[1] * np.abs(args[6]) ** 2) + abs(args[5]) ** 2)
@@ -203,9 +204,9 @@ class TestKGridChebyshevOracle:
         # record 5 of a 410-step run is the final state of a 200-step run,
         # whose series is shorter; so are the records before it
         args = list(self.oracle_args("random"))
-        long = _kernels.kgrid_chebyshev(*args)
+        long = kgrid.kgrid_chebyshev(*args)
         args[8] = 200
-        short = _kernels.kgrid_chebyshev(*args)
+        short = kgrid.kgrid_chebyshev(*args)
         assert short[5] < long[5]
         u, beta = np.sqrt(args[1]) * short[3], short[4]
         np.testing.assert_allclose(
@@ -216,12 +217,12 @@ class TestKGridChebyshevOracle:
 
     def test_truncation_contract(self, monkeypatch):
         # Bessel factors that never fall below 1e-15 cannot be truncated
-        _, _, coef, tail, _ = _kernels.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
-        assert coef.size > 1 and 0.0 < tail < _kernels.CHEBYSHEV_TOL
-        monkeypatch.setattr(_kernels, "bessel_j",
+        _, _, coef, tail, _ = kgrid.chebyshev_series(*self.oracle_args("decay")[:4], 0.08)
+        assert coef.size > 1 and 0.0 < tail < kgrid.CHEBYSHEV_TOL
+        monkeypatch.setattr(kgrid, "bessel_j",
                             lambda n, z: np.ones((n + 1,) + np.shape(z)))
         with pytest.raises(DomainError, match="truncation"):
-            _kernels.kgrid_chebyshev(*self.oracle_args("decay"))
+            kgrid.kgrid_chebyshev(*self.oracle_args("decay"))
 
 
 class TestBesselJ:
@@ -235,7 +236,7 @@ class TestBesselJ:
         from scipy.special import jv
 
         n = self.truncation_orders(z)
-        np.testing.assert_allclose(_kernels.bessel_j(n, z), jv(np.arange(n + 1), z),
+        np.testing.assert_allclose(kgrid.bessel_j(n, z), jv(np.arange(n + 1), z),
                                    rtol=0, atol=1e-13)
 
     def test_one_array_of_arguments(self):
@@ -246,7 +247,7 @@ class TestBesselJ:
         z = np.array([0.0, 1e-300, 0.4, 40.0, 400.0])
         n = self.truncation_orders(400.0)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            j = _kernels.bessel_j(n, z)
+            j = kgrid.bessel_j(n, z)
         assert j.shape == (n + 1, 5)
         np.testing.assert_allclose(j, jv(np.arange(n + 1)[:, None], z), rtol=0, atol=1e-13)
 
@@ -258,7 +259,7 @@ class TestBesselJ:
 
         n = self.truncation_orders(z)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            j = _kernels.bessel_j(n, z)
+            j = kgrid.bessel_j(n, z)
         assert np.all(np.isfinite(j))
         np.testing.assert_allclose(j, jv(np.arange(n + 1), z), rtol=0, atol=1e-13)
 
@@ -268,7 +269,7 @@ class TestChebyshevInterval:
     def test_spectrum_inside_series_interval(self, start):
         # the relative margin still covers every eigenvalue of H
         args = TestKGridChebyshevOracle().oracle_args(start)
-        ctr, half, *_ = _kernels.chebyshev_series(*args[:4], 0.08)
+        ctr, half, *_ = kgrid.chebyshev_series(*args[:4], 0.08)
         ev = np.linalg.eigvalsh(dense_h(*args[:5]))
         assert ctr - half < ev.min() and ev.max() < ctr + half
 
@@ -276,7 +277,7 @@ class TestChebyshevInterval:
         # a narrow grid (span 0.08) needs few terms even for a long interval
         p = DecayModelParams(1.0, 1e-3, 1e-4)
         k, wk = KGrid.for_params(p).points_and_weights()
-        _, _, coef, _, _ = _kernels.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
+        _, _, coef, _, _ = kgrid.chebyshev_series(k, wk, p.g, p.epsilon, 10.0)
         assert coef.size <= 15
 
 

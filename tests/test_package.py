@@ -12,7 +12,7 @@ import pytest
 import collapse_lab
 
 LAYERS = ("hilbert", "engine", "rng", "ensemble", "records", "measurement",
-          "spin", "decay")
+          "spin", "decay", "kgrid")
 
 
 def test_every_public_name_resolves():
@@ -102,7 +102,7 @@ def test_importtime_times_every_layer_a_layer_loads(layer):
 #: every parameter record, by class name, and the layer that defines it
 RECORDS = {"EnergyLevel": "hilbert", "SpectralState": "hilbert",
            "ObservableMatrix": "hilbert", "DiscreteSpectrum": "hilbert",
-           "DecayModelParams": "decay", "KGrid": "decay", "KGridResult": "decay",
+           "DecayModelParams": "decay", "KGrid": "kgrid", "KGridResult": "kgrid",
            "CollapseParams": "engine", "TimeSeries": "ensemble",
            "BranchSpec": "measurement", "RecordScenario": "records",
            "SpinModelParams": "spin"}

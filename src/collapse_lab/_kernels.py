@@ -1,8 +1,9 @@
-"""Hot numeric kernels, written in numpy.
+"""Hot numeric kernels, written in `math` and `cmath`.
 
-Pure numerics (Faddeeva and the normal distribution function): the module
-imports no layer, so a run loads it only for that work.  The k-grid
-oracle's Bessel and Chebyshev numerics live in `kgrid`.
+Pure numerics (Faddeeva and the normal distribution function) of one number
+each: the module imports no layer and no numpy, so a closed-form run loads
+neither for that work.  The k-grid oracle's Bessel and Chebyshev numerics
+live in `kgrid`.
 
 Kernels:
   * faddeeva_upper      -- the Faddeeva function w in the closed upper
@@ -14,10 +15,9 @@ Kernels:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
-
-import numpy as np
 
 from . import DomainError
 
@@ -35,9 +35,8 @@ def _weideman_coefficients():
 
     a_n = sum_k f(t_k)*cos(n*k*pi/M)/(2M), k = -M+1 ... M-1, M = 2N: the
     2M-point DFT of f(t) = exp(-t**2)*(L**2 + t**2) at t_k = L*tan(k*pi/(2M)),
-    done on first call with `math` as one `math.fsum` per coefficient over a
-    2M-entry cosine table, so that no run loads numpy.fft or pages in numpy's
-    tan and cos for 40 numbers.
+    done on first call as one `math.fsum` per coefficient over a 2M-entry
+    cosine table; a is a tuple, so the cached value cannot be changed.
     """
     n, m = FADDEEVA_TERMS, 2 * FADDEEVA_TERMS
     big_l = math.sqrt(n / math.sqrt(2.0))
@@ -46,14 +45,13 @@ def _weideman_coefficients():
     # the angle n*k*pi/M is reduced mod 2*pi exactly, as n*k mod 2M: rounding
     # the unreduced angle (up to 80*pi) moves w(0) off 1 by 4e-16
     cos = [math.cos(math.pi / m * j) for j in range(2 * m)]
-    a = np.array([(big_l**2 + 2.0 * math.fsum(cos[i * k % (2 * m)] * fk
-                                              for k, fk in enumerate(f, 1))) / (2 * m)
-                  for i in range(1, n + 1)])
-    a.flags.writeable = False  # one cached array, shared by every caller
+    a = tuple((big_l**2 + 2.0 * math.fsum(cos[i * k % (2 * m)] * fk
+                                          for k, fk in enumerate(f, 1))) / (2 * m)
+              for i in range(1, n + 1))
     return big_l, a
 
 
-def faddeeva_upper(zeta):
+def faddeeva_upper(zeta: complex) -> complex:
     """w(zeta) = exp(-zeta**2)*erfc(-i*zeta), for Im zeta >= 0 only.
 
     Weideman's rational series (SIAM J. Numer. Anal. 31, 1497 (1994)):
@@ -62,18 +60,18 @@ def faddeeva_upper(zeta):
     in the closed upper half-plane; below it the series is not accurate.
     """
     big_l, a = _weideman_coefficients()
-    iz = 1j * np.asarray(zeta, complex)
+    iz = 1j * zeta
     d = big_l - iz
     big_z = (big_l + iz) / d
-    p = np.full_like(big_z, a[-1])
+    p = complex(a[-1])
     for c in a[-2::-1]:
         p = p * big_z + c
     return 2.0 * p / (d * d) + (1.0 / math.sqrt(math.pi)) / d
 
 
-def normal_cdf(z):
+def normal_cdf(z: complex) -> complex:
     """Normal distribution function Phi(z), analytically continued to
-    complex z, elementwise; a scalar gives a complex scalar.
+    complex z.
 
     Real arguments reduce to the standard CDF, with an imaginary part of
     exactly zero; Phi(z) + Phi(-z) = 1 and Phi(conj z) = conj Phi(z).
@@ -85,21 +83,20 @@ def normal_cdf(z):
     real |z| <= 10; error <= 5e-13*max(1, |Phi(z)|, |Phi(-z)|) over
     |Re z| <= 40, |Im z| <= 30.
     """
-    z = np.asarray(z, complex)
-    if np.any(np.abs(z.imag) > MAX_IMAG):
-        raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {np.abs(z.imag).max()}")
+    z = complex(z)
+    if abs(z.imag) > MAX_IMAG:
+        raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {abs(z.imag)}")
     right = z.real > 0.0
-    zl = np.where(right, -z, z)
-    phi = 0.5 * np.exp(-0.5 * zl * zl) * faddeeva_upper(-1j * zl / math.sqrt(2.0))
-    return np.where(right, 1.0 - phi, phi)[()]
+    zl = -z if right else z
+    phi = 0.5 * cmath.exp(-0.5 * zl * zl) * faddeeva_upper(-1j * zl / math.sqrt(2.0))
+    return 1.0 - phi if right else phi
 
 
-def log_normal_cdf(x):
-    """log Phi(x) for real x, elementwise: -x**2/2 + log(0.5*w(-i*x/sqrt(2)))
-    for x <= 0, which does not underflow where Phi does, log1p(-Phi(-x)) for
-    x > 0."""
-    x = np.asarray(x, float)
-    half_erfcx = 0.5 * faddeeva_upper(1j * np.abs(x) / math.sqrt(2.0)).real
-    left = -0.5 * x * x + np.log(half_erfcx)
-    right = np.log1p(-np.exp(-0.5 * x * x) * half_erfcx)
-    return np.where(x > 0.0, right, left)[()]
+def log_normal_cdf(x: float) -> float:
+    """log Phi(x) for real x: -x**2/2 + log(0.5*w(-i*x/sqrt(2))) for x <= 0,
+    which does not underflow where Phi does, log1p(-Phi(-x)) for x > 0."""
+    x = float(x)  # a numpy float would compute in numpy's scalar arithmetic
+    half_erfcx = 0.5 * faddeeva_upper(1j * abs(x) / math.sqrt(2.0)).real
+    if x > 0.0:
+        return math.log1p(-math.exp(-0.5 * x * x) * half_erfcx)
+    return -0.5 * x * x + math.log(half_erfcx)

@@ -12,25 +12,32 @@ energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 Each experiment is one `Experiment` record in `EXPERIMENTS`: its config
 schema, the build of its library objects (with the cross-key checks), its
 array estimate and its runner.  The build and the runner import
-the experiment's layers when called, so a run loads only the layers it uses.
-The rest of this module is shared by every experiment: argument and config
-parsing, the array cap, the writers and the summary envelope.
+the experiment's layers, and numpy, when called, so a run loads only the
+layers and libraries it uses: the closed-form `spin` and `decay` runs, and
+their `validate`, compute in `math` and `cmath` and load no numpy.  Their
+runners give the table as rows of floats; the other runners give a numpy
+array, computed with numpy's overflow, invalid value and division by zero
+raised as errors.  The rest of this module is shared by every experiment:
+argument and config parsing, the array cap, the writers and the summary
+envelope.
 
-A run uses one BLAS thread: the module sets OPENBLAS_NUM_THREADS to 1 before
-it imports numpy, unless the variable is already set, in which case the
-user's value holds.
+A run uses one BLAS thread: the module sets OPENBLAS_NUM_THREADS to 1 when
+it is imported, before any run that uses numpy imports it, unless the
+variable is already set, in which case the user's value holds.
 
 Outputs: a data table (CSV by default, one leading t or x abscissa column,
 floats at 17 significant digits so they round-trip exactly) and a JSON
-summary with the resolved parameters, seed, version, the python and numpy
-versions and key scalars.  The data table is byte-identical across reruns
-with the same config and seed; the summary additionally records wall time.
+summary with the resolved parameters, seed, version, the versions of python
+and of numpy where the run loaded it, and key scalars.  The data table is
+byte-identical across reruns with the same config and seed; the summary
+additionally records wall time.
 
 Exit codes (README lists every case): 0 success, 2 configuration error
 (a bad key or value, a model its layer refuses, an --out outside an existing
 directory, or arrays above MAX_ARRAY_BYTES), 3 numerical-contract violation
-(a non-finite result, a numpy floating-point error, a k-grid Chebyshev series
-that does not truncate).  `validate` builds the same model objects the run
+(a non-finite result, a numpy floating-point error, a `math` overflow,
+division by zero or domain error, a k-grid Chebyshev series that does not
+truncate).  `validate` builds the same model objects the run
 uses, so it refuses exactly the configs a run refuses with exit 2.
 """
 
@@ -47,10 +54,9 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-# set before numpy loads OpenBLAS: no run's BLAS calls use a second thread
+# set before any run imports numpy, which loads OpenBLAS: no run's BLAS calls
+# use a second thread
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import DomainError, __version__
 
@@ -100,7 +106,7 @@ def _choice(*options):
 
 #: cap on the estimated peak array memory of one run (2 GiB); a config whose
 #: estimate (`Experiment.array_bytes`) exceeds it exits 2, naming the key,
-#: before numpy is asked for the arrays
+#: before the runner is asked for the arrays
 MAX_ARRAY_BYTES = 2**31
 #: values formatted and written at a time by the output writers (about 1 MB
 #: of row text), so the text never holds the whole table
@@ -119,8 +125,9 @@ class Experiment(NamedTuple):
     array_bytes: (parameters, model) -> estimated peak array bytes of a run
       by the count key sizing them; each table value is charged as its float
       plus the runner's temporaries, in whole floats as tracemalloc sees them.
-    run: config -> (column names with units, 2-D float table, summary
-      scalars), from `cfg.model` as built.
+    run: config -> (column names with units, table, summary scalars), from
+      `cfg.model` as built; the table is a 2-D numpy float array or, from a
+      runner that uses no numpy, a list of rows of floats.
     """
 
     schema: dict
@@ -205,6 +212,27 @@ class ExperimentConfig:
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
+def _numpy_runner(runner):
+    """`runner` with numpy's overflow, invalid value and division by zero
+    raised as FloatingPointError: a contract violation, not a warning."""
+    def run(cfg):
+        import numpy as np
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return runner(cfg)
+
+    return run
+
+
+def _grid(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 points from a to b, numpy.linspace(a, b, n)'s bit for bit:
+    x_i = i*step + a, step = (b - a)/(n - 1) (x_i = i/(n - 1)*(b - a) + a
+    where the step underflows to 0, as numpy does), the last point b."""
+    step = (b - a) / (n - 1)
+    xs = [i * step + a if step else i / (n - 1) * (b - a) + a for i in range(n)]
+    xs[-1] = b
+    return xs
+
+
 def _t_cal(p) -> float:
     """T_cal: the `t_cal` key, else sqrt(lambda*t) over the span from t0 (or 0)."""
     if "t_cal" in p:
@@ -228,6 +256,8 @@ def _build_levels(p, key, level_weights):
     `level_weights`.  Sorts `energies` ascending, and `key` and `phases`
     with them: the output columns index levels by ascending energy, and the
     summary echoes that order."""
+    import numpy as np
+
     from .engine import CollapseParams
     from .hilbert import EnergyLevel, SpectralState
     if len(p["energies"]) != len(p[key]):
@@ -266,7 +296,10 @@ def _collapse_bytes(p, model):
             "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"], 4)}
 
 
+@_numpy_runner
 def _run_collapse(cfg):
+    import numpy as np
+
     from .ensemble import _collapse_pass
     p, (state0, params) = cfg.parameters, cfg.model
     n_traj, n_steps = p["n_traj"], p["n_steps"]
@@ -314,6 +347,12 @@ def _rho_rows(n_lev) -> int:
     return max(1, _WRITE_VALUES // n_lev**2)
 
 
+def _squared_ratios(mags) -> list[float]:
+    """(m/max)**2 of each magnitude m, as numpy.square(mags/max) computes it."""
+    top = max(mags)
+    return [r * r for r in (m / top for m in mags)]
+
+
 def _ensemble_bytes(p, model):
     # the table, then the larger of what its rows and the Monte Carlo hold
     # in turn: one block of density matrices, 60-130 bytes an entry
@@ -327,7 +366,10 @@ def _ensemble_bytes(p, model):
                               _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2))}
 
 
+@_numpy_runner
 def _run_ensemble(cfg):
+    import numpy as np
+
     from .ensemble import _density_matrices, ensemble_expectation_mc
     from .hilbert import ObservableMatrix, expectation
     p, (state0, params) = cfg.parameters, cfg.model
@@ -374,8 +416,7 @@ EXPERIMENTS["ensemble"] = Experiment(
     # the level weights are the squared magnitudes; scaling by the largest
     # first keeps tiny ones from underflowing to 0 and large ones from
     # overflowing
-    build=lambda p: _build_levels(
-        p, "magnitudes", lambda mags: np.square(np.divide(mags, max(mags)))),
+    build=lambda p: _build_levels(p, "magnitudes", _squared_ratios),
     array_bytes=_ensemble_bytes, run=_run_ensemble)
 
 
@@ -408,7 +449,10 @@ def _measurement_bytes(p, model):
     return {"'n_t' x 'n_b'": 24 * 3 * points + temps}
 
 
+@_numpy_runner
 def _run_measurement(cfg):
+    import numpy as np
+
     from .measurement import branch_weight_ratio
     p, (spec, params) = cfg.parameters, cfg.model
     ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
@@ -447,6 +491,8 @@ _RECORD_SPECTRA = {
 def _build_records(p):
     """The `RecordScenario` of the builtin `spectra` pair, with equal weights
     on each of its `_RECORD_SPECTRA` index ranges."""
+    import numpy as np
+
     from .hilbert import DiscreteSpectrum
     from .records import RecordScenario
     if p["b_plus"] == p["b_minus"]:
@@ -461,7 +507,10 @@ def _build_records(p):
     return RecordScenario(plus, minus, p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
 
 
+@_numpy_runner
 def _run_records(cfg):
+    import numpy as np
+
     from .records import record_violation_bound
     p, scenario = cfg.parameters, cfg.model
     dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
@@ -484,6 +533,12 @@ EXPERIMENTS["records"] = Experiment(
     array_bytes=lambda p, model: {"'n_t'": 16 * 2 * p["n_t"]})
 
 
+#: a closed-form run's table row, three Python floats in a tuple, with its
+#: entries in the table's and the grid's lists: 140 bytes under tracemalloc,
+#: charged as 144; the closed forms' temporaries are freed point by point
+_CLOSED_ROW_BYTES = 144
+
+
 def _build_spin(p):
     from .spin import SpinModelParams
     try:
@@ -502,13 +557,13 @@ def _build_spin(p):
 def _run_spin(cfg):
     from .spin import sigma1_collapsed, sigma1_standard
     p, sp = cfg.parameters, cfg.model
-    ss = np.linspace(p["s_min"], p["s_max"], p["n_s"])
     cols = [
         "t (time)",
         "sigma1_standard (dimensionless)",
         "sigma1_collapsed (dimensionless)",
     ]
-    table = np.column_stack([ss, sigma1_standard(ss, sp), sigma1_collapsed(ss, sp)])
+    table = [(s, sigma1_standard(s, sp), sigma1_collapsed(s, sp))
+             for s in _grid(p["s_min"], p["s_max"], p["n_s"])]
     summary = {"envelope": sp.envelope, "epsilon_T_cal": p["epsilon"] * _t_cal(p)}
     return cols, table, summary
 
@@ -523,8 +578,7 @@ EXPERIMENTS["spin"] = Experiment(
      "s_max": (_float, True, None),
      "n_s": (_n_grid, False, 200)},
     build=_build_spin, run=_run_spin,
-    # the complex normal distribution function takes nine floats a value
-    array_bytes=lambda p, model: {"'n_s'": 72 * 3 * p["n_s"]})
+    array_bytes=lambda p, model: {"'n_s'": _CLOSED_ROW_BYTES * p["n_s"]})
 
 
 def _build_decay(p):
@@ -555,7 +609,7 @@ def _build_decay(p):
 
 def _decay_bytes(p, model):
     if p["mode"] == "closed":
-        return {"'n_s'": 48 * 3 * p["n_s"]}
+        return {"'n_s'": _CLOSED_ROW_BYTES * p["n_s"]}
     # k-grid: grid, coupling, state, three Chebyshev recurrence vectors and
     # the accumulated state, with their temporaries, per mode; times, Bessel
     # arguments and three columns per record; and one record block's Bessel
@@ -571,19 +625,27 @@ def _decay_bytes(p, model):
 
 
 def _run_decay(cfg):
-    from .decay import occupation, occupation_collapsed
     p, (dp, grid) = cfg.parameters, cfg.model
-    if grid is None:
-        ss = np.linspace(-p["s_max"], p["s_max"], p["n_s"])
-        cols = [
-            "t (time)",
-            "occupation (dimensionless)",
-            "occupation_collapsed (dimensionless)",
-        ]
-        table = np.column_stack([ss, occupation(ss, dp), occupation_collapsed(ss, dp)])
-        summary = {"T_cal": _t_cal(p), "Gamma_T_cal": p["gamma"] * _t_cal(p)}
-        return cols, table, summary
+    if grid is not None:
+        return _run_kgrid(cfg)
+    from .decay import occupation, occupation_collapsed
+    cols = [
+        "t (time)",
+        "occupation (dimensionless)",
+        "occupation_collapsed (dimensionless)",
+    ]
+    table = [(s, occupation(s, dp), occupation_collapsed(s, dp))
+             for s in _grid(-p["s_max"], p["s_max"], p["n_s"])]
+    summary = {"T_cal": _t_cal(p), "Gamma_T_cal": p["gamma"] * _t_cal(p)}
+    return cols, table, summary
+
+
+@_numpy_runner
+def _run_kgrid(cfg):
+    import numpy as np
+
     from .kgrid import integrate_kgrid
+    p, (dp, grid) = cfg.parameters, cfg.model
     res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
     cols = [
         "t (time)",
@@ -634,11 +696,14 @@ _FMT = "{:.17g}"
 def _row_blocks(table, sep, head="", tail=""):
     """The table's rows as text, `_WRITE_VALUES` values at a time: each row is
     head, its values as `_FMT` joined by sep, and tail, in one `str.format`
-    (a format call per value took a fifth longer on 3e6 values)."""
-    fmt = (head + sep.join([_FMT] * table.shape[1]) + tail).format
-    n = max(1, _WRITE_VALUES // table.shape[1])
+    (a format call per value took a fifth longer on 3e6 values).  A numpy
+    table becomes Python floats a block at a time, never whole."""
+    width = len(table[0])
+    fmt = (head + sep.join([_FMT] * width) + tail).format
+    n = max(1, _WRITE_VALUES // width)
     for i in range(0, len(table), n):
-        yield [fmt(*row) for row in table[i:i + n].tolist()]
+        rows = table[i:i + n]
+        yield [fmt(*row) for row in (rows.tolist() if hasattr(rows, "tolist") else rows)]
 
 
 def write_csv(path, cols, table):
@@ -671,26 +736,31 @@ def _check_finite(cols, table, summary):
     for key, v in summary.items():
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"summary scalar {key!r} is not finite: {v}")
-    bad = ~np.isfinite(table)
-    if bad.any():
-        col = cols[np.argwhere(bad)[0][1]]
-        raise DomainError(f"column {col!r} holds non-finite values")
+    if hasattr(table, "tolist"):  # a numpy table, whose runner loaded numpy
+        import numpy as np
+        bad = np.argwhere(~np.isfinite(table))
+        j = bad[0][1] if len(bad) else None
+    else:
+        j = next((j for row in table for j, v in enumerate(row)
+                  if not math.isfinite(v)), None)
+    if j is not None:
+        raise DomainError(f"column {cols[j]!r} holds non-finite values")
 
 
 def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
     start = time.perf_counter()
-    # a numpy overflow or invalid value is a contract violation, not a warning
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cols, table, summary = RUNNERS[cfg.experiment](cfg)
+    cols, table, summary = RUNNERS[cfg.experiment](cfg)
     wall = time.perf_counter() - start
     _check_finite(cols, table, summary)
     out = Path(output_path or f"{cfg.experiment}_out.{output_format}")
+    # the interpreter's version, and numpy's where it is loaded: no run
+    # imports another library
+    versions = {"python": ".".join(map(str, sys.version_info[:3]))}
+    if (np := sys.modules.get("numpy")) is not None:
+        versions["numpy"] = np.__version__
     doc = {"experiment": cfg.experiment, "parameters": dict(cfg.parameters),
            "seed": cfg.master_seed, "version": f"collapse-lab-v{__version__}",
-           # interpreter and numpy versions: no run imports another library
-           "versions": {"python": ".".join(map(str, sys.version_info[:3])),
-                        "numpy": np.__version__},
-           "wall_time_s": wall, "scalars": summary}
+           "versions": versions, "wall_time_s": wall, "scalars": summary}
     if output_format == "csv":
         write_csv(out, cols, table)
         out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
@@ -748,11 +818,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, FloatingPointError) as exc:
-        print(f"numerical contract violated: {exc}", file=sys.stderr)
-        return 3
     except OverflowError as exc:
         print(f"numerical contract violated: overflow: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, ValueError) as exc:
+        # DomainError, numpy's FloatingPointError, and math's
+        # ZeroDivisionError and domain error (a ValueError)
+        print(f"numerical contract violated: {exc}", file=sys.stderr)
         return 3
 
 

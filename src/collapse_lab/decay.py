@@ -4,6 +4,10 @@ Closed-form evaluators for the exactly solvable linear-dispersion model
 (coupling g = sqrt(Gamma/2/pi), photon energy k rather than |k| so decay is
 exactly exponential).  The independent numerical oracle, the mode ODEs on a
 uniform k-grid, is the `kgrid` layer, so a closed-form run loads none of it.
+The closed forms a run tabulates (`beta_excitation`, `occupation`,
+`occupation_collapsed`) take one float and compute in `math` and `cmath`;
+the photon amplitudes and densities return numpy arrays and import numpy
+when called, so the module imports none.
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -16,8 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import DomainError, _checked
 from ._kernels import log_normal_cdf, normal_cdf
@@ -83,6 +85,8 @@ def beta_decay_closed(s: float, p: DecayModelParams) -> complex:
 
 def alpha_decay_closed(k, s: float, p: DecayModelParams):
     """Photon amplitudes alpha_k(s) for the pure-decay initial condition."""
+    import numpy as np
+
     if s < 0:
         raise DomainError("pure-decay form defined for s >= 0")
     k = np.asarray(k, float)
@@ -92,6 +96,8 @@ def alpha_decay_closed(k, s: float, p: DecayModelParams):
 
 def photon_number_density(k, s: float, p: DecayModelParams):
     """Photon number density for pure decay; Lorentzian at large s."""
+    import numpy as np
+
     k = np.asarray(k, float)
     lor = 2.0 * math.pi * p.Gamma / ((k - p.epsilon) ** 2 + (0.5 * p.Gamma) ** 2)
     bracket = (
@@ -111,6 +117,8 @@ def photon_position_density(x, s: float, p: DecayModelParams,
     terms plus their sum (interference delta regularized at the packet
     width).
     """
+    import numpy as np
+
     x = np.asarray(x, float)
     u = s - (x - p.x0)
     if variant == "decay-only":
@@ -135,20 +143,21 @@ def photon_position_density(x, s: float, p: DecayModelParams,
 # --- excitation followed by decay ------------------------------------------
 
 
-def beta_excitation(s, p: DecayModelParams, packet: str = "delta"):
+def beta_excitation(s: float, p: DecayModelParams, packet: str = "delta") -> complex:
     """Excited amplitude for an incident packet arriving at s = 0.
 
     packet="delta" gives the narrow-packet closed form
     |beta|^2 = Gamma*sigma*Theta(s)*exp(-Gamma*s); packet="gaussian"
     evaluates the exact convolution for the regularized Gaussian packet
-    (converges to the delta form as sigma*Gamma -> 0).  Broadcasts over s.
+    (converges to the delta form as sigma*Gamma -> 0).
     """
-    s = np.asarray(s, float)
+    s = float(s)  # a numpy float would compute in numpy's scalar arithmetic
     z = 0.5 * p.Gamma + 1j * p.epsilon
     if packet == "delta":
         # exp(-z*s) is only taken at s >= 0, where it cannot overflow
-        amp = -1j * math.sqrt(p.Gamma * p.sigma) * np.exp(-z * np.maximum(s, 0.0))
-        return np.where(s < 0, 0j, amp)[()]
+        if s < 0:
+            return 0j
+        return -1j * math.sqrt(p.Gamma * p.sigma) * cmath.exp(-z * s)
     if packet != "gaussian":
         raise DomainError(f"unknown packet {packet!r}")
     w = packet_width(p)
@@ -156,27 +165,27 @@ def beta_excitation(s, p: DecayModelParams, packet: str = "delta"):
     sg = math.sqrt(2.0) * w
     pref = amp * sg * math.sqrt(2.0 * math.pi)
     phi = normal_cdf((s - z * sg * sg) / sg)
-    return -1j * math.sqrt(p.Gamma) * pref * np.exp(0.5 * (z * sg) ** 2 - z * s) * phi
+    return -1j * math.sqrt(p.Gamma) * pref * cmath.exp(0.5 * (z * sg) ** 2 - z * s) * phi
 
 
-def occupation(s, p: DecayModelParams, packet: str = "delta"):
+def occupation(s: float, p: DecayModelParams, packet: str = "delta") -> float:
     """Excited-state occupation |beta(s)|^2 under ordinary evolution."""
-    return np.abs(beta_excitation(s, p, packet)) ** 2
+    amp = abs(beta_excitation(s, p, packet))
+    return amp * amp
 
 
-def occupation_collapsed(s, p: DecayModelParams):
+def occupation_collapsed(s: float, p: DecayModelParams) -> float:
     """Smeared occupation Gamma*sigma*exp(-Gamma*s + (Gamma*T)^2/2)
     * Phi(s/T - Gamma*T); evaluated in log space so large Gamma*T is safe.
 
     T_cal = 0 falls back to the unsmeared delta-packet occupation.
-    Broadcasts over s.
     """
     g, t = p.Gamma, p.T_cal
     if t == 0.0:
         return occupation(s, p)
-    s = np.asarray(s, float)
+    s = float(s)  # a numpy float would compute in numpy's scalar arithmetic
     log_val = math.log(g * p.sigma) - g * s + 0.5 * (g * t) ** 2
-    return np.exp(log_val + log_normal_cdf(s / t - g * t))
+    return math.exp(log_val + log_normal_cdf(s / t - g * t))
 
 
 def occupation_gaussian_asymptotic(s: float, p: DecayModelParams) -> float:
@@ -196,6 +205,8 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     the decay tail is Gamma*Theta(x - x0) times the smeared occupation
     `occupation_collapsed` at u = s - (x - x0).
     """
+    import numpy as np
+
     if p.T_cal <= 0:
         raise DomainError("smeared form needs T_cal > 0")
     x = np.asarray(x, float)
@@ -204,12 +215,15 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     after = (x > p.x0).astype(float)
     gauss = np.exp(-0.5 * (u / t) ** 2) / (t * math.sqrt(2.0 * math.pi))
     packet = gauss * (1.0 - g * p.sigma * after)
-    tail = g * after * occupation_collapsed(u, p)
+    occ = np.array([occupation_collapsed(v, p) for v in u.flat]).reshape(u.shape)
+    tail = g * after * occ
     return {"packet": packet, "decay_tail": tail, "total": packet + tail}
 
 
 def position_asymptotic(x, s: float, p: DecayModelParams):
     """Large Gamma*T_cal limit of the smeared position density."""
+    import numpy as np
+
     if p.T_cal <= 0:
         raise DomainError("asymptotic form needs T_cal > 0")
     x = np.asarray(x, float)

@@ -7,7 +7,9 @@ from sigma to T_cal and the precession amplitude is damped by
 exp(-epsilon^2*T_cal^2/2).
 
 Evaluation is by the analytic expressions (complex-argument normal
-distribution function), not by simulating the switch Hamiltonian.
+distribution function), not by simulating the switch Hamiltonian.  The
+closed forms take one float and compute in `math` and `cmath`: the module
+imports no numpy, so a run of them loads none.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import DomainError, _checked
 from ._kernels import normal_cdf
@@ -60,10 +60,10 @@ class SpinModelParams(NamedTuple):
         return math.exp(-0.5 * (self.epsilon * self.T_cal) ** 2)
 
 
-def _sigma1(s, p: SpinModelParams, tcal: float):
+def _sigma1(s: float, p: SpinModelParams, tcal: float) -> float:
     """<sigma_1> under collapse smearing of width tcal (exact closed form);
     tcal = 0 is ordinary Schrodinger evolution."""
-    s = np.asarray(s, float)
+    s = float(s)  # a numpy float would compute in numpy's scalar arithmetic
     a, b, eps, sig = complex(p.a), complex(p.b), p.epsilon, p.sigma
     width = math.hypot(sig, tcal)
     cross = a.conjugate() * b
@@ -72,38 +72,41 @@ def _sigma1(s, p: SpinModelParams, tcal: float):
         2.0 * cross.real * normal_cdf(-s / width).real
         + math.exp(-0.5 * eps**2 * (sig**2 + tcal**2))
         * 2.0
-        * (cross * np.exp(1j * eps * s) * normal_cdf(arg)).real
+        * (cross * cmath.exp(1j * eps * s) * normal_cdf(arg)).real
     )
 
 
-def sigma1_standard(s, p: SpinModelParams):
+def sigma1_standard(s: float, p: SpinModelParams) -> float:
     """<sigma_1> under ordinary Schrodinger evolution (exact closed form):
     `sigma1_collapsed` at T_cal = 0.
 
     For real a, b and sigma*epsilon << 1 this reduces to
-    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].  Broadcasts over s.
+    2ab*[Phi(-s/sigma) + cos(eps*s)*Phi(s/sigma)].
     """
     return _sigma1(s, p, 0.0)
 
 
-def sigma1_collapsed(s, p: SpinModelParams):
+def sigma1_collapsed(s: float, p: SpinModelParams) -> float:
     """<sigma_1> under collapse smearing of width T_cal (closed form).
 
     For real a, b, sigma*epsilon << 1, sigma << T_cal this reduces to
     2ab*[Phi(-s/T) + exp(-eps^2 T^2/2)*cos(eps*s)*Phi(s/T)].
-    T_cal = 0 recovers `sigma1_standard` exactly.  Broadcasts over s.
+    T_cal = 0 recovers `sigma1_standard` exactly.
     """
     return _sigma1(s, p, p.T_cal)
 
 
-def spin_density_matrix(s: float, p: SpinModelParams) -> np.ndarray:
+def spin_density_matrix(s: float, p: SpinModelParams):
     """2x2 spin density matrix in the (+, -) basis, valid after switchover.
 
     A mixture of spin up, spin down and a precessing pure part weighted by
     the damping envelope; trace 1 and positive semidefinite.  Raises inside
     the switchover window |s| <= 2*sqrt(sigma^2 + T_cal^2), where the
-    closed form does not apply.
+    closed form does not apply.  Returns a numpy array, and only this
+    function of the module loads numpy.
     """
+    import numpy as np
+
     width = math.hypot(p.sigma, p.T_cal)
     if s <= 2.0 * width:
         raise DomainError("density matrix form only valid for s > 2*width")

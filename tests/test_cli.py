@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from collapse_lab import cli, ensemble, kgrid, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
@@ -20,6 +21,10 @@ from collapse_lab.kgrid import KGrid, integrate_kgrid
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+#: the shipped configs whose runs and `validate` load no numpy
+NUMPY_FREE = ("spin_suppression", "decay_closed")
 
 
 def write_config(tmp_path, body, name="exp.ini"):
@@ -588,15 +593,16 @@ record_every = 40
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("cols, table, summary, needle", [
-        (["t (time)", "x (1)"], [[0.0, 1.0], [1.0, math.inf]], {}, "'x (1)'"),
-        (["t (time)"], [[0.0]], {"bad": math.nan}, "'bad'"),
-    ], ids=["table_inf", "summary_nan"])
+        (["t (time)", "x (1)"], np.array([[0.0, 1.0], [1.0, math.inf]]), {}, "'x (1)'"),
+        (["t (time)"], np.array([[0.0]]), {"bad": math.nan}, "'bad'"),
+        (["t (time)", "x (1)"], [(0.0, 1.0), (1.0, math.nan)], {}, "'x (1)'"),
+    ], ids=["table_inf", "summary_nan", "rows_nan"])
     def test_non_finite_output_is_three_and_writes_nothing(
             self, tmp_path, monkeypatch, capsys, cols, table, summary, needle):
-        # a runner's result passes _check_finite before anything is written
+        # a runner's result, a numpy table or rows of floats, passes
+        # _check_finite before anything is written
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setitem(cli.RUNNERS, "spin",
-                            lambda cfg: (cols, np.array(table), summary))
+        monkeypatch.setitem(cli.RUNNERS, "spin", lambda cfg: (cols, table, summary))
         path = write_config(tmp_path, SPIN_INI)
         assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 3
         assert needle in capsys.readouterr().err
@@ -616,6 +622,51 @@ n_s = 5
 """)
         assert main(["decay", "--config", str(path), "--out", "o.csv"]) == 3
         assert "overflow" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_math_domain_error_is_three(self, tmp_path, monkeypatch, capsys):
+        # Gamma*sigma = 1e-400 underflows to 0, and occupation_collapsed's
+        # math.log of it raises ValueError; the config itself is valid
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, """[decay]
+epsilon = 1.0
+gamma = 1e-200
+sigma = 1e-200
+t_cal = 1.0
+s_max = 4.0
+n_s = 5
+""")
+        assert main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["decay", "--config", str(path), "--out", "o.csv"]) == 3
+        assert "math domain error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_zero_division_is_three(self, tmp_path, monkeypatch, capsys):
+        # a closed form's Python float division by zero raises, as numpy's
+        # did under the runners' errstate
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(spin, "sigma1_collapsed", lambda s, p: 1.0 / (s - s))
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 3
+        assert "division by zero" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_silent_float_overflow_is_three(self, tmp_path, monkeypatch, capsys):
+        # Python float arithmetic overflows to inf with no error: the grid's
+        # step 2*s_max/(n_s - 1) is inf, its first point nan, and
+        # _check_finite refuses the table
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, """[decay]
+epsilon = 1.0
+gamma = 5.0
+sigma = 1e-4
+t_cal = 1.0
+s_max = 1e308
+n_s = 5
+""")
+        assert main(["decay", "--config", str(path), "--out", "o.csv"]) == 3
+        assert "column 't (time)' holds non-finite values" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
@@ -951,8 +1002,20 @@ class TestOutputs:
         assert abs(doc["scalars"]["envelope"] - math.exp(-4.5)) < 1e-12
         assert doc["seed"] == 0
         assert "version" in doc and "wall_time_s" in doc
-        assert doc["versions"] == {"python": ".".join(map(str, sys.version_info[:3])),
-                                   "numpy": np.__version__}
+        # `versions` names the libraries each cold run loaded: numpy only
+        # where it computed with it
+        python = ".".join(map(str, sys.version_info[:3]))
+        assert doc["versions"] == {"python": python}
+        for config in sorted(CONFIGS.glob("*.ini")):
+            section = ExperimentConfig.from_file(config).experiment
+            out = tmp_path / f"{config.stem}.csv"
+            res = self.run_cli([section, "--config", str(config), "--out", str(out)])
+            assert res.returncode == 0, res.stderr
+            versions = json.loads(out.with_suffix(".summary.json").read_text())["versions"]
+            want = {"python": python}
+            if config.stem not in NUMPY_FREE:
+                want["numpy"] = np.__version__
+            assert versions == want, config.stem
 
     def test_records_disjoint_bound_sup_zero(self, tmp_path):
         ini = """[records]
@@ -1064,6 +1127,27 @@ def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
     assert run_estimate <= 2 * run_peak
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(finite, finite, st.integers(2, 1001))
+@example(-4.0, 8.0, 400)  # spin_suppression.ini
+@example(-4.0, 4.0, 400)  # decay_closed.ini
+@example(0.1, 7.3, 1001)
+@example(-1e3, 3.7, 77)
+@example(0.0, 5e-324, 4)  # the step underflows to 0
+def test_grid_is_numpy_linspace_bit_for_bit(a, b, n):
+    # the closed-form runs' grid, for any finite a < b, n >= 2; where b - a
+    # overflows both give nan then inf
+    a, b = sorted((a, b))
+    assume(a < b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(a, b, n)
+    got = np.array(cli._grid(a, b, n))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 class TestWriters:
     """The writers stream the table in blocks; the bytes are those of the
     whole-table writers they replaced."""
@@ -1130,8 +1214,9 @@ class TestWriters:
 
 def test_cli_runs_one_blas_thread():
     # fresh interpreters: importing the CLI sets OPENBLAS_NUM_THREADS before
-    # numpy loads OpenBLAS, so no idle worker thread starts; a value the user
-    # set holds, and the library alone leaves the variable unset
+    # a run imports numpy, which loads OpenBLAS, so no idle worker thread
+    # starts; a value the user set holds, and the library alone leaves the
+    # variable unset
     report = (
         "import json, os\n"
         "task = '/proc/self/task'\n"
@@ -1146,7 +1231,7 @@ def test_cli_runs_one_blas_thread():
         assert res.returncode == 0, res.stderr
         return json.loads(res.stdout.splitlines()[-1])
 
-    value, n_tasks = child("collapse_lab.cli")
+    value, n_tasks = child("collapse_lab.cli, numpy")
     assert value == "1"
     assert child("collapse_lab.cli", OPENBLAS_NUM_THREADS="3")[0] == "3"
     assert child("collapse_lab, collapse_lab.spin")[0] is None
@@ -1160,17 +1245,23 @@ def test_runs_without_scipy(tmp_path):
     # import, a run of every shipped config, the Gauss-Hermite smear and the
     # Schwarz chain on the builtin record pairs must succeed, and the
     # summaries name no scipy version; the Faddeeva coefficients must not
-    # pull in numpy.fft either
+    # pull in numpy.fft either.  The closed-form runs come first, before
+    # anything imports numpy, and their summaries name no numpy version
+    closed = [("spin", "spin_suppression"), ("decay", "decay_closed")]
     runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
             ("ensemble", "universe_tcal"), ("measurement", "measurement_shared"),
-            ("records", "records_half_overlap"), ("spin", "spin_suppression"),
-            ("decay", "decay_closed"), ("decay", "decay_kgrid")]
+            ("records", "records_half_overlap"), ("decay", "decay_kgrid")]
     child = (
         "import json, math, sys\n"
         "sys.modules['scipy'] = None\n"
+        "from collapse_lab.cli import EXPERIMENTS, main\n"
+        f"for section, stem in {closed!r}:\n"
+        f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
+        f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
+        "    assert main([section, '--config', config, '--out', out]) == 0\n"
+        "before_numpy = set(sys.modules)\n"
         "import numpy as np\n"
         "after_numpy = set(sys.modules)\n"
-        "from collapse_lab.cli import EXPERIMENTS, main\n"
         "from collapse_lab.ensemble import smear, subsystem_expectation\n"
         "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
         "from collapse_lab.records import verify_schwarz_chain\n"
@@ -1208,6 +1299,7 @@ def test_runs_without_scipy(tmp_path):
         "print(json.dumps([sorted(m for m, mod in sys.modules.items() if mod is not None\n"
         "                         and (m.split('.')[0] == 'scipy'\n"
         "                              or m.startswith('numpy.fft'))),\n"
+        "                  sorted({'dataclasses', 'numpy'} & before_numpy),\n"
         "                  sorted({'dataclasses'} & (sys.modules.keys() - after_numpy)),\n"
         "                  blas]))\n"
     )
@@ -1216,15 +1308,16 @@ def test_runs_without_scipy(tmp_path):
     # nor `dataclasses`, unless numpy itself loads it: the parameter records
     # are NamedTuples, which generate no code
     *unwanted, blas = json.loads(res.stdout.splitlines()[-1])
-    assert unwanted == [[], []]
+    assert unwanted == [[], [], []]
     # a first BLAS call faults in OpenBLAS code pages (348 KB on `ensemble`):
     # every run computes its small products with einsum, and only the k-grid
     # oracle, run last, takes its O(n_modes) inner products from BLAS
     if blas[0] is not None:
         assert max(blas[1:-1]) <= blas[0], list(zip(["import"] + runs, blas))
-    for _, stem in runs:
-        doc = json.loads((tmp_path / f"{stem}.summary.json").read_text())
-        assert set(doc["versions"]) == {"python", "numpy"}
+    for run in closed + runs:
+        doc = json.loads((tmp_path / f"{run[1]}.summary.json").read_text())
+        want = {"python"} if run in closed else {"python", "numpy"}
+        assert set(doc["versions"]) == want, run
     # the numpy Bessel factors truncate the shipped k-grid series where
     # scipy's do: its span of 5 is one segment, of argument z = half*5
     from scipy.special import jv
@@ -1354,3 +1447,28 @@ def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
     if stem in ("spin_suppression", "decay_closed"):
         # the oracle's code is neither loaded nor compiled by these runs
         assert not any(oracle.values()), oracle
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_closed_form_runs_load_no_numpy(tmp_path, config):
+    # one fresh interpreter per shipped config: `validate`, then a run; the
+    # closed-form spin and decay compute in math and cmath, and neither step
+    # imports numpy, while every other run still does
+    section = ExperimentConfig.from_file(config).experiment
+    child = (
+        "import json, sys\n"
+        "from collapse_lab.cli import main\n"
+        f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        f"assert main([{section!r}, '--config', {str(config)!r},\n"
+        f"             '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    after_validate, after_run = json.loads(res.stdout.splitlines()[-1])
+    if config.stem in NUMPY_FREE:
+        assert not after_validate and not after_run
+    else:
+        assert after_run

@@ -264,7 +264,8 @@ class TestSimulateTrajectory:
             def cdf(x):
                 z = (np.asarray(x)[..., None] - 2.0 * PARAMS.lam * t * e) / math.sqrt(
                     PARAMS.lam * t)
-                return (w * _kernels.normal_cdf(z).real).sum(axis=-1)
+                phi = [_kernels.normal_cdf(v).real for v in z.ravel()]
+                return (w * np.reshape(phi, z.shape)).sum(axis=-1)
 
             for x in (-1.0, 1.5, 4.0):
                 mass, _ = quad(lambda y: record_marginal_density(

@@ -86,6 +86,7 @@ _fraction = _parser(float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _int_pos = _parser(int, lambda v: v > 0, "be a positive integer")
 _n_grid = _parser(int, lambda v: v >= 2, "be at least 2: the grid spans both endpoints")
 _n_traj_mc = _parser(int, lambda v: v == 0 or v >= 2, "be 0 (no Monte Carlo) or at least 2")
+_seed = _parser(int, lambda v: 0 <= v < 2**64, "be a 64-bit unsigned integer")
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -179,16 +180,8 @@ class ExperimentConfig:
                 f"config section [{section}] does not match experiment "
                 f"{experiment!r}"
             )
-        schema = EXPERIMENTS[section].schema
+        schema = {**EXPERIMENTS[section].schema, "seed": (_seed, False, 0)}
         raw = dict(parser[section])
-        seed = 0
-        if "seed" in raw:
-            try:
-                seed = int(raw.pop("seed"))
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for key 'seed': {exc}") from exc
-            if not 0 <= seed < 2**64:
-                raise ConfigError("key 'seed' must be a 64-bit unsigned integer")
         for key in raw:
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
@@ -203,6 +196,7 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required key '{key}' in [{section}]")
             else:
                 params[key] = default
+        seed = params.pop("seed")
         return cls(section, params, master_seed=seed)
 
 
@@ -581,10 +575,25 @@ EXPERIMENTS["spin"] = Experiment(
     array_bytes=lambda p, model: {"'n_s'": _CLOSED_ROW_BYTES * p["n_s"]})
 
 
+#: the keys that one decay mode alone reads, with their defaults there; their
+#: schema default is None, so a key given for the other mode is told apart
+_DECAY_MODE_KEYS = {
+    "closed": {"t_cal": 0.0, "n_s": 200},
+    "kgrid": {"x0": 0.0, "n_modes": 4096, "half_width": 40.0, "dt": 5e-4,
+              "record_every": 20, "packet": "decay"}}
+
+
 def _build_decay(p):
     """`DecayModelParams` and, in k-grid mode, the `KGrid`; kgrid's own
     checks decide, so a config accepted here passes `integrate_kgrid`'s, and
-    each refusal names the key it tests."""
+    each refusal names the key it tests.  A key its mode does not read is
+    refused; every absent mode key takes its default, echoed in the summary."""
+    for mode, defaults in _DECAY_MODE_KEYS.items():
+        for key, default in defaults.items():
+            if p[key] is None:
+                p[key] = default
+            elif mode != p["mode"]:
+                raise ConfigError(f"key '{key}' is not read in mode = {p['mode']}")
     from .decay import DecayModelParams
     dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
     if p["mode"] == "closed":
@@ -669,16 +678,16 @@ EXPERIMENTS["decay"] = Experiment(
     {"epsilon": (_positive, True, None),
      "gamma": (_positive, True, None),
      "sigma": (_positive, True, None),
-     "x0": (_float, False, 0.0),
-     "t_cal": (_nonneg, False, 0.0),
+     "x0": (_float, False, None),
+     "t_cal": (_nonneg, False, None),
      "mode": (_choice("closed", "kgrid"), False, "closed"),
      "s_max": (_positive, True, None),
-     "n_s": (_n_grid, False, 200),
-     "n_modes": (_int_pos, False, 4096),
-     "half_width": (_positive, False, 40.0),
-     "dt": (_positive, False, 5e-4),
-     "record_every": (_int_pos, False, 20),
-     "packet": (_choice("decay", "excitation"), False, "decay")},
+     "n_s": (_n_grid, False, None),
+     "n_modes": (_int_pos, False, None),
+     "half_width": (_positive, False, None),
+     "dt": (_positive, False, None),
+     "record_every": (_int_pos, False, None),
+     "packet": (_choice("decay", "excitation"), False, None)},
     build=_build_decay, array_bytes=_decay_bytes, run=_run_decay)
 
 #: each experiment's runner; `run` calls it through this table, so a caller
@@ -793,7 +802,7 @@ def main(argv=None) -> int:
     for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     vp = sub.add_parser("validate", help="check a config without running it")
@@ -805,9 +814,10 @@ def main(argv=None) -> int:
             return validate(args.config)
         cfg = ExperimentConfig.from_file(args.config, experiment=args.command)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be a 64-bit unsigned integer")
-            cfg.master_seed = args.seed
+            try:
+                cfg.master_seed = _seed(args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for --seed: {exc}") from exc
         if args.out is not None:
             out = Path(args.out)
             if out.is_dir() or not out.parent.is_dir():

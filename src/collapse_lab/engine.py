@@ -25,9 +25,7 @@ __all__ = [
     "collapse_exponent",
     "collapse_weights",
     "evolve",
-    "evolve_from",
     "record_marginal_density",
-    "collapse_diagnostic",
 ]
 
 
@@ -90,26 +88,6 @@ def evolve(
                          tuple((state0.phases - e * t).tolist()))
 
 
-def evolve_from(
-    state_t0: SpectralState,
-    params: CollapseParams,
-    t0: float,
-    t: float,
-    B_t0: float,
-    B_t: float,
-) -> SpectralState:
-    """Evolve an already-collapsed state from (t0, B_t0) to (t, B_t).
-
-    Composition with `evolve` reproduces the one-shot evolution after
-    normalization: the t0/B_t0 dependence cancels.
-    """
-    if not all(map(math.isfinite, (t0, t, B_t0, B_t))):
-        raise DomainError("times and records must be finite")
-    if not t > t0 >= 0:
-        raise DomainError("need t > t0 >= 0")
-    return evolve(state_t0, params, t - t0, B_t - B_t0)
-
-
 def record_marginal_density(
     state_t0: SpectralState,
     params: CollapseParams,
@@ -132,15 +110,3 @@ def record_marginal_density(
     dens = (w * np.exp(-z)).sum(axis=-1) / math.sqrt(2.0 * math.pi * var)
     return dens
 
-
-def collapse_diagnostic(
-    state: SpectralState, threshold: float = 0.999
-) -> tuple[bool, float | None]:
-    """Report whether a single energy carries at least `threshold` weight."""
-    if not 0.0 < threshold < 1.0:
-        raise DomainError("threshold must lie in (0, 1)")
-    e, w = energy_distribution(state).as_arrays()
-    i = int(np.argmax(w))
-    if w[i] >= threshold:
-        return True, float(e[i])
-    return False, None

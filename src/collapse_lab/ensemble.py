@@ -15,9 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _checked
-from .hilbert import (
-    DomainError, ObservableMatrix, SpectralState, expectation, squared_norm,
-)
+from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
 from .engine import CollapseParams, collapse_weights
 from .rng import philox4x64
 
@@ -29,7 +27,6 @@ __all__ = [
     "ensemble_expectation_mc",
     "ensemble_density_matrix",
     "ensemble_density_matrix_mc",
-    "subsystem_expectation",
 ]
 
 #: Philox blocks per window of `draw_traj_variates`: 128 KiB per uint64 temporary
@@ -350,14 +347,3 @@ def ensemble_density_matrix_mc(
     se[i, j] = se[j, i] = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return rho * d[:, None] * d.conj(), se
 
-
-def subsystem_expectation(
-    state1_fn, obs1: ObservableMatrix, t: float, t_cal: float
-):
-    """Smeared expectation of a noninteracting subsystem observable.
-
-    ``state1_fn`` maps a time to the subsystem's unitary Schrodinger state;
-    the result is the Gauss-Hermite smear (`smear`) of width t_cal of
-    tau -> <psi1,tau|V1|psi1,tau> at t.
-    """
-    return smear(lambda tau: expectation(state1_fn(tau), obs1), t, t_cal)

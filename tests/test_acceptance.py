@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from collapse_lab.engine import CollapseParams, collapse_weights, evolve, evolve_from
+from collapse_lab.engine import CollapseParams, collapse_weights, evolve
 from collapse_lab.ensemble import (
     ensemble_density_matrix,
     ensemble_density_matrix_mc,
@@ -91,9 +91,10 @@ def test_03_time_translation_and_chapman_kolmogorov():
         levels, [0.5, 0.6, math.sqrt(0.39)]
     ).normalized()
     params = CollapseParams(0.7)
-    one = evolve(state, params, 3.7, 1.9).normalized()
-    mid = evolve(state, params, 1.2, -0.8)
-    two = evolve_from(mid, params, 1.2, 3.7, -0.8, 1.9).normalized()
+    t0, t, b0, b = 1.2, 3.7, -0.8, 1.9
+    one = evolve(state, params, t, b).normalized()
+    # the second segment evolves the collapsed state on the increments
+    two = evolve(evolve(state, params, t0, b0), params, t - t0, b - b0).normalized()
     comp_err = max(
         np.abs(np.asarray(one.log_magnitudes) - np.asarray(two.log_magnitudes)).max(),
         np.abs(np.asarray(one.phases) - np.asarray(two.phases)).max(),

@@ -15,8 +15,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from collapse_lab import cli, ensemble, kgrid, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams
-from collapse_lab.engine import CollapseParams, collapse_weights
+from collapse_lab.engine import CollapseParams, collapse_weights, evolve
 from collapse_lab.ensemble import simulate_trajectories
+from collapse_lab.hilbert import energy_distribution
 from collapse_lab.kgrid import KGrid, integrate_kgrid
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
 
@@ -114,6 +115,15 @@ n_modes = 1024
 half_width = 20.0
 dt = 2e-3
 record_every = 50
+"""
+
+CLOSED_DECAY_INI = """[decay]
+epsilon = 1.0
+gamma = 5.0
+sigma = 1e-4
+t_cal = 1.0
+s_max = 4.0
+n_s = 50
 """
 
 
@@ -573,11 +583,20 @@ record_every = 40
         (RECORDS_INI.replace("b_minus = -1.0", "b_minus = 1.0"), "'b_minus'"),
         (RECORDS_INI + "t0 = 5.0\n", "'t0'"),
         (SPIN_INI + "s_min = 6.0\n", "'s_min'"),
+        # a key the decay mode does not read: the closed forms take no grid,
+        # step or packet, and the k-grid oracle applies no T_cal
+        (CLOSED_DECAY_INI + "n_modes = 5\n", "'n_modes'"),
+        (CLOSED_DECAY_INI + "dt = 1e9\n", "'dt'"),
+        (CLOSED_DECAY_INI + "packet = excitation\n", "'packet'"),
+        (CLOSED_DECAY_INI + "x0 = 0.5\n", "'x0'"),
+        (SMALL_KGRID_INI + "t_cal = 3\n", "'t_cal'"),
+        (SMALL_KGRID_INI + "n_s = 50\n", "'n_s'"),
     ], ids=["malformed", "two_sections", "unknown_section", "seed_not_integer",
             "seed_negative", "seed_above_64_bits", "empty_list", "bad_spectra",
             "bad_mode", "bad_packet", "repeated_energies", "negative_weights",
             "zero_weights", "misaligned_phases", "equal_records", "t_max_not_after_t0",
-            "empty_s_range"])
+            "empty_s_range", "closed_decay_n_modes", "closed_decay_dt",
+            "closed_decay_packet", "closed_decay_x0", "kgrid_t_cal", "kgrid_n_s"])
     def test_config_refusal_is_two_and_writes_nothing(self, tmp_path, monkeypatch,
                                                       capsys, command, ini, needle):
         monkeypatch.chdir(tmp_path)
@@ -763,6 +782,31 @@ class TestCollapseRunner:
             z = (rows[-1][2 + i] - w) / math.sqrt(w * (1 - w) / 40)
             assert scalars[f"born_z_E{i}"] == pytest.approx(z, rel=1e-12)
             assert abs(z) < 5
+
+    def test_columns_are_the_per_state_collapse_definition(self, tmp_path, monkeypatch):
+        # per step, the collapsed count is the number of trajectories whose
+        # state evolve(state0, t, B) puts at least `threshold` weight on one
+        # energy, and the mean weights are those states' energy distributions
+        # averaged: the runner's batched rule is the one-state definition
+        monkeypatch.chdir(tmp_path)
+        ini = COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 0.0, 1.0, 2.5")
+        ini = ini.replace("weights = 0.25, 0.75", "weights = 0.2, 0.5, 0.3")
+        ini = ini.replace("n_steps = 10", "n_steps = 12").replace("n_traj = 40", "n_traj = 300")
+        path = write_config(tmp_path, ini + "threshold = 0.99\n")
+        assert main(["collapse", "--config", str(path), "--out", "c.csv"]) == 0
+        _, rows = read_csv(tmp_path / "c.csv")
+        state0, params = ExperimentConfig.from_file(path).model
+        times = np.linspace(0.5, 6.0, 12)
+        b = simulate_trajectories(state0, params, times, 5, 300)
+        for row, t, b_t in zip(rows, times, b.T):
+            w = np.array([energy_distribution(evolve(state0, params, t, x)).weights
+                          for x in b_t])
+            top = w.max(axis=1)
+            # no state sits at the threshold, where rounding would decide
+            assert np.all(np.abs(top - 0.99) > 1e-12)
+            assert row[0] == t
+            assert row[1] == np.count_nonzero(top >= 0.99) / 300
+            np.testing.assert_allclose(row[2:], w.mean(axis=0), rtol=0, atol=1e-14)
 
     def test_chunking_changes_no_record_or_count(self, tmp_path, monkeypatch):
         # tiles of three trajectories, or of four steps of one, give the
@@ -1262,8 +1306,8 @@ def test_runs_without_scipy(tmp_path):
         "before_numpy = set(sys.modules)\n"
         "import numpy as np\n"
         "after_numpy = set(sys.modules)\n"
-        "from collapse_lab.ensemble import smear, subsystem_expectation\n"
-        "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState\n"
+        "from collapse_lab.ensemble import smear\n"
+        "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState, expectation\n"
         "from collapse_lab.records import verify_schwarz_chain\n"
         "def blas_kb():\n"
         "    # resident kB of numpy's OpenBLAS mappings; None without them\n"
@@ -1290,7 +1334,7 @@ def test_runs_without_scipy(tmp_path):
         "v = ObservableMatrix(levels, np.array([[0.0, 1.0], [1.0, 0.0]]))\n"
         "state_at = lambda t: SpectralState.from_amplitudes(\n"
         "    levels, np.array([1.0, np.exp(-2j * t)]) / math.sqrt(2.0))\n"
-        "assert abs(subsystem_expectation(state_at, v, 1.2, 0.5) - damped) < 1e-10\n"
+        "assert abs(smear(lambda u: expectation(state_at(u), v), 1.2, 0.5) - damped) < 1e-10\n"
         "for kind in ('identical', 'disjoint', 'half_overlap'):\n"
         "    sc = EXPERIMENTS['records'].build({'spectra': kind, 'b_plus': 1.0,\n"
         "        'b_minus': -1.0, 'lambda': 1.0, 't0': 1.0, 't_max': 2.0})\n"

@@ -19,7 +19,6 @@ from collapse_lab.ensemble import (
     ensemble_expectation_mc,
     simulate_trajectories,
     smear,
-    subsystem_expectation,
 )
 from collapse_lab.hilbert import (
     DomainError,
@@ -413,10 +412,13 @@ class TestMonteCarloAtTimeZero:
 
 
 class TestSubsystemExpectation:
+    """A noninteracting subsystem's smeared expectation: `smear` of
+    `expectation` of its unitary Schrodinger state."""
+
     def test_stationary_state_unsmeared(self):
         state = three_level()
         obs = ObservableMatrix.hamiltonian(state.levels)
-        got = subsystem_expectation(lambda t: state, obs, 2.0, 0.9)
+        got = smear(lambda tau: expectation(state, obs), 2.0, 0.9)
         assert abs(got - expectation(state, obs)) < 1e-10
 
     def test_oscillating_coherence_damped(self):
@@ -429,6 +431,6 @@ class TestSubsystemExpectation:
             return SpectralState.from_amplitudes(levels, amps)
 
         tcal = 0.5
-        got = subsystem_expectation(state_at, v, 1.2, tcal)
+        got = smear(lambda tau: expectation(state_at(tau), v), 1.2, tcal)
         want = math.exp(-0.5 * (2 * tcal) ** 2) * math.cos(2 * 1.2)
         assert abs(got - want) < 1e-10

@@ -13,13 +13,13 @@ Each experiment is one `Experiment` record in `EXPERIMENTS`: its config
 schema, the build of its library objects (with the cross-key checks), its
 array estimate and its runner.  The build and the runner import
 the experiment's layers, and numpy, when called, so a run loads only the
-layers and libraries it uses: the closed-form `spin` and `decay` runs, and
-their `validate`, compute in `math` and `cmath` and load no numpy.  Their
-runners give the table as rows of floats; the other runners give a numpy
-array, computed with numpy's overflow, invalid value and division by zero
-raised as errors.  The rest of this module is shared by every experiment:
-argument and config parsing, the array cap, the writers and the summary
-envelope.
+layers and libraries it uses: the four closed-form runs, `spin`, `records`,
+`measurement` and closed `decay`, and their `validate`, compute in `math` and
+`cmath` and load no numpy.  Their runners give the table as rows of floats;
+the other runners give a numpy array, computed with numpy's overflow, invalid
+value and division by zero raised as errors.  The rest of this module is
+shared by every experiment: argument and config parsing, the array cap, the
+writers and the summary envelope.
 
 A run uses one BLAS thread: the module sets OPENBLAS_NUM_THREADS to 1 when
 it is imported, before any run that uses numpy imports it, unless the
@@ -218,9 +218,12 @@ def _numpy_runner(runner):
 
 
 def _grid(a: float, b: float, n: int) -> list[float]:
-    """n >= 2 points from a to b, numpy.linspace(a, b, n)'s bit for bit:
+    """n >= 1 points from a to b, numpy.linspace(a, b, n)'s bit for bit:
     x_i = i*step + a, step = (b - a)/(n - 1) (x_i = i/(n - 1)*(b - a) + a
-    where the step underflows to 0, as numpy does), the last point b."""
+    where the step underflows to 0, as numpy does), the last point b; one
+    point is 0*(b - a) + a."""
+    if n == 1:
+        return [0.0 * (b - a) + a]
     step = (b - a) / (n - 1)
     xs = [i * step + a if step else i / (n - 1) * (b - a) + a for i in range(n)]
     xs[-1] = b
@@ -414,6 +417,14 @@ EXPERIMENTS["ensemble"] = Experiment(
     array_bytes=_ensemble_bytes, run=_run_ensemble)
 
 
+#: a closed-form run's table row, a tuple of Python floats, with its entries in
+#: the table's and the grid's lists: at most 140 bytes under tracemalloc (127
+#: for `records`' pairs, 96 for `measurement`'s triples, whose t and B are the
+#: grids' floats), charged as 144; the closed forms' temporaries are freed
+#: point by point
+_CLOSED_ROW_BYTES = 144
+
+
 def _build_measurement(p):
     """The branch fixture at path `fixture`, else the packaged one of that
     name, and the collapse parameters."""
@@ -435,32 +446,28 @@ def _build_measurement(p):
 
 
 def _measurement_bytes(p, model):
-    # the table, then the ratio's temporaries: 32 bytes a point and level, in
-    # blocks of at most _BLOCK_BYTES
-    from .measurement import _BLOCK_BYTES
+    # the table, then one point's ratio temporaries and the two branches'
+    # cached 2*log m: four floats a level with their list or tuple entries,
+    # 129 bytes under tracemalloc at 2e4 levels, charged as 136
     points = p["n_t"] * p["n_b"]
-    temps = min(_BLOCK_BYTES, 32 * points * len(model[0].energies))
-    return {"'n_t' x 'n_b'": 24 * 3 * points + temps}
+    return {"'n_t' x 'n_b'": _CLOSED_ROW_BYTES * points + 136 * len(model[0].energies)}
 
 
-@_numpy_runner
 def _run_measurement(cfg):
-    import numpy as np
-
     from .measurement import branch_weight_ratio
     p, (spec, params) = cfg.parameters, cfg.model
-    ts = np.linspace(p["t_max"] / p["n_t"], p["t_max"], p["n_t"])
-    bs = np.linspace(-p["b_max"], p["b_max"], p["n_b"])
     cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
-    t, b = (x.ravel() for x in np.meshgrid(ts, bs, indexing="ij"))
-    ratios = branch_weight_ratio(spec, params, t, b)
+    bs = _grid(-p["b_max"], p["b_max"], p["n_b"])
+    table = [(t, b, branch_weight_ratio(spec, params, t, b))
+             for t in _grid(p["t_max"] / p["n_t"], p["t_max"], p["n_t"]) for b in bs]
+    lo, hi = min(row[2] for row in table), max(row[2] for row in table)
     summary = {
         "shared_spectrum": spec.shared_spectrum,
-        "ratio_min": float(ratios.min()),
-        "ratio_max": float(ratios.max()),
-        "ratio_spread_rel": float(ratios.max() / ratios.min() - 1.0),
+        "ratio_min": lo,
+        "ratio_max": hi,
+        "ratio_spread_rel": hi / lo - 1.0,
     }
-    return cols, np.column_stack([t, b, ratios]), summary
+    return cols, table, summary
 
 
 EXPERIMENTS["measurement"] = Experiment(
@@ -485,34 +492,29 @@ _RECORD_SPECTRA = {
 def _build_records(p):
     """The `RecordScenario` of the builtin `spectra` pair, with equal weights
     on each of its `_RECORD_SPECTRA` index ranges."""
-    import numpy as np
-
     from .hilbert import DiscreteSpectrum
     from .records import RecordScenario
     if p["b_plus"] == p["b_minus"]:
         raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
     if p["t_max"] <= p["t0"]:
         raise ConfigError("key 't_max' must exceed 't0'")
-    grid = tuple(i * 1e-3 for i in range(1500))
-    w = np.zeros((2, len(grid)))
-    for row, (lo, hi) in zip(w, _RECORD_SPECTRA[p["spectra"]]):
-        row[lo:hi] = 1.0 / (hi - lo)
-    plus, minus = (DiscreteSpectrum(grid, tuple(row)) for row in w)
+    n = 1500
+    grid = tuple(i * 1e-3 for i in range(n))
+    plus, minus = (
+        DiscreteSpectrum(grid, (0.0,) * lo + (1.0 / (hi - lo),) * (hi - lo) + (0.0,) * (n - hi))
+        for lo, hi in _RECORD_SPECTRA[p["spectra"]])
     return RecordScenario(plus, minus, p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
 
 
-@_numpy_runner
 def _run_records(cfg):
-    import numpy as np
-
     from .records import record_violation_bound
     p, scenario = cfg.parameters, cfg.model
     dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
-    ts = np.linspace(p["t0"] + dt0, p["t_max"], p["n_t"])
+    ts = _grid(p["t0"] + dt0, p["t_max"], p["n_t"])
     cols = ["t (time)", "record_bound (dimensionless)"]
     bound, sup = record_violation_bound(scenario, ts)
     summary = {"bound_sup": sup, "T_cal": _t_cal(p)}
-    return cols, np.column_stack([ts, bound]), summary
+    return cols, list(zip(ts, bound)), summary
 
 
 EXPERIMENTS["records"] = Experiment(
@@ -524,13 +526,7 @@ EXPERIMENTS["records"] = Experiment(
      "t_max": (_positive, True, None),
      "n_t": (_int_pos, False, 100)},
     build=_build_records, run=_run_records,
-    array_bytes=lambda p, model: {"'n_t'": 16 * 2 * p["n_t"]})
-
-
-#: a closed-form run's table row, three Python floats in a tuple, with its
-#: entries in the table's and the grid's lists: 140 bytes under tracemalloc,
-#: charged as 144; the closed forms' temporaries are freed point by point
-_CLOSED_ROW_BYTES = 144
+    array_bytes=lambda p, model: {"'n_t'": _CLOSED_ROW_BYTES * p["n_t"]})
 
 
 def _build_spin(p):
@@ -664,7 +660,6 @@ def _run_kgrid(cfg):
     table = np.column_stack([res.times, res.occupation, res.total_probability])
     span = res.times[-1] - res.times[0]
     summary = {
-        "T_cal": _t_cal(p),
         "probability_drift_per_unit_time": res.norm_drift / span,
         "recurrence_time": grid.recurrence_time,
         "chebyshev_terms": res.chebyshev_terms,
@@ -781,15 +776,18 @@ def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
 
 def validate(path) -> int:
     cfg = ExperimentConfig.from_file(path)
-    tcal = _t_cal(cfg.parameters)
-    if not math.isfinite(tcal):
+    # the k-grid oracle applies no collapse smearing, so it has no T_cal
+    kgrid = cfg.parameters.get("mode") == "kgrid"
+    tcal = None if kgrid else _t_cal(cfg.parameters)
+    if not (kgrid or math.isfinite(tcal)):
         raise DomainError(f"derived T_cal is not finite: {tcal}")
     print(f"experiment: {cfg.experiment}")
     for key, val in sorted(cfg.parameters.items()):
         print(f"  {key} = {val}")
     print(f"  seed = {cfg.master_seed}")
-    source = "key 't_cal'" if "t_cal" in cfg.parameters else "derived, sqrt(lambda*t)"
-    print(f"T_cal ({source}) = {_FMT.format(tcal)}")
+    if not kgrid:
+        source = "key 't_cal'" if "t_cal" in cfg.parameters else "derived, sqrt(lambda*t)"
+        print(f"T_cal ({source}) = {_FMT.format(tcal)}")
     return 0
 
 

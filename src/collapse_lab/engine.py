@@ -8,6 +8,10 @@ the whole path as that mixture of drifted Brownian motions: one Born draw of
 the level E_J per trajectory, then B = 2*lambda*E_J*t + sqrt(lambda)*W(t)
 from one uniform and the normals after it, exactly at any step size (no SDE
 discretization error).
+
+The module imports neither numpy nor `hilbert` when loaded: `CollapseParams`
+and `collapse_exponent` at Python floats need neither, and the functions that
+take states or arrays import them when called.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _checked
-from .hilbert import DomainError, SpectralState, energy_distribution
+from . import DomainError, _checked
 
 __all__ = [
     "CollapseParams",
@@ -40,14 +41,21 @@ class CollapseParams(NamedTuple):
             raise DomainError(f"lambda must be finite and positive, got {self.lam}")
 
 
-def collapse_exponent(params: CollapseParams, t, B, energies) -> np.ndarray:
+def collapse_exponent(params: CollapseParams, t, B, energies):
     """-lambda*t*E^2 + B*E: the collapse exponent -(B - 2*lambda*t*E)^2/(4*lambda*t)
     less its E-independent part, so it stays well-scaled for huge |B|.  t, B and
-    energies broadcast as given (the caller places the level axis); t = 0 gives 0."""
-    t = np.asarray(t, float)
-    B = np.where(t == 0, 0.0, np.asarray(B, float))
-    e = np.asarray(energies, float)
-    return -params.lam * t * e * e + B * e
+    energies broadcast as given (the caller places the level axis), or are all
+    Python floats, whose exponent is a float computed without numpy; either
+    way t = 0 gives 0 for any finite B."""
+    if isinstance(t, (int, float)) and isinstance(B, (int, float)) \
+            and isinstance(energies, (int, float)):
+        B = 0.0 if t == 0 else B
+    else:
+        import numpy as np
+        t = np.asarray(t, float)
+        B = np.where(t == 0, 0.0, np.asarray(B, float))
+        energies = np.asarray(energies, float)
+    return -params.lam * t * energies * energies + B * energies
 
 
 def collapse_weights(energies, log_w0, params, t, b):
@@ -58,6 +66,7 @@ def collapse_weights(energies, log_w0, params, t, b):
     broadcasts against b; returns weights of shape (n_lev, *b.shape), formed
     in place in the one array of the exponent.
     """
+    import numpy as np
     b = np.asarray(b, float)
     lev = (-1,) + (1,) * b.ndim
     w = collapse_exponent(params, t, b, np.reshape(np.asarray(energies, float), lev))
@@ -76,6 +85,7 @@ def evolve(
 
     Returns the unnormalized state; t = 0 is the identity.
     """
+    from .hilbert import SpectralState
     if not (math.isfinite(t) and math.isfinite(B)):
         raise DomainError(f"t and B must be finite, got t = {t}, B = {B}")
     if t < 0:
@@ -100,6 +110,9 @@ def record_marginal_density(
     mean 2*lambda*dt*E, variance lambda*dt, weighted by the energy
     distribution.  Integrates to 1 over the real line.
     """
+    import numpy as np
+
+    from .hilbert import energy_distribution
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt}")
     e, w = energy_distribution(state_t0).as_arrays()

@@ -6,14 +6,17 @@ Gaussian suppresses off-resonant levels by factors like exp(-lambda*t*dE^2),
 which underflows double precision long before the physics gets boring, so
 all norms go through log-sum-exp and ratios are formed after subtracting a
 common log offset.
+
+The module imports no numpy when loaded.  The records' checks are plain
+Python, all but `ObservableMatrix`'s, whose entries are a numpy array; the
+functions that compute with arrays import numpy when called, so a run that
+only builds spectra loads none.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import DomainError, _checked
 
@@ -83,6 +86,7 @@ class SpectralState(NamedTuple):
     @classmethod
     def from_amplitudes(cls, levels, amplitudes, normalized_flag=False):
         """Build from ordinary complex amplitudes (convenience path)."""
+        import numpy as np
         amplitudes = np.asarray(amplitudes, dtype=complex)
         log_mags = np.full(amplitudes.shape, NEG_INF)
         nonzero = amplitudes != 0
@@ -92,6 +96,7 @@ class SpectralState(NamedTuple):
                    normalized_flag)
 
     def energies(self) -> np.ndarray:
+        import numpy as np
         return np.array([lv.energy for lv in self.levels])
 
     def amplitudes(self, log_shift: float = 0.0) -> np.ndarray:
@@ -100,6 +105,7 @@ class SpectralState(NamedTuple):
         Pass the log norm (or the max log magnitude) as ``log_shift`` when
         the raw amplitudes would underflow.
         """
+        import numpy as np
         lm = np.asarray(self.log_magnitudes) - log_shift
         return np.exp(lm) * np.exp(1j * np.asarray(self.phases))
 
@@ -117,6 +123,7 @@ class ObservableMatrix(NamedTuple):
     entries: np.ndarray
 
     def _check(self):
+        import numpy as np
         basis, entries = tuple(self.basis), np.asarray(self.entries, dtype=complex)
         if basis is not self.basis or entries is not self.entries:
             return self._replace(basis=basis, entries=entries)
@@ -129,15 +136,18 @@ class ObservableMatrix(NamedTuple):
 
     @classmethod
     def identity(cls, basis):
+        import numpy as np
         return cls(tuple(basis), np.eye(len(tuple(basis))))
 
     @classmethod
     def hamiltonian(cls, basis):
+        import numpy as np
         basis = tuple(basis)
         return cls(basis, np.diag([lv.energy for lv in basis]).astype(complex))
 
     @classmethod
     def energy_projector(cls, basis, energy):
+        import numpy as np
         basis = tuple(basis)
         diag = [1.0 if lv.energy == energy else 0.0 for lv in basis]
         return cls(basis, np.diag(diag).astype(complex))
@@ -151,18 +161,22 @@ class DiscreteSpectrum(NamedTuple):
     weights: tuple[float, ...]
 
     def _check(self):
-        e = np.asarray(self.energies, float)
-        w = np.asarray(self.weights, float)
-        if e.shape != w.shape or e.ndim != 1 or e.size == 0:
+        try:  # the values as numpy.asarray(x, float) reads them
+            e, w = (tuple(map(float, x)) for x in (self.energies, self.weights))
+        except TypeError:  # not a sequence of numbers
+            e = w = ()
+        if len(e) != len(w) or not e:
             raise DomainError("energies and weights must be equal-length 1-d")
-        if np.any(np.diff(e) <= 0):
+        if any(hi <= lo for lo, hi in zip(e, e[1:])):
             raise DomainError("energies must be strictly increasing")
-        if np.any(w < 0):
+        if any(x < 0 for x in w):
             raise DomainError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise DomainError(f"weights must sum to 1, got {w.sum()!r}")
+        total = math.fsum(w)
+        if abs(total - 1.0) > 1e-12:
+            raise DomainError(f"weights must sum to 1, got {total!r}")
 
     def as_arrays(self):
+        import numpy as np
         return np.asarray(self.energies, float), np.asarray(self.weights, float)
 
 
@@ -175,6 +189,7 @@ def squared_norm(state: SpectralState) -> tuple[float, float]:
     bit: the m tied maxima are taken out of the sum, and the rest, scaled
     by exp(-max), enter as log1p(sum/m) + log(m) + max.
     """
+    import numpy as np
     x = 2.0 * np.asarray(state.log_magnitudes)
     log_n2 = top = x.max()
     if top > NEG_INF:  # else every component is zero (or one is nan)
@@ -193,6 +208,7 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
     The imaginary part must vanish (A is Hermitian); it is asserted below
     1e-10 relative and dropped.
     """
+    import numpy as np
     if obs.basis != state.levels:
         raise DomainError("observable basis does not match state levels")
     log_n2, _ = squared_norm(state)
@@ -210,6 +226,7 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
 
 def energy_distribution(state: SpectralState) -> DiscreteSpectrum:
     """Degeneracy-summed, unity-normalized energy spectrum of a state."""
+    import numpy as np
     log_n2, _ = squared_norm(state)
     if log_n2 == NEG_INF:
         raise DomainError("zero-norm state")

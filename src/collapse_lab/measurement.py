@@ -6,20 +6,22 @@ which weights amplitudes by a phase-blind Gaussian in energy, can never
 change the branch weight ratio.  The fixture files encode the shared
 magnitudes and the per-branch phases; a control fixture with unequal
 magnitudes shows what collapse sensitivity would look like.
+
+The ratio is computed in `math`, one (t, B) point a call: the module imports
+neither numpy nor `hilbert` when loaded, and only `build_branches`, which
+makes the branch states, loads them, when called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _checked
+from . import DomainError, _checked
 from .engine import CollapseParams, collapse_exponent
-from .hilbert import DomainError, EnergyLevel, SpectralState
 
 __all__ = [
     "BranchSpec",
@@ -28,10 +30,6 @@ __all__ = [
     "load_branch_fixture",
     "fixture_path",
 ]
-
-#: cap on the (point, level) temporaries of a `branch_weight_ratio` block (64 MiB)
-_BLOCK_BYTES = 2**26
-
 
 @_checked
 class BranchSpec(NamedTuple):
@@ -71,6 +69,7 @@ class BranchSpec(NamedTuple):
 
 def _levels(energies):
     # repeated energies get consecutive degeneracy labels
+    from .hilbert import EnergyLevel
     counts: dict[float, int] = {}
     levels = []
     for e in energies:
@@ -82,6 +81,9 @@ def _levels(energies):
 
 def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
     """States of the two branches (unnormalized, amplitudes m*exp(i*theta))."""
+    import numpy as np
+
+    from .hilbert import SpectralState
     levels = _levels(spec.energies)
     mags_2 = spec.branch_2_magnitudes
     amps_1 = np.asarray(spec.magnitudes) * np.exp(1j * np.asarray(spec.phases_1))
@@ -92,38 +94,41 @@ def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
     )
 
 
-def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t, B):
+@functools.lru_cache(maxsize=8)
+def _twice_log_magnitudes(mags: tuple[float, ...]) -> tuple[float, ...]:
+    """2*log|m| of each magnitude, a zero one -inf without evaluating log(0);
+    computed once per branch of a spec, not once per (t, B) point."""
+    if not any(mags):
+        raise DomainError("each branch needs a nonzero magnitude")
+    return tuple(2.0 * math.log(abs(m)) if m else -math.inf for m in mags)
+
+
+def _log_norm2(x: list[float]) -> float:
+    """log sum exp(x), the largest term taken out first."""
+    top = max(x)
+    return top + math.log(math.fsum(math.exp(v - top) for v in x))
+
+
+def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t: float,
+                        B: float) -> float:
     """|beta_2|^2 ||Psi2_B||^2 / (|beta_1|^2 ||Psi1_B||^2) after collapse.
 
     For shared-spectrum branches this equals |beta_2|^2/|beta_1|^2 for every
-    (t, B): there is no collapse between the branches.  Broadcasts over t
-    and B, in blocks of (t, B) points whose temporaries, 32 bytes a point and
-    level, fit _BLOCK_BYTES.  Each log norm is a log-sum-exp over levels of
-    2*(log m + dlog), dlog being `engine.collapse_exponent`.
+    (t, B): there is no collapse between the branches.  One point a call;
+    each log norm is a log-sum-exp over levels of 2*(log m + dlog), dlog
+    being `engine.collapse_exponent`.
     """
     if spec.beta_1 == 0:
         raise DomainError("beta_1 = 0: ratio undefined")
-    t, B = np.broadcast_arrays(np.asarray(t, float), np.asarray(B, float))
-    if not (np.isfinite(t).all() and np.isfinite(B).all() and (t >= 0).all()):
+    t, B = float(t), float(B)
+    if not (math.isfinite(t) and math.isfinite(B) and t >= 0):
         raise DomainError("t and B must be finite and t >= 0")
-    n = max(1, _BLOCK_BYTES // (32 * len(spec.energies)))
-    if t.size > n:  # the ratios of blocks of n points, in C order
-        return np.concatenate([branch_weight_ratio(spec, params, t.flat[i:i + n],
-                                                   B.flat[i:i + n])
-                               for i in range(0, t.size, n)]).reshape(t.shape)
-    dlog2 = 2.0 * collapse_exponent(params, t[..., None], B[..., None], spec.energies)
-
-    def log_norm2(mags):
-        m = np.abs(np.asarray(mags, float))
-        if not m.any():
-            raise DomainError("each branch needs a nonzero magnitude")
-        # a zero magnitude is log m = -inf, taken without evaluating log(0)
-        x = dlog2 + 2.0 * np.log(m, where=m > 0, out=np.full_like(m, -np.inf))
-        x_max = x.max(axis=-1)
-        return x_max + np.log(np.exp(x - x_max[..., None]).sum(axis=-1))
-
+    dlog2 = [2.0 * collapse_exponent(params, t, B, e) for e in spec.energies]
+    log_n1, log_n2 = (
+        _log_norm2([d + lm for d, lm in zip(dlog2, _twice_log_magnitudes(tuple(mags)))])
+        for mags in (spec.magnitudes, spec.branch_2_magnitudes))
     w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
-    return w * np.exp(log_norm2(spec.branch_2_magnitudes) - log_norm2(spec.magnitudes))
+    return w * math.exp(log_n2 - log_n1)
 
 
 # --- fixture files ---------------------------------------------------------

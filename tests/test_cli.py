@@ -25,7 +25,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 #: the shipped configs whose runs and `validate` load no numpy
-NUMPY_FREE = ("spin_suppression", "decay_closed")
+NUMPY_FREE = ("spin_suppression", "decay_closed", "records_half_overlap",
+              "measurement_shared")
 
 
 def write_config(tmp_path, body, name="exp.ini"):
@@ -688,6 +689,26 @@ n_s = 5
         assert "column 't (time)' holds non-finite values" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_measurement_float_overflow_is_three(self, tmp_path, monkeypatch):
+        # lambda*t*E^2 overflows to inf, and -inf*0 at E = 0 is nan: with
+        # Python floats no error is raised, so the non-finite ratios must
+        # be refused before anything is written
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, MEASUREMENT_INI.replace(
+            "lambda = 1.0", "lambda = 1e300").replace(
+            "t_max = 5.0", "t_max = 1e10").replace("b_max = 12.0", "b_max = 1e300"))
+        assert main(["measurement", "--config", str(path), "--out", "o.csv"]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_records_float_overflow_is_three(self, tmp_path, monkeypatch, capsys):
+        # (b_plus - b_minus)**2 is a Python float power: OverflowError
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, RECORDS_INI.replace(
+            "b_plus = 1.0", "b_plus = 1e200").replace("b_minus = -1.0", "b_minus = -1e200"))
+        assert main(["records", "--config", str(path), "--out", "o.csv"]) == 3
+        assert "overflow" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 class TestValidate:
     def test_accepts_a_billion_collapse_trajectories(self, tmp_path):
@@ -983,20 +1004,20 @@ class TestEnsembleRunner:
 
 class TestMeasurementRunner:
     def test_estimate_charges_the_grid_up_to_one_block(self):
-        # 32 bytes a point and level, at most one _BLOCK_BYTES block: the
-        # shipped 400-point, 6-level grid is charged about 77 KB, not 64 MiB
+        # a row a point and one point's temporaries, a few floats a level: the
+        # ratio is computed point by point, so no (point, level) block is held
         cfg = ExperimentConfig.from_file(CONFIGS / "measurement_shared.ini")
         p, levels = cfg.parameters, len(cfg.model[0].energies)
         points = p["n_t"] * p["n_b"]
-        assert array_bytes(cfg) == {"'n_t' x 'n_b'": 72 * points + 32 * points * levels}
+        row = cli._CLOSED_ROW_BYTES
+        assert array_bytes(cfg) == {"'n_t' x 'n_b'": row * points + 136 * levels}
         big = {**p, "n_t": 1000, "n_b": 1000}
         assert cli._measurement_bytes(big, cfg.model) == {
-            "'n_t' x 'n_b'": 72 * 10**6 + measurement._BLOCK_BYTES}
+            "'n_t' x 'n_b'": row * 10**6 + 136 * levels}
 
-    def test_many_levels_stay_within_the_block_budget(self, tmp_path, monkeypatch):
-        # the (point, level) temporaries are bounded by measurement's
-        # _BLOCK_BYTES, not by n_t*n_b times the fixture's level count, and
-        # blocking changes no value
+    def test_many_levels_stay_within_the_block_budget(self, tmp_path):
+        # the (point, level) temporaries are one point's, not n_t*n_b times
+        # the fixture's level count, and each row is the one-point ratio
         fixture = tmp_path / "many.txt"
         fixture.write_text("".join(
             f"{0.01 * i} {1.0 + 0.001 * i} 0.0 0.5 {1.0 - 0.001 * i}\n"
@@ -1004,19 +1025,17 @@ class TestMeasurementRunner:
         ))
         p = {"fixture": str(fixture), "lambda": 1.0, "t_max": 2.0,
              "n_t": 20, "b_max": 3.0, "n_b": 20}
-        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**16)
         tracemalloc.start()
         try:
             _, table, _ = cli._run_measurement(ExperimentConfig("measurement", p))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # unblocked, the temporaries alone are 32*200*400 bytes = 2.5 MB
+        # all at once, the temporaries alone are 32*200*400 bytes = 2.5 MB
         assert peak < 2**19
         spec = load_branch_fixture(fixture)
-        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**40)  # one block
-        whole = branch_weight_ratio(spec, CollapseParams(1.0), table[:, 0], table[:, 1])
-        np.testing.assert_array_equal(table[:, 2], whole)
+        assert [r for *_, r in table] == [
+            branch_weight_ratio(spec, CollapseParams(1.0), t, b) for t, b, _ in table]
 
 
 class TestOutputs:
@@ -1149,13 +1168,12 @@ n_s = 10000
     ENSEMBLE_INI.replace("n_t = 12", "n_t = 20000").replace("n_traj = 200", "n_traj = 2"),
 ], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
         "kgrid_decay", "ensemble_n_traj", "collapse_tiles", "ensemble_n_t"])
-def test_array_estimate_is_the_measured_peak(tmp_path, monkeypatch, ini):
+def test_array_estimate_is_the_measured_peak(tmp_path, ini):
     # each table value is charged as its float plus the runner's temporaries,
     # and the writers as one block: the estimate covers the tracemalloc peak
     # of a run and its output, and charges the runner less than twice its own
     # peak (a flat 64 bytes a value overcharged most runners about 2x and
-    # undercharged spin); a small measurement block leaves the per-value charge
-    monkeypatch.setattr(measurement, "_BLOCK_BYTES", 2**16)
+    # undercharged spin)
     cfg = ExperimentConfig.from_file(write_config(tmp_path, ini))
     run_estimate = sum(array_bytes(cfg).values())
     tracemalloc.start()
@@ -1175,17 +1193,24 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=500, deadline=None)
-@given(finite, finite, st.integers(2, 1001))
+@given(finite, finite, st.integers(1, 1001))
 @example(-4.0, 8.0, 400)  # spin_suppression.ini
 @example(-4.0, 4.0, 400)  # decay_closed.ini
+@example(0.1, 10.0, 100)  # records_half_overlap.ini
+@example(0.25, 5.0, 20)  # measurement_shared.ini, t
+@example(-12.0, 12.0, 20)  # measurement_shared.ini, B
 @example(0.1, 7.3, 1001)
 @example(-1e3, 3.7, 77)
 @example(0.0, 5e-324, 4)  # the step underflows to 0
+@example(5.0, 5.0, 1)  # a one-point records or measurement t grid
+@example(-0.0, -0.0, 1)
+@example(-0.0, 1.0, 1)  # numpy's one point 0*(b - a) + a is +0.0
+@example(-1e308, 1e308, 1)  # b - a overflows: both give nan
 def test_grid_is_numpy_linspace_bit_for_bit(a, b, n):
-    # the closed-form runs' grid, for any finite a < b, n >= 2; where b - a
-    # overflows both give nan then inf
+    # the closed-form runs' grid, for any finite a < b and n >= 1, or a == b
+    # at n = 1; where b - a overflows both give nan then inf
     a, b = sorted((a, b))
-    assume(a < b)
+    assume(a < b or n == 1)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.linspace(a, b, n)
     got = np.array(cli._grid(a, b, n))
@@ -1291,10 +1316,10 @@ def test_runs_without_scipy(tmp_path):
     # summaries name no scipy version; the Faddeeva coefficients must not
     # pull in numpy.fft either.  The closed-form runs come first, before
     # anything imports numpy, and their summaries name no numpy version
-    closed = [("spin", "spin_suppression"), ("decay", "decay_closed")]
+    closed = [("spin", "spin_suppression"), ("decay", "decay_closed"),
+              ("measurement", "measurement_shared"), ("records", "records_half_overlap")]
     runs = [("collapse", "collapse_two_level"), ("ensemble", "ensemble_damping"),
-            ("ensemble", "universe_tcal"), ("measurement", "measurement_shared"),
-            ("records", "records_half_overlap"), ("decay", "decay_kgrid")]
+            ("ensemble", "universe_tcal"), ("decay", "decay_kgrid")]
     child = (
         "import json, math, sys\n"
         "sys.modules['scipy'] = None\n"
@@ -1400,6 +1425,23 @@ def test_kgrid_summary_reports_chebyshev_series(tmp_path):
     assert scalars["chebyshev_tail"] == tail < kgrid.CHEBYSHEV_TOL
 
 
+def test_kgrid_reports_no_t_cal(tmp_path, capsys):
+    # the k-grid oracle applies no collapse smearing: `validate` prints no
+    # T_cal line and the summary holds no T_cal scalar, though the echoed
+    # parameters list the closed mode's t_cal key at its default; closed
+    # decay keeps both
+    assert main(["validate", "--config", str(CONFIGS / "decay_kgrid.ini")]) == 0
+    assert "T_cal" not in capsys.readouterr().out
+    doc, _ = kgrid_summaries(tmp_path, SMALL_KGRID_INI)
+    assert "T_cal" not in doc["scalars"] and doc["parameters"]["t_cal"] == 0.0
+    path = write_config(tmp_path, CLOSED_DECAY_INI, "closed.ini")
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "T_cal (key 't_cal') = 1"
+    assert main(["decay", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+    doc = json.loads((tmp_path / "c.summary.json").read_text())
+    assert doc["scalars"]["T_cal"] == 1.0
+
+
 def test_kgrid_matvecs_count_every_segment(tmp_path):
     # a span of 24 at half about 22.75 (argument about 546) is three segments
     # of 8, each of one series of exp(-i*H*8): the terms and tail describe
@@ -1457,7 +1499,9 @@ KGRID_ORACLE = ("integrate_kgrid", "kgrid_chebyshev", "bessel_j")
 
 @pytest.mark.parametrize("section, stem, unloaded", [
     ("records", "records_half_overlap",
-     {"ensemble", "rng", "_kernels", "decay", "kgrid", "spin", "measurement"}),
+     {"engine", "ensemble", "rng", "_kernels", "decay", "kgrid", "spin", "measurement"}),
+    ("measurement", "measurement_shared",
+     {"hilbert", "ensemble", "rng", "_kernels", "decay", "kgrid", "spin", "records"}),
     ("spin", "spin_suppression",
      {"hilbert", "engine", "ensemble", "rng", "decay", "kgrid", "records", "measurement"}),
     ("decay", "decay_closed",
@@ -1466,7 +1510,7 @@ KGRID_ORACLE = ("integrate_kgrid", "kgrid_chebyshev", "bessel_j")
      {"_kernels", "decay", "kgrid", "spin", "records", "measurement"}),
     ("decay", "decay_kgrid",
      {"hilbert", "engine", "ensemble", "rng", "records", "measurement", "spin"}),
-], ids=["records", "spin", "decay", "ensemble", "decay_kgrid"])
+], ids=["records", "measurement", "spin", "decay", "ensemble", "decay_kgrid"])
 def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
     # one fresh interpreter per run: the experiment's build and runner import
     # its layers, and the package imports none of its own accord
@@ -1496,8 +1540,8 @@ def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_closed_form_runs_load_no_numpy(tmp_path, config):
     # one fresh interpreter per shipped config: `validate`, then a run; the
-    # closed-form spin and decay compute in math and cmath, and neither step
-    # imports numpy, while every other run still does
+    # closed-form spin, records, measurement and decay compute in math and
+    # cmath, and neither step imports numpy, while every other run still does
     section = ExperimentConfig.from_file(config).experiment
     child = (
         "import json, sys\n"

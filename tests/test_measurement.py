@@ -87,39 +87,40 @@ class TestBranchWeightRatio:
 
     @pytest.mark.parametrize("fixture", ["branch_shared.txt", "branch_control.txt"])
     def test_grid_is_evolve_and_squared_norm(self, fixture):
-        # the batched log-sum-exp against the state-by-state route, t = 0
+        # the log-sum-exp over levels against the state-by-state route, t = 0
         # (the identity for every B) included
         spec = load_branch_fixture(fixture_path(fixture))
-        ts = np.array([0.0, 0.25, 1.0, 5.0])[:, None]
-        bs = np.array([-12.0, -0.5, 0.0, 3.0, 12.0])
-        got = branch_weight_ratio(spec, PARAMS, ts, bs)
-        assert got.shape == (4, 5)
+        ts = [0.0, 0.25, 1.0, 5.0]
+        bs = [-12.0, -0.5, 0.0, 3.0, 12.0]
+        got = [[branch_weight_ratio(spec, PARAMS, t, b) for b in bs] for t in ts]
         s1, s2 = build_branches(spec)
         w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
-        for i, t in enumerate(ts[:, 0].tolist()):
-            for j, b in enumerate(bs.tolist()):
+        for t, row in zip(ts, got):
+            for b, ratio in zip(bs, row):
+                assert type(ratio) is float
                 log_n1, _ = squared_norm(evolve(s1, PARAMS, t, b))
                 log_n2, _ = squared_norm(evolve(s2, PARAMS, t, b))
                 want = w * math.exp(log_n2 - log_n1)
-                assert got[i, j] == pytest.approx(want, rel=1e-12)
-                assert branch_weight_ratio(spec, PARAMS, t, b) == got[i, j]
-        np.testing.assert_array_equal(got[0], got[0, 0])
+                assert ratio == pytest.approx(want, rel=1e-12)
+        assert got[0] == [got[0][0]] * len(bs)
 
-    def test_blocks_change_no_ratio(self, monkeypatch):
-        # blocks of 3 points cut across the rows of a broadcast (4, 5) grid
+    def test_log_magnitudes_are_taken_once_per_spec(self):
+        # 2*log m of each branch is cached by its magnitudes: a grid of
+        # points takes it once per branch, not once per point
         spec = load_branch_fixture(fixture_path("branch_control.txt"))
-        ts = np.array([0.0, 0.25, 1.0, 5.0])[:, None]
-        bs = np.array([-12.0, -0.5, 0.0, 3.0, 12.0])
-        whole = branch_weight_ratio(spec, PARAMS, ts, bs)
-        monkeypatch.setattr(measurement, "_BLOCK_BYTES", 3 * 32 * len(spec.energies))
-        np.testing.assert_array_equal(branch_weight_ratio(spec, PARAMS, ts, bs), whole)
+        measurement._twice_log_magnitudes.cache_clear()
+        for t in (0.5, 1.0, 2.0):
+            for b in (-3.0, 0.0, 3.0):
+                branch_weight_ratio(spec, PARAMS, t, b)
+        info = measurement._twice_log_magnitudes.cache_info()
+        assert (info.misses, info.hits) == (2, 16)
 
     def test_zero_magnitudes_take_no_log_of_zero(self):
+        # math.log(0.0) would raise: a zero magnitude enters as -inf
         half = complex(math.sqrt(0.5))
         spec = BranchSpec((0.0, 1.0, 2.0), (0.0, 0.6, 0.8), (0.0,) * 3, (0.0,) * 3,
                           half, half, magnitudes_2=(0.6, 0.0, 0.8))
-        with np.errstate(divide="raise", invalid="raise"):
-            r = branch_weight_ratio(spec, PARAMS, 1.0, 2.0)
+        r = branch_weight_ratio(spec, PARAMS, 1.0, 2.0)
         # level weights m^2*exp(2*(-t*E^2 + B*E)) = m^2*exp(0, 2, 0)
         assert r == pytest.approx(1.0 / (0.36 * math.exp(2.0) + 0.64), rel=1e-14)
 

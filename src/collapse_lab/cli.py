@@ -247,21 +247,22 @@ def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_values=0) -> int:
     return 8 * (floats * n_lev * rows * steps + block_values * block)
 
 
-def _build_levels(p, key, level_weights):
+def _build_levels(p, key, power):
     """(initial SpectralState, CollapseParams) of a config that gives one
-    value per level under `key`, mapped to the level weights by
-    `level_weights`.  Sorts `energies` ascending, and `key` and `phases`
-    with them: the output columns index levels by ascending energy, and the
+    value v per level under `key`, of log-magnitude power*log(v/max v) before
+    the state is normalized: a ratio to the largest value never overflows,
+    and one that is 0 (a zero value, or one that underflows) gives a level of
+    zero amplitude.  Sorts `energies` ascending, and `key` and `phases` with
+    them: the output columns index levels by ascending energy, and the
     summary echoes that order."""
-    import numpy as np
-
     from .engine import CollapseParams
     from .hilbert import EnergyLevel, SpectralState
     if len(p["energies"]) != len(p[key]):
         raise ConfigError(f"keys 'energies' and '{key}' must align")
     if len(set(p["energies"])) != len(p["energies"]):
         raise ConfigError("key 'energies' must not repeat values")
-    if any(w < 0 for w in p[key]) or sum(p[key]) <= 0:
+    top = max(p[key])
+    if min(p[key]) < 0 or top == 0:
         raise ConfigError(f"key '{key}' must be nonnegative, not all zero")
     if p.get("phases") is not None and len(p["phases"]) != len(p["energies"]):
         raise ConfigError("keys 'energies' and 'phases' must align")
@@ -270,15 +271,12 @@ def _build_levels(p, key, level_weights):
         if p.get(k) is not None:
             p[k] = tuple(p[k][i] for i in order)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            levels = tuple(EnergyLevel(float(e)) for e in p["energies"])
-            w = np.asarray(level_weights(p[key]), float)
-            # log|amplitude| = (log w - log sum w)/2, a zero weight -inf
-            log_m = 0.5 * (np.log(w, where=w > 0, out=np.full_like(w, -np.inf))
-                           - np.log(np.sum(w)))
-            ph = p.get("phases") or (0.0,) * len(levels)
-            state0 = SpectralState(levels, tuple(log_m.tolist()), ph).normalized()
-    except (DomainError, FloatingPointError) as exc:
+        levels = tuple(EnergyLevel(float(e)) for e in p["energies"])
+        log_m = tuple(power * math.log(r) if r > 0 else -math.inf
+                      for r in (v / top for v in p[key]))
+        ph = p.get("phases") or (0.0,) * len(levels)
+        state0 = SpectralState(levels, log_m, ph).normalized()
+    except DomainError as exc:
         raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
     return state0, CollapseParams(p["lambda"])
 
@@ -300,7 +298,7 @@ def _run_collapse(cfg):
     from .ensemble import _collapse_pass
     p, (state0, params) = cfg.parameters, cfg.model
     n_traj, n_steps = p["n_traj"], p["n_steps"]
-    times = np.linspace(p["t_max"] / n_steps, p["t_max"], n_steps)
+    times = np.array(_grid(p["t_max"] / n_steps, p["t_max"], n_steps))
     n_lev = len(p["energies"])
     n_collapsed = np.zeros(n_steps, np.int64)
     weight_sums = np.zeros((n_steps, n_lev))
@@ -318,9 +316,9 @@ def _run_collapse(cfg):
         "collapsed_fraction": float(frac[-1]),
         "n_traj": n_traj,
     }
-    # final mean weight against the Born weight, in binomial standard errors;
-    # a Born weight of 0 or 1 has no spread and gives 0
-    born = np.asarray(p["weights"]) / sum(p["weights"])
+    # final mean weight against the Born weight of the built state, in
+    # binomial standard errors; a Born weight of 0 or 1 has no spread and gives 0
+    born = np.exp(2.0 * np.asarray(state0.log_magnitudes))
     se = np.sqrt(born * (1.0 - born) / n_traj)
     z = np.divide(mean_w[-1] - born, se, out=np.zeros(n_lev), where=se > 0)
     summary.update((f"born_z_E{i}", float(v)) for i, v in enumerate(z))
@@ -335,19 +333,13 @@ EXPERIMENTS["collapse"] = Experiment(
      "n_steps": (_int_pos, False, 50),
      "n_traj": (_int_pos, False, 200),
      "threshold": (_fraction, False, 0.999)},
-    build=lambda p: _build_levels(p, "weights", lambda weights: weights),
+    build=lambda p: _build_levels(p, "weights", 0.5),
     array_bytes=_collapse_bytes, run=_run_collapse)
 
 
 def _rho_rows(n_lev) -> int:
     """Rows of the ensemble table per block: _WRITE_VALUES matrix entries."""
     return max(1, _WRITE_VALUES // n_lev**2)
-
-
-def _squared_ratios(mags) -> list[float]:
-    """(m/max)**2 of each magnitude m, as numpy.square(mags/max) computes it."""
-    top = max(mags)
-    return [r * r for r in (m / top for m in mags)]
 
 
 def _ensemble_bytes(p, model):
@@ -370,7 +362,7 @@ def _run_ensemble(cfg):
     from .ensemble import _density_matrices, ensemble_expectation_mc
     from .hilbert import ObservableMatrix, expectation
     p, (state0, params) = cfg.parameters, cfg.model
-    times = np.linspace(0.0, p["t_max"], p["n_t"])
+    times = np.array(_grid(0.0, p["t_max"], p["n_t"]))
     energies = state0.energies()
     iu = np.triu_indices(len(energies), 1)
     cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
@@ -410,10 +402,7 @@ EXPERIMENTS["ensemble"] = Experiment(
      "t_max": (_positive, True, None),
      "n_t": (_n_grid, False, 100),
      "n_traj": (_n_traj_mc, False, 0)},
-    # the level weights are the squared magnitudes; scaling by the largest
-    # first keeps tiny ones from underflowing to 0 and large ones from
-    # overflowing
-    build=lambda p: _build_levels(p, "magnitudes", _squared_ratios),
+    build=lambda p: _build_levels(p, "magnitudes", 1.0),
     array_bytes=_ensemble_bytes, run=_run_ensemble)
 
 

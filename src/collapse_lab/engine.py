@@ -43,19 +43,12 @@ class CollapseParams(NamedTuple):
 
 def collapse_exponent(params: CollapseParams, t, B, energies):
     """-lambda*t*E^2 + B*E: the collapse exponent -(B - 2*lambda*t*E)^2/(4*lambda*t)
-    less its E-independent part, so it stays well-scaled for huge |B|.  t, B and
-    energies broadcast as given (the caller places the level axis), or are all
-    Python floats, whose exponent is a float computed without numpy; either
-    way t = 0 gives 0 for any finite B."""
-    if isinstance(t, (int, float)) and isinstance(B, (int, float)) \
-            and isinstance(energies, (int, float)):
-        B = 0.0 if t == 0 else B
-    else:
-        import numpy as np
-        t = np.asarray(t, float)
-        B = np.where(t == 0, 0.0, np.asarray(B, float))
-        energies = np.asarray(energies, float)
-    return -params.lam * t * energies * energies + B * energies
+    less its E-independent part, so it stays well-scaled for huge |B|.  One
+    expression for Python floats, whose exponent is a float computed without
+    numpy, and for numpy arrays, which broadcast as given (the caller places
+    the level axis), so the two agree bit for bit; B enters times (t != 0),
+    so t = 0 gives 0 for any finite B."""
+    return -params.lam * t * energies * energies + B * (t != 0) * energies
 
 
 def collapse_weights(energies, log_w0, params, t, b):

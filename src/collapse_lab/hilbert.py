@@ -167,6 +167,8 @@ class DiscreteSpectrum(NamedTuple):
             e = w = ()
         if len(e) != len(w) or not e:
             raise DomainError("energies and weights must be equal-length 1-d")
+        if not all(map(math.isfinite, e + w)):
+            raise DomainError("energies and weights must be finite")
         if any(hi <= lo for lo, hi in zip(e, e[1:])):
             raise DomainError("energies must be strictly increasing")
         if any(x < 0 for x in w):

@@ -14,6 +14,7 @@ makes the branch states, loads them, when called.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from importlib import resources
@@ -53,6 +54,10 @@ class BranchSpec(NamedTuple):
             raise DomainError("energies, magnitudes and phase lists must align")
         if self.magnitudes_2 is not None and len(self.magnitudes_2) != n:
             raise DomainError("magnitudes_2 length mismatch")
+        if not all(map(cmath.isfinite, (*self.energies, *self.magnitudes, *self.phases_1,
+                                        *self.phases_2, self.beta_1, self.beta_2,
+                                        *(self.magnitudes_2 or ())))):
+            raise DomainError("energies, magnitudes, phases and betas must be finite")
         if any(m < 0 for m in self.magnitudes):
             raise DomainError("magnitudes must be nonnegative")
         if abs(abs(self.beta_1) ** 2 + abs(self.beta_2) ** 2 - 1.0) > 1e-12:
@@ -170,9 +175,6 @@ def load_branch_fixture(path) -> BranchSpec:
             mags2.append(cols[4])
     if has_m2 and len(mags2) != len(mags):
         raise DomainError("magnitude_2 column must be present on every line")
-    if not all(map(math.isfinite, [*energies, *mags, *th1, *th2, *mags2,
-                                   beta2_1, beta2_2])):
-        raise DomainError("fixture values must be finite")
     if not (beta2_1 > 0 and beta2_2 >= 0):
         raise DomainError(f"need beta2_1 > 0 and beta2_2 >= 0, got {beta2_1}, {beta2_2}")
     if not any(mags) or (has_m2 and not any(mags2)):

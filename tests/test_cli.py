@@ -352,22 +352,6 @@ n_traj = 10
         assert "'fixture'" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
-    @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("ini, key", [
-        (COLLAPSE_INI.replace("weights = 0.25, 0.75", "weights = 1e308, 1e308"),
-         "'weights'"),
-    ], ids=["collapse_weights"])
-    def test_state_weights_that_overflow_are_two(self, tmp_path, capsys, command,
-                                                 ini, key):
-        path = write_config(tmp_path, ini)
-        section = ini[1:ini.index("]")]
-        args = ["validate", "--config", str(path)]
-        if command == "run":
-            args = [section, "--config", str(path), "--out", str(tmp_path / "o.csv")]
-        assert main(args) == 2
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
-
     def test_fixture_echoed_as_written(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, MEASUREMENT_INI)
@@ -772,6 +756,26 @@ class TestCollapseRunner:
         header, rows = read_csv(tmp_path / "c.csv")
         e0 = header.index("mean_weight_E0 (dimensionless)")
         assert abs(rows[-1][e0] - 0.1) < 0.05
+
+    @pytest.mark.parametrize("weights, same_as", [
+        ("1e308, 1e308", "1, 1"),  # their sum overflows
+        ("1e-200, 1e200", "0, 1"),  # the ratio 1e-400 underflows to 0
+    ], ids=["huge", "tiny_ratio"])
+    def test_weights_are_the_state_of_their_ratios(self, tmp_path, monkeypatch,
+                                                   weights, same_as):
+        # each level's log-magnitude is log(w/max w)/2, so no sum of weights
+        # is formed to overflow, and a ratio that underflows is a level of
+        # zero amplitude: table and scalars are those of the ratios
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for w in (weights, same_as):
+            path = write_config(tmp_path, COLLAPSE_INI.replace(
+                "weights = 0.25, 0.75", f"weights = {w}"))
+            for command in (["validate"], ["collapse", "--out", "c.csv"]):
+                assert main([command[0], "--config", str(path), *command[1:]]) == 0
+            outputs.append(((tmp_path / "c.csv").read_bytes(),
+                            json.loads((tmp_path / "c.summary.json").read_text())["scalars"]))
+        assert outputs[0] == outputs[1]
 
     def test_mean_weights_are_the_kernel_weights(self, tmp_path, monkeypatch,
                                                  stream_path):
@@ -1206,9 +1210,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(-0.0, -0.0, 1)
 @example(-0.0, 1.0, 1)  # numpy's one point 0*(b - a) + a is +0.0
 @example(-1e308, 1e308, 1)  # b - a overflows: both give nan
+@example(0.2, 8.0, 40)  # collapse_two_level.ini
+@example(0.0, 6.0, 120)  # ensemble_damping.ini
 def test_grid_is_numpy_linspace_bit_for_bit(a, b, n):
-    # the closed-form runs' grid, for any finite a < b and n >= 1, or a == b
-    # at n = 1; where b - a overflows both give nan then inf
+    # the CLI's grid (every run's but the k-grid oracle's), for any finite
+    # a < b and n >= 1, or a == b at n = 1; where b - a overflows both give
+    # nan then inf
     a, b = sorted((a, b))
     assume(a < b or n == 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -209,6 +209,22 @@ class TestSampleStep:
         assert abs((out.log_magnitudes[0] - out.log_magnitudes[1]) - (lm0 - lm1)) < 1e-12
 
 
+class TestCollapseExponent:
+    def test_floats_and_arrays_agree_bit_for_bit(self):
+        # one expression for both: each float result is its array entry, bit
+        # for bit, and t = 0 gives 0 whatever B
+        t = np.array([0.0, 0.0, 1e-3, 0.3, 2.0, 9.0])
+        b = np.array([2.5, -7.0, 1e3, -0.4, 3.1, -1e8])
+        energies = np.array([-0.4, 0.0, 1.3])
+        got = collapse_exponent(PARAMS, t, b, energies[:, None])
+        for k, e in enumerate(energies.tolist()):
+            for j, (t_j, b_j) in enumerate(zip(t.tolist(), b.tolist())):
+                x = collapse_exponent(PARAMS, t_j, b_j, e)
+                assert type(x) is float
+                assert np.float64(x).view(np.uint64) == got[k, j].view(np.uint64)
+        np.testing.assert_array_equal(got[:, :2], 0.0)
+
+
 class TestCollapseWeights:
     def test_are_the_out_of_place_weights_bit_for_bit(self):
         # formed in place, in the order of exp(2*(lw - max lw)) / sum

@@ -157,6 +157,16 @@ class TestDiscreteSpectrum:
         with pytest.raises(DomainError):
             DiscreteSpectrum((0.0, 0.0), (0.5, 0.5))
 
+    @pytest.mark.parametrize("energies, weights", [
+        ((0.0, 1.0), (math.nan, 1.0)),
+        ((math.nan, 1.0), (0.5, 0.5)),
+        ((0.0, math.inf), (0.5, 0.5)),
+    ], ids=["nan_weight", "nan_energy", "inf_energy"])
+    def test_non_finite_values_rejected(self, energies, weights):
+        # nan fails every comparison, so no ordering or sum check refuses it
+        with pytest.raises(DomainError, match="finite"):
+            DiscreteSpectrum(energies, weights)
+
 
 class TestEnergyDistribution:
     def test_sums_degenerate_levels(self):

@@ -39,6 +39,17 @@ class TestBranchSpec:
         with pytest.raises(DomainError):
             BranchSpec((0.0, 1.0), (1.0,), (0.0, 0.0), (0.0, 0.0), 1.0, 0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("beta_1", complex(math.nan)),
+        ("energies", (math.nan, 1.0, 2.0)),
+        ("magnitudes", (math.nan, 0.3, 0.8)),
+        ("phases_2", (math.inf, -2.0, 0.3)),
+        ("magnitudes_2", (0.5, math.inf, 0.8)),
+    ], ids=["nan_beta_1", "nan_energy", "nan_magnitude", "inf_phase", "inf_magnitude_2"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            shared_spec()._replace(**{field: value})
+
     def test_shared_spectrum_flag(self):
         assert shared_spec().shared_spectrum
         control = BranchSpec(

@@ -337,30 +337,25 @@ EXPERIMENTS["collapse"] = Experiment(
     array_bytes=_collapse_bytes, run=_run_collapse)
 
 
-def _rho_rows(n_lev) -> int:
-    """Rows of the ensemble table per block: _WRITE_VALUES matrix entries."""
-    return max(1, _WRITE_VALUES // n_lev**2)
-
-
 def _ensemble_bytes(p, model):
-    # the table, then the larger of what its rows and the Monte Carlo hold
-    # in turn: one block of density matrices, 60-130 bytes an entry
-    # (tracemalloc), charged as 128; or one one-step tile's level weights,
-    # about six floats per weight, charged as seven, and one moment block,
-    # its n_lev level roots, values and deviations per trajectory.  Rows and
-    # moments are streamed in blocks, so nothing grows with n_traj
+    # the table, its times and one column of temporaries, with numpy's buffers
+    # for the strided moduli, three of at most 2**13 floats; its column names
+    # and pair temporaries, 210-250 bytes a level pair (tracemalloc), charged
+    # as 256, and one one-step tile's level weights, about six floats per
+    # weight, charged as seven, with one moment block of n_lev + 2 floats per
+    # trajectory: moments are streamed in blocks, so nothing grows with n_traj
     n_lev = len(p["energies"])
-    return {"'n_t'": 16 * p["n_t"] * (3 + n_lev * (n_lev - 1) // 2),
-            "'energies'": max(128 * min(p["n_t"], _rho_rows(n_lev)) * n_lev**2,
-                              _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2))}
+    n_pairs = n_lev * (n_lev - 1) // 2
+    return {"'n_t'": 8 * (p["n_t"] * (5 + n_pairs) + 3 * min(p["n_t"] * n_pairs, 2**13)),
+            "'energies'": 256 * n_pairs + _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2)}
 
 
 @_numpy_runner
 def _run_ensemble(cfg):
     import numpy as np
 
-    from .ensemble import _density_matrices, ensemble_expectation_mc
-    from .hilbert import ObservableMatrix, expectation
+    from .ensemble import _damped_moduli, ensemble_expectation_mc
+    from .hilbert import ObservableMatrix
     p, (state0, params) = cfg.parameters, cfg.model
     times = np.array(_grid(0.0, p["t_max"], p["n_t"]))
     energies = state0.energies()
@@ -368,25 +363,24 @@ def _run_ensemble(cfg):
     cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
         f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
     ]
-    # the density matrices in blocks of rows holding _WRITE_VALUES entries;
-    # Tr(rho H) = weights . energies, the diagonal being time-invariant, and
-    # Tr(rho^2) = sum |rho_ij|^2 (rho is Hermitian), both einsum, not BLAS
-    table, n_rows = np.empty((len(times), len(cols))), _rho_rows(len(energies))
-    for r in range(0, len(times), n_rows):
-        rho, out = _density_matrices(state0, params, times[r:r + n_rows]), table[r:r + n_rows]
-        out[:, 0] = times[r:r + n_rows]
-        out[:, 1] = np.einsum("i,i->", rho[0].diagonal().real, energies)
-        out[:, 2] = sum(np.einsum("rij,rij->r", x, x) for x in (rho.real, rho.imag))
-        out[:, 3:] = np.abs(rho[:, iu[0], iu[1]])
-    ham = ObservableMatrix.hamiltonian(state0.levels)
+    # the moduli |rho_ij|, i < j, formed in the table; the diagonal, the
+    # weights w, is time-invariant, so Tr(rho H) = w . E and
+    # Tr(rho^2) = sum w^2 + 2 sum_{i<j} |rho_ij|^2, all einsum, not BLAS
+    table = np.empty((len(times), len(cols)))
+    w = _damped_moduli(state0, params, times, iu, table[:, 3:])
+    table[:, 0] = times
+    table[:, 1] = np.einsum("i,i->", w, energies)
+    np.einsum("ri,ri->r", table[:, 3:], table[:, 3:], out=table[:, 2])
+    table[:, 2] *= 2.0
+    table[:, 2] += np.einsum("i,i->", w, w)
     summary = {
         "T_cal": _t_cal(p),
-        "mean_energy": float(expectation(state0, ham)),
+        "mean_energy": float(table[0, 1]),
     }
     if p["n_traj"]:
         mc, se = ensemble_expectation_mc(
-            state0, params, p["t_max"], ham, p["n_traj"], cfg.master_seed
-        )
+            state0, params, p["t_max"], ObservableMatrix.hamiltonian(state0.levels),
+            p["n_traj"], cfg.master_seed)
         summary["mc_mean_energy"] = mc
         summary["mc_standard_error"] = se
         # an ensemble with no spread (one level) has se = 0 and gives 0

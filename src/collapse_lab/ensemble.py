@@ -294,30 +294,34 @@ def ensemble_expectation_mc(
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def _density_matrices(state0: SpectralState, params, t) -> np.ndarray:
-    """`ensemble_density_matrix` at each of the times t, shape t.shape + (n, n)."""
-    t = np.asarray(t, float)[..., None]
-    if np.any(t < 0):
-        raise DomainError("t must be >= 0")
-    (log_n2, _), e = squared_norm(state0), state0.energies()
-    amps = state0.amplitudes(log_shift=0.5 * log_n2) * np.exp(-1j * e * t)
-    rho = amps[..., :, None] * amps.conj()[..., None, :]
-    rho *= np.exp(-0.5 * params.lam * t[..., None] * (e[:, None] - e[None, :]) ** 2)
-    i = np.arange(e.size)
-    rho[..., i, i] = np.exp(2.0 * (np.asarray(state0.log_magnitudes) - 0.5 * log_n2))
-    return rho
+def _damped_moduli(state0: SpectralState, params, t, pairs, out) -> np.ndarray:
+    """|rho_ij| = m_i*m_j*exp(-lambda*t*(E_i - E_j)^2/2), m the normalized
+    magnitudes, for the level pairs (i, j) = pairs at each of the times t,
+    formed in out, shape (len(t), len(i)); exactly m_i*m_j where E_i = E_j.
+    Returns the time-invariant diagonal, the weights w = exp(2*log m)."""
+    t = np.asarray(t, float)
+    if not np.all(np.isfinite(t) & (t >= 0)):
+        raise DomainError("t must be finite and >= 0")
+    (log_n2, _), e, (i, j) = squared_norm(state0), state0.energies(), pairs
+    log_m = np.asarray(state0.log_magnitudes) - 0.5 * log_n2
+    np.multiply.outer(-0.5 * params.lam * t, (e[i] - e[j]) ** 2, out=out)
+    np.exp(out, out=out)
+    out *= np.exp(log_m[i]) * np.exp(log_m[j])
+    return np.exp(2.0 * log_m)
 
 
 def ensemble_density_matrix(
     state0: SpectralState, params: CollapseParams, t: float
 ) -> ObservableMatrix:
-    """Closed-form ensemble density matrix in the energy basis at time t.
-
-    The pure unitary projector is damped entrywise by
-    exp(-lambda*t*(E'-E)^2/2).  The diagonal, the energy distribution, is set
-    phase-free, so it is exactly the same for all t, not up to rounding.
-    """
-    return ObservableMatrix(state0.levels, _density_matrices(state0, params, t))
+    """Closed-form ensemble density matrix in the energy basis at time t: the
+    damped moduli (`_damped_moduli`) times exp(i*(theta_i - theta_j)), theta =
+    phases - E*t, exactly 1 on the diagonal, so the energy distribution is
+    the same for all t, not up to rounding."""
+    n = len(state0.levels)
+    rho = np.empty((n, n))
+    _damped_moduli(state0, params, [t], np.indices((n, n)).reshape(2, -1), rho.reshape(1, -1))
+    theta = np.asarray(state0.phases) - state0.energies() * t
+    return ObservableMatrix(state0.levels, rho * np.exp(1j * (theta[:, None] - theta)))
 
 
 def ensemble_density_matrix_mc(

@@ -130,6 +130,8 @@ class ObservableMatrix(NamedTuple):
         n = len(basis)
         if entries.shape != (n, n):
             raise DomainError(f"entries must be {n}x{n}, got {entries.shape}")
+        if not np.all(np.isfinite(entries)):
+            raise DomainError("entries must be finite")
         scale = max(1.0, float(np.abs(entries).max()))
         if np.abs(entries - entries.conj().T).max() > 1e-12 * scale:
             raise DomainError("entries must be Hermitian to 1e-12")

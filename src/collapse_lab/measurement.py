@@ -58,8 +58,11 @@ class BranchSpec(NamedTuple):
                                         *self.phases_2, self.beta_1, self.beta_2,
                                         *(self.magnitudes_2 or ())))):
             raise DomainError("energies, magnitudes, phases and betas must be finite")
-        if any(m < 0 for m in self.magnitudes):
-            raise DomainError("magnitudes must be nonnegative")
+        for mags in self.magnitudes, self.branch_2_magnitudes:
+            if any(m < 0 for m in mags):
+                raise DomainError("magnitudes must be nonnegative")
+            if not any(mags):
+                raise DomainError("each branch needs a nonzero magnitude")
         if abs(abs(self.beta_1) ** 2 + abs(self.beta_2) ** 2 - 1.0) > 1e-12:
             raise DomainError("|beta_1|^2 + |beta_2|^2 must equal 1")
 
@@ -101,11 +104,9 @@ def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
 
 @functools.lru_cache(maxsize=8)
 def _twice_log_magnitudes(mags: tuple[float, ...]) -> tuple[float, ...]:
-    """2*log|m| of each magnitude, a zero one -inf without evaluating log(0);
+    """2*log m of each magnitude, a zero one -inf without evaluating log(0);
     computed once per branch of a spec, not once per (t, B) point."""
-    if not any(mags):
-        raise DomainError("each branch needs a nonzero magnitude")
-    return tuple(2.0 * math.log(abs(m)) if m else -math.inf for m in mags)
+    return tuple(2.0 * math.log(m) if m else -math.inf for m in mags)
 
 
 def _log_norm2(x: list[float]) -> float:
@@ -147,8 +148,9 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t: float,
 
 def load_branch_fixture(path) -> BranchSpec:
     """Parse a fixture file.  Raises DomainError (ValueError for a non-number)
-    for a non-finite value, beta2_1 <= 0 or beta2_2 < 0, and a branch whose
-    magnitudes are all zero, so the ratio is defined for every spec it returns."""
+    for beta2_1 <= 0 or beta2_2 < 0, and for every spec `BranchSpec` refuses
+    (a non-finite value, a negative magnitude, a branch whose magnitudes are
+    all zero), so the ratio is defined for every spec it returns."""
     energies, mags, th1, th2, mags2 = [], [], [], [], []
     beta2_1 = beta2_2 = 0.5
     has_m2 = False
@@ -177,8 +179,6 @@ def load_branch_fixture(path) -> BranchSpec:
         raise DomainError("magnitude_2 column must be present on every line")
     if not (beta2_1 > 0 and beta2_2 >= 0):
         raise DomainError(f"need beta2_1 > 0 and beta2_2 >= 0, got {beta2_1}, {beta2_2}")
-    if not any(mags) or (has_m2 and not any(mags2)):
-        raise DomainError("each branch needs a nonzero magnitude")
     total = beta2_1 + beta2_2
     return BranchSpec(
         tuple(energies),

@@ -16,7 +16,7 @@ from collapse_lab import cli, ensemble, kgrid, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams
 from collapse_lab.engine import CollapseParams, collapse_weights, evolve
-from collapse_lab.ensemble import simulate_trajectories
+from collapse_lab.ensemble import ensemble_density_matrix, simulate_trajectories
 from collapse_lab.hilbert import energy_distribution
 from collapse_lab.kgrid import KGrid, integrate_kgrid
 from collapse_lab.measurement import branch_weight_ratio, load_branch_fixture
@@ -336,8 +336,10 @@ n_traj = 10
         ("bad.txt", "0.0 0.0 0.0 0.0\n1.0 0.0 0.0 0.5\n"),
         ("bad.txt", "inf 1.0 0.0 0.0\n1.0 1.0 0.0 0.5\n"),
         ("bad.txt", "0.0 nan 0.0 0.0\n1.0 1.0 0.0 0.5\n"),
+        ("bad.txt", measurement.fixture_path("branch_control.txt").read_text().replace(
+            "0.300000   0.2000", "0.300000   -0.2000")),
     ], ids=["missing", "non_numeric", "zero_beta2_1", "zero_magnitudes",
-            "inf_energy", "nan_magnitude"])
+            "inf_energy", "nan_magnitude", "negative_magnitude_2"])
     def test_bad_fixture_is_two(self, tmp_path, monkeypatch, capsys,
                                 command, fixture, body):
         monkeypatch.chdir(tmp_path)
@@ -978,6 +980,31 @@ class TestEnsembleRunner:
             tables.append(read_csv(tmp_path / "e.csv")[1])
         np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("body", [
+        (CONFIGS / "ensemble_damping.ini").read_text(),
+        "[ensemble]\nlambda = 0.1\nt_max = 10.0\nn_t = 20\nenergies = "
+        + ", ".join(f"{0.1 * k:.1f}" for k in range(64))
+        + "\nmagnitudes = " + ", ".join(str(1 + k % 7) for k in range(64)) + "\n",
+        ENSEMBLE_INI.replace("0.5, 0.6, 0.6244997998398398", "0.5, 1e-150, 0.6")
+        + "phases = 0.3, -1.2, 2.9\n",
+    ], ids=["ensemble_damping", "64_levels", "tiny_magnitude"])
+    def test_table_is_the_closed_form_density_matrix(self, tmp_path, monkeypatch, body):
+        # the CSV entry by entry against `ensemble_density_matrix` at each of
+        # its times: Tr(rho H), Tr(rho^2) and |rho_ij|, i < j, to 1e-15; the
+        # runner sums Tr(rho^2)'s n_lev**2 terms by einsum, which at 64 levels
+        # rounds up to 1.5e-15 off the exact sum (1.3e-15 here), so 2e-15 there
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, body)
+        state0, params = ExperimentConfig.from_file(path).model
+        assert main(["ensemble", "--config", str(path), "--out", "e.csv"]) == 0
+        table = read_csv(tmp_path / "e.csv")[1]
+        ham, iu = np.diag(state0.energies()), np.triu_indices(len(state0.levels), 1)
+        for row in table:
+            rho = ensemble_density_matrix(state0, params, row[0]).entries
+            assert row[1] == pytest.approx(np.trace(rho @ ham).real, rel=1e-15, abs=0)
+            assert row[2] == pytest.approx(np.trace(rho @ rho).real, rel=2e-15, abs=0)
+            np.testing.assert_allclose(row[3:], np.abs(rho[iu]), rtol=1e-15, atol=0)
+
     def test_memory_grows_by_one_value_and_its_temporary_per_trajectory(self, tmp_path):
         # the Monte Carlo keeps one float per trajectory, <a|H|a>, and np.std
         # takes one temporary of them: 16 bytes, not the trajectories'
@@ -1166,12 +1193,15 @@ n_s = 10000
     COLLAPSE_INI.replace("energies = 0.0, 1.0", "energies = 0.0, 1.0, 2.0, 3.0").replace(
         "weights = 0.25, 0.75", "weights = 0.1, 0.2, 0.3, 0.4").replace(
         "n_steps = 10", "n_steps = 40").replace("n_traj = 40", "n_traj = 20000"),
-    # a long time grid and few trajectories: the table dominates, so its
-    # density matrices must be formed in bounded blocks of rows, not as one
-    # (n_t, n_lev, n_lev) broadcast
+    # a long time grid and few trajectories: the table dominates
     ENSEMBLE_INI.replace("n_t = 12", "n_t = 20000").replace("n_traj = 200", "n_traj = 2"),
+    # many levels: the table's 2016 moduli columns dominate, formed in place,
+    # so the estimate pins what the table holds from both sides
+    ENSEMBLE_INI.replace("0.0, 1.0, 2.5", ", ".join(f"{0.1 * k:.1f}" for k in range(64))).replace(
+        "0.5, 0.6, 0.6244997998398398", ", ".join(str(1 + k % 7) for k in range(64))).replace(
+        "n_t = 12", "n_t = 2000").replace("n_traj = 200", "n_traj = 2"),
 ], ids=["collapse", "ensemble", "measurement", "records", "spin", "decay_closed",
-        "kgrid_decay", "ensemble_n_traj", "collapse_tiles", "ensemble_n_t"])
+        "kgrid_decay", "ensemble_n_traj", "collapse_tiles", "ensemble_n_t", "ensemble_levels"])
 def test_array_estimate_is_the_measured_peak(tmp_path, ini):
     # each table value is charged as its float plus the runner's temporaries,
     # and the writers as one block: the estimate covers the tracemalloc peak

@@ -200,6 +200,11 @@ class TestEnsembleDensityMatrix:
         damp = np.exp(-0.5 * lam * t * (e[:, None] - e[None, :]) ** 2)
         np.testing.assert_allclose(np.abs(rho), np.abs(rho0) * damp, atol=1e-14)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+    def test_non_finite_or_negative_time_rejected(self, t):
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            ensemble_density_matrix(three_level(), CollapseParams(0.4), t)
+
     def test_monte_carlo_agrees_entrywise(self):
         state = three_level()
         params = CollapseParams(0.7)

@@ -126,6 +126,14 @@ class TestObservableMatrix:
         with pytest.raises(DomainError):
             ObservableMatrix(basis, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)],
+                             ids=["nan", "inf", "nan_imag"])
+    def test_rejects_non_finite_entries(self, value):
+        # nan compares false, so the Hermitian check alone would accept it
+        basis = (EnergyLevel(0.0), EnergyLevel(1.0))
+        with pytest.raises(DomainError, match="finite"):
+            ObservableMatrix(basis, np.array([[value, 1.0], [1.0, 0.0]]))
+
     def test_identity_expectation_is_one(self):
         state = make_state([0.0, 1.0, 2.0], [1e-8, 2.0, 0.5j])
         ident = ObservableMatrix.identity(state.levels)

@@ -50,6 +50,16 @@ class TestBranchSpec:
         with pytest.raises(DomainError, match="finite"):
             shared_spec()._replace(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("magnitudes", (0.0, 0.0, 0.0)),
+        ("magnitudes_2", (0.0, 0.0, 0.0)),
+        ("magnitudes", (0.6, -0.3, 0.8)),
+        ("magnitudes_2", (0.6, 0.3, -0.2)),
+    ], ids=["zero_branch_1", "zero_branch_2", "negative_magnitude", "negative_magnitude_2"])
+    def test_zero_or_negative_magnitudes_rejected(self, field, value):
+        with pytest.raises(DomainError, match="nonzero|nonnegative"):
+            shared_spec()._replace(**{field: value})
+
     def test_shared_spectrum_flag(self):
         assert shared_spec().shared_spectrum
         control = BranchSpec(

@@ -4,8 +4,10 @@ import importlib
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,19 @@ def test_public_definitions_are_listed(layer):
         and obj.__module__ == module.__name__
     }
     assert defined <= set(module.__all__)
+
+
+def test_readme_references_resolve():
+    # every backticked `<layer>.<name>` or `collapse_lab.<layer>.<name>` in
+    # the README, the CLI and the kernels counted as layers, names an
+    # attribute of that module
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "|".join(("cli", "_kernels") + LAYERS)
+    refs = set(re.findall(rf"`(?:collapse_lab\.)?({modules})\.(\w+)`", readme))
+    assert refs
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"collapse_lab.{module}"), name)]
+    assert not missing
 
 
 def fresh_interpreter(code):

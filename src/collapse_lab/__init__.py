@@ -7,11 +7,13 @@ worked experiments (a precessing spin and an excitation/decay chain).
 
 Every name in a layer module's ``__all__`` is a name of the package too,
 resolved on first use (PEP 562), so ``import collapse_lab`` loads no layer.
-`DomainError` and `_checked` (the parameter records' checks) are defined here,
-so a layer that raises or checks need not load `hilbert`, which re-exports the first.
+`DomainError`, `_checked` (the parameter records' checks) and `_log_sum_exp`
+(the one log-sum-exp) are defined here, so a layer that raises, checks or sums
+in log space need not load `hilbert`, which re-exports the first.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -29,6 +31,21 @@ def _checked(cls):
     cls.__new__ = lambda cls, *args, **kw: (rec := new(cls, *args, **kw))._check() or rec
     cls._make = classmethod(lambda cls, it: cls(*it))
     return cls
+
+
+def _log_sum_exp(x) -> float:
+    """log(sum(exp(x))) of an iterable of floats, in `math`, finite where the
+    sum underflows to zero: the m tied maxima are taken out of the sum, and
+    the rest, scaled by exp(-max) and summed exactly (`math.fsum`), enter as
+    log1p(sum/m) + log(m) + max, scipy.special.logsumexp's order of
+    operations.  All -inf gives -inf; a nan anywhere gives nan."""
+    x = list(x)
+    log_s = top = math.nan if any(map(math.isnan, x)) else max(x)
+    if top > -math.inf:
+        m = x.count(top)
+        s = math.fsum(math.exp(v - top) for v in x if v != top) / m
+        log_s = math.log1p(s) + math.log(m) + top
+    return float(log_s)
 
 
 #: the layer modules whose public names the package re-exports, in lookup order

@@ -11,13 +11,14 @@ energy^-2 time^-1, so the smearing width T_cal = sqrt(lambda*t) is a time.
 
 Each experiment is one `Experiment` record in `EXPERIMENTS`: its config
 schema, the build of its library objects (with the cross-key checks), its
-array estimate and its runner.  The build and the runner import
-the experiment's layers, and numpy, when called, so a run loads only the
-layers and libraries it uses: the four closed-form runs, `spin`, `records`,
-`measurement` and closed `decay`, and their `validate`, compute in `math` and
-`cmath` and load no numpy.  Their runners give the table as rows of floats;
-the other runners give a numpy array, computed with numpy's overflow, invalid
-value and division by zero raised as errors.  The rest of this module is
+array estimate and its runner.  The build and the runner import the
+experiment's layers when called, so a run loads only the layers and
+libraries it uses.  No build or array estimate, and so no `validate`, loads
+numpy: they are float arithmetic.  Only the collapse, ensemble and k-grid
+runners load numpy, and give a numpy array, computed with numpy's overflow,
+invalid value and division by zero raised as errors; the four closed-form
+runs, `spin`, `records`, `measurement` and closed `decay`, compute in `math`
+and `cmath` and give the table as rows of floats.  The rest of this module is
 shared by every experiment: argument and config parsing, the array cap, the
 writers and the summary envelope.
 
@@ -32,6 +33,10 @@ and of numpy where the run loaded it, and key scalars.  The data table is
 byte-identical across reruns with the same config and seed; the summary
 additionally records wall time.
 
+The process entry, `entry` (the `collapse-lab` script and `python -m
+collapse_lab.cli`), freezes the collector once `main` has returned, so the
+interpreter's exit skips its final passes over every object the run made.
+
 Exit codes (README lists every case): 0 success, 2 configuration error
 (a bad key or value, a model its layer refuses, an --out outside an existing
 directory, or arrays above MAX_ARRAY_BYTES), 3 numerical-contract violation
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import json
 import math
 import os
@@ -819,5 +825,16 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """`main`, then `gc.freeze()`: the interpreter's exit then skips the
+    collector's final passes over every object the run made (about 20 ms
+    of a run that loaded numpy); atexit handlers and stream flushes still
+    run.  The process entry only: `main` itself never freezes, since tests
+    call it in-process."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -5,22 +5,22 @@ matrix.
 The smearing operator averages a Schrodinger-picture expectation over a
 Gaussian time window of width T_cal = sqrt(lambda*t); it is the ensemble
 signature of energy-driven collapse.
+
+The module imports neither numpy nor `rng` when loaded: the tile and moment
+block sizes (`_tile_shape`, `_moment_block`), which the CLI's array estimate
+shares, are plain Python, and the functions that compute with arrays import
+them when called.  So no config's `validate` loads numpy, and only the
+collapse, ensemble and k-grid runners do.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-import numpy as np
-
-from . import _checked
 from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
 from .engine import CollapseParams, collapse_weights
-from .rng import philox4x64
 
 __all__ = [
-    "TimeSeries",
     "smear",
     "draw_traj_variates",
     "simulate_trajectories",
@@ -39,41 +39,17 @@ _MOMENT_VALUES = 2**15
 _SMEAR_NODES = 64
 
 
-@_checked
-class TimeSeries(NamedTuple):
-    """Sampled function of time; linear interpolation, no extrapolation."""
-
-    times: tuple[float, ...]
-    values: tuple
-
-    def _check(self):
-        t = np.asarray(self.times, float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
-            raise DomainError("times must be strictly increasing, length >= 2")
-        if len(self.values) != t.size:
-            raise DomainError("times and values length mismatch")
-
-    def __call__(self, t):
-        ts = np.asarray(self.times, float)
-        vs = np.asarray(self.values)
-        t = np.asarray(t, float)
-        if np.any(t < ts[0]) or np.any(t > ts[-1]):
-            raise DomainError("TimeSeries evaluated outside its domain")
-        if np.iscomplexobj(vs):
-            return np.interp(t, ts, vs.real) + 1j * np.interp(t, ts, vs.imag)
-        return np.interp(t, ts, vs)
-
-
 def smear(f, t: float, t_cal: float):
     """Gaussian time-smear of f at t over a window of width t_cal (T_cal):
     (2*pi)**-0.5 * integral deta exp(-eta^2/2) f(t - t_cal*eta).
 
     Gauss-Hermite quadrature of _SMEAR_NODES = 64 nodes, spectrally accurate
     for smooth f (steps and kinks converge slowly).  The nodes reach
-    sqrt(2)*max|x| = 14.9 widths either side of t; a TimeSeries must cover
-    that span.  For t_cal = 0 this returns f(t) exactly; a negative or
-    non-finite t_cal raises DomainError.
+    sqrt(2)*max|x| = 14.9 widths either side of t, where f must be defined.
+    For t_cal = 0 this returns f(t) exactly; a negative or non-finite t_cal
+    raises DomainError.
     """
+    import numpy as np
     if not (math.isfinite(t_cal) and t_cal >= 0):
         raise DomainError("T_cal must be finite and >= 0")
     if t_cal == 0.0:
@@ -81,12 +57,6 @@ def smear(f, t: float, t_cal: float):
     # Gauss-Hermite for weight exp(-x^2); substitute eta = sqrt(2)*x.
     x, w = np.polynomial.hermite.hermgauss(_SMEAR_NODES)
     pts = t - t_cal * math.sqrt(2.0) * x
-    if isinstance(f, TimeSeries):
-        lo, hi = pts.min(), pts.max()
-        if lo < f.times[0] or hi > f.times[-1]:
-            raise DomainError(
-                f"TimeSeries domain too short for the smear window [{lo}, {hi}]"
-            )
     vals = np.array([f(p) for p in pts])
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
@@ -104,6 +74,9 @@ def draw_traj_variates(master_seed: int, rows: range, n_steps: int, out=None):
     at most _CHUNK_BLOCKS Philox blocks, across rows or along one row, keep
     the temporaries from growing with len(rows) or n_steps.
     """
+    import numpy as np
+    from .rng import philox4x64
+
     n_blocks = -(-(1 + 2 * -(-n_steps // 2)) // 4)
     uniforms, normals = out or (np.empty(len(rows)), np.empty((len(rows), n_steps)))
     n_rows = max(1, _CHUNK_BLOCKS // n_blocks)
@@ -151,6 +124,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     start at t = 0, where B = 0 and w are the Born weights.  A tile holds at
     most _TILE_VALUES weights, whatever n_traj or n_steps; the next overwrites b.
     """
+    import numpy as np
     times = np.asarray(times, float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) <= 0)):
@@ -194,6 +168,7 @@ def simulate_trajectories(
     level) then the normals, so it does not depend on n_traj or on the
     tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
     """
+    import numpy as np
     b_path = np.empty((n_traj, np.size(times)))
     for tile in _collapse_pass(state0, params, times, master_seed, n_traj):
         b_path[tile[0], tile[1]] = tile[2]
@@ -218,6 +193,7 @@ def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj, n_values
     s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
     only s is stochastic, and the estimators apply theta once.
     """
+    import numpy as np
     if n_traj < 2:
         raise DomainError("n_traj must be >= 2")
     if t < 0:
@@ -246,6 +222,7 @@ def _block_moments(blocks):
     ("Updating formulae and a pairwise algorithm for computing sample
     variances", 1979).  One block gives np.mean and np.var's m2 exactly.
     """
+    import numpy as np
     n = 0
     for x in blocks:
         nb, mean_b = x.shape[-1], x.mean(axis=-1)
@@ -264,6 +241,7 @@ def _block_moments(blocks):
 
 def _phase_factors(state0: SpectralState, t) -> np.ndarray:
     """exp(i*theta), theta = phases - E*t: the common phases at time t."""
+    import numpy as np
     return np.exp(1j * (np.asarray(state0.phases) - state0.energies() * t))
 
 
@@ -283,6 +261,7 @@ def ensemble_expectation_mc(
     error are streamed over blocks of trajectories (`_block_moments`), so
     memory does not grow with n_traj.  Deterministic given master_seed.
     """
+    import numpy as np
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
     d = _phase_factors(state0, t)
@@ -299,6 +278,7 @@ def _damped_moduli(state0: SpectralState, params, t, pairs, out) -> np.ndarray:
     magnitudes, for the level pairs (i, j) = pairs at each of the times t,
     formed in out, shape (len(t), len(i)); exactly m_i*m_j where E_i = E_j.
     Returns the time-invariant diagonal, the weights w = exp(2*log m)."""
+    import numpy as np
     t = np.asarray(t, float)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("t must be finite and >= 0")
@@ -317,6 +297,7 @@ def ensemble_density_matrix(
     damped moduli (`_damped_moduli`) times exp(i*(theta_i - theta_j)), theta =
     phases - E*t, exactly 1 on the diagonal, so the energy distribution is
     the same for all t, not up to rounding."""
+    import numpy as np
     n = len(state0.levels)
     rho = np.empty((n, n))
     _damped_moduli(state0, params, [t], np.indices((n, n)).reshape(2, -1), rho.reshape(1, -1))
@@ -341,6 +322,7 @@ def ensemble_density_matrix_mc(
     the real and imaginary parts in quadrature is exactly that of s_i*s_j,
     so it is real.
     """
+    import numpy as np
     d = _phase_factors(state0, t)
     i, j = np.triu_indices(d.size)
     n, mean, m2 = _block_moments(

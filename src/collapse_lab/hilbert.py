@@ -4,13 +4,16 @@ numerically safe norm / expectation primitives shared by every other module.
 Amplitudes are stored as (log-magnitude, phase) pairs.  The collapse
 Gaussian suppresses off-resonant levels by factors like exp(-lambda*t*dE^2),
 which underflows double precision long before the physics gets boring, so
-all norms go through log-sum-exp and ratios are formed after subtracting a
+all norms go through log-sum-exp, the package's one, in `math`
+(`collapse_lab._log_sum_exp`), and ratios are formed after subtracting a
 common log offset.
 
-The module imports no numpy when loaded.  The records' checks are plain
-Python, all but `ObservableMatrix`'s, whose entries are a numpy array; the
-functions that compute with arrays import numpy when called, so a run that
-only builds spectra loads none.
+The module imports no numpy when loaded.  The records' checks and
+`squared_norm` are plain Python, all but `ObservableMatrix`'s check, whose
+entries are a numpy array; the functions that compute with arrays import
+numpy when called.  So building and normalizing a state loads none: no
+config's `validate` loads numpy, and only the collapse, ensemble and k-grid
+runners do.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import DomainError, _checked
+from . import DomainError, _checked, _log_sum_exp
 
 __all__ = [
     "DomainError",
@@ -187,21 +190,11 @@ class DiscreteSpectrum(NamedTuple):
 def squared_norm(state: SpectralState) -> tuple[float, float]:
     """Squared norm of a state, returned as (log value, linear value).
 
-    The log value is a log-sum-exp over twice the component log magnitudes
-    and stays finite when the linear value underflows to zero.  It follows
-    scipy.special.logsumexp's order of operations, so the two agree bit for
-    bit: the m tied maxima are taken out of the sum, and the rest, scaled
-    by exp(-max), enter as log1p(sum/m) + log(m) + max.
+    The log value is the log-sum-exp (`collapse_lab._log_sum_exp`) of twice
+    the component log magnitudes and stays finite when the linear value
+    underflows to zero.
     """
-    import numpy as np
-    x = 2.0 * np.asarray(state.log_magnitudes)
-    log_n2 = top = x.max()
-    if top > NEG_INF:  # else every component is zero (or one is nan)
-        at_top = x == top
-        m = float(np.count_nonzero(at_top))
-        s = np.sum(np.exp(np.where(at_top, NEG_INF, x) - top)) / m
-        log_n2 = np.log1p(s) + np.log(m) + top
-    log_n2 = float(log_n2)
+    log_n2 = _log_sum_exp(2.0 * lm for lm in state.log_magnitudes)
     linear = math.exp(log_n2) if log_n2 < 709.0 else math.inf
     return log_n2, linear
 

@@ -8,6 +8,12 @@ record's total probability is the propagated state's squared norm at the
 start of its segment (`kgrid_chebyshev`).  Only a k-grid `decay` run loads
 this module; a closed-form run needs none of it.
 
+The module imports no numpy when loaded: `KGrid`, `check_grid`,
+`check_packet`, `kgrid_span` and `chebyshev_size`, the checks and sizes a
+config's build and array estimate use, compute in `math`, and the functions
+that compute with arrays import numpy when called.  So no config's
+`validate` loads numpy, and only the collapse, ensemble and k-grid runners do.
+
 Kernels:
   * bessel_j            -- J_0 ... J_n at an array of real arguments, by one
                            Miller backward recurrence.
@@ -24,8 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import DomainError, _checked
 from .decay import DecayModelParams, packet_width
@@ -83,6 +87,7 @@ class KGrid(NamedTuple):
         return 2.0 * math.pi * self.n_modes / (self.k_max - self.k_min)
 
     def points_and_weights(self):
+        import numpy as np
         k = np.linspace(self.k_min, self.k_max, self.n_modes)
         dk = k[1] - k[0]
         w = np.full(self.n_modes, dk)
@@ -126,6 +131,7 @@ def bessel_j(n, z):
     step: each step of the unscaled recurrence multiplies them by about 2k/z,
     which overflows for z near 1e-300 and divides by zero at z = 0.
     """
+    import numpy as np
     z = np.asarray(z, float)
     z1 = z.reshape(-1)
     z_max = float(np.max(z1, initial=0.0))
@@ -176,6 +182,7 @@ def chebyshev_series(k, wk, g, eps, span):
 
     Returns (ctr, half, coef, tail, n_seg).
     """
+    import numpy as np
     ctr, half, n_seg, n_orders = chebyshev_size(float(np.min(k)), float(np.max(k)), g,
                                                 eps, span, float(np.sum(wk)))
     tau = span / n_seg
@@ -198,6 +205,7 @@ def _segment(coef, kn, cn, en, u, beta):
     """One segment's recurrence phi_n = T_n(Hn) psi, psi = (u, beta), Hn =
     [[diag(kn), cn], [cn^H, en]], for n < coef.size: the beta components
     b_n and the state sum_n coef[n]*phi_n."""
+    import numpy as np
     n_terms = coef.size
     b = np.empty(n_terms, complex)
     # kn2 complex: products with the complex state then need no casting
@@ -220,6 +228,7 @@ def _segment(coef, kn, cn, en, u, beta):
 def _record_block(b, z):
     """The occupation |sum_n (2 - delta_n0)(-i)**n J_n(z) b_n|**2 at Bessel
     arguments z."""
+    import numpy as np
     n = np.arange(b.size)
     # x_n = (2 - delta_n0)*(-1)**(n//2)*J_n is real; (-i)**n*(-1)**(n//2)
     # leaves 1 or -i for b_n
@@ -260,6 +269,7 @@ def kgrid_chebyshev(k, wk, g, eps, x0, beta0, alpha0, dt, n_steps, record_every)
     state psi at a segment end, the conservation check that sees the
     recurrence.
     """
+    import numpy as np
     sw = np.sqrt(wk)
     u = sw * np.asarray(alpha0, complex)
     beta = complex(beta0)
@@ -358,6 +368,7 @@ def integrate_kgrid(
     stay below the grid recurrence time (`kgrid_span`), and an excitation
     packet must be wide enough for the grid (`check_packet`).
     """
+    import numpy as np
     check_grid(p, grid)
     check_packet(p, grid, packet)
     lead, _, n_steps = kgrid_span(p, grid, packet, t_final, record_every)

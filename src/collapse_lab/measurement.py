@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from . import DomainError, _checked
+from . import DomainError, _checked, _log_sum_exp
 from .engine import CollapseParams, collapse_exponent
 
 __all__ = [
@@ -109,20 +109,14 @@ def _twice_log_magnitudes(mags: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(2.0 * math.log(m) if m else -math.inf for m in mags)
 
 
-def _log_norm2(x: list[float]) -> float:
-    """log sum exp(x), the largest term taken out first."""
-    top = max(x)
-    return top + math.log(math.fsum(math.exp(v - top) for v in x))
-
-
 def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t: float,
                         B: float) -> float:
     """|beta_2|^2 ||Psi2_B||^2 / (|beta_1|^2 ||Psi1_B||^2) after collapse.
 
     For shared-spectrum branches this equals |beta_2|^2/|beta_1|^2 for every
     (t, B): there is no collapse between the branches.  One point a call;
-    each log norm is a log-sum-exp over levels of 2*(log m + dlog), dlog
-    being `engine.collapse_exponent`.
+    each log norm is the package's log-sum-exp (`collapse_lab._log_sum_exp`)
+    over levels of 2*(log m + dlog), dlog being `engine.collapse_exponent`.
     """
     if spec.beta_1 == 0:
         raise DomainError("beta_1 = 0: ratio undefined")
@@ -131,7 +125,7 @@ def branch_weight_ratio(spec: BranchSpec, params: CollapseParams, t: float,
         raise DomainError("t and B must be finite and t >= 0")
     dlog2 = [2.0 * collapse_exponent(params, t, B, e) for e in spec.energies]
     log_n1, log_n2 = (
-        _log_norm2([d + lm for d, lm in zip(dlog2, _twice_log_magnitudes(tuple(mags)))])
+        _log_sum_exp(d + lm for d, lm in zip(dlog2, _twice_log_magnitudes(tuple(mags))))
         for mags in (spec.magnitudes, spec.branch_2_magnitudes))
     w = abs(spec.beta_2) ** 2 / abs(spec.beta_1) ** 2
     return w * math.exp(log_n2 - log_n1)

@@ -1318,6 +1318,28 @@ class TestWriters:
         assert peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("code, body, section", [
+    (0, SPIN_INI, "spin"),
+    (2, SPIN_INI.replace("epsilon = 3.0\n", ""), "spin"),
+    (3, OVERFLOW_COLLAPSE_INI, "validate"),
+], ids=["success", "config_error", "contract_violation"])
+def test_process_entry_exits_with_main_code_and_messages(tmp_path, capsys, code, body, section):
+    # `python -m collapse_lab.cli` runs `entry`, which freezes the collector
+    # once `main` has returned: the child still exits with main's code, its
+    # streams flushed with main's messages, and its output file written
+    path = write_config(tmp_path, body)
+    out = tmp_path / "o.csv"
+    argv = [section, "--config", str(path)] + (["--out", str(out)] if section != "validate" else [])
+    assert main(argv) == code
+    want = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    res = subprocess.run([sys.executable, "-m", "collapse_lab.cli", *argv],
+                         capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (code, want.out, want.err)
+    assert (out.read_bytes() if out.exists() else None) == written
+
+
 def test_cli_runs_one_blas_thread():
     # fresh interpreters: importing the CLI sets OPENBLAS_NUM_THREADS before
     # a run imports numpy, which loads OpenBLAS, so no idle worker thread
@@ -1575,25 +1597,33 @@ def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
-def test_closed_form_runs_load_no_numpy(tmp_path, config):
-    # one fresh interpreter per shipped config: `validate`, then a run; the
-    # closed-form spin, records, measurement and decay compute in math and
-    # cmath, and neither step imports numpy, while every other run still does
-    section = ExperimentConfig.from_file(config).experiment
+def test_no_validate_loads_numpy(config):
+    # one fresh interpreter per shipped config: the builds and array
+    # estimates are float arithmetic, so no `validate` imports numpy
     child = (
-        "import json, sys\n"
+        "import sys\n"
         "from collapse_lab.cli import main\n"
         f"assert main(['validate', '--config', {str(config)!r}]) == 0\n"
-        "loaded = ['numpy' in sys.modules]\n"
-        f"assert main([{section!r}, '--config', {str(config)!r},\n"
-        f"             '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
-        "loaded.append('numpy' in sys.modules)\n"
-        "print(json.dumps(loaded))\n"
+        "print('numpy' in sys.modules)\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    after_validate, after_run = json.loads(res.stdout.splitlines()[-1])
-    if config.stem in NUMPY_FREE:
-        assert not after_validate and not after_run
-    else:
-        assert after_run
+    assert res.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_closed_form_runs_load_no_numpy(tmp_path, config):
+    # one fresh interpreter per shipped config, a run: the closed-form spin,
+    # records, measurement and decay compute in math and cmath and import no
+    # numpy, while every other run still does
+    section = ExperimentConfig.from_file(config).experiment
+    child = (
+        "import sys\n"
+        "from collapse_lab.cli import main\n"
+        f"assert main([{section!r}, '--config', {str(config)!r},\n"
+        f"             '--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str(config.stem not in NUMPY_FREE)

@@ -12,7 +12,6 @@ from scipy.special import ndtr
 from collapse_lab import cli, ensemble
 from collapse_lab.engine import CollapseParams, evolve
 from collapse_lab.ensemble import (
-    TimeSeries,
     draw_traj_variates,
     ensemble_density_matrix,
     ensemble_density_matrix_mc,
@@ -107,38 +106,6 @@ class TestSmear:
         combined = smear(lambda u: a * f(u) + b * g(u), t, 0.6)
         separate = a * smear(f, t, 0.6) + b * smear(g, t, 0.6)
         assert abs(combined - separate) < 1e-10
-
-
-class TestTimeSeries:
-    def test_interpolates_and_guards_domain(self):
-        ts = TimeSeries((0.0, 1.0, 2.0), (0.0, 2.0, 4.0))
-        assert ts(0.5) == 1.0
-        with pytest.raises(DomainError):
-            ts(2.5)
-
-    def test_complex_values_supported(self):
-        ts = TimeSeries((0.0, 1.0), (1.0 + 0.0j, 0.0 + 1.0j))
-        assert ts(0.5) == pytest.approx(0.5 + 0.5j)
-
-    def test_smear_rejects_short_series(self):
-        # the guard checks the span the Gauss-Hermite nodes reach, 14.9
-        # widths at order 64, so a series on +-10 widths is refused by it
-        # rather than by the series at its first node outside
-        for half_width in (1.0, 10.0):
-            grid = np.linspace(-half_width, half_width, 11)
-            ts = TimeSeries(tuple(grid), tuple(np.zeros(11)))
-            with pytest.raises(DomainError, match="too short for the smear window"):
-                smear(ts, 0.0, 1.0)
-
-    def test_smear_of_sampled_cosine(self):
-        # the series must cover the Gauss-Hermite node span, which reaches
-        # past 8 widths at quadrature order 64
-        eps, tcal = 1.5, 0.4
-        grid = np.linspace(-8.0, 8.0, 5001)
-        ts = TimeSeries(tuple(grid), tuple(np.cos(eps * grid)))
-        got = smear(ts, 1.0, tcal)
-        want = math.exp(-0.5 * (eps * tcal) ** 2) * math.cos(eps)
-        assert abs(got - want) < 1e-6
 
 
 class TestDrawTrajVariates:

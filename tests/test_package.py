@@ -118,7 +118,7 @@ def test_importtime_times_every_layer_a_layer_loads(layer):
 RECORDS = {"EnergyLevel": "hilbert", "SpectralState": "hilbert",
            "ObservableMatrix": "hilbert", "DiscreteSpectrum": "hilbert",
            "DecayModelParams": "decay", "KGrid": "kgrid", "KGridResult": "kgrid",
-           "CollapseParams": "engine", "TimeSeries": "ensemble",
+           "CollapseParams": "engine",
            "BranchSpec": "measurement", "RecordScenario": "records",
            "SpinModelParams": "spin"}
 
@@ -137,7 +137,6 @@ def valid_records():
             "KGrid": r["KGrid"](-39.0, 41.0, 64, 5e-4),
             "KGridResult": r["KGridResult"](*[None] * 9),
             "CollapseParams": r["CollapseParams"](1.0),
-            "TimeSeries": r["TimeSeries"]((0.0, 1.0), (0.0, 1.0)),
             "BranchSpec": r["BranchSpec"]((0.0,), (1.0,), (0.0,), (1.0,), 0.6, 0.8),
             "SpinModelParams": r["SpinModelParams"](0.6, 0.8, 3.0, 1e-4, 1.0),
             "RecordScenario": r["RecordScenario"](spectrum, spectrum, 1.0, -1.0, 1.0, 0.0)}

@@ -7,7 +7,8 @@ uniform k-grid, is the `kgrid` layer, so a closed-form run loads none of it.
 The closed forms a run tabulates (`beta_excitation`, `occupation`,
 `occupation_collapsed`) take one float and compute in `math` and `cmath`;
 the photon amplitudes and densities return numpy arrays and import numpy
-when called, so the module imports none.
+when called, so the module imports none.  It holds the CLI's `decay` record
+(`EXPERIMENTS`), whose k-grid mode imports its parts from `kgrid`.
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -21,7 +22,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from . import DomainError, _checked
+from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _choice,
+               _float, _grid, _int_pos, _n_grid, _nonneg, _positive, _t_cal)
 from ._kernels import log_normal_cdf, normal_cdf
 
 __all__ = [
@@ -234,3 +236,70 @@ def position_asymptotic(x, s: float, p: DecayModelParams):
     packet = 1.0 - g * p.sigma * after
     blip = g * p.sigma * after * (1.0 + u / (g * t * t))
     return gauss * (packet + blip)
+
+
+# --- the CLI's decay experiment ---------------------------------------------
+
+
+#: the keys that one decay mode alone reads, with their defaults there; their
+#: schema default is None, so a key given for the other mode is told apart
+_DECAY_MODE_KEYS = {
+    "closed": {"t_cal": 0.0, "n_s": 200},
+    "kgrid": {"x0": 0.0, "n_modes": 4096, "half_width": 40.0, "dt": 5e-4,
+              "record_every": 20, "packet": "decay"}}
+
+
+def _build_decay(p):
+    """`DecayModelParams` and, in k-grid mode, the `KGrid` (`kgrid`'s build).
+    A key its mode does not read is refused; every absent mode key takes its
+    default, echoed in the summary."""
+    for mode, defaults in _DECAY_MODE_KEYS.items():
+        for key, default in defaults.items():
+            if p[key] is None:
+                p[key] = default
+            elif mode != p["mode"]:
+                raise ConfigError(f"key '{key}' is not read in mode = {p['mode']}")
+    dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
+    if p["mode"] == "closed":
+        return dp, None
+    from .kgrid import _build_grid
+    return dp, _build_grid(p, dp)
+
+
+def _decay_bytes(p, model):
+    if p["mode"] == "closed":
+        return {"'n_s'": _CLOSED_ROW_BYTES * p["n_s"]}
+    from .kgrid import _kgrid_bytes
+    return _kgrid_bytes(p, model)
+
+
+def _run_decay(cfg):
+    p, (dp, grid) = cfg.parameters, cfg.model
+    if grid is not None:
+        from .kgrid import _run_kgrid
+        return _run_kgrid(cfg)
+    cols = ["t (time)", "occupation (dimensionless)",
+            "occupation_collapsed (dimensionless)"]
+    table = [(s, occupation(s, dp), occupation_collapsed(s, dp))
+             for s in _grid(-p["s_max"], p["s_max"], p["n_s"])]
+    summary = {"T_cal": _t_cal(p), "Gamma_T_cal": p["gamma"] * _t_cal(p)}
+    return cols, table, summary
+
+
+EXPERIMENTS = {"decay": Experiment(
+    {"epsilon": (_positive, True, None),
+     "gamma": (_positive, True, None),
+     "sigma": (_positive, True, None),
+     "x0": (_float, False, None),
+     "t_cal": (_nonneg, False, None),
+     "mode": (_choice("closed", "kgrid"), False, "closed"),
+     "s_max": (_positive, True, None),
+     "n_s": (_n_grid, False, None),
+     "n_modes": (_int_pos, False, None),
+     "half_width": (_positive, False, None),
+     "dt": (_positive, False, None),
+     "record_every": (_int_pos, False, None),
+     "packet": (_choice("decay", "excitation"), False, None)},
+    build=_build_decay, array_bytes=_decay_bytes, run=_run_decay,
+    # the k-grid oracle applies no collapse smearing, so it has no T_cal
+    t_cal=lambda p: None if p["mode"] == "kgrid" else _t_cal(p))}

@@ -71,10 +71,9 @@ def collapse_weights(energies, log_w0, params, t, b):
     return w
 
 
-def evolve(
-    state0: SpectralState, params: CollapseParams, t: float, B: float
-) -> SpectralState:
-    """Evolve from time 0 (with B(0) = 0 by convention) to time t at record B.
+def evolve(state0, params: CollapseParams, t: float, B: float):
+    """Evolve the `hilbert.SpectralState` state0 from time 0 (with B(0) = 0 by
+    convention) to time t at record B.
 
     Returns the unnormalized state; t = 0 is the identity.
     """
@@ -91,13 +90,9 @@ def evolve(
                          tuple((state0.phases - e * t).tolist()))
 
 
-def record_marginal_density(
-    state_t0: SpectralState,
-    params: CollapseParams,
-    dt: float,
-    dB_grid: np.ndarray,
-) -> np.ndarray:
-    """Density of the record increment dB over a step of length dt.
+def record_marginal_density(state_t0, params: CollapseParams, dt: float, dB_grid):
+    """Density of the record increment dB over a step of length dt from the
+    `hilbert.SpectralState` state_t0, at each of the array dB_grid.
 
     A Gaussian mixture: one component per energy in the state's spectrum,
     mean 2*lambda*dt*E, variance lambda*dt, weighted by the energy

@@ -6,18 +6,22 @@ The smearing operator averages a Schrodinger-picture expectation over a
 Gaussian time window of width T_cal = sqrt(lambda*t); it is the ensemble
 signature of energy-driven collapse.
 
-The module imports neither numpy nor `rng` when loaded: the tile and moment
-block sizes (`_tile_shape`, `_moment_block`), which the CLI's array estimate
-shares, are plain Python, and the functions that compute with arrays import
-them when called.  So no config's `validate` loads numpy, and only the
-collapse, ensemble and k-grid runners do.
+The module holds the records of the CLI's `collapse` and `ensemble`
+experiments (`EXPERIMENTS`), whose runners take the collapse pass.  It
+imports neither numpy nor `rng` when loaded: the builds and the tile and
+moment block sizes (`_tile_shape`, `_moment_block`), which the array
+estimates share, are plain Python, and the functions that compute with
+arrays import them when called.  So no config's `validate` loads numpy, and
+only the collapse, ensemble and k-grid runners do.
 """
 
 from __future__ import annotations
 
 import math
 
-from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
+from . import (ConfigError, Experiment, _floats, _fraction, _grid, _int_pos, _n_grid,
+               _n_traj_mc, _numpy_runner, _positive, _t_cal)
+from .hilbert import DomainError, EnergyLevel, ObservableMatrix, SpectralState, squared_norm
 from .engine import CollapseParams, collapse_weights
 
 __all__ = [
@@ -159,8 +163,9 @@ def simulate_trajectories(
     times,
     master_seed: int,
     n_traj: int,
-) -> np.ndarray:
-    """Record paths B(t) of n_traj collapse trajectories, shape (n_traj, len(times)).
+):
+    """Record paths B(t) of n_traj collapse trajectories, a numpy array of
+    shape (n_traj, len(times)).
 
     The records of the tiled collapse pass, exact Gaussian-mixture sampling
     from B(0) = 0 on a strictly increasing grid of non-negative times.  Row i
@@ -239,8 +244,9 @@ def _block_moments(blocks):
     return n, mean, m2
 
 
-def _phase_factors(state0: SpectralState, t) -> np.ndarray:
-    """exp(i*theta), theta = phases - E*t: the common phases at time t."""
+def _phase_factors(state0: SpectralState, t):
+    """exp(i*theta), theta = phases - E*t: the common phases at time t, a
+    numpy array."""
     import numpy as np
     return np.exp(1j * (np.asarray(state0.phases) - state0.energies() * t))
 
@@ -273,7 +279,7 @@ def ensemble_expectation_mc(
     return float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
-def _damped_moduli(state0: SpectralState, params, t, pairs, out) -> np.ndarray:
+def _damped_moduli(state0: SpectralState, params, t, pairs, out):
     """|rho_ij| = m_i*m_j*exp(-lambda*t*(E_i - E_j)^2/2), m the normalized
     magnitudes, for the level pairs (i, j) = pairs at each of the times t,
     formed in out, shape (len(t), len(i)); exactly m_i*m_j where E_i = E_j.
@@ -311,9 +317,9 @@ def ensemble_density_matrix_mc(
     t: float,
     n_traj: int,
     master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
+):
     """Monte Carlo density matrix (mean of normalized projectors) and the
-    entrywise standard error.  Cross-check for `ensemble_density_matrix`.
+    entrywise standard error, two numpy arrays.  Cross-check for `ensemble_density_matrix`.
 
     A trajectory's projector is s_i*s_j*exp(i*(theta_i - theta_j))
     (`_root_blocks`): the real products s_i*s_j, i <= j (they are
@@ -333,3 +339,154 @@ def ensemble_density_matrix_mc(
     se[i, j] = se[j, i] = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     return rho * d[:, None] * d.conj(), se
 
+
+# --- the CLI's collapse and ensemble experiments ----------------------------
+
+
+def _chunk_level_bytes(n_lev, n_traj, n_steps, floats, block_values=0) -> int:
+    """The (level, trajectory, step) temporaries of one tile of the collapse
+    pass, charged as `floats` floats per weight, and one block of the Monte
+    Carlo moments that holds `block_values` floats per trajectory."""
+    rows, steps = _tile_shape(n_lev, n_traj, n_steps)
+    block = block_values and _moment_block(block_values, n_traj)
+    return 8 * (floats * n_lev * rows * steps + block_values * block)
+
+
+def _build_levels(p, key, power):
+    """(initial SpectralState, CollapseParams) of a config that gives one
+    value v per level under `key`, of log-magnitude power*log(v/max v) before
+    the state is normalized: a ratio to the largest value never overflows,
+    and one that is 0 (a zero value, or one that underflows) gives a level of
+    zero amplitude.  Sorts `energies` ascending, and `key` and `phases` with
+    them: the output columns index levels by ascending energy, and the
+    summary echoes that order."""
+    if len(p["energies"]) != len(p[key]):
+        raise ConfigError(f"keys 'energies' and '{key}' must align")
+    if len(set(p["energies"])) != len(p["energies"]):
+        raise ConfigError("key 'energies' must not repeat values")
+    top = max(p[key])
+    if min(p[key]) < 0 or top == 0:
+        raise ConfigError(f"key '{key}' must be nonnegative, not all zero")
+    if p.get("phases") is not None and len(p["phases"]) != len(p["energies"]):
+        raise ConfigError("keys 'energies' and 'phases' must align")
+    order = sorted(range(len(p["energies"])), key=p["energies"].__getitem__)
+    for k in ("energies", key, "phases"):
+        if p.get(k) is not None:
+            p[k] = tuple(p[k][i] for i in order)
+    try:
+        levels = tuple(EnergyLevel(float(e)) for e in p["energies"])
+        log_m = tuple(power * math.log(r) if r > 0 else -math.inf
+                      for r in (v / top for v in p[key]))
+        ph = p.get("phases") or (0.0,) * len(levels)
+        state0 = SpectralState(levels, log_m, ph).normalized()
+    except DomainError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+    return state0, CollapseParams(p["lambda"])
+
+
+def _collapse_bytes(p, model):
+    # the output table and the per-step arrays, then the level weights of one
+    # pass tile, which peak at about four floats per weight (tracemalloc):
+    # the runner releases each tile before the pass draws the next, so
+    # nothing grows with n_traj
+    n_lev = len(p["energies"])
+    return {"'n_steps'": 24 * (2 + n_lev) * p["n_steps"],
+            "'energies'": _chunk_level_bytes(n_lev, p["n_traj"], p["n_steps"], 4)}
+
+
+@_numpy_runner
+def _run_collapse(cfg):
+    import numpy as np
+
+    p, (state0, params) = cfg.parameters, cfg.model
+    n_traj, n_steps = p["n_traj"], p["n_steps"]
+    times = np.array(_grid(p["t_max"] / n_steps, p["t_max"], n_steps))
+    n_lev = len(p["energies"])
+    n_collapsed = np.zeros(n_steps, np.int64)
+    weight_sums = np.zeros((n_steps, n_lev))
+    for tile in _collapse_pass(state0, params, times, cfg.master_seed, n_traj):
+        steps, w = tile[1], tile[3]
+        n_collapsed[steps] += np.count_nonzero(w.max(axis=0) >= p["threshold"], axis=0)
+        weight_sums[steps] += w.sum(axis=1).T
+        del tile, w  # released before the pass draws the next tile
+    frac, mean_w = n_collapsed / n_traj, weight_sums / n_traj
+    cols = ["t (time)", "collapsed_fraction (dimensionless)"] + [
+        f"mean_weight_E{i} (dimensionless)" for i in range(n_lev)
+    ]
+    summary = {"T_cal": _t_cal(p), "collapsed_fraction": float(frac[-1]), "n_traj": n_traj}
+    # final mean weight against the Born weight of the built state, in
+    # binomial standard errors; a Born weight of 0 or 1 has no spread and gives 0
+    born = np.exp(2.0 * np.asarray(state0.log_magnitudes))
+    se = np.sqrt(born * (1.0 - born) / n_traj)
+    z = np.divide(mean_w[-1] - born, se, out=np.zeros(n_lev), where=se > 0)
+    summary.update((f"born_z_E{i}", float(v)) for i, v in enumerate(z))
+    return cols, np.column_stack([times, frac, mean_w]), summary
+
+
+def _ensemble_bytes(p, model):
+    # the table, its times and one column of temporaries, with numpy's buffers
+    # for the strided moduli, three of at most 2**13 floats; its column names
+    # and pair temporaries, 210-250 bytes a level pair (tracemalloc), charged
+    # as 256, and one one-step tile's level weights, about six floats per
+    # weight, charged as seven, with one moment block of n_lev + 2 floats per
+    # trajectory: moments are streamed in blocks, so nothing grows with n_traj
+    n_lev = len(p["energies"])
+    n_pairs = n_lev * (n_lev - 1) // 2
+    return {"'n_t'": 8 * (p["n_t"] * (5 + n_pairs) + 3 * min(p["n_t"] * n_pairs, 2**13)),
+            "'energies'": 256 * n_pairs + _chunk_level_bytes(n_lev, p["n_traj"], 1, 7, n_lev + 2)}
+
+
+@_numpy_runner
+def _run_ensemble(cfg):
+    import numpy as np
+
+    p, (state0, params) = cfg.parameters, cfg.model
+    times = np.array(_grid(0.0, p["t_max"], p["n_t"]))
+    energies = state0.energies()
+    iu = np.triu_indices(len(energies), 1)
+    cols = ["t (time)", "mean_energy (energy)", "purity (dimensionless)"] + [
+        f"offdiag_abs_{i}{j} (dimensionless)" for i, j in zip(*iu)
+    ]
+    # the moduli |rho_ij|, i < j, formed in the table; the diagonal, the
+    # weights w, is time-invariant, so Tr(rho H) = w . E and
+    # Tr(rho^2) = sum w^2 + 2 sum_{i<j} |rho_ij|^2, all einsum, not BLAS
+    table = np.empty((len(times), len(cols)))
+    w = _damped_moduli(state0, params, times, iu, table[:, 3:])
+    table[:, 0] = times
+    table[:, 1] = np.einsum("i,i->", w, energies)
+    np.einsum("ri,ri->r", table[:, 3:], table[:, 3:], out=table[:, 2])
+    table[:, 2] *= 2.0
+    table[:, 2] += np.einsum("i,i->", w, w)
+    summary = {"T_cal": _t_cal(p), "mean_energy": float(table[0, 1])}
+    if p["n_traj"]:
+        mc, se = ensemble_expectation_mc(
+            state0, params, p["t_max"], ObservableMatrix.hamiltonian(state0.levels),
+            p["n_traj"], cfg.master_seed)
+        summary["mc_mean_energy"] = mc
+        summary["mc_standard_error"] = se
+        # an ensemble with no spread (one level) has se = 0 and gives 0
+        summary["mc_z_score"] = (mc - summary["mean_energy"]) / se if se > 0 else 0.0
+    return cols, table, summary
+
+
+EXPERIMENTS = {
+    "collapse": Experiment(
+        {"lambda": (_positive, True, None),
+         "energies": (_floats, True, None),
+         "weights": (_floats, True, None),
+         "t_max": (_positive, True, None),
+         "n_steps": (_int_pos, False, 50),
+         "n_traj": (_int_pos, False, 200),
+         "threshold": (_fraction, False, 0.999)},
+        build=lambda p: _build_levels(p, "weights", 0.5),
+        array_bytes=_collapse_bytes, run=_run_collapse),
+    "ensemble": Experiment(
+        {"lambda": (_positive, True, None),
+         "energies": (_floats, True, None),
+         "magnitudes": (_floats, True, None),
+         "phases": (_floats, False, None),
+         "t_max": (_positive, True, None),
+         "n_t": (_n_grid, False, 100),
+         "n_traj": (_n_traj_mc, False, 0)},
+        build=lambda p: _build_levels(p, "magnitudes", 1.0),
+        array_bytes=_ensemble_bytes, run=_run_ensemble)}

@@ -19,7 +19,7 @@ runners do.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from . import DomainError, _checked, _log_sum_exp
 
@@ -98,12 +98,13 @@ class SpectralState(NamedTuple):
         return cls(tuple(levels), tuple(log_mags.tolist()), tuple(phases.tolist()),
                    normalized_flag)
 
-    def energies(self) -> np.ndarray:
+    def energies(self):
+        """The level energies, a numpy float array."""
         import numpy as np
         return np.array([lv.energy for lv in self.levels])
 
-    def amplitudes(self, log_shift: float = 0.0) -> np.ndarray:
-        """Complex amplitudes scaled by exp(-log_shift).
+    def amplitudes(self, log_shift: float = 0.0):
+        """Complex amplitudes scaled by exp(-log_shift), a numpy array.
 
         Pass the log norm (or the max log magnitude) as ``log_shift`` when
         the raw amplitudes would underflow.
@@ -120,10 +121,11 @@ class SpectralState(NamedTuple):
 
 @_checked
 class ObservableMatrix(NamedTuple):
-    """Hermitian matrix over a list of energy levels."""
+    """Hermitian matrix over a list of energy levels; `entries` is made a
+    complex numpy array on construction."""
 
     basis: tuple[EnergyLevel, ...]
-    entries: np.ndarray
+    entries: Any
 
     def _check(self):
         import numpy as np

@@ -6,7 +6,8 @@ propagated by one Chebyshev series of exp(-i*H*t) per segment of the span,
 whose beta components give every record's occupation in the segment; a
 record's total probability is the propagated state's squared norm at the
 start of its segment (`kgrid_chebyshev`).  Only a k-grid `decay` run loads
-this module; a closed-form run needs none of it.
+this module; a closed-form run needs none of it, so the k-grid mode's build
+checks, array estimate and runner of `decay`'s CLI record live here.
 
 The module imports no numpy when loaded: `KGrid`, `check_grid`,
 `check_packet`, `kgrid_span` and `chebyshev_size`, the checks and sizes a
@@ -20,7 +21,7 @@ Kernels:
   * chebyshev_series    -- Chebyshev coefficients of exp(-i*H*tau) for the
                            k-grid decay Hamiltonian H, tau one segment of a span.
   * chebyshev_size      -- that series' interval, segment count and Bessel
-                           orders, which the CLI's array estimate shares.
+                           orders, which the array estimate shares.
   * kgrid_chebyshev     -- the k-grid decay ODEs propagated exactly (to the
                            1e-15 series truncation), one recurrence per segment.
 """
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from . import DomainError, _checked
+from . import ConfigError, DomainError, _checked, _numpy_runner
 from .decay import DecayModelParams, packet_width
 
 __all__ = [
@@ -96,20 +97,20 @@ class KGrid(NamedTuple):
 
 
 class KGridResult(NamedTuple):
-    """Grid-integration output: series of |beta|^2 and total probability
+    """Grid-integration output: numpy arrays of |beta|^2 and total probability
     (the propagated state's squared norm at the start of the record's
-    segment), plus the terms and first dropped |J_n| of a segment's Chebyshev
-    series (`chebyshev_series`; every segment has the same length,
-    so the longest), the recurrence steps (O(n_modes) matvecs) of all
-    segments and the largest drift of the propagated state's squared norm
-    from its initial value at a segment end, the conservation check
-    (`kgrid_chebyshev`)."""
+    segment) at the times, of the grid k and of the final photon amplitudes,
+    plus the terms and first dropped |J_n| of a segment's Chebyshev series
+    (`chebyshev_series`; every segment has the same length, so the longest),
+    the recurrence steps (O(n_modes) matvecs) of all segments and the largest
+    drift of the propagated state's squared norm from its initial value at a
+    segment end, the conservation check (`kgrid_chebyshev`)."""
 
-    times: np.ndarray  # shifted times s = t - T
-    occupation: np.ndarray
-    total_probability: np.ndarray
-    k: np.ndarray
-    alpha_final: np.ndarray
+    times: Any  # shifted times s = t - T
+    occupation: Any
+    total_probability: Any
+    k: Any
+    alpha_final: Any
     chebyshev_terms: int
     chebyshev_tail: float
     chebyshev_matvecs: int
@@ -390,3 +391,58 @@ def integrate_kgrid(
         k, wk, p.g, p.epsilon, p.x0, beta0, alpha0, grid.dt, n_steps, record_every
     )
     return KGridResult(times - lead, occ, prob, k, alpha, *series)
+
+
+# --- the k-grid mode of the CLI's decay experiment ---------------------------
+
+
+def _build_grid(p, dp: DecayModelParams) -> KGrid:
+    """The `KGrid` of a k-grid `decay` config; this module's own checks
+    decide, so a config accepted here passes `integrate_kgrid`'s, and each
+    refusal names the key it tests."""
+    key = "n_modes"
+    try:
+        KGrid(0.0, 1.0, p["n_modes"], p["dt"])  # the n_modes check alone
+        key = "half_width"
+        grid = KGrid.for_params(dp, p["half_width"], p["n_modes"], p["dt"])
+        check_grid(dp, grid)
+        key = "packet"
+        check_packet(dp, grid, p["packet"])
+        key = "s_max"
+        kgrid_span(dp, grid, p["packet"], p["s_max"])
+        key = "record_every"
+        kgrid_span(dp, grid, p["packet"], p["s_max"], p["record_every"])
+    except DomainError as exc:
+        raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
+    return grid
+
+
+def _kgrid_bytes(p, model):
+    # grid, coupling, state, three Chebyshev recurrence vectors and the
+    # accumulated state, with their temporaries, per mode; times, Bessel
+    # arguments and three columns per record; and one record block's Bessel
+    # factors and products, n the orders computed for a segment's series
+    dp, grid = model
+    _, span, n_steps = kgrid_span(dp, grid, p["packet"], p["s_max"])
+    *_, n = chebyshev_size(grid.k_min, grid.k_max, dp.g, dp.epsilon, span)
+    n_rec = n_steps // p["record_every"] + 1
+    return {"'n_modes'": 8 * 25 * p["n_modes"],
+            "'record_every'": 8 * 12 * n_rec,
+            "'s_max'": 8 * RECORD_BLOCK * 2 * max(n, 32)}
+
+
+@_numpy_runner
+def _run_kgrid(cfg):
+    import numpy as np
+
+    p, (dp, grid) = cfg.parameters, cfg.model
+    res = integrate_kgrid(dp, grid, p["packet"], p["s_max"], p["record_every"])
+    cols = ["t (time)", "occupation (dimensionless)",
+            "total_probability (dimensionless)"]
+    table = np.column_stack([res.times, res.occupation, res.total_probability])
+    span = res.times[-1] - res.times[0]
+    summary = {"probability_drift_per_unit_time": res.norm_drift / span,
+               "recurrence_time": grid.recurrence_time,
+               "chebyshev_terms": res.chebyshev_terms, "chebyshev_tail": res.chebyshev_tail,
+               "chebyshev_matvecs": res.chebyshev_matvecs}
+    return cols, table, summary

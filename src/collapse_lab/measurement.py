@@ -21,7 +21,8 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from . import DomainError, _checked, _log_sum_exp
+from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _grid,
+               _int_pos, _log_sum_exp, _n_grid, _positive)
 from .engine import CollapseParams, collapse_exponent
 
 __all__ = [
@@ -87,8 +88,9 @@ def _levels(energies):
     return tuple(levels)
 
 
-def build_branches(spec: BranchSpec) -> tuple[SpectralState, SpectralState]:
-    """States of the two branches (unnormalized, amplitudes m*exp(i*theta))."""
+def build_branches(spec: BranchSpec):
+    """The two branches' `hilbert.SpectralState`s (unnormalized, amplitudes
+    m*exp(i*theta))."""
     import numpy as np
 
     from .hilbert import SpectralState
@@ -188,3 +190,52 @@ def load_branch_fixture(path) -> BranchSpec:
 def fixture_path(name: str) -> Path:
     """Path of a packaged fixture, e.g. 'branch_shared.txt'."""
     return Path(resources.files("collapse_lab").joinpath("fixtures", name))
+
+
+# --- the CLI's measurement experiment ---------------------------------------
+
+
+def _build_measurement(p):
+    """The branch fixture at path `fixture`, else the packaged one of that
+    name, and the collapse parameters."""
+    name = p["fixture"]
+    path = Path(name)
+    if not path.is_file():
+        path = fixture_path(name)
+    try:
+        spec = load_branch_fixture(path)
+    except OSError as exc:
+        raise ConfigError(f"key 'fixture': no file or packaged fixture {name!r}") from exc
+    except (ValueError, DomainError) as exc:
+        raise ConfigError(f"invalid value for key 'fixture': {exc}") from exc
+    return spec, CollapseParams(p["lambda"])
+
+
+def _measurement_bytes(p, model):
+    # the table, then one point's ratio temporaries and the two branches'
+    # cached 2*log m: four floats a level with their list or tuple entries,
+    # 129 bytes under tracemalloc at 2e4 levels, charged as 136
+    points = p["n_t"] * p["n_b"]
+    return {"'n_t' x 'n_b'": _CLOSED_ROW_BYTES * points + 136 * len(model[0].energies)}
+
+
+def _run_measurement(cfg):
+    p, (spec, params) = cfg.parameters, cfg.model
+    cols = ["t (time)", "B (record)", "weight_ratio (dimensionless)"]
+    bs = _grid(-p["b_max"], p["b_max"], p["n_b"])
+    table = [(t, b, branch_weight_ratio(spec, params, t, b))
+             for t in _grid(p["t_max"] / p["n_t"], p["t_max"], p["n_t"]) for b in bs]
+    lo, hi = min(row[2] for row in table), max(row[2] for row in table)
+    summary = {"shared_spectrum": spec.shared_spectrum, "ratio_min": lo, "ratio_max": hi,
+               "ratio_spread_rel": hi / lo - 1.0}
+    return cols, table, summary
+
+
+EXPERIMENTS = {"measurement": Experiment(
+    {"fixture": (str, True, None),
+     "lambda": (_positive, True, None),
+     "t_max": (_positive, True, None),
+     "n_t": (_int_pos, False, 20),
+     "b_max": (_positive, True, None),
+     "n_b": (_n_grid, False, 20)},
+    build=_build_measurement, array_bytes=_measurement_bytes, run=_run_measurement)}

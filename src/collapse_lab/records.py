@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from . import DomainError, _checked
+from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _choice,
+               _float, _grid, _int_pos, _nonneg, _positive, _t_cal)
 from .hilbert import DiscreteSpectrum
 
 __all__ = [
@@ -142,3 +143,49 @@ def verify_schwarz_chain(
     (rhs,), _ = record_violation_bound(scenario, [t])
     holds = abs(lhs - rhs) <= 1e-4 * max(1.0, abs(rhs))
     return lhs, rhs, holds
+
+
+# --- the CLI's records experiment -------------------------------------------
+
+
+#: (plus, minus) index ranges of the builtin record spectra on their shared
+#: 1500-point grid; half_overlap shares 500 points, so its overlap is exactly 0.5
+_RECORD_SPECTRA = {"disjoint": ((0, 750), (750, 1500)), "identical": ((0, 1500), (0, 1500)),
+                   "half_overlap": ((0, 1000), (500, 1500))}
+
+
+def _build_records(p):
+    """The `RecordScenario` of the builtin `spectra` pair, with equal weights
+    on each of its `_RECORD_SPECTRA` index ranges."""
+    if p["b_plus"] == p["b_minus"]:
+        raise ConfigError("keys 'b_plus' and 'b_minus' must differ")
+    if p["t_max"] <= p["t0"]:
+        raise ConfigError("key 't_max' must exceed 't0'")
+    n = 1500
+    grid = tuple(i * 1e-3 for i in range(n))
+    plus, minus = (
+        DiscreteSpectrum(grid, (0.0,) * lo + (1.0 / (hi - lo),) * (hi - lo) + (0.0,) * (n - hi))
+        for lo, hi in _RECORD_SPECTRA[p["spectra"]])
+    return RecordScenario(plus, minus, p["b_plus"], p["b_minus"], p["lambda"], p["t0"])
+
+
+def _run_records(cfg):
+    p, scenario = cfg.parameters, cfg.model
+    dt0 = (p["t_max"] - p["t0"]) / p["n_t"]
+    ts = _grid(p["t0"] + dt0, p["t_max"], p["n_t"])
+    cols = ["t (time)", "record_bound (dimensionless)"]
+    bound, sup = record_violation_bound(scenario, ts)
+    summary = {"bound_sup": sup, "T_cal": _t_cal(p)}
+    return cols, list(zip(ts, bound)), summary
+
+
+EXPERIMENTS = {"records": Experiment(
+    {"spectra": (_choice("disjoint", "identical", "half_overlap"), True, None),
+     "lambda": (_positive, True, None),
+     "b_plus": (_float, True, None),
+     "b_minus": (_float, True, None),
+     "t0": (_nonneg, False, 0.0),
+     "t_max": (_positive, True, None),
+     "n_t": (_int_pos, False, 100)},
+    build=_build_records, run=_run_records,
+    array_bytes=lambda p, model: {"'n_t'": _CLOSED_ROW_BYTES * p["n_t"]})}

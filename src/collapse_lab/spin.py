@@ -18,7 +18,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from . import DomainError, _checked
+from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _float,
+               _grid, _n_grid, _nonneg, _positive, _t_cal)
 from ._kernels import normal_cdf
 
 __all__ = [
@@ -69,7 +70,7 @@ def _sigma1(s: float, p: SpinModelParams, tcal: float) -> float:
     cross = a.conjugate() * b
     arg = (s + 1j * eps * sig * (sig + tcal)) / width
     return (
-        2.0 * cross.real * normal_cdf(-s / width).real
+        cross.real * math.erfc(s / (width * math.sqrt(2.0)))  # 2*Re(cross)*Phi(-s/width)
         + math.exp(-0.5 * eps**2 * (sig**2 + tcal**2))
         * 2.0
         * (cross * cmath.exp(1j * eps * s) * normal_cdf(arg)).real
@@ -116,3 +117,43 @@ def spin_density_matrix(s: float, p: SpinModelParams):
     precessing = np.outer(v, v.conj())
     mixed = np.diag([abs(a) ** 2, abs(b) ** 2]).astype(complex)
     return (1.0 - env) * mixed + env * precessing
+
+
+# --- the CLI's spin experiment ----------------------------------------------
+
+
+def _build_spin(p):
+    try:
+        sp = SpinModelParams(p["a"], p["b"], p["epsilon"], p["sigma"], p["t_cal"])
+    except DomainError as exc:
+        raise ConfigError(f"keys 'a' and 'b': {exc}") from exc
+    if p["s_min"] is None:
+        if p["s_max"] <= 0:
+            raise ConfigError("key 's_max' must be positive when 's_min' is not given")
+        p["s_min"] = -p["s_max"]
+    if p["s_min"] >= p["s_max"]:
+        raise ConfigError("key 's_min' must be below 's_max'")
+    return sp
+
+
+def _run_spin(cfg):
+    p, sp = cfg.parameters, cfg.model
+    cols = ["t (time)", "sigma1_standard (dimensionless)",
+            "sigma1_collapsed (dimensionless)"]
+    table = [(s, sigma1_standard(s, sp), sigma1_collapsed(s, sp))
+             for s in _grid(p["s_min"], p["s_max"], p["n_s"])]
+    summary = {"envelope": sp.envelope, "epsilon_T_cal": p["epsilon"] * _t_cal(p)}
+    return cols, table, summary
+
+
+EXPERIMENTS = {"spin": Experiment(
+    {"a": (_float, True, None),
+     "b": (_float, True, None),
+     "epsilon": (_positive, True, None),
+     "sigma": (_positive, True, None),
+     "t_cal": (_nonneg, False, 0.0),
+     "s_min": (_float, False, None),
+     "s_max": (_float, True, None),
+     "n_s": (_n_grid, False, 200)},
+    build=_build_spin, run=_run_spin,
+    array_bytes=lambda p, model: {"'n_s'": _CLOSED_ROW_BYTES * p["n_s"]})}

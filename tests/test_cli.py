@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from collapse_lab import cli, ensemble, kgrid, measurement, spin
+import collapse_lab
+from collapse_lab import cli, decay, ensemble, kgrid, measurement, spin
 from collapse_lab.cli import ExperimentConfig, ConfigError, main
 from collapse_lab.decay import DecayModelParams
 from collapse_lab.engine import CollapseParams, collapse_weights, evolve
@@ -37,12 +38,12 @@ def write_config(tmp_path, body, name="exp.ini"):
 
 def array_bytes(cfg):
     """The array estimate of `cfg`'s experiment record, by count key."""
-    return cli.EXPERIMENTS[cfg.experiment].array_bytes(cfg.parameters, cfg.model)
+    return cli.experiment_record(cfg.experiment).array_bytes(cfg.parameters, cfg.model)
 
 
 def collapse_state(energies, weights):
     """The initial state the `collapse` record builds from these keys."""
-    state, _ = cli.EXPERIMENTS["collapse"].build(
+    state, _ = ensemble.EXPERIMENTS["collapse"].build(
         {"lambda": 1.0, "energies": tuple(energies), "weights": weights})
     return state
 
@@ -171,7 +172,7 @@ class TestConfigParsing:
 
     def test_derived_t_cal(self, tmp_path):
         cfg = ExperimentConfig.from_file(write_config(tmp_path, COLLAPSE_INI))
-        assert abs(cli._t_cal(cfg.parameters) - math.sqrt(6.0)) < 1e-12
+        assert abs(collapse_lab._t_cal(cfg.parameters) - math.sqrt(6.0)) < 1e-12
 
     def test_levels_sorted_with_aligned_keys(self, tmp_path):
         ini = """[ensemble]
@@ -369,7 +370,8 @@ n_traj = 10
         def never(cfg):
             raise AssertionError("the runner ran despite a bad --out")
 
-        monkeypatch.setitem(cli.RUNNERS, "spin", never)
+        monkeypatch.setitem(spin.EXPERIMENTS, "spin",
+                            spin.EXPERIMENTS["spin"]._replace(run=never))
         path = write_config(tmp_path, SPIN_INI)
         assert main(["spin", "--config", str(path), "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
@@ -470,7 +472,7 @@ record_every = 40
         path = write_config(tmp_path, ini)
         assert main(["validate", "--config", str(path)]) == 0
         cfg = ExperimentConfig.from_file(path)
-        _, table, _ = cli.RUNNERS["decay"](cfg)
+        _, table, _ = decay.EXPERIMENTS["decay"].run(cfg)
         assert len(table) == 7999 // 40 + 1 == 200
         cfg = ExperimentConfig.from_file(
             write_config(tmp_path, ini.replace("record_every = 40", "record_every = 10")))
@@ -608,7 +610,8 @@ record_every = 40
         # a runner's result, a numpy table or rows of floats, passes
         # _check_finite before anything is written
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setitem(cli.RUNNERS, "spin", lambda cfg: (cols, table, summary))
+        monkeypatch.setitem(spin.EXPERIMENTS, "spin", spin.EXPERIMENTS["spin"]._replace(
+            run=lambda cfg: (cols, table, summary)))
         path = write_config(tmp_path, SPIN_INI)
         assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 3
         assert needle in capsys.readouterr().err
@@ -727,7 +730,8 @@ class TestValidate:
         assert main(["validate", "--config", str(CONFIGS / config)]) == 0
         label, value = capsys.readouterr().out.splitlines()[-1].split(" = ")
         assert label == f"T_cal ({source})"
-        assert float(value) == cli._t_cal(ExperimentConfig.from_file(CONFIGS / config).parameters)
+        assert float(value) == collapse_lab._t_cal(
+            ExperimentConfig.from_file(CONFIGS / config).parameters)
 
     def test_universe_fixture_t_cal(self, capsys):
         assert main(["validate", "--config", str(CONFIGS / "universe_tcal.ini")]) == 0
@@ -874,7 +878,8 @@ class TestCollapseRunner:
         for n_traj in (20_000, 200_000):
             tracemalloc.start()
             try:
-                cli._run_collapse(ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5))
+                ensemble.EXPERIMENTS["collapse"].run(
+                    ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -894,7 +899,7 @@ class TestCollapseRunner:
             cfg = ExperimentConfig("collapse", {**p, "n_traj": n_traj}, 5)
             tracemalloc.start()
             try:
-                cli._run_collapse(cfg)
+                ensemble.EXPERIMENTS["collapse"].run(cfg)
                 run_peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
                 b = simulate_trajectories(*cfg.model, times, 5, n_traj)
@@ -1016,7 +1021,7 @@ class TestEnsembleRunner:
             tracemalloc.start()
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    cli.RUNNERS["ensemble"](cfg)
+                    ensemble.EXPERIMENTS["ensemble"].run(cfg)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1040,10 +1045,10 @@ class TestMeasurementRunner:
         cfg = ExperimentConfig.from_file(CONFIGS / "measurement_shared.ini")
         p, levels = cfg.parameters, len(cfg.model[0].energies)
         points = p["n_t"] * p["n_b"]
-        row = cli._CLOSED_ROW_BYTES
+        row = collapse_lab._CLOSED_ROW_BYTES
         assert array_bytes(cfg) == {"'n_t' x 'n_b'": row * points + 136 * levels}
         big = {**p, "n_t": 1000, "n_b": 1000}
-        assert cli._measurement_bytes(big, cfg.model) == {
+        assert measurement.EXPERIMENTS["measurement"].array_bytes(big, cfg.model) == {
             "'n_t' x 'n_b'": row * 10**6 + 136 * levels}
 
     def test_many_levels_stay_within_the_block_budget(self, tmp_path):
@@ -1058,7 +1063,8 @@ class TestMeasurementRunner:
              "n_t": 20, "b_max": 3.0, "n_b": 20}
         tracemalloc.start()
         try:
-            _, table, _ = cli._run_measurement(ExperimentConfig("measurement", p))
+            _, table, _ = measurement.EXPERIMENTS["measurement"].run(
+                ExperimentConfig("measurement", p))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1213,7 +1219,7 @@ def test_array_estimate_is_the_measured_peak(tmp_path, ini):
     tracemalloc.start()
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            cols, table, _ = cli.RUNNERS[cfg.experiment](cfg)
+            cols, table, _ = cli.experiment_record(cfg.experiment).run(cfg)
         _, run_peak = tracemalloc.get_traced_memory()
         cli.write_json(tmp_path / "o.json", {"seed": 0}, cols, table)
         _, peak = tracemalloc.get_traced_memory()
@@ -1250,7 +1256,7 @@ def test_grid_is_numpy_linspace_bit_for_bit(a, b, n):
     assume(a < b or n == 1)
     with np.errstate(over="ignore", invalid="ignore"):
         want = np.linspace(a, b, n)
-    got = np.array(cli._grid(a, b, n))
+    got = np.array(collapse_lab._grid(a, b, n))
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -1382,7 +1388,8 @@ def test_runs_without_scipy(tmp_path):
     child = (
         "import json, math, sys\n"
         "sys.modules['scipy'] = None\n"
-        "from collapse_lab.cli import EXPERIMENTS, main\n"
+        "from collapse_lab.cli import main\n"
+        "from collapse_lab.records import EXPERIMENTS\n"
         f"for section, stem in {closed!r}:\n"
         f"    config = {str(CONFIGS)!r} + '/' + stem + '.ini'\n"
         f"    out = {str(tmp_path)!r} + '/' + stem + '.csv'\n"
@@ -1557,6 +1564,8 @@ KGRID_ORACLE = ("integrate_kgrid", "kgrid_chebyshev", "bessel_j")
 
 
 @pytest.mark.parametrize("section, stem, unloaded", [
+    ("collapse", "collapse_two_level",
+     {"_kernels", "decay", "kgrid", "spin", "records", "measurement"}),
     ("records", "records_half_overlap",
      {"engine", "ensemble", "rng", "_kernels", "decay", "kgrid", "spin", "measurement"}),
     ("measurement", "measurement_shared",
@@ -1569,26 +1578,34 @@ KGRID_ORACLE = ("integrate_kgrid", "kgrid_chebyshev", "bessel_j")
      {"_kernels", "decay", "kgrid", "spin", "records", "measurement"}),
     ("decay", "decay_kgrid",
      {"hilbert", "engine", "ensemble", "rng", "records", "measurement", "spin"}),
-], ids=["records", "measurement", "spin", "decay", "ensemble", "decay_kgrid"])
+], ids=["collapse", "records", "measurement", "spin", "decay", "ensemble", "decay_kgrid"])
 def test_run_imports_only_its_layers(tmp_path, section, stem, unloaded):
     # one fresh interpreter per run: the experiment's build and runner import
-    # its layers, and the package imports none of its own accord
+    # its layers, and the package imports none of its own accord; no module
+    # the run loads holds another experiment's record, but for `ensemble`,
+    # which holds both of the collapse pass's
     child = (
         "import json, sys\n"
+        "from collapse_lab import Experiment\n"
         "from collapse_lab.cli import main\n"
         f"argv = [{section!r}, '--config', {str(CONFIGS / (stem + '.ini'))!r},\n"
         f"        '--out', {str(tmp_path / 'o.csv')!r}]\n"
         "assert main(argv) == 0\n"
         "mods = {n: m for n, m in sys.modules.items() if n.startswith('collapse_lab.')}\n"
-        f"print(json.dumps({{n: [f for f in {KGRID_ORACLE!r} if hasattr(m, f)]\n"
-        "                  for n, m in mods.items()}))\n"
+        f"print(json.dumps([{{n: [f for f in {KGRID_ORACLE!r} if hasattr(m, f)]\n"
+        "                   for n, m in mods.items()},\n"
+        "                  sorted(s for m in mods.values()\n"
+        "                         for s, r in getattr(m, 'EXPERIMENTS', {}).items()\n"
+        "                         if isinstance(r, Experiment))]))\n"
     )
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    oracle = json.loads(res.stdout.splitlines()[-1])
+    oracle, records = json.loads(res.stdout.splitlines()[-1])
     loaded = {m.removeprefix("collapse_lab.") for m in oracle}
-    assert section in loaded
+    assert cli.EXPERIMENTS[section] in loaded
     assert not loaded & unloaded
+    assert records == (["collapse", "ensemble"] if cli.EXPERIMENTS[section] == "ensemble"
+                       else [section])
     if stem == "decay_kgrid":
         assert {"decay", "kgrid", "_kernels"} <= loaded
     if stem in ("spin_suppression", "decay_closed"):

@@ -330,7 +330,7 @@ class TestMonteCarloOracle:
         # block, so its golden summary does not depend on the block size
         cfg = cli.ExperimentConfig.from_file(CONFIGS / "ensemble_damping.ini")
         shapes = record_moment_blocks(monkeypatch)
-        cli.RUNNERS["ensemble"](cfg)
+        ensemble.EXPERIMENTS["ensemble"].run(cfg)
         assert len(cfg.parameters["energies"]) == 3
         assert shapes == [(cfg.parameters["n_traj"],)] == [(2000,)]
 

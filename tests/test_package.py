@@ -4,9 +4,11 @@ import importlib
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -57,10 +59,12 @@ def test_readme_references_resolve():
     assert not missing
 
 
-def fresh_interpreter(code):
+def fresh_interpreter(code, env=None):
     """The JSON value `code` prints on its last line, run in a fresh
-    interpreter (this process has imported every layer already)."""
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    interpreter (this process has imported every layer already) with the
+    environment `env` (this process's by default)."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -80,9 +84,54 @@ def test_import_loads_no_layer():
 
 @pytest.mark.parametrize("module", [m for m in LAYERS if m != "rng"] + ["_kernels", "cli"])
 def test_domain_error_is_one_class(module):
-    # the CLI maps DomainError to exit 2 or 3: every layer raises the package's
-    module = importlib.import_module(f"collapse_lab.{module}")
+    # the CLI maps DomainError to exit 2 or 3: every layer raises the package's;
+    # and ConfigError to exit 2: every module holding an experiment record (or
+    # the k-grid parts of decay's) raises the package's
+    from collapse_lab import cli
+    name, module = module, importlib.import_module(f"collapse_lab.{module}")
     assert module.DomainError is collapse_lab.DomainError
+    if name in {*cli.EXPERIMENTS.values(), "kgrid", "cli"}:
+        assert module.ConfigError is collapse_lab.ConfigError
+
+
+def test_layers_leave_cli_and_blas_threads_alone():
+    # no layer imports `cli`, which sets OPENBLAS_NUM_THREADS when imported
+    # and, under `python -m collapse_lab.cli`, would be compiled and run a
+    # second time, with a second ConfigError
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    loaded = fresh_interpreter(
+        "import json, os, sys\n"
+        "from collapse_lab import *\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('collapse_lab.')),\n"
+        "                  'OPENBLAS_NUM_THREADS' in os.environ]))\n", env)
+    assert loaded == [sorted(f"collapse_lab.{m}" for m in ("_kernels",) + LAYERS), False]
+
+
+def annotated(module):
+    """Every function, method and class `module` defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for attr in vars(obj).values():
+                fn = getattr(attr, "__func__", getattr(attr, "fget", attr))
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    yield fn
+
+
+@pytest.mark.parametrize("module", ("", ".cli", "._kernels") + tuple(f".{m}" for m in LAYERS),
+                         ids=lambda m: m.lstrip(".") or "collapse_lab")
+def test_annotations_resolve(module):
+    # every annotation names what the module binds when loaded: none names
+    # numpy or a layer that the module imports only in its functions
+    module = importlib.import_module(f"collapse_lab{module}")
+    objs = list(annotated(module))
+    assert objs
+    for obj in objs:
+        typing.get_type_hints(obj)
 
 
 def test_star_import_binds_every_public_name():

@@ -88,7 +88,11 @@ def normal_cdf(z: complex) -> complex:
         raise DomainError(f"|Im z| must be <= {MAX_IMAG}, got {abs(z.imag)}")
     right = z.real > 0.0
     zl = -z if right else z
-    phi = 0.5 * cmath.exp(-0.5 * zl * zl) * faddeeva_upper(-1j * zl / math.sqrt(2.0))
+    # where the Gaussian factor underflows to 0 the product is 0 whatever w
+    # is, so w is not evaluated (far in the left tail, as in most of a narrow
+    # spin packet's grid)
+    gauss = cmath.exp(-0.5 * zl * zl)
+    phi = 0.5 * gauss * faddeeva_upper(-1j * zl / math.sqrt(2.0)) if gauss else 0j
     return 1.0 - phi if right else phi
 
 

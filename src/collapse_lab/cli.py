@@ -4,6 +4,17 @@ Usage:
     collapse-lab <experiment> --config <path> [--seed N] [--out <path>]
                  [--format csv|json]
     collapse-lab validate --config <path>
+    collapse-lab -h | --help
+<experiment> is collapse, ensemble, measurement, records, spin or decay.  A
+flag takes its value as the next argument or after "=" (--config=<path>), at
+most once, and only spelled in full.
+
+`main` reads these two shapes itself, with no argparse: `-h` or `--help`
+anywhere prints the usage block above to stdout and returns 0; any other
+argument error (an unknown command or flag, a flag `validate` does not take,
+a missing `--config` or value, a repeated flag, a `--format` other than csv or
+json) prints the usage and a one-line reason to stderr and returns 2, before
+any config is read.
 
 Configs are INI files with a single section named after the experiment.  All
 physical inputs are in natural units (hbar = 1); lambda carries units
@@ -39,9 +50,10 @@ The process entry, `entry` (the `collapse-lab` script and `python -m
 collapse_lab.cli`), freezes the collector once `main` has returned, so the
 interpreter's exit skips its final passes over every object the run made.
 
-Exit codes (README lists every case): 0 success, 2 configuration error
-(a bad key or value, a model its layer refuses, an --out outside an existing
-directory, or arrays above MAX_ARRAY_BYTES), 3 numerical-contract violation
+Exit codes (README lists every case): 0 success (and `--help`), 2 argument
+or configuration error (an argument error, a bad key or value, a model its
+layer refuses, an --out outside an existing directory or one that cannot be
+written, or arrays above MAX_ARRAY_BYTES), 3 numerical-contract violation
 (a non-finite result, a numpy floating-point error, a `math` overflow,
 division by zero or domain error, a k-grid Chebyshev series that does not
 truncate).  `validate` builds the same model objects the run
@@ -50,7 +62,6 @@ uses, so it refuses exactly the configs a run refuses with exit 2.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import gc
 import importlib
@@ -227,11 +238,14 @@ def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
     doc = {"experiment": cfg.experiment, "parameters": dict(cfg.parameters),
            "seed": cfg.master_seed, "version": f"collapse-lab-v{__version__}",
            "versions": versions, "wall_time_s": wall, "scalars": summary}
-    if output_format == "csv":
-        write_csv(out, cols, table)
-        out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
-    else:
-        write_json(out, doc, cols, table)
+    try:
+        if output_format == "csv":
+            write_csv(out, cols, table)
+            out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
+        else:
+            write_json(out, doc, cols, table)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out)!r} cannot be written: {exc}") from exc
     print(f"wrote {out}")
     return 0
 
@@ -251,38 +265,68 @@ def validate(path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="collapse-lab",
-        description="Energy-driven collapse experiments on finite spectral models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    vp = sub.add_parser("validate", help="check a config without running it")
-    vp.add_argument("--config", required=True)
-    args = parser.parse_args(argv)
+#: the usage block of the module docstring, printed by `--help` and with every
+#: argument error
+_USAGE = (__doc__ or "").partition("\n\n")[2].partition("\n\n")[0]
+#: the flags each command takes
+_FLAGS = {"validate": ("--config",), **dict.fromkeys(
+    EXPERIMENTS, ("--config", "--seed", "--out", "--format"))}
 
+
+class _ArgumentError(Exception):
+    """An argument that fits neither shape of the usage."""
+
+
+def _parse_args(argv):
+    """The command and its flags, by name, from the two shapes of the usage."""
+    if not argv:
+        raise _ArgumentError("no command given")
+    command, *rest = argv
+    if command not in _FLAGS:
+        raise _ArgumentError(f"unknown command {command!r}")
+    flags = {}
+    rest.reverse()
+    while rest:
+        flag, eq, value = rest.pop().partition("=")
+        if flag not in _FLAGS[command]:
+            raise _ArgumentError(f"{command} takes no argument {flag!r}")
+        if flag in flags:
+            raise _ArgumentError(f"{flag} given twice")
+        if not eq:
+            if not rest or rest[-1].startswith("--"):
+                raise _ArgumentError(f"{flag} needs a value")
+            value = rest.pop()
+        flags[flag] = value
+    if "--config" not in flags:
+        raise _ArgumentError("--config is required")
+    if flags.setdefault("--format", "csv") not in ("csv", "json"):
+        raise _ArgumentError(f"--format must be csv or json, not {flags['--format']!r}")
+    return command, flags
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     try:
-        if args.command == "validate":
-            return validate(args.config)
-        cfg = ExperimentConfig.from_file(args.config, experiment=args.command)
-        if args.seed is not None:
+        command, flags = _parse_args(argv)
+    except _ArgumentError as exc:
+        print(f"{_USAGE}\nargument error: {exc}", file=sys.stderr)
+        return 2
+    seed, out = flags.get("--seed"), flags.get("--out")
+    try:
+        if command == "validate":
+            return validate(flags["--config"])
+        cfg = ExperimentConfig.from_file(flags["--config"], experiment=command)
+        if seed is not None:
             try:
-                cfg.master_seed = _seed(args.seed)
+                cfg.master_seed = _seed(seed)
             except ValueError as exc:
                 raise ConfigError(f"invalid value for --seed: {exc}") from exc
-        if args.out is not None:
-            out = Path(args.out)
-            if out.is_dir() or not out.parent.is_dir():
-                raise ConfigError(
-                    f"--out {args.out!r} must name a file in an existing directory"
-                )
-        return run(cfg, args.out, args.format)
+        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"--out {out!r} must name a file in an existing directory")
+        return run(cfg, out, flags["--format"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

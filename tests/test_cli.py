@@ -376,6 +376,21 @@ n_traj = 10
         assert main(["spin", "--config", str(path), "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_unwritable_out_is_two(self, tmp_path, monkeypatch, capsys):
+        # an --out in an existing directory that cannot be written (a test
+        # run as root writes through file modes, so the writer is patched)
+        monkeypatch.chdir(tmp_path)
+
+        def denied(path, cols, table):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_csv", denied)
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "--out 'o.csv'" in err and "Permission denied" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
     def test_record_every_beyond_step_count_is_two(self, tmp_path, capsys):
         ini = """[decay]
 epsilon = 1.0
@@ -742,6 +757,52 @@ class TestValidate:
     def test_invalid_config_is_two(self, tmp_path):
         bad = write_config(tmp_path, COLLAPSE_INI.replace("1.0", "0.0", 1))
         assert main(["validate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["spinn", "--config", "{config}"], "unknown command 'spinn'"),
+    (["spin", "--config", "{config}", "--bogus", "1"], "no argument '--bogus'"),
+    (["spin", "--conf", "{config}"], "no argument '--conf'"),
+    (["validate", "--config", "{config}", "--seed", "1"], "validate takes no argument '--seed'"),
+    (["spin", "--out", "o.csv"], "--config is required"),
+    (["spin", "--config"], "--config needs a value"),
+    (["spin", "--config", "--out", "o.csv"], "--config needs a value"),
+    (["spin", "--config", "{config}", "--format", "xml"], "--format must be csv or json"),
+    (["spin", "--config", "{config}", "--out", "o.csv", "--out=p.csv"], "--out given twice"),
+    ([], "no command given"),
+    (["-h"], None),
+    (["--help"], None),
+    (["spin", "--help"], None),
+    (["validate", "--config", "{config}", "-h"], None),
+], ids=["unknown_command", "unknown_flag", "abbreviation", "validate_seed",
+        "missing_config", "config_at_end", "config_before_flag", "format_xml",
+        "repeated_out", "empty", "h", "help", "help_after_command", "h_after_flags"])
+def test_argument_errors_and_help(tmp_path, monkeypatch, capsys, argv, reason):
+    # an argument error returns 2, before any config is read or output
+    # written, with the usage and its one-line reason on stderr; -h or --help
+    # anywhere returns 0 with the usage on stdout
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, SPIN_INI)
+    argv = [a.format(config=path) for a in argv]
+    assert main(argv) == (0 if reason is None else 2)
+    out, err = capsys.readouterr()
+    usage = cli._USAGE
+    assert usage.startswith("Usage:\n") and all(name in usage for name in cli.EXPERIMENTS)
+    if reason is None:
+        assert (out, err) == (usage + "\n", "")
+    else:
+        assert out == "" and err.startswith(usage + "\nargument error: ")
+        assert reason in err and err.count("\n") == usage.count("\n") + 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_flag_equals_value_form(tmp_path):
+    # --flag=value reads as --flag value: the same table, byte for byte
+    path = write_config(tmp_path, SPIN_INI)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["spin", "--config", str(path), "--seed", "3", "--out", str(a)]) == 0
+    assert main(["spin", f"--config={path}", "--seed=3", f"--out={b}", "--format=csv"]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def read_csv(path):
@@ -1328,7 +1389,8 @@ class TestWriters:
     (0, SPIN_INI, "spin"),
     (2, SPIN_INI.replace("epsilon = 3.0\n", ""), "spin"),
     (3, OVERFLOW_COLLAPSE_INI, "validate"),
-], ids=["success", "config_error", "contract_violation"])
+    (2, SPIN_INI, "spinn"),
+], ids=["success", "config_error", "contract_violation", "argument_error"])
 def test_process_entry_exits_with_main_code_and_messages(tmp_path, capsys, code, body, section):
     # `python -m collapse_lab.cli` runs `entry`, which freezes the collector
     # once `main` has returned: the child still exits with main's code, its
@@ -1644,3 +1706,24 @@ def test_closed_form_runs_load_no_numpy(tmp_path, config):
     res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == str(config.stem not in NUMPY_FREE)
+
+
+def test_no_run_loads_argparse(tmp_path):
+    # one fresh interpreter: `validate` and a run of every shipped config
+    # parse their arguments without argparse, and so load neither it nor the
+    # gettext and locale modules it imports
+    configs = sorted(CONFIGS.glob("*.ini"))
+    runs = [(ExperimentConfig.from_file(c).experiment, str(c), str(tmp_path / f"{c.stem}.csv"))
+            for c in configs]
+    child = (
+        "import json, sys\n"
+        "from collapse_lab.cli import main\n"
+        f"for section, config, out in {runs!r}:\n"
+        "    assert main(['validate', '--config', config]) == 0\n"
+        "    assert main([section, '--config', config, '--out', out]) == 0\n"
+        "print(json.dumps(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == []
+    assert len(runs) == 8

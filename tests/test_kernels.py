@@ -369,3 +369,24 @@ class TestNormalCdf:
     def test_scalar_in_scalar_out(self):
         assert isinstance(_kernels.normal_cdf(-1.0), complex)
         assert isinstance(_kernels.log_normal_cdf(-1.0), float)
+
+    def test_underflowed_gaussian_skips_faddeeva(self, monkeypatch):
+        # where exp(-zl**2/2) underflows to 0, Phi is the unskipped product
+        # 0.5*exp(-zl**2/2)*w(-i*zl/sqrt 2) without evaluating w; the grid
+        # crosses the edge (|Re z| about 38.6 on the real axis, further out
+        # as |Im z| grows) from both sides
+        def unskipped(z):
+            right = z.real > 0.0
+            zl = -z if right else z
+            phi = (0.5 * cmath.exp(-0.5 * zl * zl)
+                   * _kernels.faddeeva_upper(-1j * zl / math.sqrt(2.0)))
+            return 1.0 - phi if right else phi
+
+        z = [complex(sign * re, im) for sign in (1.0, -1.0)
+             for re in np.linspace(36.0, 52.0, 161) for im in (0.0, 1.0, -5.0, 15.0, -30.0, 30.0)]
+        want = [unskipped(v) for v in z]
+        calls = []
+        faddeeva = _kernels.faddeeva_upper
+        monkeypatch.setattr(_kernels, "faddeeva_upper", lambda v: calls.append(v) or faddeeva(v))
+        assert [_kernels.normal_cdf(v) for v in z] == want
+        assert 0 < len(calls) < len(z)

@@ -238,13 +238,20 @@ def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
     doc = {"experiment": cfg.experiment, "parameters": dict(cfg.parameters),
            "seed": cfg.master_seed, "version": f"collapse-lab-v{__version__}",
            "versions": versions, "wall_time_s": wall, "scalars": summary}
+    writing = [out]  # the outputs, each added as its writer is called
     try:
         if output_format == "csv":
             write_csv(out, cols, table)
-            out.with_suffix(".summary.json").write_text(_dumps(doc) + "\n")
+            writing.append(out.with_suffix(".summary.json"))
+            writing[-1].write_text(_dumps(doc) + "\n")
         else:
             write_json(out, doc, cols, table)
     except OSError as exc:
+        # remove the regular files this run opened: an open that fails names
+        # its file, which stays, and so does a device such as /dev/null
+        for path in writing[:-1] if exc.filename else writing:
+            if path.is_file():
+                path.unlink()
         raise ConfigError(f"--out {str(out)!r} cannot be written: {exc}") from exc
     print(f"wrote {out}")
     return 0

@@ -21,7 +21,7 @@ import math
 
 from . import (ConfigError, Experiment, _floats, _fraction, _grid, _int_pos, _n_grid,
                _n_traj_mc, _numpy_runner, _positive, _t_cal)
-from .hilbert import DomainError, EnergyLevel, ObservableMatrix, SpectralState, squared_norm
+from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
 from .engine import CollapseParams, collapse_weights
 
 __all__ = [
@@ -127,6 +127,7 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     Born weights, and its path is one cumsum of its normals.  The grid may
     start at t = 0, where B = 0 and w are the Born weights.  A tile holds at
     most _TILE_VALUES weights, whatever n_traj or n_steps; the next overwrites b.
+    Its callers refuse n_traj < 1.
     """
     import numpy as np
     times = np.asarray(times, float)
@@ -136,8 +137,6 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
             "times must be a non-empty 1-d grid of finite, non-negative, "
             "strictly increasing values"
         )
-    if n_traj < 1:
-        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     energies, log_w0 = state0.energies(), np.asarray(state0.log_magnitudes)
     born = np.cumsum(collapse_weights(energies, log_w0, params, 0.0, 0.0))
     scale = np.sqrt(params.lam * np.diff(times, prepend=0.0))
@@ -174,6 +173,8 @@ def simulate_trajectories(
     tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
     """
     import numpy as np
+    if n_traj < 1:  # refused before it sizes the array
+        raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     b_path = np.empty((n_traj, np.size(times)))
     for tile in _collapse_pass(state0, params, times, master_seed, n_traj):
         b_path[tile[0], tile[1]] = tile[2]
@@ -288,7 +289,7 @@ def _damped_moduli(state0: SpectralState, params, t, pairs, out):
     t = np.asarray(t, float)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("t must be finite and >= 0")
-    (log_n2, _), e, (i, j) = squared_norm(state0), state0.energies(), pairs
+    log_n2, e, (i, j) = squared_norm(state0), state0.energies(), pairs
     log_m = np.asarray(state0.log_magnitudes) - 0.5 * log_n2
     np.multiply.outer(-0.5 * params.lam * t, (e[i] - e[j]) ** 2, out=out)
     np.exp(out, out=out)
@@ -374,11 +375,10 @@ def _build_levels(p, key, power):
         if p.get(k) is not None:
             p[k] = tuple(p[k][i] for i in order)
     try:
-        levels = tuple(EnergyLevel(float(e)) for e in p["energies"])
         log_m = tuple(power * math.log(r) if r > 0 else -math.inf
                       for r in (v / top for v in p[key]))
-        ph = p.get("phases") or (0.0,) * len(levels)
-        state0 = SpectralState(levels, log_m, ph).normalized()
+        ph = p.get("phases") or (0.0,) * len(log_m)
+        state0 = SpectralState(p["energies"], log_m, ph).normalized()
     except DomainError as exc:
         raise ConfigError(f"invalid value for key '{key}': {exc}") from exc
     return state0, CollapseParams(p["lambda"])

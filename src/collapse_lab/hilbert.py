@@ -1,5 +1,8 @@
-"""Spectral data model: states over labeled energy levels and the
-numerically safe norm / expectation primitives shared by every other module.
+"""Spectral data model: states over energy levels and the numerically safe
+norm / expectation primitives shared by every other module.
+
+A level is its energy, a float; a degenerate level is a repeated energy,
+told apart by its position, in the order it was given.
 
 Amplitudes are stored as (log-magnitude, phase) pairs.  The collapse
 Gaussian suppresses off-resonant levels by factors like exp(-lambda*t*dE^2),
@@ -25,7 +28,6 @@ from . import DomainError, _checked, _log_sum_exp
 
 __all__ = [
     "DomainError",
-    "EnergyLevel",
     "SpectralState",
     "ObservableMatrix",
     "DiscreteSpectrum",
@@ -38,28 +40,15 @@ NEG_INF = float("-inf")
 
 
 @_checked
-class EnergyLevel(NamedTuple):
-    """One energy eigenvalue together with its degeneracy label."""
-
-    energy: float
-    degeneracy_index: int = 0
-
-    def _check(self):
-        if not math.isfinite(self.energy):
-            raise DomainError(f"energy must be finite, got {self.energy}")
-        if self.degeneracy_index < 0:
-            raise DomainError("degeneracy_index must be >= 0")
-
-
-@_checked
 class SpectralState(NamedTuple):
     """Complex amplitudes over energy levels, in log-magnitude/phase form.
 
-    Components are kept in canonical order (energy, then degeneracy index)
-    so that equality and golden-file comparisons are deterministic.
+    Components are kept sorted by energy, degenerate ones in the order given
+    (a stable sort), so that equality and golden-file comparisons are
+    deterministic.
     """
 
-    levels: tuple[EnergyLevel, ...]
+    levels: tuple[float, ...]
     log_magnitudes: tuple[float, ...]
     phases: tuple[float, ...]
     normalized_flag: bool = False
@@ -70,8 +59,8 @@ class SpectralState(NamedTuple):
             raise DomainError("state must have at least one component")
         if len(self.log_magnitudes) != n or len(self.phases) != n:
             raise DomainError("levels, log_magnitudes, phases must have equal length")
-        if len(set(self.levels)) != n:
-            raise DomainError("(energy, degeneracy_index) pairs must be unique")
+        if not all(map(math.isfinite, self.levels)):
+            raise DomainError("levels must be finite")
         order = sorted(range(n), key=lambda i: self.levels[i])
         if order != list(range(n)):
             # the record of the fields in that order, itself checked
@@ -80,7 +69,7 @@ class SpectralState(NamedTuple):
         if all(lm == NEG_INF for lm in self.log_magnitudes):
             raise DomainError("state must have at least one nonzero amplitude")
         if self.normalized_flag:
-            log_n2, _ = squared_norm(self)
+            log_n2 = squared_norm(self)
             if abs(log_n2) > 1e-12 * max(1.0, abs(log_n2)) and abs(log_n2) > 1e-12:
                 raise DomainError(
                     f"normalized_flag set but squared norm is exp({log_n2})"
@@ -101,7 +90,7 @@ class SpectralState(NamedTuple):
     def energies(self):
         """The level energies, a numpy float array."""
         import numpy as np
-        return np.array([lv.energy for lv in self.levels])
+        return np.array(self.levels, float)
 
     def amplitudes(self, log_shift: float = 0.0):
         """Complex amplitudes scaled by exp(-log_shift), a numpy array.
@@ -114,7 +103,7 @@ class SpectralState(NamedTuple):
         return np.exp(lm) * np.exp(1j * np.asarray(self.phases))
 
     def normalized(self) -> "SpectralState":
-        log_n2, _ = squared_norm(self)
+        log_n2 = squared_norm(self)
         lm = tuple(x - 0.5 * log_n2 for x in self.log_magnitudes)
         return SpectralState(self.levels, lm, self.phases, normalized_flag=True)
 
@@ -124,7 +113,7 @@ class ObservableMatrix(NamedTuple):
     """Hermitian matrix over a list of energy levels; `entries` is made a
     complex numpy array on construction."""
 
-    basis: tuple[EnergyLevel, ...]
+    basis: tuple[float, ...]
     entries: Any
 
     def _check(self):
@@ -133,6 +122,8 @@ class ObservableMatrix(NamedTuple):
         if basis is not self.basis or entries is not self.entries:
             return self._replace(basis=basis, entries=entries)
         n = len(basis)
+        if not all(map(math.isfinite, basis)):
+            raise DomainError("basis must be finite")
         if entries.shape != (n, n):
             raise DomainError(f"entries must be {n}x{n}, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
@@ -150,13 +141,13 @@ class ObservableMatrix(NamedTuple):
     def hamiltonian(cls, basis):
         import numpy as np
         basis = tuple(basis)
-        return cls(basis, np.diag([lv.energy for lv in basis]).astype(complex))
+        return cls(basis, np.diag(basis).astype(complex))
 
     @classmethod
     def energy_projector(cls, basis, energy):
         import numpy as np
         basis = tuple(basis)
-        diag = [1.0 if lv.energy == energy else 0.0 for lv in basis]
+        diag = [1.0 if e == energy else 0.0 for e in basis]
         return cls(basis, np.diag(diag).astype(complex))
 
 
@@ -189,16 +180,11 @@ class DiscreteSpectrum(NamedTuple):
         return np.asarray(self.energies, float), np.asarray(self.weights, float)
 
 
-def squared_norm(state: SpectralState) -> tuple[float, float]:
-    """Squared norm of a state, returned as (log value, linear value).
-
-    The log value is the log-sum-exp (`collapse_lab._log_sum_exp`) of twice
-    the component log magnitudes and stays finite when the linear value
-    underflows to zero.
-    """
-    log_n2 = _log_sum_exp(2.0 * lm for lm in state.log_magnitudes)
-    linear = math.exp(log_n2) if log_n2 < 709.0 else math.inf
-    return log_n2, linear
+def squared_norm(state: SpectralState) -> float:
+    """Log of the squared norm of a state: the log-sum-exp
+    (`collapse_lab._log_sum_exp`) of twice the component log magnitudes,
+    finite where the squared norm itself underflows to zero."""
+    return _log_sum_exp(2.0 * lm for lm in state.log_magnitudes)
 
 
 def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
@@ -210,7 +196,7 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
     import numpy as np
     if obs.basis != state.levels:
         raise DomainError("observable basis does not match state levels")
-    log_n2, _ = squared_norm(state)
+    log_n2 = squared_norm(state)
     if log_n2 == NEG_INF:
         raise DomainError("zero-norm state")
     # Shift by half the log norm: amplitudes of the normalized state.
@@ -226,13 +212,13 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
 def energy_distribution(state: SpectralState) -> DiscreteSpectrum:
     """Degeneracy-summed, unity-normalized energy spectrum of a state."""
     import numpy as np
-    log_n2, _ = squared_norm(state)
+    log_n2 = squared_norm(state)
     if log_n2 == NEG_INF:
         raise DomainError("zero-norm state")
     weights: dict[float, float] = {}
-    for lv, lm in zip(state.levels, state.log_magnitudes):
+    for e, lm in zip(state.levels, state.log_magnitudes):
         w = math.exp(2.0 * lm - log_n2)
-        weights[lv.energy] = weights.get(lv.energy, 0.0) + w
+        weights[e] = weights.get(e, 0.0) + w
     energies = sorted(weights)
     w = np.array([weights[e] for e in energies])
     w = w / w.sum()  # renormalize away rounding from the per-level exps

@@ -76,31 +76,18 @@ class BranchSpec(NamedTuple):
         return self.magnitudes if self.magnitudes_2 is None else self.magnitudes_2
 
 
-def _levels(energies):
-    # repeated energies get consecutive degeneracy labels
-    from .hilbert import EnergyLevel
-    counts: dict[float, int] = {}
-    levels = []
-    for e in energies:
-        j = counts.get(e, 0)
-        counts[e] = j + 1
-        levels.append(EnergyLevel(float(e), j))
-    return tuple(levels)
-
-
 def build_branches(spec: BranchSpec):
     """The two branches' `hilbert.SpectralState`s (unnormalized, amplitudes
     m*exp(i*theta))."""
     import numpy as np
 
     from .hilbert import SpectralState
-    levels = _levels(spec.energies)
     mags_2 = spec.branch_2_magnitudes
     amps_1 = np.asarray(spec.magnitudes) * np.exp(1j * np.asarray(spec.phases_1))
     amps_2 = np.asarray(mags_2) * np.exp(1j * np.asarray(spec.phases_2))
     return (
-        SpectralState.from_amplitudes(levels, amps_1),
-        SpectralState.from_amplitudes(levels, amps_2),
+        SpectralState.from_amplitudes(spec.energies, amps_1),
+        SpectralState.from_amplitudes(spec.energies, amps_2),
     )
 
 

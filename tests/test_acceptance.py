@@ -21,7 +21,7 @@ from collapse_lab.ensemble import (
     simulate_trajectories,
     smear,
 )
-from collapse_lab.hilbert import DiscreteSpectrum, EnergyLevel, SpectralState
+from collapse_lab.hilbert import DiscreteSpectrum, SpectralState
 from collapse_lab.decay import (
     DecayModelParams,
     alpha_decay_closed,
@@ -47,8 +47,7 @@ def test_01_born_weight_collapse():
     # two-level (0.25, 0.75), lambda*t*(dE)^2 = 1e3, N = 1e4 trajectories
     energies = np.array([0.0, 1.0])
     log_w0 = 0.5 * np.log(np.array([0.25, 0.75]))
-    state = SpectralState.from_amplitudes([EnergyLevel(e) for e in energies],
-                                          np.exp(log_w0))
+    state = SpectralState.from_amplitudes(energies.tolist(), np.exp(log_w0))
     params, t, n = CollapseParams(1.0), 1000.0, 10_000
     b = simulate_trajectories(state, params, [t], 2024, n)[:, 0]
     weights = collapse_weights(energies, log_w0, params, t, b)
@@ -86,7 +85,7 @@ def test_02_no_collapse_theorem():
 
 
 def test_03_time_translation_and_chapman_kolmogorov():
-    levels = [EnergyLevel(0.0), EnergyLevel(1.0), EnergyLevel(2.5)]
+    levels = [0.0, 1.0, 2.5]
     state = SpectralState.from_amplitudes(
         levels, [0.5, 0.6, math.sqrt(0.39)]
     ).normalized()
@@ -151,7 +150,7 @@ def test_04_record_bound_schwarz_chain():
 
 
 def test_05_spectrum_conservation_density_matrix():
-    levels = [EnergyLevel(0.0), EnergyLevel(1.0), EnergyLevel(2.5)]
+    levels = [0.0, 1.0, 2.5]
     amps = np.array([0.5, 0.6, math.sqrt(0.39)]) * np.exp(1j * np.array([0.0, 0.7, -1.1]))
     state = SpectralState.from_amplitudes(levels, amps).normalized()
     params = CollapseParams(0.7)

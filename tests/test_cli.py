@@ -391,6 +391,49 @@ n_traj = 10
         assert "--out 'o.csv'" in err and "Permission denied" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
 
+    def test_unwritable_summary_removes_the_table(self, tmp_path, monkeypatch, capsys):
+        # the table is written, then the summary's open fails: the run exits
+        # 2 and leaves no table behind, and the directory in the way stays
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.summary.json").mkdir()
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --out 'x.csv' cannot be written: "
+            "[Errno 21] Is a directory: 'x.summary.json'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "x.summary.json"]
+        assert (tmp_path / "x.summary.json").is_dir()
+
+    def test_json_failing_mid_write_leaves_no_document(self, tmp_path, monkeypatch, capsys):
+        # a write that fails after the first block (a full disk) removes the
+        # partial document
+        monkeypatch.chdir(tmp_path)
+        blocks = cli._row_blocks
+
+        def one_block_then_full(*args):
+            yield next(blocks(*args))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_row_blocks", one_block_then_full)
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "x.json", "--format", "json"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+    def test_existing_out_whose_open_fails_stays(self, tmp_path, monkeypatch, capsys):
+        # the run never opened that file, so it is not the run's to remove
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o.csv").write_text("kept\n")
+
+        def denied(path, cols, table):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_csv", denied)
+        path = write_config(tmp_path, SPIN_INI)
+        assert main(["spin", "--config", str(path), "--out", "o.csv"]) == 2
+        assert "Permission denied" in capsys.readouterr().err
+        assert (tmp_path / "o.csv").read_text() == "kept\n"
+
     def test_record_every_beyond_step_count_is_two(self, tmp_path, capsys):
         ini = """[decay]
 epsilon = 1.0
@@ -1460,7 +1503,7 @@ def test_runs_without_scipy(tmp_path):
         "import numpy as np\n"
         "after_numpy = set(sys.modules)\n"
         "from collapse_lab.ensemble import smear\n"
-        "from collapse_lab.hilbert import EnergyLevel, ObservableMatrix, SpectralState, expectation\n"
+        "from collapse_lab.hilbert import ObservableMatrix, SpectralState, expectation\n"
         "from collapse_lab.records import verify_schwarz_chain\n"
         "def blas_kb():\n"
         "    # resident kB of numpy's OpenBLAS mappings; None without them\n"
@@ -1483,7 +1526,7 @@ def test_runs_without_scipy(tmp_path):
         "    blas.append(blas_kb())\n"
         "damped = math.exp(-0.5) * math.cos(2.4)\n"
         "assert abs(smear(lambda u: math.cos(2.0 * u), 1.2, 0.5) - damped) < 1e-12\n"
-        "levels = (EnergyLevel(0.0), EnergyLevel(2.0))\n"
+        "levels = (0.0, 2.0)\n"
         "v = ObservableMatrix(levels, np.array([[0.0, 1.0], [1.0, 0.0]]))\n"
         "state_at = lambda t: SpectralState.from_amplitudes(\n"
         "    levels, np.array([1.0, np.exp(-2j * t)]) / math.sqrt(2.0))\n"

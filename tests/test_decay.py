@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from collapse_lab import kgrid
 from collapse_lab.decay import (
     DecayModelParams,
     alpha_decay_closed,
@@ -36,6 +37,29 @@ class TestParams:
     def test_rejects_nonpositive_rates(self):
         with pytest.raises(DomainError):
             make_params(gamma=0.0)
+
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: make_params(tcal=-0.5), "T_cal must be >= 0"),
+        (lambda: alpha_decay_closed([0.5, 1.0], -0.1, make_params()),
+         "pure-decay form defined for s >= 0"),
+        (lambda: photon_position_density([0.5], 1.0, make_params(), "smeared"),
+         "unknown variant 'smeared'"),
+        (lambda: position_collapsed([0.5], 1.0, make_params()),
+         "smeared form needs T_cal > 0"),
+        (lambda: position_asymptotic([0.5], 1.0, make_params()),
+         "asymptotic form needs T_cal > 0"),
+        (lambda: KGrid(-1.0, 1.0, 64, dt=0.0), "dt must be positive"),
+        (lambda: KGrid(-1.0, 1.0, 64, dt=-1e-3), "dt must be positive"),
+        (lambda: kgrid.chebyshev_size(-1.0, 1.0, 0.1, 0.0, math.inf),
+         "Chebyshev argument half*span = inf is not finite"),
+    ], ids=["negative_t_cal", "alpha_negative_s", "unknown_variant",
+            "collapsed_zero_t_cal", "asymptotic_zero_t_cal", "kgrid_zero_dt",
+            "kgrid_negative_dt", "chebyshev_infinite_span"])
+    def test_refusals(self, refused, message):
+        # the decay and k-grid refusals, each with its message
+        with pytest.raises(DomainError) as info:
+            refused()
+        assert str(info.value) == message
 
     def test_packet_regularization_normalization(self):
         # f = sqrt of a Gaussian pdf of sd w: int f^2 = 1 and (int f)^2 = sigma

@@ -22,7 +22,6 @@ from collapse_lab.engine import (
 from collapse_lab.ensemble import simulate_trajectories
 from collapse_lab.hilbert import (
     DomainError,
-    EnergyLevel,
     SpectralState,
     energy_distribution,
     squared_norm,
@@ -30,7 +29,7 @@ from collapse_lab.hilbert import (
 
 
 def two_level(w0=0.25, e0=0.0, e1=1.0):
-    levels = [EnergyLevel(e0), EnergyLevel(e1)]
+    levels = [e0, e1]
     return SpectralState.from_amplitudes(
         levels, [math.sqrt(w0), math.sqrt(1 - w0)]
     ).normalized()
@@ -127,7 +126,7 @@ class TestRecordMarginalDensity:
         assert abs(val - 1.0) < 1e-8
 
     def test_eigenstate_gives_single_gaussian(self):
-        state = SpectralState.from_amplitudes([EnergyLevel(2.0)], [1.0])
+        state = SpectralState.from_amplitudes([2.0], [1.0])
         dt, lam = 0.5, 1.0
         var = lam * dt
         grid = np.linspace(-3, 6, 101)
@@ -194,7 +193,7 @@ class TestSampleStep:
         assert dB == stream_path(state, PARAMS.lam, [dt], 8, 2)[0]
 
     def test_degenerate_levels_keep_phases_and_count(self):
-        levels = [EnergyLevel(0.0, 0), EnergyLevel(0.0, 1), EnergyLevel(1.0)]
+        levels = [0.0, 0.0, 1.0]
         amps = [0.5, 0.5j, math.sqrt(0.5) * np.exp(0.3j)]
         state = SpectralState.from_amplitudes(levels, amps).normalized()
         dt = 0.4
@@ -252,12 +251,12 @@ class TestSimulateTrajectory:
         assert b1.shape == (1, times.size)
         final1 = evolve(state, PARAMS, times[-1], b1[0, -1])
         final2 = evolve(state, PARAMS, times[-1], b2[0, -1])
-        assert squared_norm(final1)[0] == squared_norm(final2)[0]
+        assert squared_norm(final1) == squared_norm(final2)
 
     def test_records_are_the_batched_kernel_rows(self, stream_path):
         # one sampler and one stream order: row i is the level drawn from the
         # uniform of stream (seed, i), then one cumsum of the normals after it
-        levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
+        levels = [0.0, 0.8, 2.0]
         state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
         times = np.linspace(0.25, 2.5, 10)
         b_path = simulate_trajectories(state, PARAMS, times, 4, 6)
@@ -268,7 +267,7 @@ class TestSimulateTrajectory:
     def test_records_follow_the_record_marginal_density(self):
         # oracle: B(t) at two grid times against the CDF of the engine's
         # density, sum_j w_j*Phi((x - 2*lam*t*E_j)/sqrt(lam*t)); KS, alpha 0.01
-        levels = [EnergyLevel(0.0), EnergyLevel(0.8), EnergyLevel(2.0)]
+        levels = [0.0, 0.8, 2.0]
         state = SpectralState.from_amplitudes(levels, [0.5, 0.6, 0.62]).normalized()
         times = np.linspace(0.25, 3.0, 12)
         b_path = simulate_trajectories(state, PARAMS, times, 17, 20_000)

@@ -21,7 +21,6 @@ from collapse_lab.ensemble import (
 )
 from collapse_lab.hilbert import (
     DomainError,
-    EnergyLevel,
     ObservableMatrix,
     SpectralState,
     expectation,
@@ -45,7 +44,7 @@ def record_moment_blocks(monkeypatch):
 
 
 def three_level():
-    levels = [EnergyLevel(0.0), EnergyLevel(1.0), EnergyLevel(2.5)]
+    levels = [0.0, 1.0, 2.5]
     amps = np.array([0.5, 0.6, math.sqrt(1 - 0.25 - 0.36)]) * np.exp(
         1j * np.array([0.0, 0.7, -1.1])
     )
@@ -138,7 +137,7 @@ class TestEnsembleExpectation:
 
     def test_requires_matching_basis(self):
         state = three_level()
-        obs = ObservableMatrix.identity((EnergyLevel(0.0),))
+        obs = ObservableMatrix.identity((0.0,))
         with pytest.raises(DomainError):
             ensemble_expectation_mc(state, CollapseParams(1.0), 1.0, obs, 10, 0)
 
@@ -338,7 +337,7 @@ class TestMonteCarloOracle:
         # 32 levels, 2*10**4 trajectories: a moment block is 2**15 // 32**2 =
         # 32 trajectories, not 2**12 trajectories of 1024 products s_i*s_j
         # and as many deviations, which peaked at 68 MB
-        levels = [EnergyLevel(0.1 * i) for i in range(32)]
+        levels = [0.1 * i for i in range(32)]
         state = SpectralState.from_amplitudes(levels, np.full(32, 1.0 / math.sqrt(32)))
         tracemalloc.start()
         try:
@@ -352,6 +351,12 @@ class TestMonteCarloOracle:
         # one trajectory has no sample standard error
         with pytest.raises(DomainError, match="n_traj must be >= 2"):
             ensemble_density_matrix_mc(three_level(), CollapseParams(1.0), 1.0, 1, 0)
+
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_sampler_needs_a_trajectory(self, n_traj):
+        with pytest.raises(DomainError) as info:
+            simulate_trajectories(three_level(), CollapseParams(1.0), [0.5], 0, n_traj)
+        assert str(info.value) == f"n_traj must be >= 1, got {n_traj}"
 
 
 class TestMonteCarloAtTimeZero:
@@ -395,7 +400,7 @@ class TestSubsystemExpectation:
 
     def test_oscillating_coherence_damped(self):
         # two-level coherence <V> = cos(dE*t) smears to the damped cosine
-        levels = (EnergyLevel(0.0), EnergyLevel(2.0))
+        levels = (0.0, 2.0)
         v = ObservableMatrix(levels, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
         def state_at(t):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from collapse_lab.hilbert import (
     DiscreteSpectrum,
     DomainError,
-    EnergyLevel,
     ObservableMatrix,
     SpectralState,
     energy_distribution,
@@ -19,39 +18,35 @@ from collapse_lab.hilbert import (
 
 
 def make_state(energies, amps):
-    levels = [EnergyLevel(float(e)) for e in energies]
-    return SpectralState.from_amplitudes(levels, amps)
-
-
-class TestEnergyLevel:
-    def test_ordering_by_energy_then_degeneracy(self):
-        assert EnergyLevel(0.0, 1) < EnergyLevel(1.0, 0)
-        assert EnergyLevel(1.0, 0) < EnergyLevel(1.0, 1)
-
-    def test_rejects_nonfinite_energy(self):
-        with pytest.raises(DomainError):
-            EnergyLevel(math.inf)
-
-    def test_rejects_negative_degeneracy(self):
-        with pytest.raises(DomainError):
-            EnergyLevel(0.0, -1)
+    return SpectralState.from_amplitudes([float(e) for e in energies], amps)
 
 
 class TestSpectralState:
     def test_components_sorted_canonically(self):
-        levels = (EnergyLevel(2.0), EnergyLevel(0.0), EnergyLevel(1.0))
+        levels = (2.0, 0.0, 1.0)
         state = SpectralState(levels, (0.1, 0.2, 0.3), (0.0, 0.0, 0.0))
-        assert [lv.energy for lv in state.levels] == [0.0, 1.0, 2.0]
+        assert state.levels == (0.0, 1.0, 2.0)
         assert state.log_magnitudes == (0.2, 0.3, 0.1)
 
-    def test_duplicate_level_rejected(self):
-        levels = (EnergyLevel(1.0, 0), EnergyLevel(1.0, 0))
-        with pytest.raises(DomainError):
-            SpectralState(levels, (0.0, 0.0), (0.0, 0.0))
+    def test_repeated_energies_keep_given_order(self):
+        # a degenerate level is a repeated energy: the sort by energy is
+        # stable, so its components keep the order they were given in
+        state = SpectralState((1.0, 0.0, 1.0, -1.0, 1.0), (-0.1, -0.2, -0.3, -0.4, -0.5),
+                              (0.1, 0.2, 0.3, 0.4, 0.5))
+        assert state.levels == (-1.0, 0.0, 1.0, 1.0, 1.0)
+        assert state.log_magnitudes == (-0.4, -0.2, -0.1, -0.3, -0.5)
+        assert state.phases == (0.4, 0.2, 0.1, 0.3, 0.5)
+        assert state.normalized().levels == state.levels
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, level):
+        # nan fails every comparison, so the sort alone would not refuse it
+        with pytest.raises(DomainError, match="levels must be finite"):
+            SpectralState((0.0, level), (0.0, 0.0), (0.0, 0.0))
 
     def test_degenerate_levels_coexist(self):
         state = SpectralState(
-            (EnergyLevel(1.0, 0), EnergyLevel(1.0, 1)),
+            (1.0, 1.0),
             (math.log(0.6), math.log(0.8)),
             (0.0, 0.5),
         )
@@ -69,30 +64,30 @@ class TestSpectralState:
     def test_normalized_flag_checked(self):
         with pytest.raises(DomainError):
             SpectralState(
-                (EnergyLevel(0.0),), (1.0,), (0.0,), normalized_flag=True
+                (0.0,), (1.0,), (0.0,), normalized_flag=True
             )
 
     def test_normalized_has_unit_norm(self):
         state = make_state([0.0, 1.0], [3.0, 4.0]).normalized()
-        log_n2, n2 = squared_norm(state)
+        log_n2 = squared_norm(state)
         assert abs(log_n2) < 1e-12
-        assert abs(n2 - 1.0) < 1e-12
+        assert abs(math.exp(log_n2) - 1.0) < 1e-12
 
 
 class TestSquaredNorm:
     def test_matches_linear_computation(self):
         amps = [0.5, 0.6, 0.2 + 0.3j]
         state = make_state([0.0, 1.0, 2.0], amps)
-        _, n2 = squared_norm(state)
+        n2 = math.exp(squared_norm(state))
         assert abs(n2 - sum(abs(a) ** 2 for a in amps)) < 1e-14
 
     def test_survives_extreme_underflow(self):
         # direct exp of these log magnitudes would underflow to zero
         state = SpectralState(
-            (EnergyLevel(0.0), EnergyLevel(1.0)), (-5000.0, -5001.0), (0.0, 0.0)
+            (0.0, 1.0), (-5000.0, -5001.0), (0.0, 0.0)
         )
-        log_n2, n2 = squared_norm(state)
-        assert n2 == 0.0
+        log_n2 = squared_norm(state)
+        assert math.exp(log_n2) == 0.0
         assert abs(log_n2 - (-10000.0 + math.log(1 + math.exp(-2.0)))) < 1e-9
 
     def test_matches_exact_logsumexp(self):
@@ -116,19 +111,19 @@ class TestSquaredNorm:
             kinds["single"] += n == 1
             kinds["zeros"] += bool(np.any(lm == -math.inf))
             kinds["ties"] += int(np.sum(lm == lm.max())) > 1
-            state = SpectralState(tuple(EnergyLevel(float(e)) for e in range(n)),
+            state = SpectralState(tuple(map(float, range(n))),
                                   tuple(lm), (0.0,) * n)
             with mpmath.workprec(200):
                 exact = float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(2.0 * v))
                                                      for v in lm)))
-            got = squared_norm(state)[0]
+            got = squared_norm(state)
             assert abs(got - exact) <= 2.0**-52 * max(1.0, abs(exact)), lm
         assert min(kinds.values()) > 100
 
 
 class TestObservableMatrix:
     def test_rejects_non_hermitian(self):
-        basis = (EnergyLevel(0.0), EnergyLevel(1.0))
+        basis = (0.0, 1.0)
         with pytest.raises(DomainError):
             ObservableMatrix(basis, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -136,9 +131,14 @@ class TestObservableMatrix:
                              ids=["nan", "inf", "nan_imag"])
     def test_rejects_non_finite_entries(self, value):
         # nan compares false, so the Hermitian check alone would accept it
-        basis = (EnergyLevel(0.0), EnergyLevel(1.0))
+        basis = (0.0, 1.0)
         with pytest.raises(DomainError, match="finite"):
             ObservableMatrix(basis, np.array([[value, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_rejects_non_finite_basis(self, level):
+        with pytest.raises(DomainError, match="basis must be finite"):
+            ObservableMatrix((0.0, level), np.eye(2))
 
     def test_identity_expectation_is_one(self):
         state = make_state([0.0, 1.0, 2.0], [1e-8, 2.0, 0.5j])
@@ -157,7 +157,7 @@ class TestObservableMatrix:
 
     def test_basis_mismatch_rejected(self):
         state = make_state([0.0, 1.0], [1.0, 1.0])
-        other = ObservableMatrix.identity((EnergyLevel(0.0), EnergyLevel(3.0)))
+        other = ObservableMatrix.identity((0.0, 3.0))
         with pytest.raises(DomainError):
             expectation(state, other)
 
@@ -184,10 +184,11 @@ class TestDiscreteSpectrum:
 
 class TestEnergyDistribution:
     def test_sums_degenerate_levels(self):
+        # the two components at 1.0 are given apart; their weights sum
         state = SpectralState(
-            (EnergyLevel(1.0, 0), EnergyLevel(1.0, 1), EnergyLevel(2.0, 0)),
-            (math.log(0.6), math.log(0.6), math.log(math.sqrt(0.28))),
-            (0.0, 1.0, 2.0),
+            (1.0, 2.0, 1.0),
+            (math.log(0.6), math.log(math.sqrt(0.28)), math.log(0.6)),
+            (0.0, 2.0, 1.0),
         )
         spec = energy_distribution(state)
         assert spec.energies == (1.0, 2.0)
@@ -207,3 +208,32 @@ class TestEnergyDistribution:
         w0 = energy_distribution(base).weights
         w1 = energy_distribution(shifted).weights
         np.testing.assert_allclose(w1, w0, atol=1e-12)
+
+
+def zero_norm_state():
+    # every squared magnitude underflows to 0, though no amplitude is exactly 0
+    return SpectralState((0.0, 1.0), (-1e308, -1e308), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: SpectralState((), (), ()), "state must have at least one component"),
+    (lambda: SpectralState((0.0, 1.0), (0.0,), (0.0, 0.0)),
+     "levels, log_magnitudes, phases must have equal length"),
+    (lambda: SpectralState((0.0, 1.0), (0.0, 0.0), (0.0,)),
+     "levels, log_magnitudes, phases must have equal length"),
+    (lambda: ObservableMatrix((0.0, 1.0), np.eye(3)), "entries must be 2x2, got (3, 3)"),
+    (lambda: ObservableMatrix((0.0, 1.0), np.ones(2)), "entries must be 2x2, got (2,)"),
+    (lambda: DiscreteSpectrum(1.0, 1.0), "energies and weights must be equal-length 1-d"),
+    (lambda: DiscreteSpectrum((0.0, 1.0), (1.0,)),
+     "energies and weights must be equal-length 1-d"),
+    (lambda: DiscreteSpectrum((0.0, 1.0), (1.5, -0.5)), "weights must be nonnegative"),
+    (lambda: expectation(zero_norm_state(), ObservableMatrix.identity((0.0, 1.0))),
+     "zero-norm state"),
+    (lambda: energy_distribution(zero_norm_state()), "zero-norm state"),
+], ids=["empty_state", "short_log_magnitudes", "short_phases", "square_entries",
+        "vector_entries", "non_sequence_spectrum", "misaligned_spectrum",
+        "negative_weight", "zero_norm_expectation", "zero_norm_distribution"])
+def test_refusals(refused, message):
+    with pytest.raises(DomainError) as info:
+        refused()
+    assert str(info.value) == message

@@ -12,13 +12,13 @@ from collapse_lab import _kernels, ensemble, kgrid
 from collapse_lab.decay import DecayModelParams
 from collapse_lab.engine import CollapseParams, collapse_weights, evolve
 from collapse_lab.ensemble import simulate_trajectories
-from collapse_lab.hilbert import DomainError, EnergyLevel, SpectralState
+from collapse_lab.hilbert import DomainError, SpectralState
 from collapse_lab.kgrid import KGrid
 
 
 def pass_args(n_lev=5, seed=4):
     rng = np.random.default_rng(seed)
-    levels = [EnergyLevel(e) for e in np.sort(rng.uniform(0.0, 4.0, n_lev))]
+    levels = np.sort(rng.uniform(0.0, 4.0, n_lev)).tolist()
     state = SpectralState.from_amplitudes(levels, np.sqrt(rng.dirichlet(np.ones(n_lev))))
     times = np.cumsum(rng.uniform(0.05, 0.5, 12))
     return state, CollapseParams(0.8), times
@@ -67,7 +67,7 @@ class TestCollapseWeights:
         # B scales with t, since B(0) = 0
         energies = np.array([0.0, 0.5, 1.25, 3.0])
         state = SpectralState.from_amplitudes(
-            [EnergyLevel(e) for e in energies], [0.3, 0.6, 0.5j, 0.2]
+            energies.tolist(), [0.3, 0.6, 0.5j, 0.2]
         )
         params = CollapseParams(0.7)
         bs = t * np.array([-2.0, 0.0, 0.4, 1.7, 3.5])

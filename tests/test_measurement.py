@@ -76,14 +76,22 @@ class TestBuildBranches:
         np.testing.assert_allclose(s1.log_magnitudes, s2.log_magnitudes)
         assert s1.phases != s2.phases
 
-    def test_repeated_energies_get_degeneracy_labels(self):
-        spec = BranchSpec(
-            (1.0, 1.0, 2.0), (0.5, 0.5, 0.7071067811865476),
-            (0.0, 0.0, 0.0), (0.1, 0.2, 0.3), 1.0, 0.0,
-        )
-        s1, _ = build_branches(spec)
-        labels = [(lv.energy, lv.degeneracy_index) for lv in s1.levels]
-        assert labels == [(1.0, 0), (1.0, 1), (2.0, 0)]
+    def test_fixture_with_a_repeated_energy(self, tmp_path):
+        # a degenerate level is a repeated energy: the branches' components at
+        # 1.0 keep the fixture's order, and the ratio is the evolved norms'
+        fixture = tmp_path / "degenerate.txt"
+        fixture.write_text("# beta2_1 0.4\n# beta2_2 0.6\n"
+                           "1.0 0.5 0.1 0.4 0.3\n0.0 0.6 0.2 0.5 0.6\n1.0 0.3 0.3 0.6 0.5\n")
+        spec = load_branch_fixture(fixture)
+        s1, s2 = build_branches(spec)
+        assert s1.levels == s2.levels == (0.0, 1.0, 1.0)
+        np.testing.assert_allclose(np.exp(s1.log_magnitudes), [0.6, 0.5, 0.3], rtol=1e-15)
+        np.testing.assert_allclose(np.exp(s2.log_magnitudes), [0.6, 0.3, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(s1.phases, [0.2, 0.1, 0.3], rtol=1e-15)
+        for t, b in ((0.5, -1.0), (2.0, 3.0)):
+            want = 1.5 * math.exp(squared_norm(evolve(s2, PARAMS, t, b))
+                                  - squared_norm(evolve(s1, PARAMS, t, b)))
+            assert branch_weight_ratio(spec, PARAMS, t, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestBranchWeightRatio:
@@ -119,8 +127,8 @@ class TestBranchWeightRatio:
         for t, row in zip(ts, got):
             for b, ratio in zip(bs, row):
                 assert type(ratio) is float
-                log_n1, _ = squared_norm(evolve(s1, PARAMS, t, b))
-                log_n2, _ = squared_norm(evolve(s2, PARAMS, t, b))
+                log_n1 = squared_norm(evolve(s1, PARAMS, t, b))
+                log_n2 = squared_norm(evolve(s2, PARAMS, t, b))
                 want = w * math.exp(log_n2 - log_n1)
                 assert ratio == pytest.approx(want, rel=1e-12)
         assert got[0] == [got[0][0]] * len(bs)
@@ -150,6 +158,25 @@ class TestBranchWeightRatio:
         with pytest.raises(DomainError):
             branch_weight_ratio(spec, PARAMS, 1.0, 0.0)
 
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: shared_spec()._replace(magnitudes_2=(0.5, 0.3)),
+         "magnitudes_2 length mismatch"),
+        (lambda: branch_weight_ratio(shared_spec(), PARAMS, -0.5, 0.0),
+         "t and B must be finite and t >= 0"),
+        (lambda: branch_weight_ratio(shared_spec(), PARAMS, math.nan, 0.0),
+         "t and B must be finite and t >= 0"),
+        (lambda: branch_weight_ratio(shared_spec(), PARAMS, math.inf, 0.0),
+         "t and B must be finite and t >= 0"),
+        (lambda: branch_weight_ratio(shared_spec(), PARAMS, 1.0, math.nan),
+         "t and B must be finite and t >= 0"),
+        (lambda: branch_weight_ratio(shared_spec(), PARAMS, 1.0, -math.inf),
+         "t and B must be finite and t >= 0"),
+    ], ids=["magnitudes_2_length", "negative_t", "nan_t", "inf_t", "nan_b", "inf_b"])
+    def test_refusals(self, refused, message):
+        with pytest.raises(DomainError) as info:
+            refused()
+        assert str(info.value) == message
+
 
 class TestFixtures:
     def test_shared_fixture_round_trip(self):
@@ -166,6 +193,14 @@ class TestFixtures:
     def test_control_fixture_has_second_magnitudes(self):
         spec = load_branch_fixture(fixture_path("branch_control.txt"))
         assert spec.magnitudes_2 is not None
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        fixture = tmp_path / "f.txt"
+        fixture.write_text("\n# beta2_1 0.2\n\n0.0 0.6 0.0 0.1\n   \n1.0 0.8 0.2 0.3\n\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("# beta2_1 0.2\n0.0 0.6 0.0 0.1\n1.0 0.8 0.2 0.3\n")
+        assert load_branch_fixture(fixture) == load_branch_fixture(plain)
+        assert load_branch_fixture(fixture).energies == (0.0, 1.0)
 
     def test_malformed_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -164,10 +164,9 @@ def test_importtime_times_every_layer_a_layer_loads(layer):
 
 
 #: every parameter record, by class name, and the layer that defines it
-RECORDS = {"EnergyLevel": "hilbert", "SpectralState": "hilbert",
-           "ObservableMatrix": "hilbert", "DiscreteSpectrum": "hilbert",
-           "DecayModelParams": "decay", "KGrid": "kgrid", "KGridResult": "kgrid",
-           "CollapseParams": "engine",
+RECORDS = {"SpectralState": "hilbert", "ObservableMatrix": "hilbert",
+           "DiscreteSpectrum": "hilbert", "DecayModelParams": "decay",
+           "KGrid": "kgrid", "KGridResult": "kgrid", "CollapseParams": "engine",
            "BranchSpec": "measurement", "RecordScenario": "records",
            "SpinModelParams": "spin"}
 
@@ -176,10 +175,9 @@ def valid_records():
     """One valid instance of each parameter record."""
     r = {name: getattr(importlib.import_module(f"collapse_lab.{layer}"), name)
          for name, layer in RECORDS.items()}
-    levels = (r["EnergyLevel"](0.0), r["EnergyLevel"](1.0))
+    levels = (0.0, 1.0)
     spectrum = r["DiscreteSpectrum"]((0.0, 1.0), (0.5, 0.5))
-    return {"EnergyLevel": levels[1],
-            "SpectralState": r["SpectralState"](levels, (0.0, 0.0), (0.0, 0.0)),
+    return {"SpectralState": r["SpectralState"](levels, (0.0, 0.0), (0.0, 0.0)),
             "ObservableMatrix": r["ObservableMatrix"].hamiltonian(levels),
             "DiscreteSpectrum": spectrum,
             "DecayModelParams": r["DecayModelParams"](1.0, 1.0, 1e-4, 0.0, 1.0),
@@ -193,7 +191,6 @@ def valid_records():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("record, field", [
-    ("EnergyLevel", "energy"),
     ("CollapseParams", "lam"),
     *(("DecayModelParams", f) for f in ("epsilon", "Gamma", "sigma", "x0", "T_cal")),
     *(("KGrid", f) for f in ("k_min", "k_max", "dt")),
@@ -216,9 +213,3 @@ def test_records_are_frozen(record):
         setattr(rec, rec._fields[0], rec[0])
     with pytest.raises(AttributeError):
         rec.note = "mutable"
-
-
-def test_energy_levels_order_by_energy_then_degeneracy_index():
-    from collapse_lab.hilbert import EnergyLevel
-    levels = [EnergyLevel(1.0, 2), EnergyLevel(-1.0, 5), EnergyLevel(1.0)]
-    assert sorted(levels) == [EnergyLevel(-1.0, 5), EnergyLevel(1.0), EnergyLevel(1.0, 2)]

@@ -170,3 +170,17 @@ class TestVerifySchwarzChain:
             verify_schwarz_chain(
                 sc, 1.0, [(-math.inf, 0.0), (0.5, 1.0), (1.0, math.inf)]
             )
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda sc: sc._replace(lam=0.0), "lambda must be positive"),
+    (lambda sc: sc._replace(lam=-1.0), "lambda must be positive"),
+    (lambda sc: sc._replace(t0=-0.5), "t0 must be >= 0"),
+    (lambda sc: verify_schwarz_chain(sc, 1.0, FULL_LINE), "need t > t0"),
+    (lambda sc: verify_schwarz_chain(sc, 0.5, FULL_LINE), "need t > t0"),
+], ids=["zero_lambda", "negative_lambda", "negative_t0", "t_at_t0", "t_before_t0"])
+def test_refusals(refused, message):
+    plus, minus = spectrum_pair("half_overlap")
+    with pytest.raises(DomainError) as info:
+        refused(RecordScenario(plus, minus, 1.0, -1.0, 1.0, t0=1.0))
+    assert str(info.value) == message

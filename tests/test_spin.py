@@ -32,6 +32,19 @@ class TestParams:
     def test_envelope_value(self):
         assert abs(params(3.0, 1e-4, 1.0).envelope - math.exp(-4.5)) < 1e-16
 
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: params(eps=0.0), "epsilon and sigma must be positive"),
+        (lambda: params(eps=-3.0), "epsilon and sigma must be positive"),
+        (lambda: params(sigma=0.0), "epsilon and sigma must be positive"),
+        (lambda: params(sigma=-1e-4), "epsilon and sigma must be positive"),
+        (lambda: params(tcal=-1.0), "T_cal must be >= 0"),
+    ], ids=["zero_epsilon", "negative_epsilon", "zero_sigma", "negative_sigma",
+            "negative_t_cal"])
+    def test_refusals(self, refused, message):
+        with pytest.raises(DomainError) as info:
+            refused()
+        assert str(info.value) == message
+
 
 class TestNormalCdf:
     def test_real_arguments_match_ndtr(self):

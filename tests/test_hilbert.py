@@ -21,16 +21,12 @@ def make_state(energies, amps):
     return SpectralState.from_amplitudes([float(e) for e in energies], amps)
 
 
-class TestSpectralState:
-    def test_components_sorted_canonically(self):
-        levels = (2.0, 0.0, 1.0)
-        state = SpectralState(levels, (0.1, 0.2, 0.3), (0.0, 0.0, 0.0))
-        assert state.levels == (0.0, 1.0, 2.0)
-        assert state.log_magnitudes == (0.2, 0.3, 0.1)
+class TestEnergyLevel:
+    """A level is its energy, a float; a degenerate level is a repeated energy."""
 
-    def test_repeated_energies_keep_given_order(self):
-        # a degenerate level is a repeated energy: the sort by energy is
-        # stable, so its components keep the order they were given in
+    def test_ordering_by_energy_then_degeneracy(self):
+        # the sort by energy is stable, so the components of a degenerate
+        # level keep the order they were given in
         state = SpectralState((1.0, 0.0, 1.0, -1.0, 1.0), (-0.1, -0.2, -0.3, -0.4, -0.5),
                               (0.1, 0.2, 0.3, 0.4, 0.5))
         assert state.levels == (-1.0, 0.0, 1.0, 1.0, 1.0)
@@ -38,11 +34,19 @@ class TestSpectralState:
         assert state.phases == (0.4, 0.2, 0.1, 0.3, 0.5)
         assert state.normalized().levels == state.levels
 
-    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
-    def test_non_finite_level_rejected(self, level):
+    def test_rejects_nonfinite_energy(self):
         # nan fails every comparison, so the sort alone would not refuse it
-        with pytest.raises(DomainError, match="levels must be finite"):
-            SpectralState((0.0, level), (0.0, 0.0), (0.0, 0.0))
+        for level in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="levels must be finite"):
+                SpectralState((0.0, level), (0.0, 0.0), (0.0, 0.0))
+
+
+class TestSpectralState:
+    def test_components_sorted_canonically(self):
+        levels = (2.0, 0.0, 1.0)
+        state = SpectralState(levels, (0.1, 0.2, 0.3), (0.0, 0.0, 0.0))
+        assert state.levels == (0.0, 1.0, 2.0)
+        assert state.log_magnitudes == (0.2, 0.3, 0.1)
 
     def test_degenerate_levels_coexist(self):
         state = SpectralState(

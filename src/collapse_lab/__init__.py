@@ -15,6 +15,14 @@ So are `ConfigError`, the config value parsers and `Experiment`, which the
 experiment records share with `cli`: each record lives in its own layer, and
 no layer imports `cli`, which sets OPENBLAS_NUM_THREADS when imported and is
 `__main__` under ``python -m collapse_lab.cli``.
+
+numpy is bound in one place, `_np`, which imports it at the first lookup of
+one of its names and keeps each name it has looked up; every module that
+computes with arrays binds it as `np` when loaded.  So importing the package
+or a layer loads no numpy; a run loads it at its first array operation.  Only
+the collapse, ensemble and k-grid runners make one: no config's `validate`
+and none of the four closed-form runs, which compute in `math` and `cmath`,
+loads numpy.
 """
 
 import importlib
@@ -134,12 +142,26 @@ class Experiment(NamedTuple):
 _CLOSED_ROW_BYTES = 144
 
 
+class _Numpy:
+    """numpy, imported on the first lookup of any of its names.  A name looked
+    up is kept in the instance's `__dict__`, so later lookups of it never
+    reach `__getattr__`: the Philox rounds and the Bessel recurrence look up
+    numpy's names thousands of times a run."""
+
+    def __getattr__(self, name):
+        import numpy
+        value = self.__dict__[name] = getattr(numpy, name)
+        return value
+
+
+_np = _Numpy()
+
+
 def _numpy_runner(runner):
     """`runner` with numpy's overflow, invalid value and division by zero
     raised as FloatingPointError: a contract violation, not a warning."""
     def run(cfg):
-        import numpy as np
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with _np.errstate(over="raise", invalid="raise", divide="raise"):
             return runner(cfg)
 
     return run

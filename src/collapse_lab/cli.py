@@ -26,14 +26,12 @@ T_cal and runner) in the `EXPERIMENTS` of the layer its runner computes
 with: `collapse` and `ensemble` in `ensemble`, each other one in its own
 module, and the k-grid parts of `decay` in `kgrid`.  `EXPERIMENTS` here
 names that layer by section, and a config imports only its own, so a run
-compiles only its own experiment.  No build or array estimate, and so no
-`validate`, loads numpy.  Only the collapse, ensemble and k-grid runners
-do, and give a numpy array, computed with numpy's overflow, invalid value
+compiles only its own experiment.  The collapse, ensemble and k-grid
+runners give a numpy array, computed with numpy's overflow, invalid value
 and division by zero raised as errors; the four closed-form runs, `spin`,
-`records`, `measurement` and closed `decay`, give rows of floats, computed
-in `math` and `cmath`.  This module holds what every experiment shares:
-argument and config parsing, the array cap, the writers and the summary
-envelope.
+`records`, `measurement` and closed `decay`, give rows of floats.  This
+module holds what every experiment shares: argument and config parsing, the
+array cap, the writers and the summary envelope.
 
 A run uses one BLAS thread: the module sets OPENBLAS_NUM_THREADS to 1 when
 it is imported, before any run that uses numpy imports it, unless the
@@ -77,6 +75,7 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import ConfigError, DomainError, Experiment, __version__, _parser
+from . import _np as np
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -214,7 +213,6 @@ def _check_finite(cols, table, summary):
         if isinstance(v, float) and not math.isfinite(v):
             raise DomainError(f"summary scalar {key!r} is not finite: {v}")
     if hasattr(table, "tolist"):  # a numpy table, whose runner loaded numpy
-        import numpy as np
         bad = np.argwhere(~np.isfinite(table))
         j = bad[0][1] if len(bad) else None
     else:
@@ -233,8 +231,8 @@ def run(cfg: ExperimentConfig, output_path=None, output_format="csv") -> int:
     # the interpreter's version, and numpy's where it is loaded: no run
     # imports another library
     versions = {"python": ".".join(map(str, sys.version_info[:3]))}
-    if (np := sys.modules.get("numpy")) is not None:
-        versions["numpy"] = np.__version__
+    if (numpy := sys.modules.get("numpy")) is not None:
+        versions["numpy"] = numpy.__version__
     doc = {"experiment": cfg.experiment, "parameters": dict(cfg.parameters),
            "seed": cfg.master_seed, "version": f"collapse-lab-v{__version__}",
            "versions": versions, "wall_time_s": wall, "scalars": summary}

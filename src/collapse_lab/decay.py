@@ -6,9 +6,9 @@ exactly exponential).  The independent numerical oracle, the mode ODEs on a
 uniform k-grid, is the `kgrid` layer, so a closed-form run loads none of it.
 The closed forms a run tabulates (`beta_excitation`, `occupation`,
 `occupation_collapsed`) take one float and compute in `math` and `cmath`;
-the photon amplitudes and densities return numpy arrays and import numpy
-when called, so the module imports none.  It holds the CLI's `decay` record
-(`EXPERIMENTS`), whose k-grid mode imports its parts from `kgrid`.
+the photon amplitudes and densities return numpy arrays.  It holds the CLI's
+`decay` record (`EXPERIMENTS`), whose k-grid mode imports its parts from
+`kgrid`.
 
 The "square root of a delta function" incident packet is regularized as the
 square root of a normalized Gaussian pdf: with standard deviation
@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _choice,
                _float, _grid, _int_pos, _n_grid, _nonneg, _positive, _t_cal)
+from . import _np as np
 from ._kernels import log_normal_cdf, normal_cdf
 
 __all__ = [
@@ -87,8 +88,6 @@ def beta_decay_closed(s: float, p: DecayModelParams) -> complex:
 
 def alpha_decay_closed(k, s: float, p: DecayModelParams):
     """Photon amplitudes alpha_k(s) for the pure-decay initial condition."""
-    import numpy as np
-
     if s < 0:
         raise DomainError("pure-decay form defined for s >= 0")
     k = np.asarray(k, float)
@@ -98,8 +97,6 @@ def alpha_decay_closed(k, s: float, p: DecayModelParams):
 
 def photon_number_density(k, s: float, p: DecayModelParams):
     """Photon number density for pure decay; Lorentzian at large s."""
-    import numpy as np
-
     k = np.asarray(k, float)
     lor = 2.0 * math.pi * p.Gamma / ((k - p.epsilon) ** 2 + (0.5 * p.Gamma) ** 2)
     bracket = (
@@ -119,8 +116,6 @@ def photon_position_density(x, s: float, p: DecayModelParams,
     terms plus their sum (interference delta regularized at the packet
     width).
     """
-    import numpy as np
-
     x = np.asarray(x, float)
     u = s - (x - p.x0)
     if variant == "decay-only":
@@ -207,8 +202,6 @@ def position_collapsed(x, s: float, p: DecayModelParams):
     the decay tail is Gamma*Theta(x - x0) times the smeared occupation
     `occupation_collapsed` at u = s - (x - x0).
     """
-    import numpy as np
-
     if p.T_cal <= 0:
         raise DomainError("smeared form needs T_cal > 0")
     x = np.asarray(x, float)
@@ -224,8 +217,6 @@ def position_collapsed(x, s: float, p: DecayModelParams):
 
 def position_asymptotic(x, s: float, p: DecayModelParams):
     """Large Gamma*T_cal limit of the smeared position density."""
-    import numpy as np
-
     if p.T_cal <= 0:
         raise DomainError("asymptotic form needs T_cal > 0")
     x = np.asarray(x, float)
@@ -251,15 +242,18 @@ _DECAY_MODE_KEYS = {
 
 def _build_decay(p):
     """`DecayModelParams` and, in k-grid mode, the `KGrid` (`kgrid`'s build).
-    A key its mode does not read is refused; every absent mode key takes its
-    default, echoed in the summary."""
+    A key its mode does not read is refused, and dropped from the parameters
+    when absent; every absent key of its mode takes its default, echoed in
+    the summary."""
     for mode, defaults in _DECAY_MODE_KEYS.items():
         for key, default in defaults.items():
-            if p[key] is None:
-                p[key] = default
-            elif mode != p["mode"]:
+            if mode == p["mode"]:
+                p[key] = default if p[key] is None else p[key]
+            elif p.pop(key) is not None:
                 raise ConfigError(f"key '{key}' is not read in mode = {p['mode']}")
-    dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], p["x0"], p["t_cal"])
+    # x0 and T_cal at the record's defaults where the mode reads no such key
+    dp = DecayModelParams(p["epsilon"], p["gamma"], p["sigma"], **{
+        field: p[key] for key, field in (("x0", "x0"), ("t_cal", "T_cal")) if key in p})
     if p["mode"] == "closed":
         return dp, None
     from .kgrid import _build_grid

@@ -9,9 +9,9 @@ the level E_J per trajectory, then B = 2*lambda*E_J*t + sqrt(lambda)*W(t)
 from one uniform and the normals after it, exactly at any step size (no SDE
 discretization error).
 
-The module imports neither numpy nor `hilbert` when loaded: `CollapseParams`
-and `collapse_exponent` at Python floats need neither, and the functions that
-take states or arrays import them when called.
+The module imports `hilbert` only in the functions that take states:
+`CollapseParams` and `collapse_exponent` at Python floats need no state and
+compute with no array.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from typing import NamedTuple
 
 from . import DomainError, _checked
+from . import _np as np
 
 __all__ = [
     "CollapseParams",
@@ -59,7 +60,6 @@ def collapse_weights(energies, log_w0, params, t, b):
     broadcasts against b; returns weights of shape (n_lev, *b.shape), formed
     in place in the one array of the exponent.
     """
-    import numpy as np
     b = np.asarray(b, float)
     lev = (-1,) + (1,) * b.ndim
     w = collapse_exponent(params, t, b, np.reshape(np.asarray(energies, float), lev))
@@ -98,8 +98,6 @@ def record_marginal_density(state_t0, params: CollapseParams, dt: float, dB_grid
     mean 2*lambda*dt*E, variance lambda*dt, weighted by the energy
     distribution.  Integrates to 1 over the real line.
     """
-    import numpy as np
-
     from .hilbert import energy_distribution
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt}")

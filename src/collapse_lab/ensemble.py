@@ -8,11 +8,9 @@ signature of energy-driven collapse.
 
 The module holds the records of the CLI's `collapse` and `ensemble`
 experiments (`EXPERIMENTS`), whose runners take the collapse pass.  It
-imports neither numpy nor `rng` when loaded: the builds and the tile and
-moment block sizes (`_tile_shape`, `_moment_block`), which the array
-estimates share, are plain Python, and the functions that compute with
-arrays import them when called.  So no config's `validate` loads numpy, and
-only the collapse, ensemble and k-grid runners do.
+imports `rng` only in the function that draws the variates, and the builds
+and the tile and moment block sizes (`_tile_shape`, `_moment_block`), which
+the array estimates share, are plain Python.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ import math
 
 from . import (ConfigError, Experiment, _floats, _fraction, _grid, _int_pos, _n_grid,
                _n_traj_mc, _numpy_runner, _positive, _t_cal)
+from . import _np as np
 from .hilbert import DomainError, ObservableMatrix, SpectralState, squared_norm
 from .engine import CollapseParams, collapse_weights
 
@@ -53,7 +52,6 @@ def smear(f, t: float, t_cal: float):
     For t_cal = 0 this returns f(t) exactly; a negative or non-finite t_cal
     raises DomainError.
     """
-    import numpy as np
     if not (math.isfinite(t_cal) and t_cal >= 0):
         raise DomainError("T_cal must be finite and >= 0")
     if t_cal == 0.0:
@@ -78,7 +76,6 @@ def draw_traj_variates(master_seed: int, rows: range, n_steps: int, out=None):
     at most _CHUNK_BLOCKS Philox blocks, across rows or along one row, keep
     the temporaries from growing with len(rows) or n_steps.
     """
-    import numpy as np
     from .rng import philox4x64
 
     n_blocks = -(-(1 + 2 * -(-n_steps // 2)) // 4)
@@ -129,7 +126,6 @@ def _collapse_pass(state0: SpectralState, params, times, master_seed, n_traj):
     most _TILE_VALUES weights, whatever n_traj or n_steps; the next overwrites b.
     Its callers refuse n_traj < 1.
     """
-    import numpy as np
     times = np.asarray(times, float)
     if (times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times))
             or times[0] < 0 or np.any(np.diff(times) <= 0)):
@@ -172,7 +168,6 @@ def simulate_trajectories(
     level) then the normals, so it does not depend on n_traj or on the
     tiling.  The state at (t, B) is `engine.evolve(state0, params, t, B)`.
     """
-    import numpy as np
     if n_traj < 1:  # refused before it sizes the array
         raise DomainError(f"n_traj must be >= 1, got {n_traj}")
     b_path = np.empty((n_traj, np.size(times)))
@@ -199,7 +194,6 @@ def _root_blocks(state0: SpectralState, params, t, master_seed, n_traj, n_values
     s*exp(i*theta), with theta = phases - E*t the same for every trajectory;
     only s is stochastic, and the estimators apply theta once.
     """
-    import numpy as np
     if n_traj < 2:
         raise DomainError("n_traj must be >= 2")
     if t < 0:
@@ -228,7 +222,6 @@ def _block_moments(blocks):
     ("Updating formulae and a pairwise algorithm for computing sample
     variances", 1979).  One block gives np.mean and np.var's m2 exactly.
     """
-    import numpy as np
     n = 0
     for x in blocks:
         nb, mean_b = x.shape[-1], x.mean(axis=-1)
@@ -248,7 +241,6 @@ def _block_moments(blocks):
 def _phase_factors(state0: SpectralState, t):
     """exp(i*theta), theta = phases - E*t: the common phases at time t, a
     numpy array."""
-    import numpy as np
     return np.exp(1j * (np.asarray(state0.phases) - state0.energies() * t))
 
 
@@ -268,7 +260,6 @@ def ensemble_expectation_mc(
     error are streamed over blocks of trajectories (`_block_moments`), so
     memory does not grow with n_traj.  Deterministic given master_seed.
     """
-    import numpy as np
     if obs.basis != state0.levels:
         raise DomainError("observable basis does not match state levels")
     d = _phase_factors(state0, t)
@@ -285,7 +276,6 @@ def _damped_moduli(state0: SpectralState, params, t, pairs, out):
     magnitudes, for the level pairs (i, j) = pairs at each of the times t,
     formed in out, shape (len(t), len(i)); exactly m_i*m_j where E_i = E_j.
     Returns the time-invariant diagonal, the weights w = exp(2*log m)."""
-    import numpy as np
     t = np.asarray(t, float)
     if not np.all(np.isfinite(t) & (t >= 0)):
         raise DomainError("t must be finite and >= 0")
@@ -304,7 +294,6 @@ def ensemble_density_matrix(
     damped moduli (`_damped_moduli`) times exp(i*(theta_i - theta_j)), theta =
     phases - E*t, exactly 1 on the diagonal, so the energy distribution is
     the same for all t, not up to rounding."""
-    import numpy as np
     n = len(state0.levels)
     rho = np.empty((n, n))
     _damped_moduli(state0, params, [t], np.indices((n, n)).reshape(2, -1), rho.reshape(1, -1))
@@ -329,7 +318,6 @@ def ensemble_density_matrix_mc(
     the real and imaginary parts in quadrature is exactly that of s_i*s_j,
     so it is real.
     """
-    import numpy as np
     d = _phase_factors(state0, t)
     i, j = np.triu_indices(d.size)
     n, mean, m2 = _block_moments(
@@ -396,8 +384,6 @@ def _collapse_bytes(p, model):
 
 @_numpy_runner
 def _run_collapse(cfg):
-    import numpy as np
-
     p, (state0, params) = cfg.parameters, cfg.model
     n_traj, n_steps = p["n_traj"], p["n_steps"]
     times = np.array(_grid(p["t_max"] / n_steps, p["t_max"], n_steps))
@@ -438,8 +424,6 @@ def _ensemble_bytes(p, model):
 
 @_numpy_runner
 def _run_ensemble(cfg):
-    import numpy as np
-
     p, (state0, params) = cfg.parameters, cfg.model
     times = np.array(_grid(0.0, p["t_max"], p["n_t"]))
     energies = state0.energies()

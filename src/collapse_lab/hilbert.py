@@ -11,12 +11,9 @@ all norms go through log-sum-exp, the package's one, in `math`
 (`collapse_lab._log_sum_exp`), and ratios are formed after subtracting a
 common log offset.
 
-The module imports no numpy when loaded.  The records' checks and
-`squared_norm` are plain Python, all but `ObservableMatrix`'s check, whose
-entries are a numpy array; the functions that compute with arrays import
-numpy when called.  So building and normalizing a state loads none: no
-config's `validate` loads numpy, and only the collapse, ensemble and k-grid
-runners do.
+The records' checks and `squared_norm` are plain Python, all but
+`ObservableMatrix`'s check, whose entries are a numpy array, so building and
+normalizing a state computes with no array.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ import math
 from typing import Any, NamedTuple
 
 from . import DomainError, _checked, _log_sum_exp
+from . import _np as np
 
 __all__ = [
     "DomainError",
@@ -43,9 +41,9 @@ NEG_INF = float("-inf")
 class SpectralState(NamedTuple):
     """Complex amplitudes over energy levels, in log-magnitude/phase form.
 
-    Components are kept sorted by energy, degenerate ones in the order given
-    (a stable sort), so that equality and golden-file comparisons are
-    deterministic.
+    Components are kept as tuples sorted by energy, degenerate ones in the
+    order given (a stable sort), so that equality and golden-file comparisons
+    are deterministic.
     """
 
     levels: tuple[float, ...]
@@ -62,8 +60,8 @@ class SpectralState(NamedTuple):
         if not all(map(math.isfinite, self.levels)):
             raise DomainError("levels must be finite")
         order = sorted(range(n), key=lambda i: self.levels[i])
-        if order != list(range(n)):
-            # the record of the fields in that order, itself checked
+        if order != list(range(n)) or not all(isinstance(f, tuple) for f in self[:3]):
+            # the record of the fields as tuples in that order, itself checked
             return self._make([*(tuple(f[i] for i in order) for f in self[:3]),
                                self.normalized_flag])
         if all(lm == NEG_INF for lm in self.log_magnitudes):
@@ -78,7 +76,6 @@ class SpectralState(NamedTuple):
     @classmethod
     def from_amplitudes(cls, levels, amplitudes, normalized_flag=False):
         """Build from ordinary complex amplitudes (convenience path)."""
-        import numpy as np
         amplitudes = np.asarray(amplitudes, dtype=complex)
         log_mags = np.full(amplitudes.shape, NEG_INF)
         nonzero = amplitudes != 0
@@ -89,7 +86,6 @@ class SpectralState(NamedTuple):
 
     def energies(self):
         """The level energies, a numpy float array."""
-        import numpy as np
         return np.array(self.levels, float)
 
     def amplitudes(self, log_shift: float = 0.0):
@@ -98,7 +94,6 @@ class SpectralState(NamedTuple):
         Pass the log norm (or the max log magnitude) as ``log_shift`` when
         the raw amplitudes would underflow.
         """
-        import numpy as np
         lm = np.asarray(self.log_magnitudes) - log_shift
         return np.exp(lm) * np.exp(1j * np.asarray(self.phases))
 
@@ -117,7 +112,6 @@ class ObservableMatrix(NamedTuple):
     entries: Any
 
     def _check(self):
-        import numpy as np
         basis, entries = tuple(self.basis), np.asarray(self.entries, dtype=complex)
         if basis is not self.basis or entries is not self.entries:
             return self._replace(basis=basis, entries=entries)
@@ -134,18 +128,15 @@ class ObservableMatrix(NamedTuple):
 
     @classmethod
     def identity(cls, basis):
-        import numpy as np
         return cls(tuple(basis), np.eye(len(tuple(basis))))
 
     @classmethod
     def hamiltonian(cls, basis):
-        import numpy as np
         basis = tuple(basis)
         return cls(basis, np.diag(basis).astype(complex))
 
     @classmethod
     def energy_projector(cls, basis, energy):
-        import numpy as np
         basis = tuple(basis)
         diag = [1.0 if e == energy else 0.0 for e in basis]
         return cls(basis, np.diag(diag).astype(complex))
@@ -153,7 +144,8 @@ class ObservableMatrix(NamedTuple):
 
 @_checked
 class DiscreteSpectrum(NamedTuple):
-    """Unity-normalized probability weights over strictly increasing energies."""
+    """Unity-normalized probability weights over strictly increasing energies,
+    both kept as tuples of floats."""
 
     energies: tuple[float, ...]
     weights: tuple[float, ...]
@@ -174,9 +166,10 @@ class DiscreteSpectrum(NamedTuple):
         total = math.fsum(w)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"weights must sum to 1, got {total!r}")
+        if not all(type(x) is tuple and all(type(v) is float for v in x) for x in self):
+            return self._make((e, w))  # the values read, itself checked
 
     def as_arrays(self):
-        import numpy as np
         return np.asarray(self.energies, float), np.asarray(self.weights, float)
 
 
@@ -193,7 +186,6 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
     The imaginary part must vanish (A is Hermitian); it is asserted below
     1e-10 relative and dropped.
     """
-    import numpy as np
     if obs.basis != state.levels:
         raise DomainError("observable basis does not match state levels")
     log_n2 = squared_norm(state)
@@ -211,7 +203,6 @@ def expectation(state: SpectralState, obs: ObservableMatrix) -> float:
 
 def energy_distribution(state: SpectralState) -> DiscreteSpectrum:
     """Degeneracy-summed, unity-normalized energy spectrum of a state."""
-    import numpy as np
     log_n2 = squared_norm(state)
     if log_n2 == NEG_INF:
         raise DomainError("zero-norm state")

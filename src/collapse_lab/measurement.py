@@ -8,8 +8,7 @@ magnitudes and the per-branch phases; a control fixture with unequal
 magnitudes shows what collapse sensitivity would look like.
 
 The ratio is computed in `math`, one (t, B) point a call: the module imports
-neither numpy nor `hilbert` when loaded, and only `build_branches`, which
-makes the branch states, loads them, when called.
+`hilbert` only in `build_branches`, which makes the branch states.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from typing import NamedTuple
 
 from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _grid,
                _int_pos, _log_sum_exp, _n_grid, _positive)
+from . import _np as np
 from .engine import CollapseParams, collapse_exponent
 
 __all__ = [
@@ -79,8 +79,6 @@ class BranchSpec(NamedTuple):
 def build_branches(spec: BranchSpec):
     """The two branches' `hilbert.SpectralState`s (unnormalized, amplitudes
     m*exp(i*theta))."""
-    import numpy as np
-
     from .hilbert import SpectralState
     mags_2 = spec.branch_2_magnitudes
     amps_1 = np.asarray(spec.magnitudes) * np.exp(1j * np.asarray(spec.phases_1))

@@ -6,8 +6,8 @@ product of their conditional record probabilities is bounded by
 exp(-(B1-B2)^2/(8*lambda*dt)) times the Bhattacharyya overlap of the two
 spectra, and the exponential tends to 1 as t grows.
 
-The bound is a closed form computed in `math`: the module imports no numpy,
-and only the numerical check `verify_schwarz_chain` loads it, when called.
+The bound is a closed form computed in `math`; only the numerical check
+`verify_schwarz_chain` computes with arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _choice,
                _float, _grid, _int_pos, _nonneg, _positive, _t_cal)
+from . import _np as np
 from .hilbert import DiscreteSpectrum
 
 __all__ = [
@@ -102,7 +103,6 @@ def verify_schwarz_chain(
     the sum must equal exp(-dB^2/(8*lambda*dt)) * overlap within 1e-4
     relative.  Returns (lhs_sum, rhs, holds).
     """
-    import numpy as np
     if t <= scenario.t0:
         raise DomainError("need t > t0")
     if not _partition_ok(partition):

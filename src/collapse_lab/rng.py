@@ -13,7 +13,7 @@ round keys are folded mod 2**64 in Python integers, as numpy *scalar*
 
 from __future__ import annotations
 
-import numpy as np
+from . import _np as np
 
 __all__ = ["philox4x64"]
 

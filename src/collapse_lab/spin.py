@@ -8,8 +8,7 @@ exp(-epsilon^2*T_cal^2/2).
 
 Evaluation is by the analytic expressions (complex-argument normal
 distribution function), not by simulating the switch Hamiltonian.  The
-closed forms take one float and compute in `math` and `cmath`: the module
-imports no numpy, so a run of them loads none.
+closed forms take one float and compute in `math` and `cmath`.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import NamedTuple
 
 from . import (_CLOSED_ROW_BYTES, ConfigError, DomainError, Experiment, _checked, _float,
                _grid, _n_grid, _nonneg, _positive, _t_cal)
+from . import _np as np
 from ._kernels import normal_cdf
 
 __all__ = [
@@ -103,11 +103,8 @@ def spin_density_matrix(s: float, p: SpinModelParams):
     A mixture of spin up, spin down and a precessing pure part weighted by
     the damping envelope; trace 1 and positive semidefinite.  Raises inside
     the switchover window |s| <= 2*sqrt(sigma^2 + T_cal^2), where the
-    closed form does not apply.  Returns a numpy array, and only this
-    function of the module loads numpy.
+    closed form does not apply.  Returns a numpy array, the module's only one.
     """
-    import numpy as np
-
     width = math.hypot(p.sigma, p.T_cal)
     if s <= 2.0 * width:
         raise DomainError("density matrix form only valid for s > 2*width")

@@ -1598,19 +1598,34 @@ def test_kgrid_summary_reports_chebyshev_series(tmp_path):
 
 def test_kgrid_reports_no_t_cal(tmp_path, capsys):
     # the k-grid oracle applies no collapse smearing: `validate` prints no
-    # T_cal line and the summary holds no T_cal scalar, though the echoed
-    # parameters list the closed mode's t_cal key at its default; closed
-    # decay keeps both
+    # T_cal line, and the summary holds no T_cal scalar and echoes none of
+    # the closed mode's keys; closed decay keeps both
     assert main(["validate", "--config", str(CONFIGS / "decay_kgrid.ini")]) == 0
     assert "T_cal" not in capsys.readouterr().out
     doc, _ = kgrid_summaries(tmp_path, SMALL_KGRID_INI)
-    assert "T_cal" not in doc["scalars"] and doc["parameters"]["t_cal"] == 0.0
+    assert "T_cal" not in doc["scalars"]
+    assert not {"t_cal", "n_s"} & set(doc["parameters"])
     path = write_config(tmp_path, CLOSED_DECAY_INI, "closed.ini")
     assert main(["validate", "--config", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "T_cal (key 't_cal') = 1"
     assert main(["decay", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
     doc = json.loads((tmp_path / "c.summary.json").read_text())
     assert doc["scalars"]["T_cal"] == 1.0
+
+
+def test_closed_decay_echoes_no_kgrid_key(tmp_path, capsys):
+    # a k-grid key given to closed decay exits 2, so neither the summary nor
+    # `validate` lists one at its default
+    kgrid_keys = {"x0", "n_modes", "half_width", "dt", "record_every", "packet"}
+    path = write_config(tmp_path, CLOSED_DECAY_INI, "closed.ini")
+    assert main(["decay", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+    doc = json.loads((tmp_path / "c.summary.json").read_text())
+    assert set(doc["parameters"]) == {"epsilon", "gamma", "sigma", "t_cal", "mode",
+                                      "s_max", "n_s"}
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path)]) == 0
+    echoed = {line.split(" = ")[0].strip() for line in capsys.readouterr().out.splitlines()}
+    assert not kgrid_keys & echoed
 
 
 def test_kgrid_matvecs_count_every_segment(tmp_path):

@@ -77,6 +77,16 @@ class TestSpectralState:
         assert abs(log_n2) < 1e-12
         assert abs(math.exp(log_n2) - 1.0) < 1e-12
 
+    def test_list_fields_are_held_as_tuples(self):
+        # a record given lists equals the one given tuples
+        state = SpectralState([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        assert state == SpectralState((0.0, 1.0), (0.0, 0.0), (0.0, 0.0))
+        assert all(type(f) is tuple for f in state[:3])
+
+    def test_list_levels_match_an_observable_basis(self):
+        state = SpectralState([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        assert abs(expectation(state, ObservableMatrix.identity(state.levels)) - 1.0) < 1e-12
+
 
 class TestSquaredNorm:
     def test_matches_linear_computation(self):
@@ -184,6 +194,12 @@ class TestDiscreteSpectrum:
         # nan fails every comparison, so no ordering or sum check refuses it
         with pytest.raises(DomainError, match="finite"):
             DiscreteSpectrum(energies, weights)
+
+    @pytest.mark.parametrize("energies", [[0, 1.0], (0, 1)])
+    def test_values_are_held_as_tuples_of_floats(self, energies):
+        spectrum = DiscreteSpectrum(energies, np.array([0.5, 0.5]))
+        assert spectrum == DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))
+        assert all(type(f) is tuple and all(type(v) is float for v in f) for f in spectrum)
 
 
 class TestEnergyDistribution:

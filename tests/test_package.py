@@ -1,5 +1,6 @@
 """The package namespace: one list of public names, kept by the layer modules."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -107,6 +108,51 @@ def test_layers_leave_cli_and_blas_threads_alone():
     assert loaded == [sorted(f"collapse_lab.{m}" for m in ("_kernels",) + LAYERS), False]
 
 
+def test_layers_load_numpy_at_the_first_array_call():
+    # every layer loads with no numpy, and a function loads it where it first
+    # computes with an array, not before
+    loaded = fresh_interpreter(
+        "import json, sys\n"
+        "from collapse_lab import *\n"
+        "numpy = lambda: 'numpy' in sys.modules\n"
+        "before = numpy()\n"
+        "smear(lambda t: t, 1.0, 0.0)\n"
+        "closed = numpy()\n"
+        "smear(lambda t: t, 1.0, 0.5)\n"
+        "print(json.dumps([before, closed, numpy()]))\n")
+    assert loaded == [False, False, True]
+
+
+def numpy_imports(node, scope=()):
+    """The dotted scope of every statement under `node` importing numpy."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        else:
+            modules = [child.module] if isinstance(child, ast.ImportFrom) and not child.level else []
+        if any(m.partition(".")[0] == "numpy" for m in modules):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from numpy_imports(child, scope + ((child.name,) if named else ()))
+
+
+def test_numpy_is_imported_in_one_place():
+    # the layers bind the package's lazy `_np`, whose __getattr__ holds the
+    # package's one import of numpy
+    package = Path(collapse_lab.__file__).parent
+    found = [(path.name, scope) for path in sorted(package.glob("*.py"))
+             for scope in numpy_imports(ast.parse(path.read_text()))]
+    assert found == [("__init__.py", "_Numpy.__getattr__")]
+
+
+def test_numpy_binding_keeps_what_it_looks_up():
+    # a name is looked up in numpy once, then found in the binding itself
+    import numpy
+    binding = collapse_lab._Numpy()
+    assert binding.float64 is numpy.float64
+    assert vars(binding) == {"float64": numpy.float64}
+
+
 def annotated(module):
     """Every function, method and class `module` defines."""
     for obj in vars(module).values():
@@ -126,7 +172,7 @@ def annotated(module):
                          ids=lambda m: m.lstrip(".") or "collapse_lab")
 def test_annotations_resolve(module):
     # every annotation names what the module binds when loaded: none names
-    # numpy or a layer that the module imports only in its functions
+    # a layer that the module imports only in its functions
     module = importlib.import_module(f"collapse_lab{module}")
     objs = list(annotated(module))
     assert objs

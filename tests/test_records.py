@@ -61,6 +61,10 @@ class TestBhattacharyya:
         with pytest.raises(DomainError):
             bhattacharyya(a, b)
 
+    def test_list_and_tuple_grids_are_one_grid(self):
+        a = DiscreteSpectrum([0.0, 1.0], [0.5, 0.5])
+        assert bhattacharyya(a, DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))) == 1.0
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8),
            st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8))
@@ -139,6 +143,11 @@ class TestRecordViolationBound:
         b = DiscreteSpectrum((0.0, 2.0), (0.5, 0.5))
         with pytest.raises(DomainError):
             RecordScenario(a, b, 1.0, -1.0, 1.0)
+
+    def test_list_and_tuple_spectra_share_a_grid(self):
+        a = DiscreteSpectrum([0.0, 1.0], [0.5, 0.5])
+        b = DiscreteSpectrum((0.0, 1.0), (0.5, 0.5))
+        assert RecordScenario(a, b, 1.0, -1.0, 1.0).spectrum_plus == b
 
 
 class TestVerifySchwarzChain:
